@@ -165,12 +165,14 @@ fn run_cell(lab: &mut VantageLab, config: &TomographyConfig, cell: usize) -> Tom
     let candidates = gen.censor_candidates();
     let active = (!candidates.is_empty()).then(|| candidates[cell % candidates.len()]);
 
-    // Exactly one censor: every other device turns permissive. `set_policy`
-    // on the fork's private middlebox cell leaves the shared image intact.
+    // Exactly one censor: every other device a probe can reach turns
+    // permissive. Devices off every client variant never see a packet, so
+    // they are left alone — and, in a fork, never built. `set_policy` on
+    // the fork's private middlebox cell leaves the shared image intact.
     let off = PolicyHandle::new(Policy::permissive());
-    for (di, device) in gen.devices.iter().enumerate() {
+    for &di in &candidates {
         if Some(di) != active {
-            lab.net.middlebox_mut(device.handle).set_policy(off.clone());
+            lab.net.middlebox_mut(gen.devices[di].handle).set_policy(off.clone());
         }
     }
 

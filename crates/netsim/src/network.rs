@@ -1,5 +1,6 @@
 //! The discrete-event engine: hosts, routes, and the event loop.
 
+use std::cell::OnceCell;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::net::Ipv4Addr;
@@ -156,7 +157,18 @@ pub struct Network {
     route_arena: Arc<Vec<Route>>,
     /// Route hash → arena slots with that hash, for interning dedup.
     route_intern: Arc<FxHashMap<u64, Vec<RouteId>>>,
-    middleboxes: Vec<Box<dyn Middlebox>>,
+    /// One slot per middlebox id. [`Network::add_middlebox`] fills its slot
+    /// at once; a fork starts with every slot empty and
+    /// [`Network::slot`] fills one from `middlebox_images` the first time
+    /// anything touches it, so a cell builds (and later drops) only the
+    /// devices its packets cross. A device's pristine state is a pure
+    /// function of its image, so one filled late is identical to one that
+    /// would have been filled at fork time.
+    middleboxes: Vec<OnceCell<Box<dyn Middlebox>>>,
+    /// What empty slots are filled from: the image this network was forked
+    /// from, shared with its siblings. Empty on a network built by hand,
+    /// whose slots are never empty.
+    middlebox_images: Arc<[Box<dyn MiddleboxImage>]>,
     hop_latency: Duration,
     capture_enabled: bool,
     captures: Vec<CaptureRecord>,
@@ -202,6 +214,7 @@ impl Network {
             route_arena: Arc::default(),
             route_intern: Arc::default(),
             middleboxes: Vec::new(),
+            middlebox_images: Arc::new([]),
             hop_latency,
             capture_enabled: true,
             captures: Vec::new(),
@@ -320,8 +333,27 @@ impl Network {
     /// Registers a middlebox, returning its id for route attachments.
     pub fn add_middlebox(&mut self, mb: Box<dyn Middlebox>) -> MiddleboxId {
         let id = MiddleboxId(self.middleboxes.len());
-        self.middleboxes.push(mb);
+        self.middleboxes.push(OnceCell::from(mb));
         id
+    }
+
+    /// The middlebox in slot `id`, instantiated from the fork's image if
+    /// nothing has touched it yet — the one place a slot is filled, behind
+    /// every read, write, packet and [`Network::image`].
+    fn slot(&self, id: MiddleboxId) -> &dyn Middlebox {
+        &**self.middleboxes[id.0].get_or_init(|| self.middlebox_images[id.0].instantiate())
+    }
+
+    /// [`Network::slot`], mutably.
+    fn slot_mut(&mut self, id: MiddleboxId) -> &mut dyn Middlebox {
+        self.slot(id);
+        &mut **self.middleboxes[id.0].get_mut().expect("slot filled just above")
+    }
+
+    /// How many middleboxes this network has instantiated so far: all of
+    /// them when built by hand, only the touched ones in a fork.
+    pub fn middleboxes_built(&self) -> usize {
+        self.middleboxes.iter().filter(|slot| slot.get().is_some()).count()
     }
 
     /// Registers a concrete middlebox, returning a typed handle that can
@@ -339,8 +371,7 @@ impl Network {
     /// another type — handles are only meaningful for the network that
     /// created them.
     pub fn middlebox<M: Middlebox + 'static>(&self, handle: MiddleboxHandle<M>) -> &M {
-        let mb: &dyn Middlebox = &*self.middleboxes[handle.id.0];
-        mb.as_any().downcast_ref::<M>().expect("middlebox handle type mismatch")
+        self.slot(handle.id).as_any().downcast_ref::<M>().expect("middlebox handle type mismatch")
     }
 
     /// Mutably borrows a middlebox at its concrete type.
@@ -348,8 +379,7 @@ impl Network {
     /// # Panics
     /// Panics on handle/slot type mismatch, as in [`Network::middlebox`].
     pub fn middlebox_mut<M: Middlebox + 'static>(&mut self, handle: MiddleboxHandle<M>) -> &mut M {
-        let mb: &mut dyn Middlebox = &mut *self.middleboxes[handle.id.0];
-        mb.as_any_mut().downcast_mut::<M>().expect("middlebox handle type mismatch")
+        self.slot_mut(handle.id).as_any_mut().downcast_mut::<M>().expect("middlebox handle type mismatch")
     }
 
     /// Runs a closure with mutable access to a middlebox — the explicit
@@ -692,7 +722,7 @@ impl Network {
     fn do_hop(&mut self, src: HostId, dst: HostId, step: usize, packet: Vec<u8>) {
         // Copy out the per-step scalars up front; the device loop below
         // re-indexes the arena per device so no `&self` borrow is ever
-        // live across the `&mut self.middleboxes` call (the arena is
+        // live across the `slot_mut(..).process(..)` call (the arena is
         // append-only and `process` cannot reach it, so indices are
         // stable). This is what let the interned arena replace `Rc<Route>`
         // without cloning the device list per hop.
@@ -787,13 +817,14 @@ impl Network {
         // for the packet as the device saw it, an egress record per packet
         // it forwarded. Extra queueing delay from Delay verdicts rides
         // along with each in-flight packet into the next hop event.
+        let now = self.now;
         let mut fanout: Option<Vec<Vec<u8>>> = None;
         let mut extra_delay = Duration::ZERO;
         let mut resume = n_devices;
         for di in 0..n_devices {
             let (mb_id, direction) = self.route_arena[rid.0 as usize].steps[step].devices[di];
             self.capture(TracePoint::DeviceIngress { device: mb_id, step }, &packet);
-            match self.middleboxes[mb_id.0].process(self.now, direction, &mut packet) {
+            match self.slot_mut(mb_id).process(now, direction, &mut packet) {
                 Verdict::Pass => {
                     self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &packet);
                 }
@@ -849,7 +880,7 @@ impl Network {
             let mut next = Vec::new();
             for (mut pkt, delay) in in_flight {
                 self.capture(TracePoint::DeviceIngress { device: mb_id, step }, &pkt);
-                match self.middleboxes[mb_id.0].process(self.now, direction, &mut pkt) {
+                match self.slot_mut(mb_id).process(now, direction, &mut pkt) {
                     Verdict::Pass => {
                         self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &pkt);
                         next.push((pkt, delay));
@@ -1018,10 +1049,9 @@ impl Network {
     /// Panics if any installed middlebox does not implement
     /// [`Middlebox::image`].
     pub fn image(&self) -> NetworkImage {
-        let middleboxes = self
-            .middleboxes
-            .iter()
-            .map(|mb| {
+        let middleboxes = (0..self.middleboxes.len())
+            .map(|i| {
+                let mb = self.slot(MiddleboxId(i));
                 mb.image().unwrap_or_else(|| {
                     panic!("middlebox '{}' does not support snapshotting", mb.label())
                 })
@@ -1054,9 +1084,12 @@ impl Network {
 ///
 /// Unlike `Network` (whose boxed middleboxes are only `Send`), an image is
 /// `Send + Sync`, so sweep workers can fork from one `&NetworkImage`
-/// concurrently. Forking shares the address map, route table, and interned
-/// route arena by [`Arc`] and rebuilds only the small mutable cell: event
-/// queue, host inboxes, middlebox state, captures, and instruments.
+/// concurrently. Forking shares the address map, route table, interned
+/// route arena, and middlebox images by [`Arc`] and rebuilds only the small
+/// mutable cell: event queue, host inboxes, captures, and instruments.
+/// Middleboxes are instantiated on first touch: a fork performs the same
+/// number of allocations at any graph size and lays down one 16-byte empty
+/// slot per device.
 ///
 /// Applications are not captured: a forked network starts with no apps
 /// attached, exactly like a freshly built one, and drivers re-attach their
@@ -1067,7 +1100,7 @@ pub struct NetworkImage {
     routes: Arc<FxHashMap<(HostId, HostId), RouteId>>,
     route_arena: Arc<Vec<Route>>,
     route_intern: Arc<FxHashMap<u64, Vec<RouteId>>>,
-    middleboxes: Vec<Box<dyn MiddleboxImage>>,
+    middleboxes: Arc<[Box<dyn MiddleboxImage>]>,
     hop_latency: Duration,
     capture_enabled: bool,
     registry: Registry,
@@ -1083,9 +1116,9 @@ pub struct NetworkImage {
 
 impl NetworkImage {
     /// Builds a pristine network from the image: virtual time zero, empty
-    /// queue and inboxes, freshly instantiated middleboxes, zeroed
-    /// instruments — byte-identical in behavior to the network the image
-    /// was taken from as it stood at construction time.
+    /// queue and inboxes, middleboxes instantiated fresh as each is first
+    /// touched, zeroed instruments — byte-identical in behavior to the
+    /// network the image was taken from as it stood at construction time.
     pub fn fork(&self) -> Network {
         Network {
             now: Time::ZERO,
@@ -1100,7 +1133,8 @@ impl NetworkImage {
             routes: Arc::clone(&self.routes),
             route_arena: Arc::clone(&self.route_arena),
             route_intern: Arc::clone(&self.route_intern),
-            middleboxes: self.middleboxes.iter().map(|img| img.instantiate()).collect(),
+            middleboxes: self.middleboxes.iter().map(|_| OnceCell::new()).collect(),
+            middlebox_images: Arc::clone(&self.middleboxes),
             hop_latency: self.hop_latency,
             capture_enabled: self.capture_enabled,
             captures: Vec::new(),
@@ -1120,6 +1154,7 @@ impl NetworkImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
     use tspu_wire::ipv4::{Ipv4Repr, Protocol};
 
     fn packet(src: Ipv4Addr, dst: Ipv4Addr, ttl: u8, payload: &[u8]) -> Vec<u8> {
@@ -1348,6 +1383,9 @@ mod tests {
     #[derive(Default)]
     struct CountAll {
         seen: usize,
+        /// Times this device's image has been instantiated, shared with
+        /// the image and every instance it makes.
+        built: Arc<AtomicUsize>,
     }
     impl Middlebox for CountAll {
         fn process(&mut self, _now: Time, _dir: Direction, _packet: &mut Vec<u8>) -> Verdict {
@@ -1355,13 +1393,14 @@ mod tests {
             Verdict::Pass
         }
         fn image(&self) -> Option<Box<dyn MiddleboxImage>> {
-            Some(Box::new(CountAllImage))
+            Some(Box::new(CountAllImage(Arc::clone(&self.built))))
         }
     }
-    struct CountAllImage;
+    struct CountAllImage(Arc<AtomicUsize>);
     impl MiddleboxImage for CountAllImage {
         fn instantiate(&self) -> Box<dyn Middlebox> {
-            Box::new(CountAll::default())
+            self.0.fetch_add(1, Relaxed);
+            Box::new(CountAll { seen: 0, built: Arc::clone(&self.0) })
         }
     }
 
@@ -1393,6 +1432,61 @@ mod tests {
         // Shared topology: same routes without re-interning.
         assert_eq!(fork_a.interned_routes(), net.interned_routes());
         assert_eq!(fork_a.route(a, b).unwrap().steps[0].hop_addr, R1);
+    }
+
+    #[test]
+    fn fork_instantiates_only_the_devices_it_touches() {
+        let built = Arc::new(AtomicUsize::new(0));
+        let mut net = Network::with_default_latency();
+        let a = net.add_host(A);
+        let b = net.add_host(B);
+        let c = net.add_host(Ipv4Addr::new(203, 0, 113, 2));
+        let install =
+            |net: &mut Network| net.install_middlebox(CountAll { seen: 0, built: Arc::clone(&built) });
+        let (first, second, off_path, unrouted) =
+            (install(&mut net), install(&mut net), install(&mut net), install(&mut net));
+        net.set_route(a, b, Route {
+            steps: vec![
+                RouteStep::with_device(R1, first.id(), Direction::LocalToRemote),
+                RouteStep::with_device(R2, second.id(), Direction::LocalToRemote),
+            ],
+        });
+        net.set_route(a, c, Route {
+            steps: vec![RouteStep::with_device(R1, off_path.id(), Direction::LocalToRemote)],
+        });
+        let image = net.image();
+        assert_eq!(built.load(Relaxed), 0, "taking an image builds nothing");
+
+        let mut fork = image.fork();
+        assert_eq!(built.load(Relaxed), 0, "a fork builds nothing until touched");
+        assert_eq!((net.middleboxes_built(), fork.middleboxes_built()), (4, 0));
+        fork.send_from(a, packet(A, B, 64, b"x"));
+        fork.run_until_idle();
+        assert_eq!(fork.take_inbox(b).len(), 1);
+        assert_eq!(built.load(Relaxed), 2, "one routed packet builds exactly the on-path devices");
+        assert_eq!(fork.middleboxes_built(), 2);
+        assert_eq!(fork.middlebox(first).seen, 1);
+        assert_eq!(fork.middlebox(second).seen, 1);
+        assert_eq!(built.load(Relaxed), 2, "reading a built device builds nothing");
+
+        // A shared borrow of an untouched handle yields a pristine device,
+        // built once.
+        assert_eq!(fork.middlebox(off_path).seen, 0);
+        assert_eq!(fork.middlebox(off_path).seen, 0);
+        assert_eq!(built.load(Relaxed), 3);
+        fork.middlebox_mut(unrouted).seen = 7;
+        assert_eq!(fork.middlebox(unrouted).seen, 7);
+        assert_eq!(built.load(Relaxed), 4);
+
+        // An image taken from a fork covers its untouched slots too, and a
+        // device added after forking lands in a filled slot.
+        let mut sibling = image.fork();
+        let late = sibling.install_middlebox(CountAll { seen: 5, built: Arc::clone(&built) });
+        assert_eq!(sibling.middlebox(late).seen, 5);
+        assert_eq!(built.load(Relaxed), 4);
+        let regrown = sibling.image().fork();
+        assert_eq!(regrown.middlebox(late).seen, 0);
+        assert_eq!(regrown.middlebox(first).seen, 0);
     }
 
     #[test]

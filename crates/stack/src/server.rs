@@ -139,14 +139,17 @@ impl ServerApp {
         ServerApp::new(addr).with_port(ServerPort::new(7, PortBehavior::Echo))
     }
 
-    fn handle_tcp(&mut self, packet: &Ipv4Packet<&[u8]>, delay: Duration) -> Vec<Output> {
+    fn handle_tcp(&mut self, packet: &Ipv4Packet<&[u8]>) -> Vec<Output> {
         let Ok(segment) = TcpSegment::new_checked(packet.payload()) else {
             return Vec::new();
         };
         let local_port = segment.dst_port();
-        let Some(config) = self.ports.get(&local_port).cloned() else {
+        // Borrowed: the config can carry a whole `Respond` body, and only
+        // a new connection needs its own copy of the behaviour.
+        let Some(config) = self.ports.get(&local_port) else {
             return Vec::new(); // closed port: silently ignore (no RST model)
         };
+        let delay = config.response_delay;
         let key = PeerKey { addr: packet.src_addr(), port: segment.src_port(), local_port };
         // A fresh SYN on a known 4-tuple is a new connection attempt (the
         // peer reused the port); recycle the slot like a real listener
@@ -280,14 +283,7 @@ impl Application for ServerApp {
             return Vec::new();
         }
         match view.protocol() {
-            Protocol::Tcp => {
-                let per_port_delay = TcpSegment::new_checked(view.payload())
-                    .ok()
-                    .and_then(|s| self.ports.get(&s.dst_port()))
-                    .map(|p| p.response_delay)
-                    .unwrap_or(Duration::ZERO);
-                self.handle_tcp(&view, per_port_delay)
-            }
+            Protocol::Tcp => self.handle_tcp(&view),
             Protocol::Udp => self.handle_udp(&view),
             Protocol::Icmp => self.handle_icmp(&view),
             Protocol::Other(_) => Vec::new(),

@@ -37,7 +37,7 @@ use crate::policy_build::TOR_ENTRY_NODE;
 /// are no-ops on generated labs, whose devices are always reliable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum TopologySpec {
-    /// The fixed Fig. 1 measurement setup (three vantages, five devices).
+    /// The fixed Fig. 1 measurement setup (three vantages, six devices).
     #[default]
     Fig1,
     /// A seeded AS graph from [`GenParams`].

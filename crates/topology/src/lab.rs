@@ -899,34 +899,60 @@ mod tests {
     fn forked_lab_matches_fresh_build() {
         let universe = Universe::generate(11);
         let policy = policy_from_universe(&universe, false, true);
-        let image =
-            VantageLab::builder().universe(&universe).policy(policy.clone()).table1().image();
+        let specs = [
+            (TopologySpec::Fig1, 6),
+            (TopologySpec::Generated(crate::GenParams::new(11, 5000)), 65),
+        ];
+        for (spec, devices) in specs {
+            let builder = || {
+                VantageLab::builder()
+                    .universe(&universe)
+                    .policy(policy.clone())
+                    .table1()
+                    .topology(spec.clone())
+            };
+            let image = builder().image();
 
-        let run = |mut lab: VantageLab| {
-            lab.net.set_app(lab.us_main, Box::new(ServerApp::https_site(US_MAIN)));
-            let v = lab.vantage("Rostelecom");
-            let (host, addr) = (v.host, v.addr);
-            let ch = ClientHelloBuilder::new("twitter.com").build();
-            let (app, report, syn) =
-                TcpClient::start(TcpClientConfig::new(addr, 49000, US_MAIN, 443, ch));
-            lab.net.set_app(host, Box::new(app));
-            lab.net.send_from(host, syn);
-            lab.net.run_until_idle();
-            (report.outcome(), format!("{:?}", lab.obs_snapshot()))
-        };
+            // One blocked fetch with capture on, from Rostelecom or from
+            // generated client 0: either path crosses exactly two devices.
+            let run = |mut lab: VantageLab| {
+                lab.net.set_capture(true);
+                lab.net.set_app(lab.us_main, Box::new(ServerApp::https_site(US_MAIN)));
+                let (host, addr) = match &lab.gen {
+                    Some(gen) => (gen.clients[0].host, gen.clients[0].addr),
+                    None => {
+                        let v = lab.vantage("Rostelecom");
+                        (v.host, v.addr)
+                    }
+                };
+                let ch = ClientHelloBuilder::new("twitter.com").build();
+                let (app, report, syn) =
+                    TcpClient::start(TcpClientConfig::new(addr, 49000, US_MAIN, 443, ch));
+                lab.net.set_app(host, Box::new(app));
+                lab.net.send_from(host, syn);
+                lab.net.run_until_idle();
+                assert_eq!(report.outcome(), tspu_stack::ClientOutcome::Reset);
+                let built = lab.net.middleboxes_built();
+                let packets: Vec<_> =
+                    lab.net.captures().iter().map(|c| (c.time, c.point, c.bytes.clone())).collect();
+                // The snapshot reads every device, so the untouched ones
+                // are built here — pristine, like the fresh lab's.
+                (built, packets, format!("{:?}", lab.obs_snapshot()))
+            };
 
-        let fresh = VantageLab::builder()
-            .universe(&universe)
-            .policy(policy.clone())
-            .table1()
-            .build();
-        let from_image = image.fork(7);
-        assert_eq!(run(from_image), run(fresh));
+            let (fresh_built, fresh_packets, fresh_obs) = run(builder().build());
+            let (fork_built, fork_packets, fork_obs) = run(image.fork(7));
+            assert_eq!(fresh_built, devices, "a built lab holds every device");
+            assert_eq!(fork_built, 2, "a fork holds the devices its packets crossed");
+            assert_eq!(fork_packets, fresh_packets);
+            assert_eq!(fork_obs, fresh_obs);
 
-        // Forking is repeatable: a cell dirtied by traffic leaves the
-        // image untouched.
-        let again = image.fork(0);
-        assert_eq!(again.obs_snapshot().counter("netsim.events_processed"), 0);
+            // Forking is repeatable: a cell dirtied by traffic leaves the
+            // image untouched.
+            let again = image.fork(0);
+            assert_eq!(again.net.middleboxes_built(), 0);
+            assert_eq!(again.obs_snapshot().counter("netsim.events_processed"), 0);
+        }
     }
 
     #[test]
