@@ -395,7 +395,7 @@ fn sweep_scale(_c: &mut Criterion) {
     // `registry_100k_1thread` measured before lab images existed.
     let pool = ScanPool::single_thread();
     let start = std::time::Instant::now();
-    let fresh = pool.run(&spec.domains, &RunOpts::quick(), || (), |(), index, domain| {
+    let fresh = pool.run(&spec.domains, &RunOpts::quick(), |index, domain| {
         let mut lab = VantageLab::builder().policy(spec.policy.clone()).build();
         test_domain(&mut lab, domain, scenario_port(index))
     });

@@ -537,6 +537,33 @@ mod tests {
     }
 
     #[test]
+    fn soak_captures_nothing_and_keeps_its_counters() {
+        let lab = build_lab(small_config());
+        // A soak never reads a capture, so it must not take one: a slice
+        // of traffic leaves the capture log empty.
+        let (mut net, _) = lab.fork();
+        net.run_for(small_config().slice);
+        assert!(net.events_popped() > 0, "the slice ran no traffic");
+        assert!(net.captures().is_empty(), "the soak copied packets into a capture nobody reads");
+
+        // The traffic itself is what it was when every soak still captured
+        // (values recorded at the commit before capture became opt-in);
+        // only the engine's event count shrank (hop-run collapsing).
+        let report = lab.run();
+        let s = &report.stats;
+        assert_eq!(
+            [s.flows_started, s.flows_completed, s.got_data, s.resets, s.oracle_mismatches],
+            [2_000, 2_000, 1_344, 656, 0]
+        );
+        assert_eq!([s.open_loop_flows, s.closed_loop_flows], [1_496, 504]);
+        assert_eq!(
+            [s.client_tx_packets, s.client_rx_packets, s.server_tx_packets, s.server_rx_packets],
+            [7_344, 4_000, 4_000, 7_344]
+        );
+        assert!(report.events < 58_224, "events {} did not shrink", report.events);
+    }
+
+    #[test]
     fn repeated_runs_are_byte_identical() {
         let lab = build_lab(small_config());
         let a = lab.run().deterministic_json();

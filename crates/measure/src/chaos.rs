@@ -4,9 +4,9 @@
 //! thread count, every cell's capture replayed through the trace-invariant
 //! oracle.
 //!
-//! Each cell is a self-contained simulation: a private Table-1 lab
-//! forked from a warm image built once per run, the cell's [`FaultPlan`]
-//! wired through it at fork time, one reliability cell measured, then —
+//! Each cell is a self-contained simulation on the campaign kernel
+//! ([`ScanPool::run_cells`]): a private Table-1 lab, the cell's
+//! [`FaultPlan`] wired through it, one reliability cell measured, then —
 //! when `check_oracle` is on — the full capture audited against the
 //! paper's model invariants. A fault schedule that provokes a model
 //! violation therefore fails the sweep loudly with the offending packet
@@ -14,11 +14,10 @@
 
 use tspu_core::PolicyHandle;
 use tspu_netsim::fault::{DeviceFaults, FaultPlan, LinkFaults};
-use tspu_netsim::oracle::Oracle;
 use tspu_topology::VantageLab;
 
 use crate::reliability::{run_cell, FailureStats, Mechanism};
-use crate::sweep::{PoolRun, RunOpts, ScanPool};
+use crate::sweep::{RunOpts, ScanPool};
 
 /// One scenario of the grid: a vantage × mechanism pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,68 +102,35 @@ impl ChaosSweep {
 
     /// Runs the grid on the pool. Cells come back in scenario-major,
     /// seed-minor order — byte-identical at every thread count, because
-    /// each cell is a pure function of (scenario, seed) and the pool
-    /// reassembles results by index. Ask for the wall-clock
-    /// [`crate::sweep::PoolReport`] with [`RunOpts::report`].
+    /// each cell is a pure function of (scenario, seed).
     pub fn run(&self, pool: &ScanPool) -> Vec<ChaosCell> {
-        self.run_opts(pool, &RunOpts::quick()).results
-    }
-
-    /// [`ChaosSweep::run`] with explicit [`RunOpts`] — `report` yields the
-    /// per-worker utilization and cell-latency histogram for campaign
-    /// dashboards; `observe` is interpreted by the cells themselves (the
-    /// oracle audit), so the flag is ignored here.
-    pub fn run_opts(&self, pool: &ScanPool, opts: &RunOpts) -> PoolRun<ChaosCell> {
         let cells: Vec<(ChaosScenario, u64)> = self
             .scenarios
             .iter()
             .flat_map(|&scenario| self.seeds.iter().map(move |&seed| (scenario, seed)))
             .collect();
-        // The warm Table-1 lab is built once; each cell forks it and wires
-        // its own seeded fault plan through the fork. A cell stays a pure
-        // function of (scenario, seed) — the fork is byte-identical to the
-        // fresh build the old per-cell path did.
         let image = VantageLab::builder().policy(self.policy.clone()).table1().image();
-        pool.run(&cells, opts, || (), |(), index, &(scenario, seed)| {
-            self.run_one(&image, index, scenario, seed)
+        pool.run_cells(&RunOpts::quick(), &cells, |_| &image, |lab, _, &(scenario, seed)| {
+            self.cell(lab, scenario, seed)
         })
+        .cells
     }
 
-    /// Runs one cell: forked lab, fault plan, reliability measurement,
-    /// oracle audit.
-    fn run_one(
-        &self,
-        image: &tspu_topology::LabImage,
-        index: usize,
-        scenario: ChaosScenario,
-        seed: u64,
-    ) -> ChaosCell {
+    /// One cell: fault plan, reliability measurement, oracle audit.
+    fn cell(&self, lab: &mut VantageLab, scenario: ChaosScenario, seed: u64) -> ChaosCell {
         let plan = FaultPlan {
             seed,
             forward: self.forward.clone(),
             reverse: self.reverse.clone(),
             device: self.device.clone(),
         };
-        let mut lab = image.fork(index);
         lab.apply_fault_plan(&plan);
         if self.check_oracle {
             lab.net.set_capture(true);
         }
-        let stats = run_cell(&mut lab, scenario.vantage, scenario.mechanism, self.trials);
+        let stats = run_cell(lab, scenario.vantage, scenario.mechanism, self.trials);
         let oracle_violations = if self.check_oracle {
-            let spec = lab.oracle_spec();
-            let captures = lab.net.take_captures();
-            let mut report = Oracle::new(spec).check(&captures);
-            // Name the counters that moved on the offending device: the
-            // lab is fresh per cell, so its totals ARE the cell's deltas.
-            let device_snapshots = lab.device_snapshots();
-            report.attach_device_counters(|id| {
-                device_snapshots
-                    .iter()
-                    .find(|(device, _)| *device == id)
-                    .map(|(_, snapshot)| snapshot.moved_counters())
-            });
-            report.violations.iter().map(|v| v.to_string()).collect()
+            lab.oracle_audit().violations.iter().map(|v| v.to_string()).collect()
         } else {
             Vec::new()
         };

@@ -15,9 +15,10 @@
 //! lags dwarf the TSPU's round-trip convergence by construction.
 //!
 //! Every cell is a pure function of `(schedule, batch index, campaign
-//! config)` — a private lab forked from a warm image built once per
-//! campaign, fresh policy handle swapped in at fork time, virtual clock —
-//! so the campaign is byte-identical at any worker-thread count.
+//! config)` — a private lab from the campaign kernel
+//! ([`ScanPool::run_cells`]), its own day's policy handle swapped in,
+//! virtual clock — so the campaign is byte-identical at any worker-thread
+//! count.
 
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -113,19 +114,17 @@ impl ChurnCampaign {
             .filter(|(_, batch)| !batch.add.is_empty())
             .map(|(index, _)| index)
             .collect();
-        // Warm image built once against a placeholder handle; each cell
-        // forks it and swaps in its own day's policy handle. Forked state
-        // (conntrack, clocks, RNG, instruments) is pristine, so this is
-        // byte-identical to the fresh per-cell build it replaces.
+        // The image carries a placeholder handle; each cell swaps in its
+        // own day's.
         let image =
             VantageLab::builder().policy(PolicyHandle::new(Policy::permissive())).image();
-        let run = pool.run(&cells, &RunOpts::quick(), || (), |(), index, &pos| {
-            self.run_cell(&image, index, schedule, pos)
+        let run = pool.run_cells(&RunOpts::quick(), &cells, |_| &image, |lab, _, &pos| {
+            self.run_cell(lab, schedule, pos)
         });
         let mut convergence = Histogram::new();
         let mut snapshot = Snapshot::new();
-        let mut out = Vec::with_capacity(run.results.len());
-        for (cell, policy_obs) in run.results {
+        let mut out = Vec::with_capacity(run.cells.len());
+        for (cell, policy_obs) in run.cells {
             convergence.record(cell.convergence_us);
             snapshot.merge(&policy_obs);
             out.push(cell);
@@ -171,8 +170,7 @@ impl ChurnCampaign {
     /// convergence.
     fn run_cell(
         &self,
-        image: &tspu_topology::LabImage,
-        index: usize,
+        lab: &mut VantageLab,
         schedule: &ChurnSchedule,
         pos: usize,
     ) -> (DeltaConvergence, Snapshot) {
@@ -186,7 +184,6 @@ impl ChurnCampaign {
             policy.apply_delta(&churn_delta(prior));
         }
         let handle = PolicyHandle::new(policy);
-        let mut lab = image.fork(index);
         lab.set_policy(handle.clone());
         lab.net.set_app(lab.us_main, Box::new(ServerApp::https_site(lab.us_main_addr)));
 

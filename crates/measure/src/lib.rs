@@ -7,6 +7,7 @@
 //! | module | paper artifact |
 //! |---|---|
 //! | [`harness`] | shared probe machinery (§3's setup) |
+//! | [`sweep`] | the campaign layer: scan pool, fork → cell → merge kernel, §6 sweep |
 //! | [`behaviors`] | Fig. 2 behavior traces, behavior classification |
 //! | [`reliability`] | Table 1 |
 //! | [`sequences`] | Fig. 4 (TCP trigger sequences) |
@@ -53,5 +54,7 @@ pub use localize::{LocalizeRun, LocalizeSpec, LocalizeTechnique, LocalizedDevice
 pub use profiles::{
     DifferentialCampaign, DnsVerdict, HttpVerdict, ProfileCell, ProfileMatrix, TlsVerdict,
 };
-pub use sweep::{PoolReport, PoolRun, RunOpts, ScanPool, SweepRun, SweepSpec, WorkerReport};
+pub use sweep::{
+    CellsRun, PoolReport, PoolRun, RunOpts, ScanPool, SweepRun, SweepSpec, WorkerReport,
+};
 pub use tomography::{ProbeObs, TomographyCell, TomographyConfig, TomographyRun};

@@ -7,9 +7,9 @@
 //! upstream-only protocol (Fig. 8-left), or churn-driven tomography
 //! ([`crate::tomography`]) — replacing the old `localize_symmetric` /
 //! `localize_symmetric_pooled` / `find_upstream_only` /
-//! `find_upstream_only_pooled` driver family. TTL trials shard
-//! scenario-per-TTL across the pool, each on a private lab forked from a
-//! warm image; results are identical at every thread count.
+//! `find_upstream_only_pooled` driver family. TTL trials are one cell
+//! per TTL on the campaign kernel ([`ScanPool::run_cells`]); results are
+//! identical at every thread count.
 
 use std::time::Duration;
 
@@ -47,19 +47,21 @@ fn local_end(lab: &VantageLab, vantage: &str, port: u16) -> ScriptEnd {
     }
 }
 
-/// One symmetric-localization trial: control packets (full TTL) establish
-/// the flow, the trigger is TTL-limited, and a remote control response
-/// tests for blocking. Returns whether the flow was blocked (RST/ACK seen
-/// at the local side).
-pub fn symmetric_trial(lab: &mut VantageLab, vantage_name: &str, port: u16, ttl: u8) -> bool {
-    let local = local_end(lab, vantage_name, port);
+/// One blocked/passed trial from `local`: control packets (full TTL)
+/// establish the flow, the trigger ClientHello for `domain` is TTL-limited
+/// when `ttl` is given, and a remote control response tests for blocking.
+/// Returns whether the flow was blocked (RST/ACK seen at the local side).
+/// The §7.1 symmetric walk runs it per TTL; tomography runs it at full TTL
+/// per (epoch, client) and TTL-limited for its cross-check.
+pub fn rst_trial(lab: &mut VantageLab, local: ScriptEnd, domain: &str, ttl: Option<u8>) -> bool {
     let remote = ScriptEnd { host: lab.us_main, addr: lab.us_main_addr, port: 443 };
     let mut steps = crate::harness::handshake_prefix();
-    steps.push(
-        ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK)
-            .payload(ClientHelloBuilder::new("meduza.io").build())
-            .ttl(ttl),
-    );
+    let mut trigger = ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK)
+        .payload(ClientHelloBuilder::new(domain).build());
+    if let Some(ttl) = ttl {
+        trigger = trigger.ttl(ttl);
+    }
+    steps.push(trigger);
     steps.push(
         ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK)
             .payload(vec![0x99; 90])
@@ -211,10 +213,10 @@ impl LocalizeSpec {
         self
     }
 
-    /// The single localization entry point. TTL techniques shard
-    /// scenario-per-TTL across the pool (trial `ttl` on port
-    /// `port_base + ttl`, a pure function of the scenario); tomography
-    /// shards cell-per-scenario. Deterministic at every thread count.
+    /// The single localization entry point. TTL techniques run one cell
+    /// per TTL (trial `ttl` on port `port_base + ttl`, a pure function of
+    /// the cell); tomography one cell per localization. Deterministic at
+    /// every thread count.
     pub fn run(&self, pool: &ScanPool, opts: &RunOpts) -> LocalizeRun {
         let symmetric = match &self.technique {
             LocalizeTechnique::SymmetricTtl => true,
@@ -235,31 +237,22 @@ impl LocalizeSpec {
             .topology(self.topology.clone())
             .image();
         let ttls: Vec<u8> = (1..=self.max_ttl).collect();
-        let observe = opts.observe;
-        let run = pool.run(&ttls, opts, || (), |(), index, &ttl| {
-            let mut lab = image.fork(index);
+        let run = pool.run_cells(opts, &ttls, |_| &image, |lab, _, &ttl| {
             let port = self.port_base + u16::from(ttl);
-            let blocked = if symmetric {
-                symmetric_trial(&mut lab, &self.vantage, port, ttl)
+            if symmetric {
+                let local = local_end(lab, &self.vantage, port);
+                rst_trial(lab, local, "meduza.io", Some(ttl))
             } else {
-                upstream_trial(&mut lab, &self.vantage, port, ttl)
-            };
-            (blocked, observe.then(|| lab.take_obs().with_scenario(index as u32)))
-        });
-        let mut blocked = Vec::with_capacity(run.results.len());
-        let mut snapshot = observe.then(Snapshot::new);
-        for (b, snap) in run.results {
-            blocked.push(b);
-            if let (Some(total), Some(snap)) = (snapshot.as_mut(), snap.as_ref()) {
-                total.merge(snap);
+                upstream_trial(lab, &self.vantage, port, ttl)
             }
-        }
+        });
+        let blocked = run.cells;
         let devices = if symmetric {
             first_onset(&blocked).into_iter().collect()
         } else {
             all_onsets(&blocked)
         };
-        LocalizeRun { devices, tomography: None, snapshot, report: run.report }
+        LocalizeRun { devices, tomography: None, snapshot: run.snapshot, report: run.report }
     }
 }
 

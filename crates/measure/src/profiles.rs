@@ -1,8 +1,9 @@
 //! DifferentialCampaign: the same domain universe probed against every
 //! [`CensorProfile`] (DESIGN.md §12).
 //!
-//! Each (profile × domain) cell forks a pristine lab from that profile's
-//! warm [`LabImage`] and sends three volleys from the same vantage — a TLS
+//! Each (profile × domain) cell runs on the campaign kernel
+//! ([`ScanPool::run_cells`]), on a lab forked from that profile's warm
+//! [`LabImage`], and sends three volleys from the same vantage — a TLS
 //! ClientHello, an HTTP GET, and a DNS A-query — then classifies what the
 //! endpoints saw into a per-protocol verdict. The cells land in a
 //! [`ProfileMatrix`] in (profile-major, domain-minor) order, a pure
@@ -15,7 +16,6 @@
 use std::fmt;
 
 use tspu_core::{CensorProfile, PolicyHandle};
-use tspu_netsim::oracle::Oracle;
 use tspu_obs::{MetricValue, Snapshot, TimeSeries};
 use tspu_stack::craft::udp_packet;
 use tspu_topology::{LabImage, VantageLab};
@@ -200,9 +200,9 @@ impl DifferentialCampaign {
     }
 
     /// Runs the matrix on the pool. One warm [`LabImage`] per profile is
-    /// built up front; every cell forks its profile's image, so a cell is
-    /// a pure function of (profile, domain, index) and the reassembled
-    /// matrix is byte-identical at every thread count.
+    /// built up front; a cell is a pure function of (profile, domain,
+    /// index), so the reassembled matrix is byte-identical at every thread
+    /// count.
     pub fn run(&self, pool: &ScanPool, opts: &RunOpts) -> (ProfileMatrix, Option<PoolReport>) {
         let images: Vec<LabImage> = self
             .profiles
@@ -217,20 +217,13 @@ impl DifferentialCampaign {
         let cells: Vec<(usize, usize)> = (0..self.profiles.len())
             .flat_map(|pi| (0..self.domains.len()).map(move |di| (pi, di)))
             .collect();
-        let observe = opts.observe;
-        let run = pool.run(&cells, opts, || (), |(), index, &(pi, di)| {
-            self.run_one(&images[pi], index, pi, di, observe)
-        });
-        let mut matrix_cells = Vec::with_capacity(run.results.len());
-        let mut snapshot = observe.then(Snapshot::new);
-        // Index-ordered merge: the pool reassembles results by index, so
-        // the merged snapshot is as deterministic as the cells.
-        for (cell, cell_snapshot) in run.results {
-            matrix_cells.push(cell);
-            if let (Some(snap), Some(cell_snap)) = (snapshot.as_mut(), cell_snapshot) {
-                snap.merge(&cell_snap);
-            }
-        }
+        let run = pool.run_cells(
+            opts,
+            &cells,
+            |&(pi, _)| &images[pi],
+            |lab, index, &(pi, di)| self.cell(lab, index, &self.profiles[pi], &self.domains[di]),
+        );
+        let matrix_cells = run.cells;
         let profiles: Vec<&'static str> = self.profiles.iter().map(|p| p.name).collect();
         let mut series = TimeSeries::with_window_us(1);
         for cell in &matrix_cells {
@@ -267,61 +260,36 @@ impl DifferentialCampaign {
             cells: matrix_cells,
             profiles,
             domains: self.domains.clone(),
-            snapshot,
+            snapshot: run.snapshot,
             series,
         };
         (matrix, run.report)
     }
 
-    /// Runs one cell: forked per-profile lab, three volleys, optional
-    /// oracle audit.
-    fn run_one(
+    /// One cell: three volleys, optional oracle audit.
+    fn cell(
         &self,
-        image: &LabImage,
+        lab: &mut VantageLab,
         index: usize,
-        pi: usize,
-        di: usize,
-        observe: bool,
-    ) -> (ProfileCell, Option<Snapshot>) {
-        let profile = &self.profiles[pi];
-        let domain = &self.domains[di];
-        let mut lab = image.fork(index);
+        profile: &CensorProfile,
+        domain: &str,
+    ) -> ProfileCell {
         if self.check_oracle {
             lab.net.set_capture(true);
         }
         let port = scenario_port(index);
         let page_len = profile.block_page_bytes().map(<[u8]>::len);
 
-        let tls = probe_tls(&mut lab, port, domain);
-        let http = probe_http(&mut lab, port, domain, page_len);
-        let dns = probe_dns(&mut lab, port, domain);
+        let tls = probe_tls(lab, port, domain);
+        let http = probe_http(lab, port, domain, page_len);
+        let dns = probe_dns(lab, port, domain);
 
         let oracle_violations = if self.check_oracle {
-            let spec = lab.oracle_spec();
-            let captures = lab.net.take_captures();
-            let mut report = Oracle::new(spec).check(&captures);
-            let device_snapshots = lab.device_snapshots();
-            report.attach_device_counters(|id| {
-                device_snapshots
-                    .iter()
-                    .find(|(device, _)| *device == id)
-                    .map(|(_, snapshot)| snapshot.moved_counters())
-            });
-            report.attach_device_ledger(|id, packet| lab.device_ledger(id, packet, 8));
-            report.violations.iter().map(|v| v.to_string()).collect()
+            lab.oracle_audit().violations.iter().map(|v| v.to_string()).collect()
         } else {
             Vec::new()
         };
-        let snapshot = observe.then(|| lab.obs_snapshot().with_scenario(index as u32));
-        let cell = ProfileCell {
-            profile: profile.name,
-            domain: domain.clone(),
-            tls,
-            http,
-            dns,
-            oracle_violations,
-        };
-        (cell, snapshot)
+        ProfileCell { profile: profile.name, domain: domain.to_string(), tls, http, dns, oracle_violations }
     }
 }
 

@@ -1,16 +1,19 @@
-//! Parallel sweep engine: shards independent scan scenarios across OS
-//! threads with chunked work-stealing, then reassembles results in
-//! scenario order so the output is byte-identical at any thread count.
+//! The campaign layer: a pool that shards independent cells across OS
+//! threads with chunked work-stealing and reassembles results in cell
+//! order, and the one kernel every campaign driver runs on
+//! ([`ScanPool::run_cells`]): fork a private lab per cell from a warm
+//! image, run the cell, merge what it observed. DESIGN.md "Campaign layer"
+//! has the contract.
 //!
 //! The design exploits the measurement structure of the paper: every
 //! scenario (vantage × target × technique) is a self-contained simulation.
-//! The warm lab is built once per run into a shared immutable
-//! `LabImage`; workers fork a private `VantageLab` per scenario
-//! (sub-microsecond: the compiled policy, topology, and route arena are
-//! `Arc`-shared, only the mutable cell — conntrack, clocks, RNG,
-//! instruments — is rebuilt). A fork is byte-identical to a fresh build,
-//! so no ordering between scenarios can influence a verdict and
-//! determinism survives parallelism by construction.
+//! A driver builds its warm lab once into a shared immutable `LabImage`;
+//! the kernel forks a private `VantageLab` per cell (sub-microsecond: the
+//! compiled policy, topology, and route arena are `Arc`-shared, only the
+//! mutable cell — conntrack, clocks, RNG, instruments — is rebuilt). A
+//! fork is byte-identical to a fresh build, so no ordering between cells
+//! can influence a verdict and determinism survives parallelism by
+//! construction.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,7 +22,7 @@ use std::time::Instant;
 use tspu_core::PolicyHandle;
 use tspu_obs::{Histogram, MetricValue, Snapshot};
 use tspu_registry::Universe;
-use tspu_topology::{policy_from_universe, TopologySpec, VantageLab};
+use tspu_topology::{policy_from_universe, LabImage, TopologySpec, VantageLab};
 
 use crate::domains::{test_domain, DomainCampaign, DomainVerdict};
 
@@ -28,23 +31,22 @@ use crate::domains::{test_domain, DomainCampaign, DomainVerdict};
 /// that the shared cursor is touched rarely.
 const MAX_CHUNK: usize = 256;
 
-/// How a pool or sweep run executes — the one config struct behind
-/// [`ScanPool::run`] and [`SweepSpec::run`], replacing the old
-/// `run`/`run_with`/`run_reported`/`run_reported_with` and
-/// `run`/`run_observed`/`run_observed_sampled` variant families.
+/// How a campaign executes — the one config struct every driver's `run`
+/// takes, read in one place ([`ScanPool::run_cells`]), so each knob means
+/// the same thing under every driver.
 ///
 /// Every knob is orthogonal and none affects result values: observation
 /// and reporting ride on the side of the same deterministic execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOpts {
-    /// Capture each scenario's metrics and spans and merge them into one
-    /// campaign [`Snapshot`] (sweep-level runs only; pool-level `run`
-    /// leaves interpretation to the closure).
+    /// Take each cell's lab snapshot (engine, devices, chaos links,
+    /// policy), stamp it with the cell index and merge them, in index
+    /// order, into one campaign [`Snapshot`].
     pub observe: bool,
-    /// Span-sampling period when observing: scenario indices divisible by
+    /// Span-sampling period when observing: cell indices divisible by
     /// `trace_every` record spans, the rest record metrics only; `0`
-    /// disables spans entirely. A pure function of the scenario index, so
-    /// it cannot break cross-thread-count determinism.
+    /// disables spans entirely. A pure function of the cell index, so it
+    /// cannot break cross-thread-count determinism.
     pub trace_every: usize,
     /// Collect the wall-clock [`PoolReport`] (per-worker utilization,
     /// chunk-claim timing, scenario-latency histogram). Reports are
@@ -88,6 +90,18 @@ pub struct PoolRun<R> {
     pub report: Option<PoolReport>,
 }
 
+/// What [`ScanPool::run_cells`] returns.
+#[derive(Debug, Clone)]
+pub struct CellsRun<R> {
+    /// One cell result per item, in item order at every thread count.
+    pub cells: Vec<R>,
+    /// The index-ordered merge of every cell's lab snapshot; `Some` iff
+    /// the run's [`RunOpts::observe`] was set.
+    pub snapshot: Option<Snapshot>,
+    /// `Some` iff the run's [`RunOpts::report`] was set.
+    pub report: Option<PoolReport>,
+}
+
 /// A pool of scan workers. Cheap to construct — threads are spawned per
 /// [`ScanPool::run`] call (scoped), not kept alive between sweeps.
 #[derive(Debug, Clone)]
@@ -122,46 +136,89 @@ impl ScanPool {
         self.threads
     }
 
-    /// The single pool entry point: maps `f` over `items`, sharding
-    /// across the pool with guided self-scheduling over a shared cursor.
-    /// Results come back in item order regardless of which worker ran
-    /// which index.
+    /// The campaign kernel: one cell per item, each on a private lab
+    /// forked from the item's warm image. This is the only place a
+    /// campaign forks, and the only reader of [`RunOpts`]:
     ///
-    /// `init` builds per-worker scratch state, called once per worker and
-    /// threaded through its scenarios (pass `|| ()` when stateless). The
-    /// state must not affect results (it is reuse, not memory) — the
-    /// determinism guarantee assumes `f` is a pure function of
-    /// `(index, item)`. Per-worker timing flows only into the report
-    /// (returned iff [`RunOpts::report`]), never into result values.
-    pub fn run<T, R, S, Init, F>(
+    /// * the cell runs as `cell(&mut lab, index, item)` on
+    ///   `image_of(item).fork(index)` and must be a pure function of
+    ///   `(image, index, item)` — that is the whole determinism argument;
+    /// * with [`RunOpts::observe`], cells whose index `trace_every`
+    ///   divides record spans, every cell's [`VantageLab::take_obs`] is
+    ///   stamped with its index and the lot is merged in index order into
+    ///   [`CellsRun::snapshot`] — a pure function of the campaign,
+    ///   byte-identical at every thread count;
+    /// * with [`RunOpts::report`], the wall-clock [`PoolReport`] rides
+    ///   along, on the far side of that fence.
+    ///
+    /// A cell that audits itself switches capture on, runs its traffic and
+    /// returns [`VantageLab::oracle_audit`]'s findings in its result.
+    pub fn run_cells<'i, T, R, I, F>(
         &self,
-        items: &[T],
         opts: &RunOpts,
-        init: Init,
-        f: F,
-    ) -> PoolRun<R>
+        items: &[T],
+        image_of: I,
+        cell: F,
+    ) -> CellsRun<R>
     where
         T: Sync,
         R: Send,
-        Init: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
+        I: Fn(&T) -> &'i LabImage + Sync,
+        F: Fn(&mut VantageLab, usize, &T) -> R + Sync,
     {
-        let (results, report) = self.run_inner(items, init, f);
+        if !opts.observe {
+            let run = self.run(items, opts, |index, item| {
+                cell(&mut image_of(item).fork(index), index, item)
+            });
+            return CellsRun { cells: run.results, snapshot: None, report: run.report };
+        }
+        let trace_every = opts.trace_every;
+        let run = self.run(items, opts, |index, item| {
+            let mut lab = image_of(item).fork(index);
+            if trace_every != 0 && index % trace_every == 0 {
+                lab.set_tracing(true);
+            }
+            let result = cell(&mut lab, index, item);
+            (result, lab.take_obs().with_scenario(index as u32))
+        });
+        let mut cells = Vec::with_capacity(run.results.len());
+        let mut snapshot = Snapshot::new();
+        // Reassembled cell order: merging here (not in the workers) keeps
+        // the merge order index-driven, though merge itself is
+        // order-insensitive anyway.
+        for (result, cell_snapshot) in run.results {
+            cells.push(result);
+            snapshot.merge(&cell_snapshot);
+        }
+        CellsRun { cells, snapshot: Some(snapshot), report: run.report }
+    }
+
+    /// Maps `f` over `items`, sharding across the pool with guided
+    /// self-scheduling over a shared cursor. Results come back in item
+    /// order regardless of which worker ran which index. The determinism
+    /// guarantee assumes `f` is a pure function of `(index, item)`.
+    /// Per-worker timing flows only into the report (returned iff
+    /// [`RunOpts::report`]), never into result values.
+    pub fn run<T, R, F>(&self, items: &[T], opts: &RunOpts, f: F) -> PoolRun<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        let (results, report) = self.run_inner(items, f);
         PoolRun { results, report: opts.report.then_some(report) }
     }
 
     /// The scheduler: guided self-scheduling over a shared cursor, per-
     /// worker timing on the side.
-    fn run_inner<T, R, S, Init, F>(&self, items: &[T], init: Init, f: F) -> (Vec<R>, PoolReport)
+    fn run_inner<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, PoolReport)
     where
         T: Sync,
         R: Send,
-        Init: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
+        F: Fn(usize, &T) -> R + Sync,
     {
         let sweep_start = Instant::now();
         if self.threads == 1 || items.len() <= 1 {
-            let mut state = init();
             let mut worker = WorkerReport::default();
             let mut latencies = Histogram::new();
             let results = items
@@ -169,7 +226,7 @@ impl ScanPool {
                 .enumerate()
                 .map(|(i, item)| {
                     let started = Instant::now();
-                    let result = f(&mut state, i, item);
+                    let result = f(i, item);
                     let elapsed = started.elapsed().as_nanos() as u64;
                     worker.busy_ns += elapsed;
                     worker.items += 1;
@@ -196,7 +253,6 @@ impl ScanPool {
                 .map(|_| {
                     scope.spawn(|| {
                         let born = Instant::now();
-                        let mut state = init();
                         let mut out: Vec<(usize, R)> = Vec::new();
                         let mut worker = WorkerReport::default();
                         let mut latencies = Histogram::new();
@@ -221,7 +277,7 @@ impl ScanPool {
                                 items.iter().enumerate().take(end).skip(start)
                             {
                                 let started = Instant::now();
-                                out.push((index, f(&mut state, index, item)));
+                                out.push((index, f(index, item)));
                                 let elapsed = started.elapsed().as_nanos() as u64;
                                 worker.busy_ns += elapsed;
                                 worker.items += 1;
@@ -385,54 +441,44 @@ impl SweepSpec {
     }
 
     /// The single sweep entry point: sweeps every domain through
-    /// [`test_domain`], one private lab per scenario forked from a warm
-    /// image built once up front. Verdicts come back parallel to
-    /// `self.domains`, in domain order at every thread count.
+    /// [`test_domain`], one cell per domain on [`ScanPool::run_cells`].
+    /// Verdicts come back parallel to `self.domains`, in domain order at
+    /// every thread count.
     ///
     /// Scan labs use reliable devices, so the §3 "repeat >5 times" retry
     /// loop of the sequential campaign is unnecessary here: one attempt
     /// per scenario, on a port derived purely from the scenario index.
     ///
-    /// With [`RunOpts::observe`], tracing is enabled on every sampled
-    /// scenario lab, each scenario's metrics and spans are captured,
-    /// stamped with the scenario index, and merged into one campaign
-    /// [`Snapshot`] alongside a `sweep.scenario_us` histogram of
-    /// *virtual* scenario durations. The snapshot is a pure function of
-    /// the spec — byte-identical at every thread count — while the
-    /// wall-clock side lands in the separate [`PoolReport`]
-    /// (with [`RunOpts::report`]).
+    /// With [`RunOpts::observe`], the campaign [`Snapshot`] also carries
+    /// `sweep.scenarios` and a `sweep.scenario_us` histogram of *virtual*
+    /// scenario durations.
     pub fn run(&self, pool: &ScanPool, opts: &RunOpts) -> SweepRun {
         let image = VantageLab::builder()
             .policy(self.policy.clone())
             .topology(self.topology.clone())
             .image();
+        let probe = |lab: &mut VantageLab, index: usize, domain: &String| {
+            test_domain(lab, domain, scenario_port(index))
+        };
+        // Only an observed run wants each scenario's virtual duration; the
+        // quick path hands the kernel's verdicts back as they are.
         if !opts.observe {
-            let run = pool.run(&self.domains, opts, || (), |(), index, domain| {
-                let mut lab = image.fork(index);
-                test_domain(&mut lab, domain, scenario_port(index))
-            });
-            return SweepRun { verdicts: run.results, snapshot: None, report: run.report };
+            let run = pool.run_cells(opts, &self.domains, |_| &image, probe);
+            return SweepRun { verdicts: run.cells, snapshot: None, report: run.report };
         }
-        let trace_every = opts.trace_every;
-        let run = pool.run(&self.domains, opts, || (), |(), index, domain| {
-            let mut lab = image.fork(index);
-            lab.set_tracing(trace_every != 0 && index % trace_every == 0);
-            let verdict = test_domain(&mut lab, domain, scenario_port(index));
-            let virtual_us = lab.net.now().as_micros();
-            let snapshot = lab.take_obs().with_scenario(index as u32);
-            (verdict, virtual_us, snapshot)
+        let run = pool.run_cells(opts, &self.domains, |_| &image, |lab, index, domain| {
+            (probe(lab, index, domain), lab.net.now().as_micros())
         });
-        let mut verdicts = Vec::with_capacity(run.results.len());
-        let mut snapshot = Snapshot::new();
+        let mut snapshot = run.snapshot.expect("observed run");
         let mut scenario_us = Histogram::new();
-        // Reassembled scenario order: merging here (not in the workers)
-        // keeps the merge order index-driven, though merge itself is
-        // order-insensitive anyway.
-        for (verdict, virtual_us, scenario_snapshot) in run.results {
-            verdicts.push(verdict);
-            scenario_us.record(virtual_us);
-            snapshot.merge(&scenario_snapshot);
-        }
+        let verdicts: Vec<DomainVerdict> = run
+            .cells
+            .into_iter()
+            .map(|(verdict, virtual_us)| {
+                scenario_us.record(virtual_us);
+                verdict
+            })
+            .collect();
         if tspu_obs::ENABLED {
             snapshot.insert("sweep.scenarios", MetricValue::Counter(verdicts.len() as u64));
             snapshot.insert("sweep.scenario_us", MetricValue::Hist(scenario_us));
@@ -500,21 +546,18 @@ mod tests {
     fn run_preserves_item_order() {
         let items: Vec<usize> = (0..1000).collect();
         let pool = ScanPool::new(4);
-        let run = pool.run(&items, &RunOpts::quick(), || (), |(), _, &x| x * 2);
+        let run = pool.run(&items, &RunOpts::quick(), |_, &x| x * 2);
         assert_eq!(run.results, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
         assert!(run.report.is_none(), "quick run must not report");
     }
 
     #[test]
-    fn stateful_run_matches_single_thread() {
+    fn parallel_run_matches_single_thread() {
         let items: Vec<u64> = (0..317).collect();
-        let work = |_state: &mut u64, index: usize, item: &u64| {
-            *item * 31 + index as u64
-        };
-        let sequential =
-            ScanPool::single_thread().run(&items, &RunOpts::quick(), || 0u64, work).results;
+        let work = |index: usize, item: &u64| *item * 31 + index as u64;
+        let sequential = ScanPool::single_thread().run(&items, &RunOpts::quick(), work).results;
         for threads in [2, 3, 8] {
-            let parallel = ScanPool::new(threads).run(&items, &RunOpts::quick(), || 0u64, work);
+            let parallel = ScanPool::new(threads).run(&items, &RunOpts::quick(), work);
             assert_eq!(parallel.results, sequential, "{threads} threads");
         }
     }
@@ -522,7 +565,7 @@ mod tests {
     #[test]
     fn reported_run_counts_every_item() {
         let items: Vec<u64> = (0..100).collect();
-        let run = ScanPool::new(4).run(&items, &RunOpts::reported(), || (), |(), _, &x| x);
+        let run = ScanPool::new(4).run(&items, &RunOpts::reported(), |_, &x| x);
         assert_eq!(run.results, items);
         assert_eq!(run.report.expect("report requested").total_items(), items.len());
     }
@@ -531,8 +574,8 @@ mod tests {
     fn empty_and_tiny_inputs() {
         let pool = ScanPool::new(8);
         let empty: Vec<u32> = Vec::new();
-        assert!(pool.run(&empty, &RunOpts::quick(), || (), |(), _, &x| x).results.is_empty());
-        assert_eq!(pool.run(&[7u32], &RunOpts::quick(), || (), |(), _, &x| x + 1).results, vec![8]);
+        assert!(pool.run(&empty, &RunOpts::quick(), |_, &x| x).results.is_empty());
+        assert_eq!(pool.run(&[7u32], &RunOpts::quick(), |_, &x| x + 1).results, vec![8]);
     }
 
     #[test]

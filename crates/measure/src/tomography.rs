@@ -16,7 +16,7 @@
 //!    every AS seen on a passed path. Provider-diverse clients plus at
 //!    least one flip per client shrink the suspect set to exactly the
 //!    active device's AS.
-//! 4. A TTL cross-check ([`crate::localize::symmetric_trial`] mechanics)
+//! 4. A TTL cross-check ([`crate::localize::rst_trial`], TTL-limited)
 //!    confirms the named AS at the hop ground truth says the device
 //!    occupies.
 //!
@@ -29,11 +29,9 @@ use std::time::Duration;
 use tspu_core::{Policy, PolicyHandle};
 use tspu_obs::{MetricValue, Snapshot, TimeSeries};
 use tspu_topology::{GenClient, GenParams, TopologySpec, VantageLab};
-use tspu_wire::tcp::TcpFlags;
-use tspu_wire::tls::ClientHelloBuilder;
 
-use crate::harness::{handshake_prefix, run_script, ProbeSide, ScriptEnd, ScriptStep};
-use crate::localize::first_onset;
+use crate::harness::ScriptEnd;
+use crate::localize::{first_onset, rst_trial};
 use crate::sweep::{PoolReport, RunOpts, ScanPool};
 
 /// Configuration of one tomography campaign: the generated topology to
@@ -130,34 +128,6 @@ impl TomographyRun {
     }
 }
 
-/// One blocked/passed trial from a generated client: handshake, the
-/// trigger ClientHello (TTL-limited when `ttl` is given), then a remote
-/// response the active device rewrites to RST/ACK on the return pass.
-fn trial(
-    lab: &mut VantageLab,
-    client: &GenClient,
-    domain: &str,
-    port: u16,
-    ttl: Option<u8>,
-) -> bool {
-    let local = ScriptEnd { host: client.host, addr: client.addr, port };
-    let remote = ScriptEnd { host: lab.us_main, addr: lab.us_main_addr, port: 443 };
-    let mut steps = handshake_prefix();
-    let mut trigger = ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK)
-        .payload(ClientHelloBuilder::new(domain).build());
-    if let Some(ttl) = ttl {
-        trigger = trigger.ttl(ttl);
-    }
-    steps.push(trigger);
-    steps.push(
-        ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK)
-            .payload(vec![0x99; 90])
-            .after(Duration::from_millis(100)),
-    );
-    let result = run_script(&mut lab.net, local, remote, &steps);
-    result.at_local.iter().any(|p| p.is_rst_ack)
-}
-
 /// Runs one localization cell on a freshly forked lab. Pure in
 /// `(image, config, cell)` — the determinism unit the pool shards.
 fn run_cell(lab: &mut VantageLab, config: &TomographyConfig, cell: usize) -> TomographyCell {
@@ -177,13 +147,14 @@ fn run_cell(lab: &mut VantageLab, config: &TomographyConfig, cell: usize) -> Tom
     }
 
     lab.arm_route_churn();
+    let end = |client: &GenClient, port: u16| ScriptEnd { host: client.host, addr: client.addr, port };
     let clients = gen.clients.len();
     let epochs = gen.churn.len() + 1;
     let mut probes = Vec::with_capacity(epochs * clients);
     for epoch in 0..epochs {
         for client in 0..clients {
             let port = 3000 + (epoch * clients + client) as u16;
-            let blocked = trial(lab, &gen.clients[client], &config.domain, port, None);
+            let blocked = rst_trial(lab, end(&gen.clients[client], port), &config.domain, None);
             let variant = gen.variant_after(client, epoch);
             probes.push(ProbeObs { epoch, client, path_ases: variant.path_ases.clone(), blocked });
         }
@@ -239,8 +210,8 @@ fn run_cell(lab: &mut VantageLab, config: &TomographyConfig, cell: usize) -> Tom
                 Some((c, hop)) => {
                     let blocked: Vec<bool> = (1..=4u8)
                         .map(|ttl| {
-                            let port = 20_000 + u16::from(ttl);
-                            trial(lab, &gen.clients[c], &config.domain, port, Some(ttl))
+                            let local = end(&gen.clients[c], 20_000 + u16::from(ttl));
+                            rst_trial(lab, local, &config.domain, Some(ttl))
                         })
                         .collect();
                     (first_onset(&blocked).map(|d| d.after_hop), Some(hop))
@@ -270,34 +241,22 @@ pub(crate) fn run_tomography(
         .topology(TopologySpec::Generated(config.params.clone()))
         .image();
     let indices: Vec<usize> = (0..config.cells).collect();
-    let observe = opts.observe;
-    let run = pool.run(&indices, opts, || (), |(), _, &cell| {
-        let mut lab = image.fork(cell);
-        let outcome = run_cell(&mut lab, config, cell);
-        let snap = observe.then(|| lab.take_obs().with_scenario(cell as u32));
-        (outcome, snap)
-    });
+    let run = pool.run_cells(opts, &indices, |_| &image, |lab, cell, _| run_cell(lab, config, cell));
 
     // Epoch-windowed probe series, built in cell order from the replayed
     // observations — deterministic because the observations are.
     let window_us = (config.params.churn_period.as_micros() as u64).max(1);
     let mut series = TimeSeries::with_window_us(window_us);
-    let mut snapshot = observe.then(Snapshot::new);
-    let mut cells = Vec::with_capacity(run.results.len());
-    for (outcome, snap) in run.results {
-        for p in &outcome.probes {
-            let mut obs = Snapshot::new();
-            obs.insert("tomography.probes", MetricValue::Counter(1));
-            if p.blocked {
-                obs.insert("tomography.blocked", MetricValue::Counter(1));
-            }
-            series.observe(p.epoch as u64 * window_us, &obs);
+    let cells = run.cells;
+    for p in cells.iter().flat_map(|cell| &cell.probes) {
+        let mut obs = Snapshot::new();
+        obs.insert("tomography.probes", MetricValue::Counter(1));
+        if p.blocked {
+            obs.insert("tomography.blocked", MetricValue::Counter(1));
         }
-        if let (Some(total), Some(snap)) = (snapshot.as_mut(), snap.as_ref()) {
-            total.merge(snap);
-        }
-        cells.push(outcome);
+        series.observe(p.epoch as u64 * window_us, &obs);
     }
+    let mut snapshot = run.snapshot;
     if tspu_obs::ENABLED {
         if let Some(total) = snapshot.as_mut() {
             total.insert("tomography.cells", MetricValue::Counter(cells.len() as u64));

@@ -14,9 +14,12 @@ use tspu_measure::chaos::{ChaosScenario, ChaosSweep};
 use tspu_measure::reliability::{run_cell, Mechanism};
 use tspu_measure::sweep::ScanPool;
 use tspu_netsim::fault::LinkFaults;
-use tspu_netsim::oracle::{Oracle, Violation};
+use tspu_netsim::oracle::Violation;
 use tspu_registry::Universe;
 use tspu_topology::{policy_from_universe, VantageLab};
+
+mod common;
+use common::assert_thread_independent;
 
 #[test]
 fn table1_grid_is_byte_identical_across_thread_counts() {
@@ -25,23 +28,23 @@ fn table1_grid_is_byte_identical_across_thread_counts() {
     let sweep = ChaosSweep::table1_grid(policy, vec![11, 22, 33, 44, 55, 66, 77], 4);
     assert!(sweep.len() >= 100, "grid too small: {}", sweep.len());
 
-    let one = sweep.run(&ScanPool::single_thread());
-    let eight = sweep.run(&ScanPool::new(8));
-    assert_eq!(one, eight, "sweep output differs across thread counts");
-    assert_eq!(one.len(), sweep.len());
-
-    for cell in &one {
-        assert!(
-            cell.oracle_violations.is_empty(),
-            "{} {:?} seed {}: {:?}",
-            cell.vantage,
-            cell.mechanism,
-            cell.seed,
-            cell.oracle_violations
-        );
-    }
-    // The plan is not a no-op: chaos actually interfered somewhere.
-    assert!(one.iter().any(|c| c.chaos_dropped > 0), "no chaos link ever dropped a packet");
+    assert_thread_independent(&[8], |pool| {
+        let cells = sweep.run(pool);
+        assert_eq!(cells.len(), sweep.len());
+        for cell in &cells {
+            assert!(
+                cell.oracle_violations.is_empty(),
+                "{} {:?} seed {}: {:?}",
+                cell.vantage,
+                cell.mechanism,
+                cell.seed,
+                cell.oracle_violations
+            );
+        }
+        // The plan is not a no-op: chaos actually interfered somewhere.
+        assert!(cells.iter().any(|c| c.chaos_dropped > 0), "no chaos link ever dropped a packet");
+        format!("{cells:?}")
+    });
 }
 
 #[test]
@@ -61,9 +64,8 @@ fn oracle_reports_seeded_wrong_ttl_on_injected_rst() {
     lab.net.set_capture(true);
     run_cell(&mut lab, "ER-Telecom", Mechanism::Sni1, 3);
 
-    let spec = lab.oracle_spec();
-    let captures = lab.net.take_captures();
-    let report = Oracle::new(spec).check(&captures);
+    let captured = lab.net.captures().len();
+    let report = lab.oracle_audit();
 
     assert!(!report.is_clean(), "oracle missed the seeded TTL violation");
     let ttl = report
@@ -75,7 +77,7 @@ fn oracle_reports_seeded_wrong_ttl_on_injected_rst() {
     assert!(!ttl.packet.is_empty(), "violation carries no offending packet");
     assert!(!ttl.trace.is_empty(), "violation carries no trace");
     // The report renders the minimal offending call, not the whole run.
-    assert!(ttl.trace.len() < captures.len());
+    assert!(ttl.trace.len() < captured);
 }
 
 #[test]

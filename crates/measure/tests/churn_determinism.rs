@@ -4,8 +4,11 @@
 //! function of (schedule, batch index, config); the pool reassembles
 //! results by index, so worker assignment cannot leak in.
 
-use tspu_measure::{ChurnCampaign, ScanPool};
+use tspu_measure::ChurnCampaign;
 use tspu_registry::Universe;
+
+mod common;
+use common::assert_thread_independent;
 
 #[test]
 fn churn_campaign_is_byte_identical_across_thread_counts() {
@@ -15,17 +18,9 @@ fn churn_campaign_is_byte_identical_across_thread_counts() {
     // shard the replay.
     campaign.churn.end_day = campaign.churn.start_day + 10;
 
-    let one = campaign.run(&universe, &ScanPool::new(1));
-    let eight = campaign.run(&universe, &ScanPool::new(8));
-
-    let single: Vec<u64> = one.cells.iter().map(|c| c.convergence_us).collect();
-    let sharded: Vec<u64> = eight.cells.iter().map(|c| c.convergence_us).collect();
-    assert_eq!(single, sharded, "convergence latencies diverge across thread counts");
-
-    assert_eq!(one.cells, eight.cells, "cells diverge across thread counts");
-    assert_eq!(
-        one.snapshot.to_json(),
-        eight.snapshot.to_json(),
-        "campaign snapshot diverges across thread counts"
-    );
+    assert_thread_independent(&[8], |pool| {
+        let report = campaign.run(&universe, pool);
+        assert!(!report.cells.is_empty());
+        format!("{:?}\n{}", report.cells, report.snapshot.to_json())
+    });
 }

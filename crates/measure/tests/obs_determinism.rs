@@ -11,6 +11,9 @@ use tspu_measure::{ChurnCampaign, DifferentialCampaign, RunOpts, ScanPool, Sweep
 use tspu_registry::Universe;
 use tspu_topology::policy_from_universe;
 
+mod common;
+use common::assert_thread_independent;
+
 fn campaign_spec() -> SweepSpec {
     let universe = Universe::generate(3);
     let mut domains: Vec<String> = ["twitter.com", "meduza.io", "play.google.com", "nordvpn.com", "wikipedia.org"]
@@ -27,22 +30,11 @@ fn campaign_spec() -> SweepSpec {
 #[test]
 fn observed_snapshot_is_byte_identical_across_thread_counts() {
     let spec = campaign_spec();
-    let one = spec.run(&ScanPool::new(1), &RunOpts::observed());
-    let eight = spec.run(&ScanPool::new(8), &RunOpts::observed());
-
-    assert_eq!(one.verdicts, eight.verdicts, "verdicts diverge across thread counts");
-    let (one_snap, eight_snap) =
-        (one.snapshot.expect("observed run"), eight.snapshot.expect("observed run"));
-    assert_eq!(
-        one_snap.to_json(),
-        eight_snap.to_json(),
-        "metric snapshot diverges across thread counts"
-    );
-    assert_eq!(
-        one_snap.chrome_trace_string(),
-        eight_snap.chrome_trace_string(),
-        "chrome trace diverges across thread counts"
-    );
+    assert_thread_independent(&[8], |pool| {
+        let run = spec.run(pool, &RunOpts::observed());
+        let snapshot = run.snapshot.expect("observed run");
+        format!("{:?}\n{}\n{}", run.verdicts, snapshot.to_json(), snapshot.chrome_trace_string())
+    });
 }
 
 #[test]
@@ -69,12 +61,9 @@ fn observed_run_matches_plain_run_and_actually_observes() {
 #[test]
 fn openmetrics_export_is_byte_identical_across_thread_counts() {
     let spec = campaign_spec();
-    let one = spec.run(&ScanPool::new(1), &RunOpts::observed());
-    let eight = spec.run(&ScanPool::new(8), &RunOpts::observed());
-    let (one_snap, eight_snap) =
-        (one.snapshot.expect("observed run"), eight.snapshot.expect("observed run"));
-    let om = one_snap.to_openmetrics();
-    assert_eq!(om, eight_snap.to_openmetrics(), "OpenMetrics diverges across thread counts");
+    let om = assert_thread_independent(&[8], |pool| {
+        spec.run(pool, &RunOpts::observed()).snapshot.expect("observed run").to_openmetrics()
+    });
     assert!(om.ends_with("# EOF\n"), "exposition must terminate: {om}");
     if tspu_obs::ENABLED {
         assert!(om.contains("# TYPE "), "{om}");
@@ -86,13 +75,17 @@ fn churn_day_series_is_byte_identical_across_thread_counts() {
     let universe = Universe::generate(5);
     let mut campaign = ChurnCampaign::escalation_2022();
     campaign.churn.end_day = campaign.churn.start_day + 7;
-    let one = campaign.run(&universe, &ScanPool::new(1));
-    let eight = campaign.run(&universe, &ScanPool::new(8));
-    assert_eq!(one.cells, eight.cells, "cells diverge across thread counts");
-    assert_eq!(one.series.to_json(), eight.series.to_json(), "day series diverges");
-    assert_eq!(one.series.to_openmetrics(), eight.series.to_openmetrics());
-    assert_eq!(one.snapshot.to_json(), eight.snapshot.to_json());
-    assert!(!one.convergence_curve().is_empty());
+    assert_thread_independent(&[8], |pool| {
+        let report = campaign.run(&universe, pool);
+        assert!(!report.convergence_curve().is_empty());
+        format!(
+            "{:?}\n{}\n{}\n{}",
+            report.cells,
+            report.series.to_json(),
+            report.series.to_openmetrics(),
+            report.snapshot.to_json()
+        )
+    });
 }
 
 #[test]
@@ -103,13 +96,11 @@ fn differential_profile_series_is_byte_identical_across_thread_counts() {
         policy,
         vec!["meduza.io".into(), "rust-lang.org".into()],
     );
-    let (one, _) = campaign.run(&ScanPool::new(1), &RunOpts::observed());
-    let (eight, _) = campaign.run(&ScanPool::new(8), &RunOpts::observed());
-    assert_eq!(one.cells, eight.cells, "cells diverge across thread counts");
-    assert_eq!(one.series.to_json(), eight.series.to_json(), "profile series diverges");
-    let (one_snap, eight_snap) =
-        (one.snapshot.expect("observed run"), eight.snapshot.expect("observed run"));
-    assert_eq!(one_snap.to_openmetrics(), eight_snap.to_openmetrics());
+    assert_thread_independent(&[8], |pool| {
+        let (matrix, _) = campaign.run(pool, &RunOpts::observed());
+        let snapshot = matrix.snapshot.as_ref().expect("observed run");
+        format!("{:?}\n{}\n{}", matrix.cells, matrix.series.to_json(), snapshot.to_openmetrics())
+    });
 }
 
 #[test]

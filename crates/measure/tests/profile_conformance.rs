@@ -20,7 +20,6 @@ use std::time::Duration;
 use tspu_core::CensorProfile;
 use tspu_measure::behaviors::{classify_behavior, ObservedBehavior};
 use tspu_measure::harness::{handshake_prefix, run_script, ProbeSide, ScriptEnd, ScriptStep};
-use tspu_netsim::oracle::Oracle;
 use tspu_netsim::{Direction, Route, RouteStep};
 use tspu_registry::Universe;
 use tspu_stack::craft::udp_packet;
@@ -67,9 +66,7 @@ fn tls_script(host: &str) -> Vec<ScriptStep> {
 }
 
 fn assert_oracle_clean(lab: &mut VantageLab) {
-    let spec = lab.oracle_spec();
-    let captures = lab.net.take_captures();
-    let report = Oracle::new(spec).check(&captures);
+    let report = lab.oracle_audit();
     assert!(report.is_clean(), "oracle violations: {:?}", report.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>());
 }
 

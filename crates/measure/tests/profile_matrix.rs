@@ -11,6 +11,9 @@ use tspu_measure::{DifferentialCampaign, RunOpts, ScanPool, TlsVerdict};
 use tspu_registry::Universe;
 use tspu_topology::policy_from_universe;
 
+mod common;
+use common::assert_thread_independent;
+
 fn campaign() -> DifferentialCampaign {
     let universe = Universe::generate(3);
     let policy: PolicyHandle = policy_from_universe(&universe, false, true);
@@ -28,19 +31,12 @@ fn campaign() -> DifferentialCampaign {
 #[test]
 fn matrix_is_byte_identical_across_thread_counts() {
     let campaign = campaign();
-    let (one, _) = campaign.run(&ScanPool::new(1), &RunOpts::observed());
-    let (eight, _) = campaign.run(&ScanPool::new(8), &RunOpts::observed());
-
-    assert!(one.oracle_clean(), "{:?}", one.oracle_violations());
-    assert_eq!(one.cells, eight.cells, "verdict matrix diverges across thread counts");
-    assert_eq!(one.to_string(), eight.to_string(), "rendered matrix diverges");
-    let (one_snap, eight_snap) =
-        (one.snapshot.expect("observed run"), eight.snapshot.expect("observed run"));
-    assert_eq!(
-        one_snap.to_json(),
-        eight_snap.to_json(),
-        "merged snapshot diverges across thread counts"
-    );
+    assert_thread_independent(&[8], |pool| {
+        let (matrix, _) = campaign.run(pool, &RunOpts::observed());
+        assert!(matrix.oracle_clean(), "{:?}", matrix.oracle_violations());
+        let snapshot = matrix.snapshot.as_ref().expect("observed run");
+        format!("{:?}\n{matrix}\n{}", matrix.cells, snapshot.to_json())
+    });
 }
 
 #[test]

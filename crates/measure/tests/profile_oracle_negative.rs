@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use tspu_core::{CensorProfile, ModelViolation};
 use tspu_measure::harness::{handshake_prefix, run_script, ProbeSide, ScriptEnd, ScriptStep};
-use tspu_netsim::oracle::{Oracle, OracleReport, Violation};
+use tspu_netsim::oracle::Violation;
 use tspu_registry::Universe;
 use tspu_topology::VantageLab;
 use tspu_wire::http::{HttpRequest, HttpResponse};
@@ -44,12 +44,6 @@ fn ends(lab: &VantageLab, port: u16, remote_port: u16) -> (ScriptEnd, ScriptEnd)
     )
 }
 
-fn check(lab: &mut VantageLab) -> OracleReport {
-    let spec = lab.oracle_spec();
-    let captures = lab.net.take_captures();
-    Oracle::new(spec).check(&captures)
-}
-
 #[test]
 fn unidirectional_rst_under_turkmenistan_is_flagged() {
     let mut lab = seeded_lab(
@@ -66,7 +60,7 @@ fn unidirectional_rst_under_turkmenistan_is_flagged() {
     steps.push(ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK).payload(vec![0xc2; 60]));
     run_script(&mut lab.net, local, remote, &steps);
 
-    let report = check(&mut lab);
+    let report = lab.oracle_audit();
     assert!(!report.is_clean(), "oracle missed the unidirectional RST");
     let v = report
         .violations
@@ -82,7 +76,7 @@ fn unidirectional_rst_under_turkmenistan_is_flagged() {
     let mut control = seeded_lab(CensorProfile::tspu(), ModelViolation::UnidirectionalRstUnderBidirectional);
     let (local, remote) = ends(&control, 47500, 443);
     run_script(&mut control.net, local, remote, &steps);
-    let report = check(&mut control);
+    let report = control.oracle_audit();
     assert!(report.is_clean(), "unidirectional RST is legal tspu behavior: {:?}",
         report.violations.iter().map(|v| v.to_string()).collect::<Vec<_>>());
 }
@@ -98,7 +92,7 @@ fn block_page_without_trigger_under_india_is_flagged() {
     steps.push(ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK).payload(HttpResponse::ok(b"origin-content-ok").build()));
     run_script(&mut lab.net, local, remote, &steps);
 
-    let report = check(&mut lab);
+    let report = lab.oracle_audit();
     assert!(!report.is_clean(), "oracle missed the unexplained block page");
     let v = report
         .violations
@@ -129,7 +123,7 @@ fn block_page_outside_armed_window_under_india_is_flagged() {
     );
     run_script(&mut lab.net, local, remote, &steps);
 
-    let report = check(&mut lab);
+    let report = lab.oracle_audit();
     assert!(!report.is_clean(), "oracle missed the out-of-window page");
     let v = report
         .violations
@@ -160,10 +154,7 @@ fn violation_report_carries_the_arming_ledger_event() {
     );
     run_script(&mut lab.net, local, remote, &steps);
 
-    let spec = lab.oracle_spec();
-    let captures = lab.net.take_captures();
-    let mut report = Oracle::new(spec).check(&captures);
-    report.attach_device_ledger(|id, packet| lab.device_ledger(id, packet, 8));
+    let report = lab.oracle_audit();
 
     let v = report
         .violations

@@ -8,6 +8,9 @@ use tspu_measure::LocalizeSpec;
 use tspu_registry::Universe;
 use tspu_topology::{policy_from_universe, VantageLab};
 
+mod common;
+use common::assert_thread_independent;
+
 fn assert_send<T: Send>() {}
 
 #[test]
@@ -36,17 +39,11 @@ fn sweep_is_byte_identical_across_thread_counts() {
         .collect();
     let spec = SweepSpec::from_universe(&universe, domains);
 
-    let baseline = spec.run(&ScanPool::new(1), &RunOpts::quick()).verdicts;
-    let baseline_bytes = format!("{baseline:?}");
-    assert!(baseline.iter().any(|v| *v != DomainVerdict::Open), "sweep found no blocking");
-    for threads in [2, 8] {
-        let parallel = spec.run(&ScanPool::new(threads), &RunOpts::quick()).verdicts;
-        assert_eq!(
-            format!("{parallel:?}"),
-            baseline_bytes,
-            "{threads}-thread sweep diverged from single-thread"
-        );
-    }
+    assert_thread_independent(&[2, 8], |pool| {
+        let verdicts = spec.run(pool, &RunOpts::quick()).verdicts;
+        assert!(verdicts.iter().any(|v| *v != DomainVerdict::Open), "sweep found no blocking");
+        format!("{verdicts:?}")
+    });
 }
 
 #[test]
@@ -72,18 +69,16 @@ fn campaign_aggregation_is_thread_count_independent() {
             .collect();
         format!("{:?}\n{isp:?}", campaign.tspu)
     };
-    let baseline = canonical(&registry_campaign(&universe, names.iter().copied(), &ScanPool::new(1)));
-    for threads in [2, 8] {
-        let campaign = registry_campaign(&universe, names.iter().copied(), &ScanPool::new(threads));
-        assert_eq!(canonical(&campaign), baseline, "{threads} threads");
-    }
+    assert_thread_independent(&[2, 8], |pool| {
+        canonical(&registry_campaign(&universe, names.iter().copied(), pool))
+    });
 }
 
 #[test]
 fn pooled_localization_is_thread_count_independent() {
     let policy = policy_from_universe(&Universe::generate(2022), false, true);
-    let localize = |pool: &ScanPool| -> Vec<_> {
-        ["Rostelecom", "ER-Telecom", "OBIT"]
+    assert_thread_independent(&[2, 8], |pool| {
+        let found: Vec<_> = ["Rostelecom", "ER-Telecom", "OBIT"]
             .iter()
             .map(|v| {
                 LocalizeSpec::symmetric(policy.clone(), v)
@@ -91,11 +86,7 @@ fn pooled_localization_is_thread_count_independent() {
                     .run(pool, &RunOpts::quick())
                     .first()
             })
-            .collect()
-    };
-    let baseline = localize(&ScanPool::new(1));
-    for threads in [2, 8] {
-        let parallel = localize(&ScanPool::new(threads));
-        assert_eq!(parallel, baseline, "{threads} threads");
-    }
+            .collect();
+        format!("{found:?}")
+    });
 }

@@ -6,9 +6,11 @@
 use tspu_measure::domains::{test_domain, DomainVerdict};
 use tspu_measure::sweep::{RunOpts, ScanPool, SweepSpec};
 use tspu_measure::{LocalizeSpec, LocalizedDevice, TomographyConfig};
-use tspu_netsim::oracle::Oracle;
 use tspu_registry::Universe;
 use tspu_topology::{policy_from_universe, GenParams, Placement, TopologySpec, VantageLab};
+
+mod common;
+use common::assert_thread_independent;
 
 fn policy() -> tspu_core::PolicyHandle {
     policy_from_universe(&Universe::generate(2022), false, true)
@@ -27,21 +29,15 @@ fn generated_sweep_is_byte_identical_across_thread_counts() {
     let spec = SweepSpec::from_universe(&universe, domains)
         .with_topology(TopologySpec::Generated(GenParams::new(2022, 300)));
 
-    let baseline = spec.run(&ScanPool::new(1), &RunOpts::observed());
-    // Anchor verdicts: generated clients see the same central policy the
-    // Fig. 1 vantages do.
-    assert_eq!(baseline.verdicts[0], DomainVerdict::Sni1, "meduza.io");
-    assert_eq!(baseline.verdicts[1], DomainVerdict::Sni2, "play.google.com");
-    assert_eq!(baseline.verdicts[2], DomainVerdict::Open, "wikipedia.org");
-    let baseline_bytes = format!("{:?}\n{:?}", baseline.verdicts, baseline.snapshot);
-    for threads in [2, 8] {
-        let parallel = spec.run(&ScanPool::new(threads), &RunOpts::observed());
-        assert_eq!(
-            format!("{:?}\n{:?}", parallel.verdicts, parallel.snapshot),
-            baseline_bytes,
-            "{threads}-thread generated sweep diverged from single-thread"
-        );
-    }
+    assert_thread_independent(&[2, 8], |pool| {
+        let run = spec.run(pool, &RunOpts::observed());
+        // Anchor verdicts: generated clients see the same central policy
+        // the Fig. 1 vantages do.
+        assert_eq!(run.verdicts[0], DomainVerdict::Sni1, "meduza.io");
+        assert_eq!(run.verdicts[1], DomainVerdict::Sni2, "play.google.com");
+        assert_eq!(run.verdicts[2], DomainVerdict::Open, "wikipedia.org");
+        format!("{:?}\n{:?}", run.verdicts, run.snapshot)
+    });
 }
 
 /// The §7.1 symmetric TTL walk runs unchanged on generated labs (vantage
@@ -104,14 +100,10 @@ fn tomography_names_the_active_device() {
 fn tomography_is_byte_identical_across_thread_counts() {
     let config = TomographyConfig::new(GenParams::new(13, 140)).cells(4);
     let spec = LocalizeSpec::tomography(policy(), config);
-    let baseline = spec.run(&ScanPool::new(1), &RunOpts::observed());
-    let baseline_bytes = format!("{:?}\n{:?}", baseline.tomography, baseline.snapshot);
-    let parallel = spec.run(&ScanPool::new(8), &RunOpts::observed());
-    assert_eq!(
-        format!("{:?}\n{:?}", parallel.tomography, parallel.snapshot),
-        baseline_bytes,
-        "8-thread tomography diverged from single-thread"
-    );
+    assert_thread_independent(&[8], |pool| {
+        let run = spec.run(pool, &RunOpts::observed());
+        format!("{:?}\n{:?}", run.tomography, run.snapshot)
+    });
 }
 
 /// The headline scale point: a 5000-AS generated graph builds, forks via
@@ -145,7 +137,7 @@ fn five_thousand_as_graph_sweeps_a_thousand_domains_oracle_clean() {
     lab.net.set_capture(true);
     let _ = test_domain(&mut lab, "meduza.io", 4_000);
     let _ = test_domain(&mut lab, "wikipedia.org", 4_002);
-    let report = Oracle::new(lab.oracle_spec()).check(&lab.net.take_captures());
+    let report = lab.oracle_audit();
     let violations: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
     assert!(violations.is_empty(), "{violations:?}");
 }

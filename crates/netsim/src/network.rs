@@ -216,7 +216,7 @@ impl Network {
             middleboxes: Vec::new(),
             middlebox_images: Arc::new([]),
             hop_latency,
-            capture_enabled: true,
+            capture_enabled: false,
             captures: Vec::new(),
             registry,
             tracer: Tracer::new(),
@@ -290,8 +290,11 @@ impl Network {
         &mut self.registry
     }
 
-    /// Enables or disables packet capture. Large scans disable it to bound
-    /// memory; inboxes still record deliveries.
+    /// Enables or disables packet capture. Off until asked for: a capture
+    /// copies every packet at every trace point and keeps the engine on the
+    /// per-hop path, so only the consumers that replay one (the oracle
+    /// audit, pcap export, differential tests) switch it on. Inboxes record
+    /// deliveries either way.
     pub fn set_capture(&mut self, enabled: bool) {
         self.capture_enabled = enabled;
     }
@@ -542,7 +545,7 @@ impl Network {
         while let Some((time, kind)) = self.queue.pop() {
             self.now = time;
             self.events_popped += 1;
-            self.dispatch_batched(kind);
+            self.dispatch(kind);
             budget -= 1;
             assert!(budget > 0, "event budget exhausted: likely an application loop");
         }
@@ -562,7 +565,7 @@ impl Network {
             let (time, kind) = self.queue.pop().expect("peeked event");
             self.now = time;
             self.events_popped += 1;
-            self.dispatch_batched(kind);
+            self.dispatch(kind);
         }
         self.now = deadline;
     }
@@ -591,7 +594,7 @@ impl Network {
         }
     }
 
-    /// Per-event accounting, shared by the single-event and batched paths.
+    /// Per-event accounting.
     fn note_event(&mut self) {
         self.registry.inc(self.c_events);
         // Scheduler health is sampled 1-in-64 on the event count: the
@@ -607,67 +610,6 @@ impl Network {
             self.registry.set_max(self.g_wheel_depth, self.queue.len() as i64);
             self.registry.set_max(self.g_wheel_overflow, self.queue.overflow_len() as i64);
         }
-    }
-
-    /// Dispatches one popped event. When it is a route hop on the fast
-    /// path, drains the run of same-instant, same-leg hops queued behind it
-    /// and processes the whole batch with the route resolved once — a
-    /// population soak pushes thousands of packets through the same (src,
-    /// dst, step) leg at the same instant, and the route/arena lookups
-    /// dominate once the per-packet work is lean.
-    ///
-    /// Order is unchanged: the drained events are the consecutive smallest
-    /// `(time, seq)` entries in the queue, and anything a batch member
-    /// pushes gets a larger seq than every drained member, so the
-    /// per-event engine would have processed the batch in exactly this
-    /// sequence anyway.
-    fn dispatch_batched(&mut self, kind: EventKind) {
-        if let EventKind::Hop { src, dst, step, packet } = kind {
-            if self.fast_path() {
-                // Probing the queue head for a same-leg run costs a peek
-                // per event; only population-scale queues can actually
-                // contain such runs, so shallow queues (every paper-scale
-                // lab) skip straight to the single-hop path.
-                if self.queue.len() < 64 {
-                    self.note_event();
-                    self.do_hop(src, dst, step, packet);
-                    return;
-                }
-                let now = self.now;
-                let same_leg = |t: Time, k: &EventKind| {
-                    t == now
-                        && matches!(
-                            k,
-                            EventKind::Hop { src: s, dst: d, step: st, .. }
-                                if *s == src && *d == dst && *st == step
-                        )
-                };
-                // Batch storage is only materialized once a same-instant
-                // follower actually exists; the lone-hop case — every hop
-                // of every paper-scale workload — stays allocation-free.
-                let Some((_, first)) = self.queue.pop_if(same_leg) else {
-                    self.note_event();
-                    self.do_hop(src, dst, step, packet);
-                    return;
-                };
-                let EventKind::Hop { packet: second, .. } = first else { unreachable!() };
-                self.events_popped += 1;
-                let mut batch = vec![packet, second];
-                while let Some((_, drained)) = self.queue.pop_if(same_leg) {
-                    let EventKind::Hop { packet, .. } = drained else { unreachable!() };
-                    self.events_popped += 1;
-                    batch.push(packet);
-                }
-                self.do_hop_batch(src, dst, step, batch);
-                return;
-            }
-            self.note_event();
-            let now_us = self.now.as_micros();
-            self.tracer.span("hop", "netsim", now_us, now_us);
-            self.do_hop(src, dst, step, packet);
-            return;
-        }
-        self.dispatch(kind);
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -719,7 +661,7 @@ impl Network {
         self.push_event(time, EventKind::Hop { src: host, dst, step: 0, packet });
     }
 
-    fn do_hop(&mut self, src: HostId, dst: HostId, step: usize, packet: Vec<u8>) {
+    fn do_hop(&mut self, src: HostId, dst: HostId, step: usize, mut packet: Vec<u8>) {
         // Copy out the per-step scalars up front; the device loop below
         // re-indexes the arena per device so no `&self` borrow is ever
         // live across the `slot_mut(..).process(..)` call (the arena is
@@ -742,57 +684,8 @@ impl Network {
             }
             (route.steps[step].hop_addr, route.steps[step].devices.len())
         };
-        self.hop_one(src, dst, rid, step, hop_addr, n_devices, packet);
-    }
 
-    /// [`Network::do_hop`] for a drained run of same-instant, same-leg hop
-    /// events: the route table lookup, arena index, and step scalars are
-    /// resolved once for the whole batch. Only reachable from the fast
-    /// path, so the skipped per-event `hop` spans were no-ops anyway.
-    fn do_hop_batch(&mut self, src: HostId, dst: HostId, step: usize, batch: Vec<Vec<u8>>) {
-        let rid = match self.routes.get(&(src, dst)) {
-            Some(&rid) => rid,
-            None => {
-                for packet in batch {
-                    self.note_event();
-                    self.push_event(self.now, EventKind::Deliver { dst, packet });
-                }
-                return;
-            }
-        };
-        let (hop_addr, n_devices) = {
-            let route = &self.route_arena[rid.0 as usize];
-            if step >= route.steps.len() {
-                for packet in batch {
-                    self.note_event();
-                    self.push_event(self.now, EventKind::Deliver { dst, packet });
-                }
-                return;
-            }
-            (route.steps[step].hop_addr, route.steps[step].devices.len())
-        };
-        for packet in batch {
-            self.note_event();
-            self.hop_one(src, dst, rid, step, hop_addr, n_devices, packet);
-        }
-    }
-
-    /// The per-packet half of a hop: TTL handling, the middlebox chain,
-    /// and scheduling whatever survives — everything after route
-    /// resolution.
-    #[allow(clippy::too_many_arguments)]
-    fn hop_one(
-        &mut self,
-        src: HostId,
-        dst: HostId,
-        rid: RouteId,
-        step: usize,
-        hop_addr: Ipv4Addr,
-        n_devices: usize,
-        packet: Vec<u8>,
-    ) {
         // Router: decrement TTL; expire with ICMP time-exceeded.
-        let mut packet = packet;
         {
             let Ok(mut view) = Ipv4Packet::new_checked(&mut packet[..]) else {
                 self.capture(TracePoint::Dropped { step }, &packet);
@@ -1216,6 +1109,7 @@ mod tests {
     #[test]
     fn unroutable_packet_is_dropped() {
         let mut net = Network::with_default_latency();
+        net.set_capture(true);
         let a = net.add_host(A);
         net.send_from(a, packet(A, Ipv4Addr::new(8, 8, 8, 8), 64, b"x"));
         net.run_until_idle();
@@ -1590,8 +1484,32 @@ mod tests {
     }
 
     #[test]
+    fn nothing_is_captured_until_capture_is_switched_on() {
+        let mut net = Network::with_default_latency();
+        let a = net.add_host(A);
+        let b = net.add_host(B);
+        net.set_route_symmetric(a, b, Route::through(&[R1]));
+        net.send_from(a, packet(A, B, 64, b"unseen"));
+        net.run_until_idle();
+        assert_eq!(net.take_inbox(b).len(), 1);
+        assert!(net.captures().is_empty(), "a fresh network must not capture");
+        assert_eq!(net.obs_snapshot().counter("netsim.captures_recorded"), 0);
+
+        net.set_capture(true);
+        net.send_from(a, packet(A, B, 64, b"seen"));
+        net.run_until_idle();
+        assert!(net.captures().iter().any(|c| matches!(c.point, TracePoint::HostRx(_))));
+        // The switch rides into images and forks like any other setting.
+        let mut fork = net.image().fork();
+        fork.send_from(a, packet(A, B, 64, b"fork"));
+        fork.run_until_idle();
+        assert!(!fork.captures().is_empty());
+    }
+
+    #[test]
     fn unparseable_packet_records_nic_drop() {
         let mut net = Network::with_default_latency();
+        net.set_capture(true);
         let a = net.add_host(A);
         net.send_from(a, vec![0xff; 7]); // too short to be an IPv4 header
         net.run_until_idle();
@@ -1619,7 +1537,6 @@ mod tests {
     #[test]
     fn fork_footprint_is_soak_independent() {
         let mut net = Network::with_default_latency();
-        net.set_capture(false);
         let a = net.add_host(A);
         let b = net.add_host(B);
         net.set_route_symmetric(a, b, Route::through(&[R1]));
@@ -1650,11 +1567,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_dispatch_matches_per_event_path() {
+    fn collapsed_hop_runs_match_per_event_path() {
         // A same-instant burst through a device-bearing route: with capture
-        // on the engine walks one event per hop; with capture off it drains
-        // the whole run as one batch. Delivery times and payloads must be
-        // identical, and the device must see the packets in send order.
+        // on the engine walks one event per hop; with capture off it
+        // collapses the device-free run into one event. Delivery times and
+        // payloads must be identical, and the device must see the packets
+        // in send order.
         let run = |fast: bool| {
             let mut net = Network::with_default_latency();
             net.set_capture(!fast);
@@ -1688,6 +1606,7 @@ mod tests {
         // Two identical runs produce identical capture logs.
         let run = || {
             let mut net = Network::with_default_latency();
+            net.set_capture(true);
             let a = net.add_host(A);
             let b = net.add_host_with_app(B, Box::new(Echo { own: B }));
             net.set_route_symmetric(a, b, Route::through(&[R1, R2]));

@@ -244,26 +244,6 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// The next event, without popping it.
-    pub fn peek(&self) -> Option<(Time, &T)> {
-        match (self.wheel_head(), self.overflow.peek()) {
-            (Some((wt, ws, slot)), Some(Reverse(h))) => {
-                if (wt, ws) <= (h.time, h.seq) {
-                    let head = self.slots[slot].front().expect("occupied bucket");
-                    Some((head.time, &head.item))
-                } else {
-                    Some((h.time, &h.item))
-                }
-            }
-            (Some((_, _, slot)), None) => {
-                let head = self.slots[slot].front().expect("occupied bucket");
-                Some((head.time, &head.item))
-            }
-            (None, Some(Reverse(h))) => Some((h.time, &h.item)),
-            (None, None) => None,
-        }
-    }
-
     /// Pops the earliest event — smallest `(time, seq)` across both
     /// halves.
     pub fn pop(&mut self) -> Option<(Time, T)> {
@@ -288,18 +268,6 @@ impl<T> TimerWheel<T> {
             let Reverse(entry) = self.overflow.pop().expect("peeked overflow entry");
             self.base_us = self.base_us.max(entry.time.as_micros());
             Some((entry.time, entry.item))
-        }
-    }
-
-    /// Pops the next event only if `pred` accepts it — the batched-dispatch
-    /// hook: the engine drains a run of same-instant, same-leg hops without
-    /// committing to pop whatever comes after the run.
-    pub fn pop_if(&mut self, pred: impl FnOnce(Time, &T) -> bool) -> Option<(Time, T)> {
-        let (time, item) = self.peek()?;
-        if pred(time, item) {
-            self.pop()
-        } else {
-            None
         }
     }
 
@@ -495,19 +463,17 @@ mod tests {
     }
 
     #[test]
-    fn peek_agrees_with_pop() {
+    fn peek_time_agrees_with_pop() {
         let mut w = TimerWheel::new();
         w.push(Time::from_micros(3000), 'c');
         w.push(Time::from_micros(1), 'a');
         w.push(Time::from_micros(1), 'b');
+        let mut order = Vec::new();
         while let Some(t) = w.peek_time() {
-            let (pt, item) = {
-                let (pt, item) = w.peek().unwrap();
-                (pt, *item)
-            };
-            assert_eq!(t, pt);
-            let (qt, qitem) = w.pop().unwrap();
-            assert_eq!((qt, qitem), (pt, item));
+            let (popped_at, item) = w.pop().unwrap();
+            assert_eq!(t, popped_at);
+            order.push(item);
         }
+        assert_eq!(order, ['a', 'b', 'c']);
     }
 }

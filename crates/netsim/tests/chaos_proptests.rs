@@ -216,9 +216,7 @@ proptest! {
             let sport = 2048 + (i as u16) * 7;
             tls_volley(&mut lab, vantage, DOMAINS[domain], sport);
         }
-        let spec = lab.oracle_spec();
-        let captures = lab.net.take_captures();
-        let report = tspu_netsim::oracle::Oracle::new(spec).check(&captures);
+        let report = lab.oracle_audit();
         prop_assert!(report.is_clean(), "oracle violations on fault-free trace:\n{report}");
         prop_assert!(report.calls_audited > 0, "trace never crossed a device");
     }

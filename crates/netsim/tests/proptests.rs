@@ -23,10 +23,12 @@ fn hops(n: usize) -> Vec<Ipv4Addr> {
 
 proptest! {
     /// A packet with TTL t crosses an n-router path iff t > n; otherwise
-    /// exactly one ICMP time-exceeded returns, from router t.
+    /// exactly one ICMP time-exceeded returns, from router t — on the
+    /// per-hop path (capture on) and the collapsed one (capture off) alike.
     #[test]
-    fn ttl_semantics_exact(n in 0usize..20, ttl in 1u8..25) {
+    fn ttl_semantics_exact(n in 0usize..20, ttl in 1u8..25, capture in any::<bool>()) {
         let mut net = Network::new(Duration::from_millis(1));
+        net.set_capture(capture);
         let a = net.add_host(A);
         let b = net.add_host(B);
         let route_hops = hops(n);
@@ -51,8 +53,9 @@ proptest! {
     /// Delivery conservation: k sends on a plain route produce exactly k
     /// deliveries, in send order, each after hops+1 latencies.
     #[test]
-    fn delivery_conservation(n in 0usize..12, k in 1usize..30) {
+    fn delivery_conservation(n in 0usize..12, k in 1usize..30, capture in any::<bool>()) {
         let mut net = Network::new(Duration::from_millis(1));
+        net.set_capture(capture);
         let a = net.add_host(A);
         let b = net.add_host(B);
         net.set_route_symmetric(a, b, Route::through(&hops(n)));
@@ -74,6 +77,7 @@ proptest! {
     fn deterministic_replay(n in 0usize..8, sends in proptest::collection::vec(1u8..64, 1..20)) {
         let run = |sends: &[u8]| {
             let mut net = Network::new(Duration::from_millis(1));
+            net.set_capture(true);
             let a = net.add_host(A);
             let b = net.add_host(B);
             net.set_route_symmetric(a, b, Route::through(&hops(n)));

@@ -302,7 +302,6 @@ pub(crate) fn build_generated(
     };
 
     let mut net = Network::with_default_latency();
-    net.set_capture(false);
 
     let us_main = net.add_host(US_MAIN);
     let us_second = net.add_host(US_SECOND);

@@ -21,7 +21,7 @@ use tspu_core::chaos::{audit_for_profile, restart_times};
 use tspu_core::{CensorProfile, FailureProfile, PolicyHandle, TspuDevice};
 use tspu_ispdpi::IspResolver;
 use tspu_netsim::fault::{ChaosLink, FaultPlan};
-use tspu_netsim::oracle::OracleSpec;
+use tspu_netsim::oracle::{Oracle, OracleReport, OracleSpec};
 use tspu_netsim::{Direction, MiddleboxId, Network, Route, RouteStep};
 use tspu_netsim::{HostId, MiddleboxHandle};
 use tspu_obs::Snapshot;
@@ -257,12 +257,6 @@ impl VantageLab {
         censor_profile: Option<CensorProfile>,
     ) -> VantageLab {
         let mut net = Network::with_default_latency();
-        // Scan labs default capture-off: the sweep drivers read verdicts
-        // from host inboxes, not packet captures, and capture-off lets the
-        // engine collapse device-free hop runs into a single event. The
-        // consumers that do replay captures (chaos oracle, pcap export,
-        // differential tests) opt back in with `set_capture(true)`.
-        net.set_capture(false);
 
         let us_main = net.add_host(US_MAIN);
         let us_second = net.add_host(US_SECOND);
@@ -523,6 +517,30 @@ impl VantageLab {
             }
         }
         spec
+    }
+
+    /// The audit every campaign and test runs: drains the capture taken
+    /// since `lab.net.set_capture(true)`, replays it through the oracle
+    /// under [`VantageLab::oracle_spec`], and joins onto each violation the
+    /// counters that moved on the offending device and the tail of its
+    /// flight-recorder ledger for the offending flow. Capture must have
+    /// been on while the traffic ran; with it off the report is clean and
+    /// audits nothing.
+    pub fn oracle_audit(&mut self) -> OracleReport {
+        let captures = self.net.take_captures();
+        let mut report = Oracle::new(self.oracle_spec()).check(&captures);
+        if !report.is_clean() {
+            // On a lab fresh for its cell the totals are the cell's deltas.
+            let device_snapshots = self.device_snapshots();
+            report.attach_device_counters(|id| {
+                device_snapshots
+                    .iter()
+                    .find(|(device, _)| *device == id)
+                    .map(|(_, snapshot)| snapshot.moved_counters())
+            });
+            report.attach_device_ledger(|id, packet| self.device_ledger(id, packet, 8));
+        }
+        report
     }
 
     /// The vantage by ISP name.

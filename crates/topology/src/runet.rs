@@ -278,7 +278,6 @@ impl Runet {
         let mut rng = SmallRng::seed_from_u64(config.seed);
         let policy = policy_from_universe(universe, false, true);
         let mut net = Network::with_default_latency();
-        net.set_capture(false); // country-scale scans must not hold captures
 
         let scanner_addr = Ipv4Addr::new(198, 51, 100, 8);
         let scanner = net.add_host(scanner_addr);

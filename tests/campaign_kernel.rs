@@ -1,0 +1,134 @@
+//! The campaign kernel, tier-1: every driver runs its cells through
+//! `ScanPool::run_cells`, so at small size each one must produce the same
+//! bytes — cells, merged snapshot, series — at one and two threads, and
+//! `RunOpts` must mean the same thing under every driver that takes it.
+//! The CI `determinism` job checks the same at length and at eight threads.
+
+use std::collections::BTreeSet;
+
+use tspu::core::PolicyHandle;
+use tspu::measure::chaos::{ChaosScenario, ChaosSweep};
+use tspu::measure::reliability::Mechanism;
+use tspu::measure::{
+    ChurnCampaign, DifferentialCampaign, LocalizeSpec, RunOpts, ScanPool, SweepSpec,
+    TomographyConfig,
+};
+use tspu::registry::Universe;
+use tspu::topology::{policy_from_universe, GenParams};
+use tspu_obs::Snapshot;
+
+const DOMAINS: [&str; 5] =
+    ["meduza.io", "play.google.com", "twitter.com", "wikipedia.org", "rust-lang.org"];
+
+fn domains() -> Vec<String> {
+    DOMAINS.map(String::from).to_vec()
+}
+
+fn policy(universe: &Universe) -> PolicyHandle {
+    policy_from_universe(universe, false, true)
+}
+
+fn tomography(policy: PolicyHandle) -> LocalizeSpec {
+    LocalizeSpec::tomography(policy, TomographyConfig::new(GenParams::new(13, 140)).cells(4))
+}
+
+// The same comparison the six determinism suites are written in.
+#[path = "../crates/measure/tests/common/mod.rs"]
+mod common;
+
+/// Renders the campaign at one and at two threads and demands equal bytes.
+fn assert_same_at_one_and_two_threads(driver: &str, render: impl Fn(&ScanPool) -> String) {
+    println!("{driver}");
+    common::assert_thread_independent(&[2], render);
+}
+
+#[test]
+fn every_driver_is_byte_identical_at_one_and_two_threads() {
+    let universe = Universe::generate(2022);
+    let policy = policy(&universe);
+
+    let sweep = SweepSpec::from_universe(&universe, domains());
+    assert_same_at_one_and_two_threads("sweep", |pool| {
+        let run = sweep.run(pool, &RunOpts::observed());
+        format!("{:?}\n{:?}", run.verdicts, run.snapshot)
+    });
+
+    let chaos = ChaosSweep {
+        scenarios: vec![
+            ChaosScenario { vantage: "ER-Telecom", mechanism: Mechanism::Sni1 },
+            ChaosScenario { vantage: "OBIT", mechanism: Mechanism::Sni2 },
+        ],
+        ..ChaosSweep::table1_grid(policy.clone(), vec![11, 22], 3)
+    };
+    assert_same_at_one_and_two_threads("chaos", |pool| {
+        let cells = chaos.run(pool);
+        assert_eq!(cells.len(), 4);
+        assert!(cells.iter().all(|c| c.oracle_violations.is_empty()), "{cells:?}");
+        format!("{cells:?}")
+    });
+
+    let mut churn = ChurnCampaign::escalation_2022();
+    churn.churn.end_day = churn.churn.start_day + 5;
+    assert_same_at_one_and_two_threads("churn", |pool| {
+        let report = churn.run(&universe, pool);
+        assert!(!report.cells.is_empty());
+        format!("{:?}\n{}\n{}", report.cells, report.snapshot.to_json(), report.series.to_json())
+    });
+
+    let differential = DifferentialCampaign::three_country(policy.clone(), domains());
+    assert_same_at_one_and_two_threads("differential", |pool| {
+        let (matrix, _) = differential.run(pool, &RunOpts::observed());
+        assert!(matrix.oracle_clean(), "{:?}", matrix.oracle_violations());
+        format!("{:?}\n{:?}\n{}", matrix.cells, matrix.snapshot, matrix.series.to_json())
+    });
+
+    let walk = LocalizeSpec::symmetric(policy.clone(), "Rostelecom");
+    assert_same_at_one_and_two_threads("localize", |pool| {
+        let run = walk.run(pool, &RunOpts::observed());
+        assert_eq!(run.first().map(|d| d.after_hop), Some(2));
+        format!("{:?}\n{:?}", run.devices, run.snapshot)
+    });
+
+    let tomography = tomography(policy);
+    assert_same_at_one_and_two_threads("tomography", |pool| {
+        let run = tomography.run(pool, &RunOpts::observed());
+        let cells = run.tomography.expect("tomography technique");
+        assert!(cells.cells.iter().all(|c| c.named), "{:?}", cells.cells);
+        format!("{cells:?}\n{:?}", run.snapshot)
+    });
+}
+
+/// Cell indices that left spans in a campaign snapshot.
+fn traced_cells(snapshot: Option<Snapshot>) -> BTreeSet<u32> {
+    snapshot.expect("sampled runs observe").spans().iter().map(|span| span.scenario).collect()
+}
+
+fn even_cells(cells: usize) -> BTreeSet<u32> {
+    (0..cells as u32).step_by(2).collect()
+}
+
+/// `RunOpts::sampled(2)` under every driver that takes `RunOpts`: metrics
+/// from every cell, spans from exactly the even ones.
+#[test]
+fn sampling_traces_exactly_the_even_cells_under_every_driver() {
+    if !tspu_obs::ENABLED {
+        return;
+    }
+    let universe = Universe::generate(2022);
+    let policy = policy(&universe);
+    let opts = RunOpts::sampled(2);
+    let pool = ScanPool::new(2);
+
+    let sweep = SweepSpec::from_universe(&universe, domains()).run(&pool, &opts);
+    assert_eq!(traced_cells(sweep.snapshot), even_cells(5), "sweep");
+
+    let differential = DifferentialCampaign::three_country(policy.clone(), domains());
+    let (matrix, _) = differential.run(&pool, &opts);
+    assert_eq!(traced_cells(matrix.snapshot), even_cells(15), "differential");
+
+    let walk = LocalizeSpec::symmetric(policy.clone(), "Rostelecom").max_ttl(5).run(&pool, &opts);
+    assert_eq!(traced_cells(walk.snapshot), even_cells(5), "localize");
+
+    let tomography = tomography(policy).run(&pool, &opts);
+    assert_eq!(traced_cells(tomography.snapshot), even_cells(4), "tomography");
+}
