@@ -50,7 +50,9 @@ pub use profile::{CensorProfile, DnsFilter, HttpHostFilter, SniMode};
 pub use frag_cache::FragCache;
 pub use hardening::Hardening;
 pub use policer::TokenBucket;
-pub use policy::{DomainSet, NormalizedHost, Policy, PolicyDelta, PolicyHandle, ThrottleConfig};
+pub use policy::{
+    DomainSet, NormalizedHost, Policy, PolicyDelta, PolicyHandle, PolicyHistory, ThrottleConfig,
+};
 pub use recorder::{FlightRecorder, LedgerEvent, LedgerKind, DEFAULT_LEDGER_CAP};
 pub use sharded::ShardedConnTracker;
 pub use updater::{DeltaApplication, PolicyUpdater, UpdateLog};

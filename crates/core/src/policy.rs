@@ -11,6 +11,7 @@
 
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
@@ -109,6 +110,35 @@ impl NormalizedHost {
     }
 }
 
+/// How [`DomainSet`] stores an entry: ASCII lowercase, one trailing dot
+/// stripped.
+fn normalize_entry(domain: &str) -> String {
+    let mut d = domain.to_ascii_lowercase();
+    if d.ends_with('.') {
+        d.pop();
+    }
+    d
+}
+
+/// Names bucketed by their [`suffix_hash_of`] value.
+type NameBuckets = FxHashMap<u64, Vec<Box<str>>>;
+
+fn holds_name(buckets: &NameBuckets, hash: u64, name: &[u8]) -> bool {
+    buckets.get(&hash).is_some_and(|bucket| bucket.iter().any(|e| e.as_bytes() == name))
+}
+
+/// Removes `name` from its bucket (dropping a bucket it empties); true if
+/// it was there.
+fn take_name(buckets: &mut NameBuckets, hash: u64, name: &str) -> bool {
+    let Some(bucket) = buckets.get_mut(&hash) else { return false };
+    let Some(pos) = bucket.iter().position(|e| **e == *name) else { return false };
+    bucket.swap_remove(pos);
+    if bucket.is_empty() {
+        buckets.remove(&hash);
+    }
+    true
+}
+
 /// A set of domain names with suffix matching: `web.facebook.com` matches
 /// an entry for `facebook.com` (the paper's blocklists name registrable
 /// domains while SNIs carry full hostnames).
@@ -117,10 +147,51 @@ impl NormalizedHost {
 /// so a lookup walks the hostname once, right to left, hashing each
 /// candidate suffix incrementally — no per-call allocation and no
 /// re-scanning of the tail for each label level.
+///
+/// A set taken from a [`PolicyHistory`] additionally reads one version of
+/// a shared, immutable table: its own buckets then hold only what was
+/// inserted since, and a tombstone map what was removed since, so such a
+/// set costs nothing per name to create, clone or drop. A set built any
+/// other way has no shared table and pays one never-taken branch for it.
 #[derive(Debug, Clone, Default)]
 pub struct DomainSet {
-    buckets: FxHashMap<u64, Vec<Box<str>>>,
+    buckets: NameBuckets,
     len: usize,
+    shared: Option<SharedNames>,
+}
+
+/// One version of a [`ListHistory`], minus the names removed since.
+#[derive(Debug, Clone)]
+struct SharedNames {
+    history: Arc<ListHistory>,
+    version: usize,
+    /// Names live in `history` at `version` that this set has removed.
+    tombstones: NameBuckets,
+}
+
+impl SharedNames {
+    /// Whether the shared table lists `name` at this version, removed
+    /// since or not.
+    fn lists(&self, hash: u64, name: &[u8]) -> bool {
+        self.history.lists(self.version, hash, name)
+    }
+
+    #[inline]
+    fn contains(&self, hash: u64, name: &[u8]) -> bool {
+        self.lists(hash, name) && !holds_name(&self.tombstones, hash, name)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        self.history.buckets.iter().flat_map(move |(&hash, bucket)| {
+            bucket
+                .iter()
+                .filter(move |l| {
+                    l.listed.contains(&self.version)
+                        && !holds_name(&self.tombstones, hash, l.name.as_bytes())
+                })
+                .map(|l| &*l.name)
+        })
+    }
 }
 
 impl DomainSet {
@@ -140,11 +211,18 @@ impl DomainSet {
 
     /// Inserts a domain (normalized to lowercase, trailing dot stripped).
     pub fn insert<S: Into<String>>(&mut self, domain: S) {
-        let mut d = domain.into().to_ascii_lowercase();
-        if d.ends_with('.') {
-            d.pop();
+        let d = normalize_entry(&domain.into());
+        let hash = suffix_hash_of(d.as_bytes());
+        if let Some(shared) = &mut self.shared {
+            if shared.lists(hash, d.as_bytes()) {
+                // Already an entry unless removed since: then re-list it.
+                if take_name(&mut shared.tombstones, hash, &d) {
+                    self.len += 1;
+                }
+                return;
+            }
         }
-        let bucket = self.buckets.entry(suffix_hash_of(d.as_bytes())).or_default();
+        let bucket = self.buckets.entry(hash).or_default();
         if !bucket.iter().any(|e| **e == *d) {
             bucket.push(d.into_boxed_str());
             self.len += 1;
@@ -154,18 +232,14 @@ impl DomainSet {
     /// Removes a domain (normalized like [`DomainSet::insert`], so a
     /// delisting with a trailing dot still finds the stored entry).
     pub fn remove(&mut self, domain: &str) {
-        let mut d = domain.to_ascii_lowercase();
-        if d.ends_with('.') {
-            d.pop();
-        }
+        let d = normalize_entry(domain);
         let hash = suffix_hash_of(d.as_bytes());
-        if let Some(bucket) = self.buckets.get_mut(&hash) {
-            if let Some(pos) = bucket.iter().position(|e| **e == *d) {
-                bucket.swap_remove(pos);
+        if take_name(&mut self.buckets, hash, &d) {
+            self.len -= 1;
+        } else if let Some(shared) = &mut self.shared {
+            if shared.contains(hash, d.as_bytes()) {
+                shared.tombstones.entry(hash).or_default().push(d.into_boxed_str());
                 self.len -= 1;
-                if bucket.is_empty() {
-                    self.buckets.remove(&hash);
-                }
             }
         }
     }
@@ -226,14 +300,24 @@ impl DomainSet {
 
     #[inline]
     fn contains_suffix(&self, hash: u64, suffix: &[u8]) -> bool {
-        self.buckets
-            .get(&hash)
-            .is_some_and(|bucket| bucket.iter().any(|e| e.as_bytes() == suffix))
+        holds_name(&self.buckets, hash, suffix)
+            || self.shared.as_ref().is_some_and(|shared| shared.contains(hash, suffix))
     }
 
     /// Iterates over the entries.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.buckets.values().flatten().map(|s| &**s)
+        let shared = self.shared.iter().flat_map(SharedNames::iter);
+        self.buckets.values().flatten().map(|s| &**s).chain(shared)
+    }
+}
+
+/// Set equality: the same entries, however each side stores them.
+impl PartialEq for DomainSet {
+    fn eq(&self, other: &DomainSet) -> bool {
+        self.len == other.len
+            && self
+                .iter()
+                .all(|e| other.contains_suffix(suffix_hash_of(e.as_bytes()), e.as_bytes()))
     }
 }
 
@@ -260,7 +344,7 @@ impl ThrottleConfig {
 }
 
 /// The complete censorship policy a TSPU device enforces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Policy {
     /// SNI-I: RST/ACK response rewriting — "the vast majority of blocking".
     pub sni_rst: DomainSet,
@@ -453,6 +537,175 @@ impl PolicyDelta {
             + self.remove_backup.len()
             + self.block_ips.len()
             + self.unblock_ips.len()
+    }
+}
+
+/// "Not delisted yet" as the end of a listed range.
+const STILL_LISTED: usize = usize::MAX;
+
+/// One stay of a name on a list, live at the versions in `listed`.
+#[derive(Debug)]
+struct Listing {
+    name: Box<str>,
+    listed: Range<usize>,
+}
+
+/// Every version of one name list in a single suffix-hash table: a name
+/// delisted and listed again has two [`Listing`]s in its bucket.
+#[derive(Debug)]
+struct ListHistory {
+    buckets: FxHashMap<u64, Vec<Listing>>,
+    /// Entries live at each version, `0..=` the deltas compiled.
+    live: Vec<usize>,
+}
+
+impl ListHistory {
+    fn new() -> ListHistory {
+        ListHistory { buckets: FxHashMap::default(), live: vec![0] }
+    }
+
+    /// Records the delta that produces `version`: additions first, then
+    /// removals, as [`Policy::apply_delta`] orders them.
+    fn apply(&mut self, version: usize, adds: &[String], removes: &[String]) {
+        let mut live = self.live[version - 1];
+        for name in adds {
+            let name = normalize_entry(name);
+            let bucket = self.buckets.entry(suffix_hash_of(name.as_bytes())).or_default();
+            if !bucket.iter().any(|l| l.listed.end == STILL_LISTED && *l.name == *name) {
+                bucket.push(Listing { name: name.into(), listed: version..STILL_LISTED });
+                live += 1;
+            }
+        }
+        for name in removes {
+            let name = normalize_entry(name);
+            let Some(bucket) = self.buckets.get_mut(&suffix_hash_of(name.as_bytes())) else {
+                continue;
+            };
+            let open =
+                bucket.iter().position(|l| l.listed.end == STILL_LISTED && *l.name == *name);
+            if let Some(pos) = open {
+                live -= 1;
+                if bucket[pos].listed.start == version {
+                    // Added by this same delta: live at no version.
+                    bucket.swap_remove(pos);
+                } else {
+                    bucket[pos].listed.end = version;
+                }
+            }
+        }
+        self.live.push(live);
+    }
+
+    #[inline]
+    fn lists(&self, version: usize, hash: u64, name: &[u8]) -> bool {
+        self.buckets.get(&hash).is_some_and(|bucket| {
+            bucket.iter().any(|l| l.listed.contains(&version) && l.name.as_bytes() == name)
+        })
+    }
+}
+
+/// A delta sequence compiled once so that the policy after any prefix of
+/// it is a value to take, not a replay to run — the registry as
+/// Roskomnadzor distributed it day by day, held once.
+///
+/// Version `v` is [`Policy::permissive`] with the first `v` deltas
+/// applied. [`PolicyHistory::as_of`] returns it as an ordinary [`Policy`]
+/// whose four [`DomainSet`]s read this history's tables at `v`; taking
+/// one costs no per-name work, and whatever is later applied to it lands
+/// in the policy's own overlay, never in the tables other versions share.
+#[derive(Debug)]
+pub struct PolicyHistory {
+    /// SNI-I…IV, in [`Policy`] field order.
+    lists: [Arc<ListHistory>; 4],
+    /// Each address with the versions it is blocked at.
+    ips: Vec<(Ipv4Addr, Range<usize>)>,
+    /// `(quic_filter, throttle_active)` at each version.
+    toggles: Vec<(bool, bool)>,
+}
+
+impl PolicyHistory {
+    /// Walks `deltas` once, in order.
+    pub fn compile<I>(deltas: I) -> PolicyHistory
+    where
+        I: IntoIterator,
+        I::Item: std::borrow::Borrow<PolicyDelta>,
+    {
+        use std::borrow::Borrow;
+
+        let start = Policy::permissive();
+        let mut lists = [(); 4].map(|()| ListHistory::new());
+        let mut ips: Vec<(Ipv4Addr, Range<usize>)> = Vec::new();
+        let mut blocked: FxHashMap<Ipv4Addr, usize> = FxHashMap::default();
+        let mut toggles = vec![(start.quic_filter, start.throttle_active)];
+        for (index, delta) in deltas.into_iter().enumerate() {
+            let (delta, version) = (delta.borrow(), index + 1);
+            let ops = [
+                (&delta.add_rst, &delta.remove_rst),
+                (&delta.add_slow, &delta.remove_slow),
+                (&delta.add_throttle, &delta.remove_throttle),
+                (&delta.add_backup, &delta.remove_backup),
+            ];
+            for (list, (adds, removes)) in lists.iter_mut().zip(ops) {
+                list.apply(version, adds, removes);
+            }
+            for &ip in &delta.block_ips {
+                blocked.entry(ip).or_insert_with(|| {
+                    ips.push((ip, version..STILL_LISTED));
+                    ips.len() - 1
+                });
+            }
+            for ip in &delta.unblock_ips {
+                if let Some(at) = blocked.remove(ip) {
+                    ips[at].1.end = version;
+                }
+            }
+            let (quic, throttle) = toggles[index];
+            toggles.push((
+                delta.quic_filter.unwrap_or(quic),
+                delta.throttle_active.unwrap_or(throttle),
+            ));
+        }
+        PolicyHistory { lists: lists.map(Arc::new), ips, toggles }
+    }
+
+    /// Deltas compiled: [`PolicyHistory::as_of`] answers `0..=versions()`.
+    pub fn versions(&self) -> usize {
+        self.toggles.len() - 1
+    }
+
+    /// The policy after the first `version` deltas, with `epoch ==
+    /// version`; `None` past the last compiled delta — a policy that was
+    /// never distributed has no honest stand-in, so the caller decides.
+    pub fn as_of(&self, version: usize) -> Option<Policy> {
+        let &(quic_filter, throttle_active) = self.toggles.get(version)?;
+        let list = |index: usize| {
+            let history = &self.lists[index];
+            DomainSet {
+                buckets: NameBuckets::default(),
+                len: history.live[version],
+                shared: Some(SharedNames {
+                    history: Arc::clone(history),
+                    version,
+                    tombstones: NameBuckets::default(),
+                }),
+            }
+        };
+        Some(Policy {
+            sni_rst: list(0),
+            sni_slow: list(1),
+            sni_throttle: list(2),
+            sni_backup: list(3),
+            quic_filter,
+            blocked_ips: self
+                .ips
+                .iter()
+                .filter(|(_, blocked)| blocked.contains(&version))
+                .map(|&(ip, _)| ip)
+                .collect(),
+            throttle_active,
+            epoch: version as u64,
+            ..Policy::permissive()
+        })
     }
 }
 
@@ -699,6 +952,144 @@ mod tests {
         let snap = handle.obs_snapshot();
         assert_eq!(snap.counter("policy.delta_applies"), 2);
         assert_eq!(snap.gauge("policy.epoch"), Some(2));
+    }
+
+    fn sorted(set: &DomainSet) -> Vec<&str> {
+        let mut names: Vec<&str> = set.iter().collect();
+        names.sort_unstable();
+        names
+    }
+
+    /// Five versions of SNI-I: list a parent, its subdomain and a
+    /// throttled name; delist the parent; list it again; a delta that
+    /// adds and removes one name.
+    fn small_history() -> PolicyHistory {
+        PolicyHistory::compile([
+            PolicyDelta {
+                add_rst: vec!["Example.COM.".into(), "sub.example.com".into()],
+                add_throttle: vec!["fbcdn.net".into()],
+                block_ips: vec![Ipv4Addr::new(198, 51, 100, 7)],
+                throttle_active: Some(true),
+                ..PolicyDelta::default()
+            },
+            PolicyDelta { remove_rst: vec!["example.com".into()], ..PolicyDelta::default() },
+            PolicyDelta {
+                add_rst: vec!["example.com".into()],
+                unblock_ips: vec![Ipv4Addr::new(198, 51, 100, 7)],
+                ..PolicyDelta::default()
+            },
+            PolicyDelta {
+                add_rst: vec!["fleeting.org".into()],
+                remove_rst: vec!["FLEETING.org.".into()],
+                ..PolicyDelta::default()
+            },
+        ])
+    }
+
+    #[test]
+    fn history_answers_every_compiled_version_and_none_beyond() {
+        let history = small_history();
+        assert_eq!(history.versions(), 4);
+        assert_eq!(history.as_of(0), Some(Policy::permissive()));
+        assert!(history.as_of(4).is_some());
+        assert!(history.as_of(5).is_none());
+        assert!(history.as_of(usize::MAX).is_none());
+        assert_eq!(PolicyHistory::compile([] as [PolicyDelta; 0]).versions(), 0);
+
+        let day1 = history.as_of(1).expect("compiled");
+        assert_eq!(day1.epoch, 1);
+        assert!(day1.throttle_active && !day1.quic_filter);
+        assert!(day1.blocked_ips.contains(&Ipv4Addr::new(198, 51, 100, 7)));
+        assert_eq!(sorted(&day1.sni_rst), ["example.com", "sub.example.com"]);
+        assert!(history.as_of(3).expect("compiled").blocked_ips.is_empty());
+    }
+
+    #[test]
+    fn delisted_parent_leaves_its_listed_subdomain_blocked() {
+        let history = small_history();
+        // Delisted by the history itself (version 2) …
+        let compiled = history.as_of(2).expect("compiled");
+        // … and by a tombstone on top of version 1.
+        let mut overlaid = history.as_of(1).expect("compiled");
+        overlaid.sni_rst.remove("example.com.");
+        for set in [&compiled.sni_rst, &overlaid.sni_rst] {
+            assert_eq!(sorted(set), ["sub.example.com"]);
+            assert_eq!(set.len(), 1);
+            assert!(set.matches("sub.example.com"));
+            assert!(set.matches("deep.SUB.example.com."));
+            assert!(!set.matches("example.com"));
+            assert!(!set.matches("other.example.com"));
+        }
+        // Listed again at version 3: a second listing of the same name.
+        let relisted = history.as_of(3).expect("compiled");
+        assert!(relisted.sni_rst.matches("other.example.com"));
+        assert_eq!(relisted.sni_rst.len(), 2);
+    }
+
+    #[test]
+    fn overlay_relists_what_it_delisted() {
+        let history = small_history();
+        let mut policy = history.as_of(1).expect("compiled");
+        policy.sni_rst.remove("example.com");
+        policy.sni_rst.remove("example.com"); // already gone: no second tombstone
+        assert_eq!(policy.sni_rst.len(), 1);
+        policy.sni_rst.insert("EXAMPLE.com");
+        assert_eq!(policy.sni_rst.len(), 2);
+        assert!(policy.sni_rst.matches("www.example.com"));
+        assert_eq!(policy.sni_rst, history.as_of(1).expect("compiled").sni_rst);
+        // Inserting a name the shared table already lists changes nothing.
+        policy.sni_rst.insert("sub.example.com");
+        assert_eq!(sorted(&policy.sni_rst), ["example.com", "sub.example.com"]);
+        // Nothing above reached the table the other versions read.
+        assert_eq!(history.as_of(1).expect("compiled").sni_rst.len(), 2);
+        assert!(history.as_of(2).expect("compiled").sni_rst.matches("sub.example.com"));
+    }
+
+    #[test]
+    fn removing_a_name_the_history_never_held_is_a_no_op() {
+        let history = small_history();
+        let mut policy = history.as_of(2).expect("compiled");
+        policy.sni_rst.remove("never-listed.org");
+        policy.sni_rst.remove("example.com"); // held once, not at this version
+        assert_eq!(sorted(&policy.sni_rst), ["sub.example.com"]);
+        assert_eq!(policy.sni_rst.len(), 1);
+        // An overlay entry comes and goes without touching the shared one.
+        policy.sni_rst.insert("fresh.org");
+        policy.sni_rst.remove("fresh.org");
+        assert_eq!(policy.sni_rst, history.as_of(2).expect("compiled").sni_rst);
+    }
+
+    #[test]
+    fn add_and_remove_in_one_delta_ends_absent() {
+        let history = small_history();
+        // Compiled: version 4's delta adds and removes `fleeting.org`.
+        let compiled = history.as_of(4).expect("compiled");
+        assert!(!compiled.sni_rst.matches("fleeting.org"));
+        assert_eq!(compiled.sni_rst.len(), 2);
+        // Applied: the same delta onto version 3 through the overlay, and
+        // one that adds and removes a name the history lists.
+        let mut applied = history.as_of(3).expect("compiled");
+        applied.apply_delta(&PolicyDelta {
+            add_rst: vec!["fleeting.org".into(), "example.com".into()],
+            remove_rst: vec!["fleeting.org".into(), "example.com".into()],
+            ..PolicyDelta::default()
+        });
+        assert_eq!(sorted(&applied.sni_rst), ["sub.example.com"]);
+        assert_eq!(applied.sni_rst.len(), 1);
+        assert_eq!(applied.epoch, 4);
+    }
+
+    #[test]
+    fn march_4_transition_reads_and_writes_history_backed_lists() {
+        let handle = PolicyHandle::new(small_history().as_of(1).expect("compiled"));
+        assert!(!handle.read().sni_rst.matches("cdn.fbcdn.net"));
+        handle.march_4_2022_transition();
+        let policy = handle.read();
+        assert!(!policy.throttle_active && policy.quic_filter);
+        assert_eq!(policy.epoch, 2);
+        assert!(policy.sni_rst.matches("cdn.fbcdn.net"));
+        assert_eq!(sorted(&policy.sni_rst), ["example.com", "fbcdn.net", "sub.example.com"]);
+        assert_eq!(sorted(&policy.sni_throttle), ["fbcdn.net"]);
     }
 
     #[test]

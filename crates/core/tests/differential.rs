@@ -288,71 +288,162 @@ fn normalize(name: &str) -> String {
     d
 }
 
+fn sorted(set: &DomainSet) -> Vec<&str> {
+    let mut names: Vec<&str> = set.iter().collect();
+    names.sort_unstable();
+    names
+}
+
+/// SNI-I…IV, in `Policy` field order.
+fn lists(policy: &tspu_core::Policy) -> [&DomainSet; 4] {
+    [&policy.sni_rst, &policy.sni_slow, &policy.sni_throttle, &policy.sni_backup]
+}
+
+/// Two policies that must be the same policy: entry sets, `len`, matcher
+/// verdicts on every spelling in `hosts`, toggles, addresses, epoch.
+fn assert_same_policy(
+    what: &str,
+    got: &tspu_core::Policy,
+    want: &tspu_core::Policy,
+    hosts: &[String],
+) {
+    for (list, (got, want)) in lists(got).into_iter().zip(lists(want)).enumerate() {
+        assert_eq!(sorted(got), sorted(want), "{what}: SNI list {list} entries");
+        assert_eq!(got.len(), want.len(), "{what}: SNI list {list} len");
+        assert_eq!(got.is_empty(), want.is_empty(), "{what}: SNI list {list} is_empty");
+        for host in hosts {
+            assert_eq!(got.matches(host), want.matches(host), "{what}: SNI list {list} on {host}");
+        }
+    }
+    assert_eq!(got.quic_filter, want.quic_filter, "{what}: quic_filter");
+    assert_eq!(got.throttle_active, want.throttle_active, "{what}: throttle_active");
+    assert_eq!(got.blocked_ips, want.blocked_ips, "{what}: blocked_ips");
+    assert_eq!(got.epoch, want.epoch, "{what}: epoch");
+    assert_eq!(got, want, "{what}: PartialEq");
+}
+
 proptest! {
-    /// Incremental [`Policy::apply_delta`] (plus `DomainSet::remove`) and
-    /// a from-scratch rebuild of the final membership agree exactly —
-    /// same entry set, same matcher verdicts on mixed-case and
-    /// trailing-dot spellings — and the epoch advances once per delta.
+    /// Three ways to the same policy. Incremental [`Policy::apply_delta`]
+    /// (plus `DomainSet::remove`) and a from-scratch rebuild of the final
+    /// membership agree exactly — same entry set, same matcher verdicts
+    /// on mixed-case and trailing-dot spellings — and the epoch advances
+    /// once per delta. And for every prefix length `k`,
+    /// `PolicyHistory::as_of(k)` *is* the policy replayed to `k`, and
+    /// applying the remaining deltas onto it (its overlay and tombstones)
+    /// arrives where the full replay does. Names come from a small pool,
+    /// bare and as `sub.` children, so delisting, re-listing and a
+    /// delisted parent over a listed child all occur.
     #[test]
     fn policy_delta_differential(
+        pool in proptest::collection::vec(arb_domain(), 1..6),
         ops in proptest::collection::vec(
-            (any::<bool>(), arb_domain(), any::<bool>(), any::<bool>()),
+            (
+                (any::<bool>(), any::<u8>(), any::<bool>(), any::<bool>(), any::<bool>()),
+                0usize..4,
+                0u8..12,
+            ),
             1..50,
         ),
         chunk in 1usize..6,
     ) {
-        use tspu_core::{Policy, PolicyDelta};
+        use tspu_core::{Policy, PolicyDelta, PolicyHistory};
 
-        let mut incremental = Policy::permissive();
-        let mut membership: HashSet<String> = HashSet::new();
-        let mut deltas = 0u64;
+        let name_of = |pick: u8, sub: bool| {
+            let name = &pool[usize::from(pick) % pool.len()];
+            if sub { format!("sub.{name}") } else { name.clone() }
+        };
+        let mut deltas: Vec<PolicyDelta> = Vec::new();
         for batch in ops.chunks(chunk) {
-            // A delta applies all its additions, then all its removals —
-            // mirror that order in the membership model.
             let mut delta = PolicyDelta::default();
-            for (add, name, upper, dot) in batch {
-                let mut spelled = if *upper { name.to_ascii_uppercase() } else { name.clone() };
-                if *dot {
+            for &((add, pick, sub, upper, dot), list, extra) in batch {
+                let name = name_of(pick, sub);
+                let mut spelled = if upper { name.to_ascii_uppercase() } else { name };
+                if dot {
                     spelled.push('.');
                 }
-                if *add {
-                    delta.add_rst.push(spelled);
-                } else {
-                    delta.remove_rst.push(spelled);
+                let (adds, removes) = match list {
+                    0 => (&mut delta.add_rst, &mut delta.remove_rst),
+                    1 => (&mut delta.add_slow, &mut delta.remove_slow),
+                    2 => (&mut delta.add_throttle, &mut delta.remove_throttle),
+                    _ => (&mut delta.add_backup, &mut delta.remove_backup),
+                };
+                if add { adds.push(spelled) } else { removes.push(spelled) }
+                let ip = Ipv4Addr::new(198, 51, 100, pick % 4);
+                match extra {
+                    0 => delta.quic_filter = Some(add),
+                    1 => delta.throttle_active = Some(add),
+                    2 | 3 => delta.block_ips.push(ip),
+                    4 => delta.unblock_ips.push(ip),
+                    _ => {}
                 }
             }
-            for name in &delta.add_rst {
-                membership.insert(normalize(name));
-            }
-            for name in &delta.remove_rst {
-                membership.remove(&normalize(name));
-            }
-            incremental.apply_delta(&delta);
-            deltas += 1;
+            deltas.push(delta);
         }
-        prop_assert_eq!(incremental.epoch, deltas);
 
-        let rebuilt = DomainSet::from_names(membership.iter().cloned());
-        prop_assert_eq!(incremental.sni_rst.len(), rebuilt.len());
-        let mut churned: Vec<&str> = incremental.sni_rst.iter().collect();
-        let mut scratch: Vec<&str> = rebuilt.iter().collect();
-        churned.sort_unstable();
-        scratch.sort_unstable();
-        prop_assert_eq!(churned, scratch);
+        let mut incremental = Policy::permissive();
+        let mut membership: [HashSet<String>; 4] = Default::default();
+        for delta in &deltas {
+            // A delta applies all its additions, then all its removals —
+            // mirror that order in the membership model.
+            for (members, (adds, removes)) in membership.iter_mut().zip([
+                (&delta.add_rst, &delta.remove_rst),
+                (&delta.add_slow, &delta.remove_slow),
+                (&delta.add_throttle, &delta.remove_throttle),
+                (&delta.add_backup, &delta.remove_backup),
+            ]) {
+                for name in adds {
+                    members.insert(normalize(name));
+                }
+                for name in removes {
+                    members.remove(&normalize(name));
+                }
+            }
+            incremental.apply_delta(delta);
+        }
+        prop_assert_eq!(incremental.epoch, deltas.len() as u64);
 
-        for (_, name, _, _) in &ops {
-            for host in [
-                name.clone(),
-                name.to_ascii_uppercase(),
-                format!("{name}."),
-                format!("sub.{name}"),
-            ] {
+        let hosts: Vec<String> = ops
+            .iter()
+            .flat_map(|&((_, pick, sub, _, _), _, _)| {
+                let name = name_of(pick, sub);
+                [
+                    name.to_ascii_uppercase(),
+                    format!("{name}."),
+                    format!("sub.{name}"),
+                    format!("Deep.sub.{name}."),
+                    name,
+                ]
+            })
+            .collect();
+
+        for (members, churned) in membership.iter().zip(lists(&incremental)) {
+            let rebuilt = DomainSet::from_names(members.iter().cloned());
+            prop_assert_eq!(churned.len(), rebuilt.len());
+            prop_assert_eq!(sorted(churned), sorted(&rebuilt));
+            for host in &hosts {
                 prop_assert_eq!(
-                    incremental.sni_rst.matches(&host),
-                    rebuilt.matches(&host),
+                    churned.matches(host),
+                    rebuilt.matches(host),
                     "matchers diverge on {}",
                     host
                 );
+            }
+        }
+
+        let history = PolicyHistory::compile(&deltas);
+        prop_assert_eq!(history.versions(), deltas.len());
+        prop_assert!(history.as_of(deltas.len() + 1).is_none());
+        let mut replayed = Policy::permissive();
+        for k in 0..=deltas.len() {
+            let as_of = history.as_of(k).expect("k is a compiled version");
+            assert_same_policy(&format!("as_of({k})"), &as_of, &replayed, &hosts);
+            let mut resumed = as_of;
+            for delta in &deltas[k..] {
+                resumed.apply_delta(delta);
+            }
+            assert_same_policy(&format!("as_of({k}) + the rest"), &resumed, &incremental, &hosts);
+            if let Some(delta) = deltas.get(k) {
+                replayed.apply_delta(delta);
             }
         }
     }

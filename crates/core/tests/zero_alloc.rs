@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use tspu_core::policy::{DomainSet, NormalizedHost};
-use tspu_core::{Policy, PolicyHandle, TspuDevice};
+use tspu_core::{Policy, PolicyDelta, PolicyHandle, PolicyHistory, TspuDevice};
 use tspu_netsim::{Direction, Middlebox, Time, Verdict};
 use tspu_wire::ipv4::{Ipv4Repr, Protocol};
 use tspu_wire::tcp::{TcpFlags, TcpRepr};
@@ -97,6 +97,33 @@ fn matcher_is_allocation_free_on_the_packet_path() {
         });
         assert_eq!(n, 0, "matches({host:?}) allocated {n} times in 100 calls");
     }
+
+    // The same hosts against a set read out of a `PolicyHistory`, with
+    // every part of the lookup in play: the shared table (facebook.com),
+    // a tombstone over one of its entries (twitter.com) and an overlay
+    // entry of the set's own (instagram.com).
+    let history = PolicyHistory::compile([PolicyDelta::add_rst_batch([
+        "facebook.com",
+        "twitter.com",
+        "rutracker.org",
+    ])]);
+    let mut shared = history.as_of(1).expect("one delta compiled").sni_rst;
+    shared.remove("twitter.com");
+    shared.insert("instagram.com");
+    assert!(shared.matches(&max_host) && shared.matches("login.instagram.com"));
+    assert!(!shared.matches("twitter.com"));
+    let normalized: Vec<NormalizedHost> =
+        hosts.iter().copied().chain(["twitter.com"]).map(NormalizedHost::new).collect();
+    let n = allocations_during(|| {
+        let mut hits = 0u32;
+        for _ in 0..100 {
+            for host in &normalized {
+                hits += u32::from(shared.matches_normalized(host));
+            }
+        }
+        hits
+    });
+    assert_eq!(n, 0, "history-backed matches_normalized allocated {n} times");
 
     // Normalization alone is also allocation-free at the capacity limit.
     let n = allocations_during(|| NormalizedHost::new(&max_host).as_bytes().len());

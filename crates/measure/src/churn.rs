@@ -1,29 +1,32 @@
 //! The registry-churn campaign: per-delta blocking-convergence latency,
 //! measured in virtual time and sharded across the [`ScanPool`].
 //!
-//! Each cell replays one registry day of a [`ChurnSchedule`]: the lab
-//! starts from the policy as of the previous day (every prior batch
-//! applied through the incremental [`Policy::apply_delta`] path), a
+//! The schedule's batches are compiled once into a [`PolicyHistory`];
+//! each cell then replays one registry day of the [`ChurnSchedule`]: the
+//! lab starts from the policy as of the previous day — the history read
+//! at that day, which costs the same on day 1 and on day 60 — a
 //! [`SteadyProbe`] keeps identical TLS flows running toward a name the
 //! day's batch is about to blocklist, and a [`PolicyUpdater`] fires the
-//! batch's delta at its scheduled virtual instant. The gap between the
-//! delta's application and the first probe to draw a RST is the TSPU's
-//! *blocking-convergence latency* — one centrally distributed policy, so
-//! it converges within about one round trip (§5). The decentralized
-//! per-ISP baseline never needs its own packet simulation: each cell also
-//! samples the [`UpdateLag`] distribution, whose days-long registry-sync
-//! lags dwarf the TSPU's round-trip convergence by construction.
+//! batch's delta at its scheduled virtual instant through the incremental
+//! [`Policy::apply_delta`] path, into that cell's policy alone. The gap
+//! between the delta's application and the first probe to draw a RST is
+//! the TSPU's *blocking-convergence latency* — one centrally distributed
+//! policy, so it converges within about one round trip (§5). The
+//! decentralized per-ISP baseline never needs its own packet simulation:
+//! each cell also samples the [`UpdateLag`] distribution, whose days-long
+//! registry-sync lags dwarf the TSPU's round-trip convergence by
+//! construction.
 //!
 //! Every cell is a pure function of `(schedule, batch index, campaign
 //! config)` — a private lab from the campaign kernel
 //! ([`ScanPool::run_cells`]), its own day's policy handle swapped in,
-//! virtual clock — so the campaign is byte-identical at any worker-thread
-//! count.
+//! virtual clock; the history is shared and never written — so the
+//! campaign is byte-identical at any worker-thread count.
 
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use tspu_core::{Policy, PolicyDelta, PolicyHandle, PolicyUpdater};
+use tspu_core::{Policy, PolicyDelta, PolicyHandle, PolicyHistory, PolicyUpdater};
 use tspu_ispdpi::UpdateLag;
 use tspu_obs::{Histogram, MetricValue, Snapshot, TimeSeries};
 use tspu_registry::{ChurnBatch, ChurnConfig, ChurnSchedule, Universe};
@@ -118,8 +121,11 @@ impl ChurnCampaign {
         // own day's.
         let image =
             VantageLab::builder().policy(PolicyHandle::new(Policy::permissive())).image();
+        // Version `pos` of the history is the country on the eve of batch
+        // `pos`.
+        let history = PolicyHistory::compile(schedule.batches().iter().map(churn_delta));
         let run = pool.run_cells(&RunOpts::quick(), &cells, |_| &image, |lab, _, &pos| {
-            self.run_cell(lab, schedule, pos)
+            self.run_cell(lab, schedule, &history, pos)
         });
         let mut convergence = Histogram::new();
         let mut snapshot = Snapshot::new();
@@ -172,17 +178,12 @@ impl ChurnCampaign {
         &self,
         lab: &mut VantageLab,
         schedule: &ChurnSchedule,
+        history: &PolicyHistory,
         pos: usize,
     ) -> (DeltaConvergence, Snapshot) {
-        let batches = schedule.batches();
-        let batch = &batches[pos];
+        let batch = &schedule.batches()[pos];
 
-        // The country as of the previous registry day: every prior batch
-        // applied through the incremental delta path.
-        let mut policy = Policy::permissive();
-        for prior in &batches[..pos] {
-            policy.apply_delta(&churn_delta(prior));
-        }
+        let policy = history.as_of(pos).expect("the history was compiled from this schedule");
         let handle = PolicyHandle::new(policy);
         lab.set_policy(handle.clone());
         lab.net.set_app(lab.us_main, Box::new(ServerApp::https_site(lab.us_main_addr)));

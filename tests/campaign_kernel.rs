@@ -3,17 +3,19 @@
 //! bytes — cells, merged snapshot, series — at one and two threads, and
 //! `RunOpts` must mean the same thing under every driver that takes it.
 //! The CI `determinism` job checks the same at length and at eight threads.
+//! The churn driver's cells start from `PolicyHistory::as_of`; the replay
+//! that used to build that policy is kept here as its reference.
 
 use std::collections::BTreeSet;
 
-use tspu::core::PolicyHandle;
+use tspu::core::{Policy, PolicyHandle, PolicyHistory};
 use tspu::measure::chaos::{ChaosScenario, ChaosSweep};
 use tspu::measure::reliability::Mechanism;
 use tspu::measure::{
-    ChurnCampaign, DifferentialCampaign, LocalizeSpec, RunOpts, ScanPool, SweepSpec,
+    churn_delta, ChurnCampaign, DifferentialCampaign, LocalizeSpec, RunOpts, ScanPool, SweepSpec,
     TomographyConfig,
 };
-use tspu::registry::Universe;
+use tspu::registry::{ChurnConfig, ChurnSchedule, Universe};
 use tspu::topology::{policy_from_universe, GenParams};
 use tspu_obs::Snapshot;
 
@@ -96,6 +98,38 @@ fn every_driver_is_byte_identical_at_one_and_two_threads() {
         assert!(cells.cells.iter().all(|c| c.named), "{:?}", cells.cells);
         format!("{cells:?}\n{:?}", run.snapshot)
     });
+}
+
+/// What a churn cell starts from: at every batch position of the
+/// seed-2022 escalation schedule, the compiled history read at `pos` is
+/// `Policy::permissive()` with `batches[..pos]` replayed — the replay the
+/// cell itself used to run, kept here as the reference.
+#[test]
+fn churn_history_equals_the_replayed_policy_at_every_batch_position() {
+    let universe = Universe::generate(2022);
+    let schedule = ChurnSchedule::from_universe(&universe, &ChurnConfig::escalation_2022());
+    let batches = schedule.batches();
+    assert!(batches.iter().any(|b| !b.remove.is_empty()), "the window delists something");
+    let history = PolicyHistory::compile(batches.iter().map(churn_delta));
+    assert_eq!(history.versions(), batches.len());
+
+    let mut replayed = Policy::permissive();
+    for (pos, batch) in batches.iter().enumerate() {
+        let as_of = history.as_of(pos).expect("pos is a compiled version");
+        assert_eq!(as_of, replayed, "position {pos} (day {})", batch.day);
+        assert_eq!(as_of.sni_rst.iter().count(), replayed.sni_rst.len(), "position {pos}");
+        for name in batch.add.iter().chain(&batch.remove) {
+            let host = format!("WWW.{name}.");
+            assert_eq!(
+                as_of.sni_rst.matches(&host),
+                replayed.sni_rst.matches(&host),
+                "position {pos}: {host}"
+            );
+        }
+        replayed.apply_delta(&churn_delta(batch));
+    }
+    assert_eq!(history.as_of(batches.len()), Some(replayed));
+    assert_eq!(history.as_of(batches.len() + 1), None);
 }
 
 /// Cell indices that left spans in a campaign snapshot.
