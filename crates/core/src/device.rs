@@ -582,17 +582,6 @@ impl TspuDevice {
         self.recorder.record(now.as_micros(), flow, kind, self.profile.name, epoch);
     }
 
-    /// The device's enforcement ledger, rendered oldest-first (empty in
-    /// an obs-disabled build).
-    pub fn ledger_events(&self) -> Vec<String> {
-        self.recorder.events().iter().map(|e| e.render()).collect()
-    }
-
-    /// Total ledger events recorded so far (wrapped-out ones included).
-    pub fn ledger_recorded(&self) -> u64 {
-        self.recorder.recorded()
-    }
-
     /// The last `n` ledger events concerning the flow `packet` belongs to
     /// (device-wide events included), rendered oldest-first — what an
     /// oracle violation report attaches for the offending flow. The

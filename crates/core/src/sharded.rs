@@ -7,10 +7,11 @@
 //! fourteen-packet scenarios never exposed. First, its hash table grows by
 //! doubling: the insert that crosses the threshold rehashes the entire
 //! table on the packet path — a multi-millisecond pause at a million
-//! entries, exactly the kind of cliff the tail-latency floors in
-//! bench_smoke forbid. Second, its CLOCK ring is one queue: reclamation
-//! latency for an expired entry scales with the *total* population, so a
-//! burst of short flows can starve behind a sea of long-lived ones.
+//! entries, exactly the kind of cliff that shows as a p999 per-event
+//! latency far above p50 in the soak report. Second, its CLOCK ring is
+//! one queue: reclamation latency for an expired entry scales with the
+//! *total* population, so a burst of short flows can starve behind a sea
+//! of long-lived ones.
 //!
 //! Sharding by flow-key hash fixes both with no semantic change. Each of
 //! the power-of-two shards is a complete, independent [`ConnTracker`] —

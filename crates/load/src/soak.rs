@@ -82,7 +82,8 @@ pub struct SoakSlice {
     pub got_data: u64,
     /// Flows tracked at the device at slice end.
     pub tracked_flows: usize,
-    /// Events still scheduled (wheel + overflow) at slice end.
+    /// Events still scheduled at slice end. The name predates the single
+    /// event queue; the frozen benchmark reads it.
     pub wheel_depth: usize,
     /// Largest per-shard conntrack occupancy at slice end.
     pub max_shard_len: usize,
@@ -162,40 +163,6 @@ impl SoakReport {
             self.device_packets,
             shard_lens.join(",")
         )
-    }
-
-    /// The deterministic slice of the timeline as JSON: every per-slice
-    /// field except `wall_ns`, in slice order — byte-identical for
-    /// identical (seed, profile, topology) like
-    /// [`SoakReport::deterministic_json`].
-    pub fn timeline_json(&self) -> String {
-        let mut out = String::with_capacity(32 + self.timeline.len() * 160);
-        out.push_str("{\"slices\":[");
-        for (i, s) in self.timeline.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                concat!(
-                    "{{\"at_us\":{},\"events\":{},\"packets\":{},",
-                    "\"flows_started\":{},\"flows_completed\":{},\"resets\":{},",
-                    "\"got_data\":{},\"tracked_flows\":{},\"wheel_depth\":{},",
-                    "\"max_shard_len\":{}}}"
-                ),
-                s.at_us,
-                s.events,
-                s.packets,
-                s.flows_started,
-                s.flows_completed,
-                s.resets,
-                s.got_data,
-                s.tracked_flows,
-                s.wheel_depth,
-                s.max_shard_len,
-            ));
-        }
-        out.push_str("]}");
-        out
     }
 
     /// The timeline as a [`TimeSeries`] windowed at the driver's slice
@@ -592,15 +559,12 @@ mod tests {
         assert!(report.timeline.iter().any(|s| s.tracked_flows > 1_000));
         // Deterministic exports are identical across replays.
         let replay = lab.run();
-        assert_eq!(report.timeline_json(), replay.timeline_json());
         let slice = small_config().slice;
-        assert_eq!(
-            report.timeline_series(slice).to_json(),
-            replay.timeline_series(slice).to_json()
-        );
+        let exported = report.timeline_series(slice).to_json();
+        assert_eq!(exported, replay.timeline_series(slice).to_json());
         // The wall-clock track differs (or at least is allowed to): the
         // deterministic JSON must not contain it.
-        assert!(!report.timeline_json().contains("wall_ns"));
+        assert!(!exported.contains("wall_ns"));
     }
 
     #[test]

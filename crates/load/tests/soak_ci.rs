@@ -4,8 +4,8 @@
 //! The CI `load` job runs this in release mode at `--test-threads={1,8}`
 //! and `TSPU_THREADS={1,8}`: the deterministic report must be
 //! byte-identical in every configuration, the per-flow policy oracle must
-//! be clean, and conntrack GC must stay within its advertised per-packet
-//! probe budget.
+//! be clean, conntrack GC must stay within its advertised per-packet
+//! probe budget, and the event queue must stay shallow.
 
 use std::time::Duration;
 
@@ -74,6 +74,13 @@ fn fifty_k_flow_soak_is_deterministic_and_oracle_clean() {
         "peak tracked {} — population not concurrent",
         first.peak_tracked_flows
     );
+
+    // Traffic guard for the single binary-heap event queue (DESIGN.md
+    // "Event queue"): packets in flight are rate × one RTT and wake-up
+    // timers one per client, so depth peaks near a thousand (measured 1,092). A
+    // population that parks far more reopens heap-vs-wheel with data.
+    let peak_depth = first.timeline.iter().map(|s| s.wheel_depth).max().unwrap_or(0);
+    assert!(peak_depth <= 2_048, "event queue peaked at {peak_depth} pending events");
 
     // Occupancy spreads across shards: no shard is empty, none holds more
     // than half the final population.

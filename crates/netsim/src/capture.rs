@@ -34,15 +34,3 @@ pub struct CaptureRecord {
     pub point: TracePoint,
     pub bytes: Vec<u8>,
 }
-
-impl CaptureRecord {
-    /// True if this record is a receive at `host`.
-    pub fn is_rx_at(&self, host: HostId) -> bool {
-        self.point == TracePoint::HostRx(host)
-    }
-
-    /// True if this record is a transmit from `host`.
-    pub fn is_tx_from(&self, host: HostId) -> bool {
-        self.point == TracePoint::HostTx(host)
-    }
-}

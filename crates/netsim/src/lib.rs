@@ -35,13 +35,13 @@ mod app;
 mod capture;
 mod middlebox;
 mod network;
+mod queue;
 mod time;
 
 pub mod fault;
 pub mod nat;
 pub mod oracle;
 pub mod pcap;
-pub mod wheel;
 
 pub use app::{Application, Output};
 pub use fault::{ChaosLink, DeviceFaults, FaultPlan, FlapSpec, LinkFaults, LinkStats};
@@ -49,5 +49,9 @@ pub use oracle::{ArmCandidate, ArmKind, DeviceAudit, Oracle, OracleReport, Oracl
 pub use capture::{CaptureRecord, TracePoint};
 pub use middlebox::{AsAny, Direction, Middlebox, MiddleboxId, MiddleboxImage, Verdict};
 pub use network::{HostId, MiddleboxHandle, Network, NetworkImage, Route, RouteId, RouteStep};
+pub use queue::EventQueue;
 pub use time::Time;
-pub use wheel::TimerWheel;
+
+/// The frozen benchmark's queue ladder (`netsim.queue_{heap,wheel}_ns`:
+/// `new` / `push` / `pop`) is the only user of this name.
+pub type TimerWheel<T> = EventQueue<T>;

@@ -16,7 +16,7 @@ use crate::app::{Application, Output};
 use crate::capture::{CaptureRecord, TracePoint};
 use crate::middlebox::{Direction, Middlebox, MiddleboxId, MiddleboxImage, Verdict};
 use crate::time::Time;
-use crate::wheel::TimerWheel;
+use crate::queue::EventQueue;
 
 /// Index of a host registered with a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -142,10 +142,8 @@ enum EventKind {
 /// copy-on-write clone of the touched table.
 pub struct Network {
     now: Time,
-    /// The event scheduler: a timer wheel whose internal monotone sequence
-    /// counter reproduces the old `BinaryHeap<Reverse<Event>>` total order
-    /// `(time, seq)` byte for byte. See [`crate::wheel`].
-    queue: TimerWheel<EventKind>,
+    /// Pending events, popped in `(time, seq)` order.
+    queue: EventQueue<EventKind>,
     /// Events popped from the queue so far. A plain field, not an obs
     /// counter: load drivers divide wall time by it for per-event latency,
     /// which must work in obs-disabled builds too (where
@@ -184,10 +182,8 @@ pub struct Network {
     /// cells in index order keeps the final cell's count, matching how
     /// the plain field is read after a run.
     g_events_popped: GaugeId,
-    /// High-water pending-event count (`TimerWheel::len`).
-    g_wheel_depth: GaugeId,
-    /// High-water overflow-heap size (`TimerWheel::overflow_len`).
-    g_wheel_overflow: GaugeId,
+    /// High-water pending-event count, taken at every push.
+    g_queue_depth_max: GaugeId,
     /// Scheduled route flips applied ([`Network::schedule_reroute`]) —
     /// the churn rate the tomography campaigns read back.
     c_route_flips: CounterId,
@@ -201,12 +197,11 @@ impl Network {
         let c_captures = registry.counter("captures_recorded");
         let h_queue_depth = registry.histogram("queue_depth");
         let g_events_popped = registry.gauge_last("events_popped");
-        let g_wheel_depth = registry.gauge("wheel_depth");
-        let g_wheel_overflow = registry.gauge("wheel_overflow");
+        let g_queue_depth_max = registry.gauge("queue_depth_max");
         let c_route_flips = registry.counter("route_flips");
         Network {
             now: Time::ZERO,
-            queue: TimerWheel::new(),
+            queue: EventQueue::new(),
             events_popped: 0,
             hosts: Vec::new(),
             addr_map: Arc::default(),
@@ -224,8 +219,7 @@ impl Network {
             c_captures,
             h_queue_depth,
             g_events_popped,
-            g_wheel_depth,
-            g_wheel_overflow,
+            g_queue_depth_max,
             c_route_flips,
         }
     }
@@ -254,9 +248,9 @@ impl Network {
         self.events_popped
     }
 
-    /// Events currently scheduled (wheel slots + overflow heap) — the
-    /// instantaneous scheduler depth, independent of the `obs` feature, so
-    /// soak timelines can sample it per slice in any build.
+    /// Events currently scheduled — the instantaneous queue depth,
+    /// independent of the `obs` feature, so soak timelines can sample it
+    /// per slice in any build.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
@@ -274,20 +268,13 @@ impl Network {
 
     /// Captures the engine's metrics *and* drains recorded spans.
     pub fn take_obs(&mut self) -> Snapshot {
-        // Stamp the scheduler gauges with their end-of-run values so the
-        // exported snapshot reflects the final state even when the run was
-        // too short for the sampled path to fire.
+        // Stamp the sampled gauge with its end-of-run value so the exported
+        // snapshot reflects the final state even when the run was too short
+        // for the sampled path to fire.
         self.registry.set(self.g_events_popped, self.events_popped as i64);
-        self.registry.set_max(self.g_wheel_depth, self.queue.len() as i64);
-        self.registry.set_max(self.g_wheel_overflow, self.queue.overflow_len() as i64);
         let mut snap = self.registry.snapshot();
         self.tracer.drain_into(&mut snap);
         snap
-    }
-
-    /// The engine's registry, for attaching extra metrics in tests.
-    pub fn obs_registry_mut(&mut self) -> &mut Registry {
-        &mut self.registry
     }
 
     /// Enables or disables packet capture. Off until asked for: a capture
@@ -321,11 +308,6 @@ impl Network {
     /// Attaches (or replaces) the application on a host.
     pub fn set_app(&mut self, host: HostId, app: Box<dyn Application>) {
         self.hosts[host.0].app = Some(app);
-    }
-
-    /// The address of a host.
-    pub fn host_addr(&self, host: HostId) -> Ipv4Addr {
-        self.hosts[host.0].addr
     }
 
     /// Looks a host up by address.
@@ -457,13 +439,6 @@ impl Network {
         self.routes.get(&(src, dst)).map(|&id| &self.route_arena[id.0 as usize])
     }
 
-    /// Removes the route between two hosts (both directions).
-    pub fn clear_routes(&mut self, a: HostId, b: HostId) {
-        let routes = Arc::make_mut(&mut self.routes);
-        routes.remove(&(a, b));
-        routes.remove(&(b, a));
-    }
-
     /// Queues a packet for transmission from `host` at the current time.
     /// The destination is taken from the packet's IPv4 destination field.
     pub fn send_from(&mut self, host: HostId, packet: Vec<u8>) {
@@ -570,21 +545,9 @@ impl Network {
         self.now = deadline;
     }
 
-    /// Approximate heap bytes retained by the event scheduler's own
-    /// structures — what the soak-footprint tests watch.
-    pub fn event_queue_capacity_bytes(&self) -> usize {
-        self.queue.capacity_bytes()
-    }
-
-    /// Releases the scheduler's excess capacity (wheel buckets, overflow
-    /// arena) after a large run; pending events survive. See
-    /// [`TimerWheel::shrink`].
-    pub fn shrink_event_queue(&mut self) {
-        self.queue.shrink();
-    }
-
     fn push_event(&mut self, time: Time, kind: EventKind) {
         self.queue.push(time, kind);
+        self.registry.set_max(self.g_queue_depth_max, self.queue.len() as i64);
     }
 
     fn capture(&mut self, point: TracePoint, bytes: &[u8]) {
@@ -597,18 +560,14 @@ impl Network {
     /// Per-event accounting.
     fn note_event(&mut self) {
         self.registry.inc(self.c_events);
-        // Scheduler health is sampled 1-in-64 on the event count: the
-        // statistics keep their shape while the bitmap popcount and gauge
-        // updates leave the per-event hot path. Event-count sampling is
-        // deterministic — no thread-count leak. `queue_depth` records the
-        // wheel-bitmap occupancy (occupied buckets), the quantity that
-        // bounds a pop's bucket scan, rather than the raw pending count —
-        // the pending count is covered by the depth gauge below.
+        // Queue depth is sampled 1-in-64 on the event count: the
+        // statistics keep their shape while the histogram and gauge updates
+        // leave the per-event hot path (the depth high-water mark is exact:
+        // `push_event` takes it where depth rises). Event-count sampling is
+        // deterministic — no thread-count leak.
         if self.registry.counter_value(self.c_events) & 63 == 0 {
-            self.registry.record(self.h_queue_depth, self.queue.occupied_slots() as u64);
+            self.registry.record(self.h_queue_depth, self.queue.len() as u64);
             self.registry.set(self.g_events_popped, self.events_popped as i64);
-            self.registry.set_max(self.g_wheel_depth, self.queue.len() as i64);
-            self.registry.set_max(self.g_wheel_overflow, self.queue.overflow_len() as i64);
         }
     }
 
@@ -965,8 +924,7 @@ impl Network {
             c_captures: self.c_captures,
             h_queue_depth: self.h_queue_depth,
             g_events_popped: self.g_events_popped,
-            g_wheel_depth: self.g_wheel_depth,
-            g_wheel_overflow: self.g_wheel_overflow,
+            g_queue_depth_max: self.g_queue_depth_max,
             c_route_flips: self.c_route_flips,
         }
     }
@@ -1002,8 +960,7 @@ pub struct NetworkImage {
     c_captures: CounterId,
     h_queue_depth: HistogramId,
     g_events_popped: GaugeId,
-    g_wheel_depth: GaugeId,
-    g_wheel_overflow: GaugeId,
+    g_queue_depth_max: GaugeId,
     c_route_flips: CounterId,
 }
 
@@ -1015,7 +972,7 @@ impl NetworkImage {
     pub fn fork(&self) -> Network {
         Network {
             now: Time::ZERO,
-            queue: TimerWheel::new(),
+            queue: EventQueue::new(),
             events_popped: 0,
             hosts: self
                 .host_addrs
@@ -1037,8 +994,7 @@ impl NetworkImage {
             c_captures: self.c_captures,
             h_queue_depth: self.h_queue_depth,
             g_events_popped: self.g_events_popped,
-            g_wheel_depth: self.g_wheel_depth,
-            g_wheel_overflow: self.g_wheel_overflow,
+            g_queue_depth_max: self.g_queue_depth_max,
             c_route_flips: self.c_route_flips,
         }
     }
@@ -1532,38 +1488,6 @@ mod tests {
         // Interned slots still resolve per (src, dst) pair.
         assert_eq!(net.route(a, b).unwrap().steps[0].hop_addr, R1);
         assert_eq!(net.route(b, a).unwrap().steps[0].hop_addr, R2);
-    }
-
-    #[test]
-    fn fork_footprint_is_soak_independent() {
-        let mut net = Network::with_default_latency();
-        let a = net.add_host(A);
-        let b = net.add_host(B);
-        net.set_route_symmetric(a, b, Route::through(&[R1]));
-        let image = net.image();
-        let pristine_bytes = image.fork().event_queue_capacity_bytes();
-
-        // Soak the original hard enough to engage the wheel (>1024 pending
-        // events at once).
-        for i in 0..4000u16 {
-            net.send_from(a, packet(A, B, 64, &i.to_be_bytes()));
-        }
-        let soaked_bytes = net.event_queue_capacity_bytes();
-        assert!(soaked_bytes > 100 * 1024, "soak did not engage the wheel: {soaked_bytes}");
-        net.run_until_idle();
-
-        // A post-soak fork must not inherit the soak's queue capacity.
-        let forked_bytes = image.fork().event_queue_capacity_bytes();
-        assert_eq!(forked_bytes, pristine_bytes);
-        assert!(forked_bytes < 1024, "fork carries dead queue capacity: {forked_bytes}");
-
-        // And the soaked engine itself can shed its peak on demand.
-        net.shrink_event_queue();
-        assert!(
-            net.event_queue_capacity_bytes() < 64 * 1024,
-            "shrink retained {} bytes",
-            net.event_queue_capacity_bytes()
-        );
     }
 
     #[test]

@@ -303,11 +303,6 @@ impl OracleReport {
         self.violations.is_empty()
     }
 
-    /// Panics with the full violation listing unless the capture is clean.
-    pub fn assert_clean(&self) {
-        assert!(self.is_clean(), "oracle found {} violation(s):\n{self}", self.violations.len());
-    }
-
     /// Attaches per-device metric movement to every violation: `lookup`
     /// maps a device id to its `(name, delta)` counter list (typically a
     /// `tspu_obs` snapshot delta over the audited run). Violations whose

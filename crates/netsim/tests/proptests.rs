@@ -107,42 +107,43 @@ proptest! {
 }
 
 proptest! {
-    /// The timer wheel pops arbitrary interleaved schedules in exactly the
-    /// order the old `BinaryHeap<Reverse<(time, seq)>>` scheduler did —
-    /// including schedules that straddle the engagement threshold, collide
-    /// on timestamps, and mix near hops with far timers.
+    /// Under arbitrary interleaved push/pop — same-instant collisions,
+    /// near hops mixed with far timers — the queue pops what a stable sort
+    /// by time of the still-pending pushes puts first: earliest due, and
+    /// first scheduled within one instant.
     #[test]
-    fn wheel_order_matches_binary_heap(
+    fn event_queue_pops_in_time_then_insertion_order(
         ops in proptest::collection::vec((0u8..4, 0u64..6_000_000), 1..2_000),
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        use tspu_netsim::TimerWheel;
+        use tspu_netsim::EventQueue;
 
-        let mut wheel = TimerWheel::new();
-        let mut heap: BinaryHeap<Reverse<(Time, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut queue = EventQueue::new();
+        // The reference: pending `(time, item)` pairs in push order. A
+        // stable sort keeps push order among equal times, and later pushes
+        // append behind everything already sorted.
+        let mut pending: Vec<(Time, u32)> = Vec::new();
         let mut now = 0u64;
         for (i, &(op, offset)) in ops.iter().enumerate() {
-            if op == 0 && !heap.is_empty() {
-                let a = wheel.pop();
-                let Reverse((t, _, item)) = heap.pop().unwrap();
-                prop_assert_eq!(a, Some((t, item)));
-                now = t.as_micros();
+            if op == 0 && !pending.is_empty() {
+                pending.sort_by_key(|&(t, _)| t);
+                let expected = pending.remove(0);
+                prop_assert_eq!(queue.peek_time(), Some(expected.0));
+                prop_assert_eq!(queue.pop(), Some(expected));
+                now = expected.0.as_micros();
             } else {
-                // Mostly near-future pushes (within the ~4 ms window), with
-                // the raw offset kept 1-in-8 so far timers hit the overflow
-                // heap too.
+                // Mostly within a few hop latencies of `now`, with the raw
+                // offset kept 1-in-8 as a far timer.
                 let ahead = if offset % 8 == 0 { offset } else { offset % 5_000 };
                 let t = Time::from_micros(now + ahead);
-                wheel.push(t, i as u32);
-                heap.push(Reverse((t, seq, i as u32)));
-                seq += 1;
+                queue.push(t, i as u32);
+                pending.push((t, i as u32));
             }
+            prop_assert_eq!(queue.len(), pending.len());
         }
-        while let Some(Reverse((t, _, item))) = heap.pop() {
-            prop_assert_eq!(wheel.pop(), Some((t, item)));
+        pending.sort_by_key(|&(t, _)| t);
+        for expected in pending {
+            prop_assert_eq!(queue.pop(), Some(expected));
         }
-        prop_assert!(wheel.pop().is_none());
+        prop_assert!(queue.is_empty() && queue.pop().is_none());
     }
 }

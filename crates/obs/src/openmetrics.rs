@@ -130,7 +130,7 @@ mod tests {
     fn sample_snapshot() -> Snapshot {
         let mut snap = Snapshot::new();
         snap.insert("device.lab.verdicts.drop", MetricValue::Counter(12));
-        snap.insert("netsim.wheel_depth", MetricValue::Gauge(40));
+        snap.insert("netsim.queue_depth_max", MetricValue::Gauge(40));
         snap.insert("policy.epoch", MetricValue::GaugeLast(3));
         let mut h = Histogram::new();
         h.record(2);
@@ -153,8 +153,8 @@ load_event_ns_bucket{le=\"5\"} 3
 load_event_ns_bucket{le=\"+Inf\"} 3
 load_event_ns_sum 12
 load_event_ns_count 3
-# TYPE netsim_wheel_depth gauge
-netsim_wheel_depth 40
+# TYPE netsim_queue_depth_max gauge
+netsim_queue_depth_max 40
 # TYPE policy_epoch gauge
 policy_epoch 3
 # EOF

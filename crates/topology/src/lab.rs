@@ -163,14 +163,6 @@ impl<'a> LabBuilder<'a> {
         self
     }
 
-    /// Perfectly reliable devices — the default; kept for call sites that
-    /// want the choice visible (state-machine and timeout experiments,
-    /// where one unlucky exemption roll corrupts a binary search).
-    pub fn reliable(mut self) -> LabBuilder<'a> {
-        self.table1 = false;
-        self
-    }
-
     /// Arms the Table-1 per-device failure dice — for reliability
     /// campaigns that measure the real failure rates.
     pub fn table1(mut self) -> LabBuilder<'a> {

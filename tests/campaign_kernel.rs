@@ -100,6 +100,19 @@ fn every_driver_is_byte_identical_at_one_and_two_threads() {
     });
 }
 
+/// Traffic guard for the single binary-heap event queue (DESIGN.md "Event
+/// queue"): a sweep cell keeps one packet in flight, so the pending-event
+/// high-water mark merged over all cells is 1. A workload that parks
+/// orders of magnitude more fails here and reopens heap-vs-wheel with data.
+#[test]
+fn sweep_cells_keep_the_event_queue_shallow() {
+    let universe = Universe::generate(2022);
+    let sweep = SweepSpec::from_universe(&universe, domains());
+    let run = sweep.run(&ScanPool::new(1), &RunOpts::observed());
+    let peak = run.snapshot.expect("observed run").gauge("netsim.queue_depth_max");
+    assert!(matches!(peak, Some(1..=64)), "netsim.queue_depth_max = {peak:?}");
+}
+
 /// What a churn cell starts from: at every batch position of the
 /// seed-2022 escalation schedule, the compiled history read at `pos` is
 /// `Policy::permissive()` with `batches[..pos]` replayed — the replay the
