@@ -10,10 +10,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use tspu_netsim::{Application, Output, Time};
-use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
-use tspu_wire::tcp::{TcpFlags, TcpSegment};
+use tspu_wire::ipv4::{self, Ipv4Packet, Protocol};
+use tspu_wire::tcp::{self, TcpFlags, TcpSegment};
 
-use crate::conn::{ConnEvent, TcpConnection, TcpState};
+use crate::conn::{incrementing, ConnEvent, TcpConnection, TcpState};
 
 /// What ultimately happened to a client connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,11 +135,8 @@ impl TcpClient {
     pub fn start(config: TcpClientConfig) -> (TcpClient, ClientReport, Vec<u8>) {
         let mut conn = TcpConnection::new(config.src, config.src_port, config.dst, config.dst_port);
         conn.connect();
-        let syn = conn.poll_output().remove(0);
-        let syn_packet = {
-            let seg = syn.build(config.src, config.dst);
-            Ipv4Repr::new(config.src, config.dst, Protocol::Tcp, seg.len()).build(&seg)
-        };
+        let mut syn_packet = Vec::new();
+        conn.poll_packets(|| 0, |packet| syn_packet = packet);
         let report = ClientReport::new();
         let client = TcpClient {
             ip_ident: config.src_port ^ 0x5aa5,
@@ -151,47 +148,32 @@ impl TcpClient {
         (client, report, syn_packet)
     }
 
-    fn wrap_segment(&mut self, repr: tspu_wire::tcp::TcpRepr) -> Vec<Vec<u8>> {
-        let seg = repr.build(self.config.src, self.config.dst);
-        let mut ip = Ipv4Repr::new(self.config.src, self.config.dst, Protocol::Tcp, seg.len());
-        self.ip_ident = self.ip_ident.wrapping_add(1);
-        ip.ident = self.ip_ident;
-        let packet = ip.build(&seg);
-        // IP-fragmentation shaping applies to data-bearing segments only.
-        if let Some(mtu) = self.config.shaping.ip_fragment_bytes {
-            if !repr.payload.is_empty() {
-                if let Ok(frags) = tspu_wire::frag::fragment(&packet, mtu) {
-                    return frags;
-                }
-            }
-        }
-        vec![packet]
-    }
-
-    fn pump(&mut self, now: Time) -> Vec<Output> {
-        let mut outputs = Vec::new();
+    /// Records what `data` (the payload the last segment delivered) and the
+    /// connection's state changes mean for the report.
+    fn observe(&mut self, now: Time, data: &[u8]) {
+        let mut inner = self.report.read();
         for event in self.conn.take_events() {
             match event {
-                ConnEvent::Established => {
-                    self.report.read().established_at.get_or_insert(now);
-                }
-                ConnEvent::ResetReceived => {
-                    self.report.read().reset_at.get_or_insert(now);
-                }
-                ConnEvent::DataReceived(data) => {
-                    let mut inner = self.report.read();
-                    inner.first_data_at.get_or_insert(now);
-                    inner.last_data_at = Some(now);
-                    inner.bytes_received += data.len();
-                    inner.data_segments += 1;
-                    inner.data.extend_from_slice(&data);
-                }
-            }
+                ConnEvent::Established => inner.established_at.get_or_insert(now),
+                ConnEvent::ResetReceived => inner.reset_at.get_or_insert(now),
+            };
         }
+        if !data.is_empty() {
+            inner.first_data_at.get_or_insert(now);
+            inner.last_data_at = Some(now);
+            inner.bytes_received += data.len();
+            inner.data_segments += 1;
+            inner.data.extend_from_slice(data);
+        }
+    }
+
+    /// Sends the request once established, then drains the connection.
+    fn pump(&mut self) -> Vec<Output> {
+        let mut outputs = Vec::new();
         if self.conn.state() == TcpState::Established && !self.request_sent {
             self.request_sent = true;
             // Decoys first (TTL-limited insertion).
-            for (ttl, payload) in self.config.shaping.decoys.clone() {
+            for (ttl, payload) in std::mem::take(&mut self.config.shaping.decoys) {
                 let decoy = crate::craft::TcpPacketSpec::new(
                     self.config.src,
                     self.config.src_port,
@@ -207,14 +189,19 @@ impl TcpClient {
             if let Some(chunk) = self.config.shaping.segment_bytes {
                 self.conn.set_mss(chunk);
             }
-            let request = self.config.request.clone();
-            self.conn.send(&request);
+            self.conn.send_shared(std::mem::take(&mut self.config.request).into());
         }
-        for repr in self.conn.poll_output() {
-            for packet in self.wrap_segment(repr) {
-                outputs.push(Output::send(packet));
+        let fragment_bytes = self.config.shaping.ip_fragment_bytes;
+        self.conn.poll_packets(incrementing(&mut self.ip_ident), |packet| {
+            // IP-fragmentation shaping applies to data-bearing segments only.
+            let fragments = fragment_bytes
+                .filter(|_| packet.len() > ipv4::HEADER_LEN + tcp::HEADER_LEN)
+                .and_then(|mtu| tspu_wire::frag::fragment(&packet, mtu).ok());
+            match fragments {
+                Some(fragments) => outputs.extend(fragments.into_iter().map(Output::send)),
+                None => outputs.push(Output::send(packet)),
             }
-        }
+        });
         outputs
     }
 }
@@ -233,8 +220,9 @@ impl Application for TcpClient {
         if segment.dst_port() != self.config.src_port || view.src_addr() != self.config.dst {
             return Vec::new();
         }
-        self.conn.on_segment(&segment);
-        self.pump(now)
+        let data = self.conn.on_segment(&segment);
+        self.observe(now, data);
+        self.pump()
     }
 }
 

@@ -9,8 +9,11 @@
 
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use tspu_wire::tcp::{TcpFlags, TcpRepr, TcpSegment};
+
+use crate::craft::TcpPacketSpec;
 
 /// Connection states (endpoint view, not the TSPU's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,17 +39,61 @@ pub enum HandshakeMode {
     SplitHandshake,
 }
 
-/// Events surfaced to the application layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// State changes surfaced to the application layer. Received data is not
+/// an event: [`TcpConnection::on_segment`] returns it, borrowed from the
+/// segment it arrived in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnEvent {
     Established,
-    DataReceived(Vec<u8>),
     ResetReceived,
 }
 
+/// A queued body and how far into it segmentation has got. Bodies are
+/// immutable and shared: a server queues the same page on every
+/// connection without copying it.
+#[derive(Debug)]
+struct Cursor {
+    body: Arc<[u8]>,
+    sent: usize,
+}
+
+impl Cursor {
+    fn rest(&self) -> &[u8] {
+        &self.body[self.sent..]
+    }
+}
+
+/// Pending payload-less segments (handshake steps and ACKs). An
+/// application polls after every segment it feeds in, so there is almost
+/// always at most one: it lives inline, and only a caller that feeds
+/// several segments between polls spills to the heap, which the next poll
+/// frees. Neither an ACK per received segment nor an idle connection
+/// costs an allocation.
+#[derive(Debug, Default)]
+struct Pending {
+    first: Option<TcpRepr>,
+    rest: Vec<TcpRepr>,
+}
+
+impl Pending {
+    fn push(&mut self, segment: TcpRepr) {
+        if self.first.is_none() && self.rest.is_empty() {
+            self.first = Some(segment);
+        } else {
+            self.rest.push(segment);
+        }
+    }
+
+    fn drain(&mut self) -> impl Iterator<Item = TcpRepr> {
+        self.first.take().into_iter().chain(std::mem::take(&mut self.rest))
+    }
+}
+
 /// The connection. Feed it segments with [`TcpConnection::on_segment`],
-/// queue app data with [`TcpConnection::send`], and drain outgoing
-/// segments with [`TcpConnection::poll_output`].
+/// queue app data with [`TcpConnection::send`] or
+/// [`TcpConnection::send_shared`], and drain what it has to transmit as
+/// finished IPv4 packets with [`TcpConnection::poll_packets`] (or as
+/// [`TcpRepr`]s with [`TcpConnection::poll_output`]).
 #[derive(Debug)]
 pub struct TcpConnection {
     pub local_addr: Ipv4Addr,
@@ -64,13 +111,26 @@ pub struct TcpConnection {
     /// Our advertised window.
     local_window: u16,
     mss: usize,
-    send_queue: VecDeque<u8>,
-    outgoing: Vec<TcpRepr>,
+    /// Bodies not yet fully segmented, in send order. The front one is
+    /// dropped the moment its last byte leaves, so an idle connection
+    /// holds no payload memory.
+    send_queue: VecDeque<Cursor>,
+    outgoing: Pending,
     events: Vec<ConnEvent>,
 }
 
 /// Default MSS used by endpoints.
 pub const DEFAULT_MSS: usize = 1460;
+
+/// The IP-identification policy of the scripted clients, for
+/// [`TcpConnection::poll_packets`]: every packet takes the next value of
+/// the caller's counter.
+pub fn incrementing(counter: &mut u16) -> impl FnMut() -> u16 + '_ {
+    move || {
+        *counter = counter.wrapping_add(1);
+        *counter
+    }
+}
 
 impl TcpConnection {
     /// Creates a closed connection between the given endpoints.
@@ -93,7 +153,7 @@ impl TcpConnection {
             local_window: 64240,
             mss: DEFAULT_MSS,
             send_queue: VecDeque::new(),
-            outgoing: Vec::new(),
+            outgoing: Pending::default(),
             events: Vec::new(),
         }
     }
@@ -133,20 +193,56 @@ impl TcpConnection {
         self.outgoing.push(syn);
     }
 
-    /// Queues application data for transmission once established.
+    /// Queues a copy of `data` for transmission once established.
     pub fn send(&mut self, data: &[u8]) {
-        self.send_queue.extend(data);
+        self.send_shared(Arc::from(data));
     }
 
-    /// Drains pending events for the application.
+    /// Queues `body` for transmission once established, without copying
+    /// it. The connection drops its reference as soon as the last byte
+    /// has been segmented.
+    pub fn send_shared(&mut self, body: Arc<[u8]>) {
+        if !body.is_empty() {
+            self.send_queue.push_back(Cursor { body, sent: 0 });
+        }
+    }
+
+    /// Drains pending state changes for the application.
     pub fn take_events(&mut self) -> Vec<ConnEvent> {
         std::mem::take(&mut self.events)
     }
 
-    /// Drains outgoing segments (already sequenced) to be wrapped in IP.
+    /// Drains everything there is to transmit as finished IPv4 packets,
+    /// one buffer per segment with headers, payload and both checksums
+    /// written in place. `ident` supplies each packet's IP identification.
+    pub fn poll_packets(&mut self, mut ident: impl FnMut() -> u16, mut sink: impl FnMut(Vec<u8>)) {
+        let mut spec = TcpPacketSpec::new(
+            self.local_addr,
+            self.local_port,
+            self.peer_addr,
+            self.peer_port,
+            TcpFlags::ACK,
+        );
+        self.drain_segments(|head, payload| {
+            spec.flags = head.flags;
+            spec.seq = head.seq_number;
+            spec.ack = head.ack_number;
+            spec.window = head.window;
+            spec.ident = ident();
+            sink(spec.build_with(payload));
+        });
+    }
+
+    /// Drains everything there is to transmit as sequenced segment
+    /// representations: the same segments [`TcpConnection::poll_packets`]
+    /// would emit, for callers that build the bytes themselves.
     pub fn poll_output(&mut self) -> Vec<TcpRepr> {
-        self.flush_data();
-        std::mem::take(&mut self.outgoing)
+        let mut reprs = Vec::new();
+        self.drain_segments(|mut head, payload| {
+            head.payload = payload.to_vec();
+            reprs.push(head);
+        });
+        reprs
     }
 
     fn segment(&self, flags: TcpFlags) -> TcpRepr {
@@ -157,34 +253,72 @@ impl TcpConnection {
         repr
     }
 
-    /// Moves queued data into outgoing segments, respecting MSS and the
-    /// peer's advertised window (clamped per flight, not tracked in
-    /// flight: the simulator acks every round trip).
-    fn flush_data(&mut self) {
+    /// The one segmentation routine: hands `sink` every pending segment
+    /// as a payload-less header plus the payload it carries — first the
+    /// queued handshake steps and ACKs, then, once established, all queued
+    /// data cut to the MSS and the peer's advertised window (clamped per
+    /// flight, not tracked in flight: the simulator acks every round
+    /// trip). The payload is a slice of the queued body itself; only a
+    /// segment that straddles two bodies is gathered into a scratch buffer
+    /// first.
+    fn drain_segments(&mut self, mut sink: impl FnMut(TcpRepr, &[u8])) {
+        for head in self.outgoing.drain() {
+            sink(head, &[]);
+        }
         if self.state != TcpState::Established {
             return;
         }
-        let chunk_limit = self.mss.min(self.peer_window.max(1) as usize);
-        while !self.send_queue.is_empty() {
-            let take = chunk_limit.min(self.send_queue.len());
-            let chunk: Vec<u8> = self.send_queue.drain(..take).collect();
-            let mut seg = self.segment(TcpFlags::PSH_ACK);
-            seg.payload = chunk;
+        let limit = self.mss.min(self.peer_window.max(1) as usize);
+        let mut straddling = Vec::new();
+        while let Some(front) = self.send_queue.front() {
+            let head = self.segment(TcpFlags::PSH_ACK);
+            let rest = front.rest();
+            let take = if rest.len() >= limit || self.send_queue.len() == 1 {
+                let take = limit.min(rest.len());
+                sink(head, &rest[..take]);
+                take
+            } else {
+                straddling.clear();
+                for cursor in &self.send_queue {
+                    let rest = cursor.rest();
+                    straddling.extend_from_slice(&rest[..rest.len().min(limit - straddling.len())]);
+                    if straddling.len() == limit {
+                        break;
+                    }
+                }
+                sink(head, &straddling);
+                straddling.len()
+            };
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
-            self.outgoing.push(seg);
+            self.consume(take);
         }
     }
 
-    /// Processes one incoming segment; replies (if any) are queued on the
-    /// outgoing list.
-    pub fn on_segment<T: AsRef<[u8]>>(&mut self, segment: &TcpSegment<T>) {
+    /// Advances the send queue by `sent` bytes, dropping every body whose
+    /// last byte that covers.
+    fn consume(&mut self, mut sent: usize) {
+        while sent > 0 {
+            let front = self.send_queue.front_mut().expect("segmented bytes were queued");
+            let step = sent.min(front.rest().len());
+            front.sent += step;
+            sent -= step;
+            if front.rest().is_empty() {
+                self.send_queue.pop_front();
+            }
+        }
+    }
+
+    /// Processes one incoming segment and returns the in-order payload it
+    /// delivered to the application (empty when it carried none), borrowed
+    /// from `segment`. Replies (if any) are queued for the next poll.
+    pub fn on_segment<'a, T: AsRef<[u8]>>(&mut self, segment: &'a TcpSegment<T>) -> &'a [u8] {
         let flags = segment.flags();
         self.peer_window = segment.window();
 
         if flags.rst() {
             self.state = TcpState::Reset;
             self.events.push(ConnEvent::ResetReceived);
-            return;
+            return &[];
         }
 
         match self.state {
@@ -237,14 +371,13 @@ impl TcpConnection {
                     self.establish();
                 } else if flags.ack() {
                     self.establish();
-                    self.deliver_payload(segment);
+                    return self.deliver_payload(segment);
                 }
             }
-            TcpState::Established => {
-                self.deliver_payload(segment);
-            }
+            TcpState::Established => return self.deliver_payload(segment),
             TcpState::Closed | TcpState::Reset => {}
         }
+        &[]
     }
 
     fn establish(&mut self) {
@@ -254,16 +387,15 @@ impl TcpConnection {
         }
     }
 
-    fn deliver_payload<T: AsRef<[u8]>>(&mut self, segment: &TcpSegment<T>) {
+    fn deliver_payload<'a, T: AsRef<[u8]>>(&mut self, segment: &'a TcpSegment<T>) -> &'a [u8] {
         let payload = segment.payload();
-        if payload.is_empty() {
-            return;
+        if !payload.is_empty() {
+            self.rcv_nxt = segment.seq_number().wrapping_add(payload.len() as u32);
+            // Acknowledge data promptly (no delayed ACK).
+            let ack = self.segment(TcpFlags::ACK);
+            self.outgoing.push(ack);
         }
-        self.rcv_nxt = segment.seq_number().wrapping_add(payload.len() as u32);
-        self.events.push(ConnEvent::DataReceived(payload.to_vec()));
-        // Acknowledge data promptly (no delayed ACK).
-        let ack = self.segment(TcpFlags::ACK);
-        self.outgoing.push(ack);
+        payload
     }
 }
 
@@ -275,20 +407,22 @@ mod tests {
     const S: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 1);
 
     /// Shuttles segments between two connections until both go quiet.
-    fn pump(a: &mut TcpConnection, b: &mut TcpConnection) {
+    /// Returns the bytes each side's application received.
+    fn pump(a: &mut TcpConnection, b: &mut TcpConnection) -> (Vec<u8>, Vec<u8>) {
+        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
         for _ in 0..64 {
             let from_a = a.poll_output();
             let from_b = b.poll_output();
             if from_a.is_empty() && from_b.is_empty() {
-                return;
+                return (at_a, at_b);
             }
             for repr in from_a {
                 let bytes = repr.build(a.local_addr, a.peer_addr);
-                b.on_segment(&TcpSegment::new_checked(&bytes[..]).unwrap());
+                at_b.extend_from_slice(b.on_segment(&TcpSegment::new_checked(&bytes[..]).unwrap()));
             }
             for repr in from_b {
                 let bytes = repr.build(b.local_addr, b.peer_addr);
-                a.on_segment(&TcpSegment::new_checked(&bytes[..]).unwrap());
+                at_a.extend_from_slice(a.on_segment(&TcpSegment::new_checked(&bytes[..]).unwrap()));
             }
         }
         panic!("connections did not quiesce");
@@ -309,10 +443,10 @@ mod tests {
         assert_eq!(client.state(), TcpState::Established);
         assert_eq!(server.state(), TcpState::Established);
 
+        assert_eq!(client.take_events(), [ConnEvent::Established]);
         client.send(b"hello over tcp");
-        pump(&mut client, &mut server);
-        let events = server.take_events();
-        assert!(events.contains(&ConnEvent::DataReceived(b"hello over tcp".to_vec())));
+        let (_, at_server) = pump(&mut client, &mut server);
+        assert_eq!(at_server, b"hello over tcp");
     }
 
     #[test]
@@ -329,13 +463,9 @@ mod tests {
         // Data flows both ways afterwards.
         client.send(b"request");
         server.send(b"response");
-        pump(&mut client, &mut server);
-        assert!(client
-            .take_events()
-            .contains(&ConnEvent::DataReceived(b"response".to_vec())));
-        assert!(server
-            .take_events()
-            .contains(&ConnEvent::DataReceived(b"request".to_vec())));
+        let (at_client, at_server) = pump(&mut client, &mut server);
+        assert_eq!(at_client, b"response");
+        assert_eq!(at_server, b"request");
     }
 
     #[test]

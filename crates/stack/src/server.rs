@@ -5,15 +5,16 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 use tspu_netsim::{Application, Output, Time};
 use tspu_wire::icmpv4::{Icmpv4Packet, Icmpv4Repr};
-use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
+use tspu_wire::ipv4::{Ipv4Packet, Protocol};
 use tspu_wire::tcp::TcpSegment;
 use tspu_wire::tls;
 
-use crate::conn::{ConnEvent, HandshakeMode, TcpConnection};
+use crate::conn::{HandshakeMode, TcpConnection};
 
 /// What a TCP port does with established connections.
 #[derive(Debug, Clone)]
@@ -84,9 +85,50 @@ struct PeerKey {
     local_port: u16,
 }
 
+/// What a listening port does with received data: its [`PortBehavior`]
+/// with the canned response built once, when the port is added, and
+/// shared by every connection the port ever accepts.
+enum Service {
+    Echo,
+    Respond(Arc<[u8]>),
+    /// Answers a ClientHello with these bytes (ServerHello, then one
+    /// application-data record).
+    Tls(Arc<[u8]>),
+    Sink,
+}
+
+impl Service {
+    fn resolve(behavior: PortBehavior) -> Service {
+        match behavior {
+            PortBehavior::Echo => Service::Echo,
+            PortBehavior::Respond(bytes) => Service::Respond(bytes.into()),
+            PortBehavior::TlsServer => Service::Tls(tls_response(0x40)),
+            PortBehavior::TlsServerPage(page) => Service::Tls(tls_response(page)),
+            PortBehavior::Sink => Service::Sink,
+        }
+    }
+}
+
+/// A ServerHello followed by `page` bytes of application data, so
+/// throttling and delayed drops have something to act on.
+fn tls_response(page: usize) -> Arc<[u8]> {
+    let mut response = tls::server_hello_record();
+    response.extend_from_slice(&[0x17, 0x03, 0x03]);
+    response.extend_from_slice(&(page.min(0xffff) as u16).to_be_bytes());
+    response.resize(response.len() + page, 0xda);
+    response.into()
+}
+
+/// One listening TCP port as the server runs it.
+struct Listener {
+    service: Service,
+    handshake: HandshakeMode,
+    window: u16,
+    response_delay: Duration,
+}
+
 struct ConnSlot {
     conn: TcpConnection,
-    behavior: PortBehavior,
     responded: bool,
     /// Accumulated stream bytes: real servers reassemble TCP, unlike the
     /// TSPU — that asymmetry is what makes segmentation a viable evasion.
@@ -97,12 +139,10 @@ struct ConnSlot {
 /// [`tspu_netsim::Network::set_app`].
 pub struct ServerApp {
     addr: Ipv4Addr,
-    ports: HashMap<u16, ServerPort>,
+    ports: HashMap<u16, Listener>,
     /// UDP ports that echo datagrams back (UDP echo / QUIC reachability).
     udp_echo_ports: Vec<u16>,
     conns: HashMap<PeerKey, ConnSlot>,
-    /// Received UDP payloads per port, for inspection.
-    udp_received: Vec<(u16, Vec<u8>)>,
 }
 
 impl ServerApp {
@@ -113,13 +153,20 @@ impl ServerApp {
             ports: HashMap::new(),
             udp_echo_ports: Vec::new(),
             conns: HashMap::new(),
-            udp_received: Vec::new(),
         }
     }
 
     /// Adds a listening TCP port.
     pub fn with_port(mut self, port: ServerPort) -> ServerApp {
-        self.ports.insert(port.port, port);
+        self.ports.insert(
+            port.port,
+            Listener {
+                service: Service::resolve(port.behavior),
+                handshake: port.handshake,
+                window: port.window,
+                response_delay: port.response_delay,
+            },
+        );
         self
     }
 
@@ -144,12 +191,9 @@ impl ServerApp {
             return Vec::new();
         };
         let local_port = segment.dst_port();
-        // Borrowed: the config can carry a whole `Respond` body, and only
-        // a new connection needs its own copy of the behaviour.
-        let Some(config) = self.ports.get(&local_port) else {
+        let Some(listener) = self.ports.get(&local_port) else {
             return Vec::new(); // closed port: silently ignore (no RST model)
         };
-        let delay = config.response_delay;
         let key = PeerKey { addr: packet.src_addr(), port: segment.src_port(), local_port };
         // A fresh SYN on a known 4-tuple is a new connection attempt (the
         // peer reused the port); recycle the slot like a real listener
@@ -163,33 +207,26 @@ impl ServerApp {
         }
         let slot = self.conns.entry(key).or_insert_with(|| {
             let mut conn = TcpConnection::new(self.addr, local_port, key.addr, key.port);
-            conn.set_mode(config.handshake);
-            conn.set_local_window(config.window);
+            conn.set_mode(listener.handshake);
+            conn.set_local_window(listener.window);
             conn.listen();
-            ConnSlot {
-                conn,
-                behavior: config.behavior.clone(),
-                responded: false,
-                rx_buffer: Vec::new(),
-            }
+            ConnSlot { conn, responded: false, rx_buffer: Vec::new() }
         });
 
-        slot.conn.on_segment(&segment);
-        for event in slot.conn.take_events() {
-            match (&slot.behavior, event) {
-                (PortBehavior::Echo, ConnEvent::DataReceived(data)) => {
-                    slot.conn.send(&data);
+        let data = slot.conn.on_segment(&segment);
+        // The server keys on data alone; nothing reads its state changes.
+        slot.conn.take_events();
+        if !data.is_empty() {
+            match &listener.service {
+                Service::Echo => slot.conn.send(data),
+                Service::Respond(body) if !slot.responded => {
+                    slot.responded = true;
+                    slot.conn.send_shared(body.clone());
                 }
-                (PortBehavior::Respond(bytes), ConnEvent::DataReceived(_))
-                    if !slot.responded => {
-                        slot.responded = true;
-                        let bytes = bytes.clone();
-                        slot.conn.send(&bytes);
-                    }
-                (PortBehavior::TlsServer | PortBehavior::TlsServerPage(_), ConnEvent::DataReceived(data)) => {
+                Service::Tls(response) if !slot.responded => {
                     // Real servers reassemble the byte stream before
                     // parsing — segmentation evasions rely on this.
-                    slot.rx_buffer.extend_from_slice(&data);
+                    slot.rx_buffer.extend_from_slice(data);
                     // Skip any non-handshake records prepended by the
                     // record-injection strategy.
                     let mut offset = 0;
@@ -200,38 +237,24 @@ impl ServerApp {
                         ]) as usize;
                         offset += 5 + len;
                     }
-                    if !slot.responded
-                        && tls::ClientHello::parse(&slot.rx_buffer[offset.min(slot.rx_buffer.len())..])
-                            .is_ok()
+                    if tls::ClientHello::parse(&slot.rx_buffer[offset.min(slot.rx_buffer.len())..])
+                        .is_ok()
                     {
                         slot.responded = true;
-                        let page = match slot.behavior {
-                            PortBehavior::TlsServerPage(n) => n,
-                            _ => 0x40,
-                        };
-                        let mut response = tls::server_hello_record();
-                        // Application data so throttling and delayed
-                        // drops have something to act on.
-                        response.extend_from_slice(&[0x17, 0x03, 0x03]);
-                        response.extend_from_slice(&(page.min(0xffff) as u16).to_be_bytes());
-                        response.resize(response.len() + page, 0xda);
-                        slot.conn.send(&response);
+                        slot.rx_buffer = Vec::new();
+                        slot.conn.send_shared(response.clone());
                     }
                 }
-                _ => {}
+                Service::Respond(_) | Service::Tls(_) | Service::Sink => {}
             }
         }
 
-        let src = self.addr;
-        slot.conn
-            .poll_output()
-            .into_iter()
-            .map(|repr| {
-                let seg = repr.build(src, key.addr);
-                let ip = Ipv4Repr::new(src, key.addr, Protocol::Tcp, seg.len()).build(&seg);
-                Output::send_after(delay, ip)
-            })
-            .collect()
+        let mut outputs = Vec::new();
+        slot.conn.poll_packets(
+            || 0,
+            |packet| outputs.push(Output::send_after(listener.response_delay, packet)),
+        );
+        outputs
     }
 
     fn handle_udp(&mut self, packet: &Ipv4Packet<&[u8]>) -> Vec<Output> {
@@ -239,7 +262,6 @@ impl ServerApp {
             return Vec::new();
         };
         let port = datagram.dst_port();
-        self.udp_received.push((port, datagram.payload().to_vec()));
         if !self.udp_echo_ports.contains(&port) {
             return Vec::new();
         }

@@ -14,10 +14,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use tspu_netsim::{Application, Output, Time};
-use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
+use tspu_wire::ipv4::{Ipv4Packet, Protocol};
 use tspu_wire::tcp::TcpSegment;
 
-use crate::conn::{ConnEvent, TcpConnection, TcpState};
+use crate::conn::{incrementing, ConnEvent, TcpConnection, TcpState};
 
 /// What one probe connection observed, all in virtual time.
 #[derive(Debug, Clone)]
@@ -125,40 +125,34 @@ impl SteadyProbe {
         (probe, log)
     }
 
-    fn wrap(&mut self, src_port: u16, repr: tspu_wire::tcp::TcpRepr) -> Vec<u8> {
-        let _ = src_port;
-        let seg = repr.build(self.config.src, self.config.dst);
-        let mut ip = Ipv4Repr::new(self.config.src, self.config.dst, Protocol::Tcp, seg.len());
-        self.ip_ident = self.ip_ident.wrapping_add(1);
-        ip.ident = self.ip_ident;
-        ip.build(&seg)
+    /// Drains `slot`'s connection into `outputs`; every packet takes the
+    /// next IP identification of the driver's one counter.
+    fn transmit(&mut self, slot: usize, outputs: &mut Vec<Output>) {
+        self.active[slot]
+            .conn
+            .poll_packets(incrementing(&mut self.ip_ident), |packet| outputs.push(Output::send(packet)));
     }
 
-    fn pump(&mut self, slot: usize, now: Time) -> Vec<Output> {
-        let request = self.config.request.clone();
-        let (index, port, established, reset, bytes, reprs) = {
-            let probe = &mut self.active[slot];
-            let mut established = None;
-            let mut reset = None;
-            let mut bytes = 0usize;
-            for event in probe.conn.take_events() {
-                match event {
-                    ConnEvent::Established => established = Some(now),
-                    ConnEvent::ResetReceived => reset = Some(now),
-                    ConnEvent::DataReceived(data) => bytes += data.len(),
-                }
+    /// Logs what the last segment meant for probe `slot` (`bytes` is the
+    /// payload length it delivered), sends the request once established,
+    /// and drains the connection.
+    fn pump(&mut self, slot: usize, now: Time, bytes: usize) -> Vec<Output> {
+        let probe = &mut self.active[slot];
+        let index = probe.index;
+        let mut established = None;
+        let mut reset = None;
+        for event in probe.conn.take_events() {
+            match event {
+                ConnEvent::Established => established = Some(now),
+                ConnEvent::ResetReceived => reset = Some(now),
             }
-            if probe.conn.state() == TcpState::Established && !probe.request_sent {
-                probe.request_sent = true;
-                probe.conn.send(&request);
-            }
-            (probe.index, probe.port, established, reset, bytes, probe.conn.poll_output())
-        };
-        let mut outputs = Vec::with_capacity(reprs.len());
-        for repr in reprs {
-            let packet = self.wrap(port, repr);
-            outputs.push(Output::send(packet));
         }
+        if probe.conn.state() == TcpState::Established && !probe.request_sent {
+            probe.request_sent = true;
+            probe.conn.send(&self.config.request);
+        }
+        let mut outputs = Vec::new();
+        self.transmit(slot, &mut outputs);
         let mut inner = self.log.read();
         if let Some(at) = reset {
             if inner.first_reset.is_none() {
@@ -191,8 +185,8 @@ impl Application for SteadyProbe {
         let Some(slot) = self.active.iter().position(|p| p.port == segment.dst_port()) else {
             return Vec::new();
         };
-        self.active[slot].conn.on_segment(&segment);
-        self.pump(slot, now)
+        let bytes = self.active[slot].conn.on_segment(&segment).len();
+        self.pump(slot, now, bytes)
     }
 
     fn on_timer(&mut self, now: Time) -> Vec<Output> {
@@ -205,7 +199,6 @@ impl Application for SteadyProbe {
         let mut conn =
             TcpConnection::new(self.config.src, port, self.config.dst, self.config.dst_port);
         conn.connect();
-        let reprs = conn.poll_output();
         self.active.push(ActiveProbe { index, port, conn, request_sent: false });
         self.log.read().probes.push(ProbeRecord {
             index,
@@ -215,11 +208,8 @@ impl Application for SteadyProbe {
             reset_at: None,
             bytes_received: 0,
         });
-        let mut outputs: Vec<Output> = Vec::new();
-        for repr in reprs {
-            let packet = self.wrap(port, repr);
-            outputs.push(Output::send(packet));
-        }
+        let mut outputs = Vec::new();
+        self.transmit(self.active.len() - 1, &mut outputs);
         outputs.push(Output::Timer { delay: self.config.period });
         outputs
     }

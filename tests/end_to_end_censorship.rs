@@ -5,6 +5,7 @@
 use std::time::Duration;
 
 use tspu::registry::Universe;
+use tspu::stack::client::SendShaping;
 use tspu::stack::{ClientOutcome, PortBehavior, ServerApp, ServerPort, TcpClient, TcpClientConfig};
 use tspu::topology::VantageLab;
 use tspu::wire::tls::ClientHelloBuilder;
@@ -157,4 +158,90 @@ fn two_devices_on_path_compound_reliability() {
         800,
     );
     assert!(er.failures >= ro.failures, "ER {} vs RO {}", er.failures, ro.failures);
+}
+
+/// FNV-1a over every capture record's time, trace point and bytes.
+fn capture_digest(captures: &[tspu::netsim::CaptureRecord]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &byte in bytes {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for record in captures {
+        feed(&record.time.as_micros().to_be_bytes());
+        feed(format!("{:?}", record.point).as_bytes());
+        feed(&(record.bytes.len() as u64).to_be_bytes());
+        feed(&record.bytes);
+    }
+    hash
+}
+
+#[test]
+fn page_burst_wire_bytes_are_pinned() {
+    // A page is one un-paced burst: every segment leaves the server at the
+    // same virtual instant, and SNI-II's allowance and the SNI-III policer
+    // are calibrated on exactly that. The golden digests were taken from
+    // the capture (every record's time, point and bytes) before the host
+    // stack's data path was rewritten; they pin "same packets at the same
+    // virtual instants" on a burst for an open, a delayed-drop and a
+    // policed flow.
+    const PAGE: usize = 64 << 10;
+    let mut expected = tspu::wire::tls::server_hello_record();
+    expected.extend_from_slice(&[0x17, 0x03, 0x03]);
+    expected.extend_from_slice(&(PAGE.min(0xffff) as u16).to_be_bytes());
+    expected.resize(expected.len() + PAGE, 0xda);
+
+    let universe = Universe::generate(83);
+    let plain = SendShaping::default();
+    let segmented = SendShaping {
+        segment_bytes: Some(64),
+        decoys: vec![(2, b"GET / HTTP/1.1\r\n".to_vec())],
+        ..SendShaping::default()
+    };
+    let fragmented = SendShaping { ip_fragment_bytes: Some(48), ..SendShaping::default() };
+    // (name, client shaping, port, segments received, bytes received, capture digest)
+    let cases = [
+        ("rust-lang.org", &plain, 33_000, 45usize, 65_588usize, 0x981f_479b_ecba_7204u64),
+        ("play.google.com", &plain, 33_001, 7, 10_220, 0x17c6_0177_ce59_33a7),
+        ("fbcdn.net", &plain, 33_002, 1, 1_460, 0x82a4_9771_c3c7_7e04),
+        // The client's own emission paths: MSS-forced segments behind a
+        // TTL-limited decoy, and a request fragmented at the IP layer
+        // (which this server, having no reassembly, never answers).
+        ("rust-lang.org", &segmented, 33_003, 45, 65_588, 0xa360_e9fa_52de_d114),
+        ("rust-lang.org", &fragmented, 33_004, 0, 0, 0xe843_db46_d980_25e0),
+    ];
+    for (domain, shaping, port, segments, bytes, digest) in cases {
+        let mut lab = VantageLab::builder().universe(&universe).throttle_active(true).build();
+        lab.net.set_app(
+            lab.us_main,
+            Box::new(
+                ServerApp::new(lab.us_main_addr)
+                    .with_port(ServerPort::new(443, PortBehavior::TlsServerPage(PAGE))),
+            ),
+        );
+        lab.net.set_capture(true);
+        let (host, addr) = {
+            let v = lab.vantage("ER-Telecom");
+            (v.host, v.addr)
+        };
+        let mut config = TcpClientConfig::new(
+            addr,
+            port,
+            lab.us_main_addr,
+            443,
+            ClientHelloBuilder::new(domain).build(),
+        );
+        config.shaping = shaping.clone();
+        let (app, report, syn) = TcpClient::start(config);
+        lab.net.set_app(host, Box::new(app));
+        lab.net.send_from(host, syn);
+        lab.net.run_until_idle();
+
+        let received = report.read();
+        assert_eq!(received.data_segments, segments, "{domain}: data segments");
+        assert_eq!(received.bytes_received, bytes, "{domain}: bytes received");
+        assert_eq!(received.data, expected[..bytes], "{domain}: a prefix of the page, byte for byte");
+        assert_eq!(capture_digest(lab.net.captures()), digest, "{domain}: capture digest");
+    }
 }
