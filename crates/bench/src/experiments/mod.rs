@@ -92,8 +92,8 @@ paper (§8): 'The TSPU could easily patch these evasion strategies …
          resources.' The hardened column applies every predicted patch (TCP/IP
          reassembly, window filtering, ad-hoc role reasoning, record scanning);
          only the QUIC version change survives, since that filter is keyed to a
-         wire version rather than resource-bounded parsing. The perf bench
-         measures the reassembly resource bill.
+         wire version rather than resource-bounded parsing. The `hardening/*`
+         group of `--bench ablations` measures the reassembly resource bill.
 ",
     );
     ExperimentReport { id: "arms_race", title: "§8 predicted patches (extension)", body }

@@ -4,7 +4,8 @@
 //! paper's evaluation, each returning a printable report comparing paper
 //! values with what the reproduction measures. The `experiments` bench
 //! target (`cargo bench -p tspu-bench --bench experiments`) runs them all;
-//! the `perf` target holds the criterion performance/ablation benches.
+//! the `ablations` target holds the criterion single-layer ablations, and
+//! end-to-end performance is `benchmark/`'s (a package of its own).
 //!
 //! Scaling knobs (environment variables):
 //!

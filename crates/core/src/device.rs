@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use tspu_netsim::fault::DeviceFaults;
 use tspu_netsim::{Direction, Middlebox, MiddleboxImage, Time, Verdict};
-use tspu_obs::{CounterId, MetricValue, Registry, Snapshot, Tracer};
+use tspu_obs::{MetricNames, Snapshot, Tracer};
 use tspu_wire::dns::DnsQuery;
 use tspu_wire::http::HttpRequest;
 use tspu_wire::ipv4::{Ipv4Packet, Protocol};
@@ -84,10 +84,9 @@ impl FailureProfile {
     }
 }
 
-/// Counters exposed for experiments and benches. Since the observability
-/// refactor this is a *view* reconstructed from the device's `tspu_obs`
-/// registry by [`TspuDevice::stats`] (all zero in an obs-disabled build);
-/// the storage lives under `device.<label>.*` metric names.
+/// The device's counters: the storage the packet path increments,
+/// returned by copy from [`TspuDevice::stats`] and exported under
+/// `device.<label>.*` by [`TspuDevice::obs_snapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     pub packets_seen: u64,
@@ -112,117 +111,45 @@ pub struct DeviceStats {
     pub synacks_filtered: u64,
     /// Scheduled restarts applied so far (chaos).
     pub restarts: u64,
+    /// Packets the SNI-III policer refused.
+    pub policer_rejects: u64,
     /// Enforcement events on flows whose verdict is pinned to a policy
     /// epoch older than the live one (residual blocking across registry
     /// deltas — the epoch audit).
     pub stale_epoch_verdicts: u64,
 }
 
-/// The device's metric registry scope (`device.<label>`) plus one interned
-/// counter id per [`DeviceStats`] field — every increment on the packet
-/// path is an indexed add, no hashing, no allocation. Zero-sized when the
-/// `obs` feature is off.
-struct DeviceMetrics {
-    registry: Registry,
-    tracer: Tracer,
-    packets_seen: CounterId,
-    packets_dropped: CounterId,
-    packets_rewritten: CounterId,
-    triggers_sni1: CounterId,
-    triggers_sni2: CounterId,
-    triggers_sni3: CounterId,
-    triggers_sni4: CounterId,
-    triggers_quic: CounterId,
-    triggers_http: CounterId,
-    triggers_dns: CounterId,
-    ip_blocked_packets: CounterId,
-    fragments_processed: CounterId,
-    reassembly_bytes: CounterId,
-    synacks_filtered: CounterId,
-    restarts: CounterId,
-    policer_rejects: CounterId,
-    stale_epoch_verdicts: CounterId,
-}
-
-impl DeviceMetrics {
-    fn new(label: &str) -> DeviceMetrics {
-        let mut registry = Registry::scoped(format!("device.{label}"));
-        DeviceMetrics {
-            packets_seen: registry.counter("packets_seen"),
-            packets_dropped: registry.counter("verdicts.drop"),
-            packets_rewritten: registry.counter("verdicts.rst_rewrite"),
-            triggers_sni1: registry.counter("triggers.sni1"),
-            triggers_sni2: registry.counter("triggers.sni2"),
-            triggers_sni3: registry.counter("triggers.sni3"),
-            triggers_sni4: registry.counter("triggers.sni4"),
-            triggers_quic: registry.counter("triggers.quic"),
-            triggers_http: registry.counter("triggers.http_host"),
-            triggers_dns: registry.counter("triggers.dns"),
-            ip_blocked_packets: registry.counter("ip_blocked"),
-            fragments_processed: registry.counter("fragments_processed"),
-            reassembly_bytes: registry.counter("reassembly_bytes"),
-            synacks_filtered: registry.counter("synacks_filtered"),
-            restarts: registry.counter("restarts"),
-            policer_rejects: registry.counter("policer.rejects"),
-            stale_epoch_verdicts: registry.counter("verdicts.stale_epoch"),
-            registry,
-            tracer: Tracer::new(),
-        }
-    }
-
-    #[inline]
-    fn inc(&mut self, id: CounterId) {
-        self.registry.inc(id);
-    }
-
-    /// A zeroed copy for a forked device: same scope and counter slots,
-    /// shared interned names, all values zero, fresh tracer with the
-    /// sampling switch preserved.
-    fn fork(&self) -> DeviceMetrics {
-        DeviceMetrics {
-            registry: self.registry.fork_reset(),
-            tracer: self.tracer.fork_reset(),
-            packets_seen: self.packets_seen,
-            packets_dropped: self.packets_dropped,
-            packets_rewritten: self.packets_rewritten,
-            triggers_sni1: self.triggers_sni1,
-            triggers_sni2: self.triggers_sni2,
-            triggers_sni3: self.triggers_sni3,
-            triggers_sni4: self.triggers_sni4,
-            triggers_quic: self.triggers_quic,
-            triggers_http: self.triggers_http,
-            triggers_dns: self.triggers_dns,
-            ip_blocked_packets: self.ip_blocked_packets,
-            fragments_processed: self.fragments_processed,
-            reassembly_bytes: self.reassembly_bytes,
-            synacks_filtered: self.synacks_filtered,
-            restarts: self.restarts,
-            policer_rejects: self.policer_rejects,
-            stale_epoch_verdicts: self.stale_epoch_verdicts,
-        }
-    }
-
-    fn stats(&self) -> DeviceStats {
-        let v = |id| self.registry.counter_value(id);
-        DeviceStats {
-            packets_seen: v(self.packets_seen),
-            packets_dropped: v(self.packets_dropped),
-            packets_rewritten: v(self.packets_rewritten),
-            triggers_sni1: v(self.triggers_sni1),
-            triggers_sni2: v(self.triggers_sni2),
-            triggers_sni3: v(self.triggers_sni3),
-            triggers_sni4: v(self.triggers_sni4),
-            triggers_quic: v(self.triggers_quic),
-            triggers_http: v(self.triggers_http),
-            triggers_dns: v(self.triggers_dns),
-            ip_blocked_packets: v(self.ip_blocked_packets),
-            fragments_processed: v(self.fragments_processed),
-            reassembly_bytes_buffered: v(self.reassembly_bytes),
-            synacks_filtered: v(self.synacks_filtered),
-            restarts: v(self.restarts),
-            stale_epoch_verdicts: v(self.stale_epoch_verdicts),
-        }
-    }
+/// The device's export table: name under `device.<label>.` → count, its
+/// own counters and its sub-components' alike.
+fn exported(
+    stats: &DeviceStats,
+    conntrack: &ShardedConnTracker,
+    frag_cache: &FragCache,
+) -> [(&'static str, u64); 22] {
+    [
+        ("packets_seen", stats.packets_seen),
+        ("verdicts.drop", stats.packets_dropped),
+        ("verdicts.rst_rewrite", stats.packets_rewritten),
+        ("verdicts.stale_epoch", stats.stale_epoch_verdicts),
+        ("triggers.sni1", stats.triggers_sni1),
+        ("triggers.sni2", stats.triggers_sni2),
+        ("triggers.sni3", stats.triggers_sni3),
+        ("triggers.sni4", stats.triggers_sni4),
+        ("triggers.quic", stats.triggers_quic),
+        ("triggers.http_host", stats.triggers_http),
+        ("triggers.dns", stats.triggers_dns),
+        ("ip_blocked", stats.ip_blocked_packets),
+        ("fragments_processed", stats.fragments_processed),
+        ("reassembly_bytes", stats.reassembly_bytes_buffered),
+        ("synacks_filtered", stats.synacks_filtered),
+        ("restarts", stats.restarts),
+        ("policer.rejects", stats.policer_rejects),
+        ("conntrack.gc_probes", conntrack.gc_probes()),
+        ("conntrack.gc_evictions", conntrack.gc_evictions()),
+        ("frag_cache.evictions", frag_cache.evictions()),
+        ("frag_cache.discarded", frag_cache.discarded()),
+        ("frag_cache.flushed", frag_cache.flushed()),
+    ]
 }
 
 /// One TSPU box. Construct with a shared [`PolicyHandle`] (central
@@ -243,7 +170,11 @@ pub struct TspuDevice {
     /// a device whose failure dice replay from the start.
     seed: u64,
     failure: FailureProfile,
-    metrics: DeviceMetrics,
+    stats: DeviceStats,
+    /// Export names, `device.<label>.*`, shared with the device's forks.
+    names: MetricNames,
+    /// `verdict` / `reassembly` spans; zero-sized with the `obs` feature off.
+    tracer: Tracer,
     hardening: Hardening,
     /// Pre-provisioned flow-table capacity ([`TspuDevice::with_flow_capacity`]).
     flow_capacity: Option<usize>,
@@ -261,6 +192,10 @@ pub struct TspuDevice {
     recorder: FlightRecorder,
 }
 
+/// The trigger counter to bump on a successful arm, paired with the
+/// mechanism name recorded in the enforcement ledger.
+type TriggerAccounting = (fn(&mut DeviceStats) -> &mut u64, &'static str);
+
 /// What the trigger evaluator decided about the current packet.
 enum TriggerAction {
     /// No trigger applies; fall through to the active-verdict check.
@@ -276,16 +211,23 @@ impl TspuDevice {
     /// `seed` drives the (deterministic) failure dice.
     pub fn new(label: &str, policy: PolicyHandle, failure: FailureProfile, seed: u64) -> TspuDevice {
         let recorder = FlightRecorder::new(policy.epoch());
+        let stats = DeviceStats::default();
+        let conntrack = ShardedConnTracker::new();
+        let frag_cache = FragCache::new(FragConfig::default());
+        let names =
+            MetricNames::scoped(&format!("device.{label}"), exported(&stats, &conntrack, &frag_cache));
         TspuDevice {
             label: Arc::from(label),
             policy,
             profile: CensorProfile::tspu(),
-            conntrack: ShardedConnTracker::new(),
-            frag_cache: FragCache::new(FragConfig::default()),
+            conntrack,
+            frag_cache,
             rng: SmallRng::seed_from_u64(seed),
             seed,
             failure,
-            metrics: DeviceMetrics::new(label),
+            stats,
+            names,
+            tracer: Tracer::new(),
             hardening: Hardening::none(),
             flow_capacity: None,
             flow_shards: None,
@@ -300,8 +242,8 @@ impl TspuDevice {
     /// Snapshots this device's immutable configuration as a
     /// [`DeviceConfig`]. [`DeviceConfig::instantiate`] then rebuilds a
     /// pristine device — empty conntrack and fragment cache, RNG reseeded
-    /// from the construction seed, zeroed metrics with the same interned
-    /// layout — byte-identical in behavior to constructing this device
+    /// from the construction seed, zeroed counters under the same export
+    /// names — byte-identical in behavior to constructing this device
     /// from scratch with the same parameters.
     pub fn config(&self) -> DeviceConfig {
         DeviceConfig {
@@ -315,14 +257,15 @@ impl TspuDevice {
             flow_shards: self.flow_shards,
             faults: self.faults.clone(),
             violation: self.violation,
-            metrics: self.metrics.fork(),
+            names: self.names.clone(),
+            tracer: self.tracer.fork_reset(),
             recorder: self.recorder.fork_reset(),
         }
     }
 
     /// Swaps the shared policy handle — used when forking a lab cell that
     /// enforces its own per-cell policy (churn campaigns). The conntrack,
-    /// RNG, and metrics are untouched, so a fork followed by `set_policy`
+    /// RNG, and counters are untouched, so a fork followed by `set_policy`
     /// equals a fresh build against that handle.
     pub fn set_policy(&mut self, policy: PolicyHandle) {
         // The new handle's current epoch is this device's baseline, not a
@@ -401,7 +344,7 @@ impl TspuDevice {
             .is_some_and(|&at| at <= since_start)
         {
             self.restarts_applied += 1;
-            self.metrics.inc(self.metrics.restarts);
+            self.stats.restarts += 1;
             self.conntrack.clear();
             self.frag_cache.clear();
             let epoch = self.policy.epoch();
@@ -479,52 +422,32 @@ impl TspuDevice {
         TspuDevice::new(label, policy, FailureProfile::none(), 0)
     }
 
-    /// The device's counters — a view over its obs registry (all zero in
-    /// an obs-disabled build).
+    /// The device's counters so far.
     pub fn stats(&self) -> DeviceStats {
-        self.metrics.stats()
+        self.stats
     }
 
     /// Enables or disables virtual-time span tracing on this device
     /// (`verdict` / `reassembly` spans). Off by default.
     pub fn set_tracing(&mut self, enabled: bool) {
-        self.metrics.tracer.set_enabled(enabled);
+        self.tracer.set_enabled(enabled);
     }
 
-    /// The device's metrics (plus its sub-components' intrinsic counters:
-    /// `conntrack.gc_probes`, `frag_cache.evictions`) as a [`Snapshot`]
-    /// under its `device.<label>.*` scope, with any recorded spans drained.
+    /// The device's counters (plus its sub-components': `conntrack.gc_probes`,
+    /// `frag_cache.evictions`, …) exported as a [`Snapshot`] under its
+    /// `device.<label>.*` scope, with any recorded spans drained.
     pub fn take_obs(&mut self) -> Snapshot {
         let mut snap = self.obs_snapshot();
-        self.metrics.tracer.drain_into(&mut snap);
+        self.tracer.drain_into(&mut snap);
         snap
     }
 
     /// Like [`TspuDevice::take_obs`] but without draining spans.
     pub fn obs_snapshot(&self) -> Snapshot {
-        let mut snap = self.metrics.registry.snapshot();
-        if self.metrics.registry.enabled() {
-            let scope = format!("device.{}", self.label);
-            snap.insert(
-                format!("{scope}.conntrack.gc_probes"),
-                MetricValue::Counter(self.conntrack.gc_probes()),
-            );
-            snap.insert(
-                format!("{scope}.conntrack.gc_evictions"),
-                MetricValue::Counter(self.conntrack.gc_evictions()),
-            );
-            snap.insert(
-                format!("{scope}.frag_cache.evictions"),
-                MetricValue::Counter(self.frag_cache.evictions()),
-            );
-            snap.insert(
-                format!("{scope}.frag_cache.discarded"),
-                MetricValue::Counter(self.frag_cache.discarded()),
-            );
-            snap.insert(
-                format!("{scope}.frag_cache.flushed"),
-                MetricValue::Counter(self.frag_cache.flushed()),
-            );
+        let mut snap = Snapshot::new();
+        if tspu_obs::ENABLED {
+            let table = exported(&self.stats, &self.conntrack, &self.frag_cache);
+            snap.insert_counters(&self.names, table);
         }
         snap
     }
@@ -570,7 +493,7 @@ impl TspuDevice {
     }
 
     fn drop_packet(&mut self) -> Verdict {
-        self.metrics.inc(self.metrics.packets_dropped);
+        self.stats.packets_dropped += 1;
         Verdict::Drop
     }
 
@@ -630,7 +553,7 @@ impl TspuDevice {
                 && flags.is_syn_ack()
                 && segment.window() < min_window
             {
-                self.metrics.inc(self.metrics.synacks_filtered);
+                self.stats.synacks_filtered += 1;
                 return self.drop_packet();
             }
         }
@@ -656,7 +579,7 @@ impl TspuDevice {
                 let room = REASSEMBLY_CAP.saturating_sub(entry.rx_stream.len());
                 let take = payload_len.min(room);
                 entry.rx_stream.extend_from_slice(&segment.payload()[..take]);
-                self.metrics.registry.add(self.metrics.reassembly_bytes, take as u64);
+                self.stats.reassembly_bytes_buffered += take as u64;
             }
         }
 
@@ -686,7 +609,7 @@ impl TspuDevice {
         if ip_enforced && direction == Direction::LocalToRemote {
             let ip_failure = self.failure.ip;
             if !self.flow_exempt(now, &key, ip_failure) {
-                self.metrics.inc(self.metrics.ip_blocked_packets);
+                self.stats.ip_blocked_packets += 1;
                 // A *response* to a remotely initiated connection is
                 // rewritten to RST/ACK; a locally initiated attempt is
                 // silently dropped (§5.2). The device cannot always see
@@ -704,7 +627,7 @@ impl TspuDevice {
                             .map(|e| e.first_sender == Side::Remote)
                             .unwrap_or(false));
                 if is_response {
-                    self.metrics.inc(self.metrics.packets_rewritten);
+                    self.stats.packets_rewritten += 1;
                     return Verdict::Replace(self.inject_rst(packet));
                 }
                 return self.drop_packet();
@@ -738,7 +661,7 @@ impl TspuDevice {
                 && segment.src_port() == constants::HTTP_PORT
                 && payload_len > 0
             {
-                self.metrics.inc(self.metrics.packets_rewritten);
+                self.stats.packets_rewritten += 1;
                 return Verdict::Replace(self.inject_block_page(packet));
             }
             return Verdict::Pass;
@@ -784,8 +707,8 @@ impl TspuDevice {
         };
         if let SniMode::SingleList { kind, window } = self.profile.sni {
             let host = NormalizedHost::new(&hostname);
-            let counter = self.metrics.triggers_sni1;
-            return self.arm_single_list(now, key, &host, kind, window, (counter, "sni1"));
+            let accounting: TriggerAccounting = (|stats| &mut stats.triggers_sni1, "sni1");
+            return self.arm_single_list(now, key, &host, kind, window, accounting);
         }
 
         // Policy lookups, copied out so the conntrack borrow below is free.
@@ -843,10 +766,10 @@ impl TspuDevice {
         }
 
         match kind {
-            BlockKind::RstRewrite => self.metrics.inc(self.metrics.triggers_sni1),
-            BlockKind::DelayedDrop => self.metrics.inc(self.metrics.triggers_sni2),
-            BlockKind::Throttle => self.metrics.inc(self.metrics.triggers_sni3),
-            BlockKind::FullDrop => self.metrics.inc(self.metrics.triggers_sni4),
+            BlockKind::RstRewrite => self.stats.triggers_sni1 += 1,
+            BlockKind::DelayedDrop => self.stats.triggers_sni2 += 1,
+            BlockKind::Throttle => self.stats.triggers_sni3 += 1,
+            BlockKind::FullDrop => self.stats.triggers_sni4 += 1,
             BlockKind::QuicDrop | BlockKind::BlockPage => unreachable!("not an SNI verdict"),
         }
         let allowance = self
@@ -882,7 +805,7 @@ impl TspuDevice {
         host: &NormalizedHost,
         kind: BlockKind,
         window: std::time::Duration,
-        accounting: (CounterId, &'static str),
+        accounting: TriggerAccounting,
     ) -> TriggerAction {
         let (matched, throttle_cfg, epoch) = {
             let policy = self.policy.read();
@@ -896,7 +819,7 @@ impl TspuDevice {
             return TriggerAction::None;
         }
         let (counter, trigger) = accounting;
-        self.metrics.inc(counter);
+        *counter(&mut self.stats) += 1;
         let allowance = self
             .rng
             .gen_range(constants::SLOW_DROP_ALLOWANCE_MIN..=constants::SLOW_DROP_ALLOWANCE_MAX);
@@ -944,8 +867,8 @@ impl TspuDevice {
             return TriggerAction::None;
         };
         let host = NormalizedHost::new(&hostname);
-        let counter = self.metrics.triggers_http;
-        self.arm_single_list(now, key, &host, filter.kind, filter.window, (counter, "http_host"))
+        let accounting: TriggerAccounting = (|stats| &mut stats.triggers_http, "http_host");
+        self.arm_single_list(now, key, &host, filter.kind, filter.window, accounting)
     }
 
     /// Applies an active verdict on the flow to a non-trigger packet.
@@ -1042,7 +965,7 @@ impl TspuDevice {
             }
         };
         if stale {
-            self.metrics.inc(self.metrics.stale_epoch_verdicts);
+            self.stats.stale_epoch_verdicts += 1;
             self.ledger(
                 now,
                 Some(*key),
@@ -1062,16 +985,16 @@ impl TspuDevice {
             }
             Act::Pass => Verdict::Pass,
             Act::Rst => {
-                self.metrics.inc(self.metrics.packets_rewritten);
+                self.stats.packets_rewritten += 1;
                 Verdict::Replace(self.inject_rst(packet))
             }
             Act::Page => {
-                self.metrics.inc(self.metrics.packets_rewritten);
+                self.stats.packets_rewritten += 1;
                 Verdict::Replace(self.inject_block_page(packet))
             }
             Act::Drop => self.drop_packet(),
             Act::ThrottleReject => {
-                self.metrics.inc(self.metrics.policer_rejects);
+                self.stats.policer_rejects += 1;
                 self.drop_packet()
             }
         }
@@ -1095,7 +1018,7 @@ impl TspuDevice {
             self.conntrack.observe_udp(now, key, side);
             let ip_failure = self.failure.ip;
             if !self.flow_exempt(now, &key, ip_failure) {
-                self.metrics.inc(self.metrics.ip_blocked_packets);
+                self.stats.ip_blocked_packets += 1;
                 return self.drop_packet();
             }
         }
@@ -1118,7 +1041,7 @@ impl TspuDevice {
                         self.conntrack.observe_udp(now, key, side);
                         let dns_failure = self.failure.ip;
                         if !self.flow_exempt(now, &key, dns_failure) {
-                            self.metrics.inc(self.metrics.triggers_dns);
+                            self.stats.triggers_dns += 1;
                             if let Some(entry) = self.conntrack.get_mut(now, &key) {
                                 entry.block = Some(
                                     BlockState::new(BlockKind::FullDrop, now, 0, throttle_cfg)
@@ -1163,7 +1086,7 @@ impl TspuDevice {
         match verdict_state {
             Some((true, kind, stale)) => {
                 if stale {
-                    self.metrics.inc(self.metrics.stale_epoch_verdicts);
+                    self.stats.stale_epoch_verdicts += 1;
                     self.ledger(
                         now,
                         Some(key),
@@ -1196,7 +1119,7 @@ impl TspuDevice {
             self.conntrack.observe_udp(now, key, side);
             let quic_failure = self.failure.quic;
             if !self.flow_exempt(now, &key, quic_failure) {
-                self.metrics.inc(self.metrics.triggers_quic);
+                self.stats.triggers_quic += 1;
                 let (throttle, epoch) = {
                     let policy = self.policy.read();
                     (policy.throttle, policy.epoch)
@@ -1224,7 +1147,7 @@ impl TspuDevice {
             if self.failure.ip > 0.0 && self.rng.gen_bool(self.failure.ip) {
                 return Verdict::Pass;
             }
-            self.metrics.inc(self.metrics.ip_blocked_packets);
+            self.stats.ip_blocked_packets += 1;
             return self.drop_packet();
         }
         Verdict::Pass
@@ -1344,7 +1267,7 @@ fn extract_sni_scanning(payload: &[u8], scan: bool) -> Option<String> {
 impl Middlebox for TspuDevice {
     fn process(&mut self, now: Time, direction: Direction, packet: &mut Vec<u8>) -> Verdict {
         self.poll_faults(now);
-        self.metrics.inc(self.metrics.packets_seen);
+        self.stats.packets_seen += 1;
         let Ok(view) = Ipv4Packet::new_checked(&packet[..]) else {
             return Verdict::Pass; // not IPv4: pass
         };
@@ -1352,7 +1275,7 @@ impl Middlebox for TspuDevice {
         // Fragments interact only with the fragment cache and the IP
         // blocklist — the TSPU neither reassembles nor inspects them.
         if view.is_fragment() {
-            self.metrics.inc(self.metrics.fragments_processed);
+            self.stats.fragments_processed += 1;
             let (src_blocked, dst_blocked) = {
                 let policy = self.policy.read();
                 (
@@ -1361,7 +1284,7 @@ impl Middlebox for TspuDevice {
                 )
             };
             if self.profile.ip_blocking && dst_blocked && direction == Direction::LocalToRemote {
-                self.metrics.inc(self.metrics.ip_blocked_packets);
+                self.stats.ip_blocked_packets += 1;
                 return self.drop_packet();
             }
             let _ = src_blocked; // inbound from blocked IPs passes (§5.2)
@@ -1371,11 +1294,11 @@ impl Middlebox for TspuDevice {
             // device). A verdict installed here acts on later packets;
             // a FullDrop/QUIC verdict eats this train too.
             if self.hardening.ip_reassembly && flushed.len() > 1 {
-                self.metrics.tracer.span("reassembly", "device", now.as_micros(), now.as_micros());
+                self.tracer.span("reassembly", "device", now.as_micros(), now.as_micros());
                 if let Ok(mut whole) = tspu_wire::frag::reassemble(&flushed) {
                     let inspected = self.process(now, direction, &mut whole);
                     if inspected == Verdict::Drop {
-                        self.metrics.inc(self.metrics.packets_dropped);
+                        self.stats.packets_dropped += 1;
                         return Verdict::Drop;
                     }
                     // If inspection rewrote/verdicted the packet, the
@@ -1391,7 +1314,7 @@ impl Middlebox for TspuDevice {
         // Verdict-evaluation span: virtual time does not advance inside
         // the device, so this is an instant marking *when* the decision
         // happened — identical across thread counts.
-        self.metrics.tracer.span("verdict", "device", now.as_micros(), now.as_micros());
+        self.tracer.span("verdict", "device", now.as_micros(), now.as_micros());
         match view.protocol() {
             Protocol::Tcp => self.process_tcp(now, direction, packet),
             Protocol::Udp => self.process_udp(now, direction, packet),
@@ -1412,7 +1335,7 @@ impl Middlebox for TspuDevice {
 /// The immutable half of a [`TspuDevice`], split out so lab images can
 /// share it across forked scenario cells: label, shared policy handle,
 /// failure profile and its RNG seed, hardening, fault schedule, and the
-/// pristine metric layout. Everything mutable — conntrack, fragment
+/// export names. Everything mutable — conntrack, fragment
 /// cache, RNG position, policer buckets, counter values — is rebuilt per
 /// [`DeviceConfig::instantiate`].
 pub struct DeviceConfig {
@@ -1426,7 +1349,8 @@ pub struct DeviceConfig {
     flow_shards: Option<usize>,
     faults: DeviceFaults,
     violation: Option<ModelViolation>,
-    metrics: DeviceMetrics,
+    names: MetricNames,
+    tracer: Tracer,
     recorder: FlightRecorder,
 }
 
@@ -1450,7 +1374,9 @@ impl DeviceConfig {
             rng: SmallRng::seed_from_u64(self.seed),
             seed: self.seed,
             failure: self.failure,
-            metrics: self.metrics.fork(),
+            stats: DeviceStats::default(),
+            names: self.names.clone(),
+            tracer: self.tracer.fork_reset(),
             hardening: self.hardening,
             flow_capacity: self.flow_capacity,
             flow_shards: self.flow_shards,

@@ -22,7 +22,8 @@
 //!
 //! The resource cost the paper predicts is observable:
 //! [`crate::DeviceStats::reassembly_bytes_buffered`] counts the memory the
-//! upgrades demand, and the `perf` bench measures the throughput hit.
+//! upgrades demand, and the `hardening/*` group of `cargo bench -p tspu-bench
+//! --bench ablations` measures the throughput hit.
 
 /// Counter-circumvention configuration. `Default` is the 2022 TSPU:
 /// everything off.

@@ -13,9 +13,9 @@ use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-use tspu_obs::{CounterId, GaugeId, Registry, Snapshot};
+use tspu_obs::{MetricValue, Snapshot};
 
 use crate::constants;
 use crate::fasthash::FxHashMap;
@@ -709,27 +709,6 @@ impl PolicyHistory {
     }
 }
 
-/// The shared handle's metric storage: a `tspu_obs` registry scope
-/// (`policy.*`) with the update counter and the last-value epoch gauge
-/// (merges keep the later cell's epoch, not the max). Zero-sized
-/// registry in an obs-disabled build.
-struct PolicyMetrics {
-    registry: Registry,
-    delta_applies: CounterId,
-    epoch: GaugeId,
-}
-
-impl PolicyMetrics {
-    fn new() -> PolicyMetrics {
-        let mut registry = Registry::scoped("policy");
-        PolicyMetrics {
-            delta_applies: registry.counter("delta_applies"),
-            epoch: registry.gauge_last("epoch"),
-            registry,
-        }
-    }
-}
-
 /// A shared handle to the centrally controlled policy.
 ///
 /// Cloning the handle models Roskomnadzor distributing the same list to
@@ -751,7 +730,10 @@ pub struct PolicyHandle {
     /// path validates per-flow verdict caches against the live epoch on
     /// every packet, so this must not cost a read-lock acquisition.
     epoch: Arc<AtomicU64>,
-    metrics: Arc<Mutex<PolicyMetrics>>,
+    /// Updates applied through this handle or any clone of it. Bumped
+    /// (`Release`) after the epoch store it counts, so an export that
+    /// reads it (`Acquire`) non-zero also reads that epoch.
+    delta_applies: Arc<AtomicU64>,
 }
 
 impl PolicyHandle {
@@ -761,7 +743,7 @@ impl PolicyHandle {
         PolicyHandle {
             inner: Arc::new(RwLock::new(policy)),
             epoch: Arc::new(AtomicU64::new(epoch)),
-            metrics: Arc::new(Mutex::new(PolicyMetrics::new())),
+            delta_applies: Arc::default(),
         }
     }
 
@@ -787,7 +769,7 @@ impl PolicyHandle {
             policy.epoch
         };
         self.epoch.store(epoch, Ordering::Release);
-        self.note_update(epoch);
+        self.delta_applies.fetch_add(1, Ordering::Release);
     }
 
     /// Applies one incremental [`PolicyDelta`] through the shared handle:
@@ -800,22 +782,25 @@ impl PolicyHandle {
             policy.epoch
         };
         self.epoch.store(epoch, Ordering::Release);
-        self.note_update(epoch);
+        self.delta_applies.fetch_add(1, Ordering::Release);
     }
 
-    fn note_update(&self, epoch: u64) {
-        let mut metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
-        let id = metrics.delta_applies;
-        metrics.registry.inc(id);
-        let id = metrics.epoch;
-        metrics.registry.set(id, epoch as i64);
-    }
-
-    /// The handle's metrics (`policy.delta_applies`, `policy.epoch`) as a
-    /// [`Snapshot`] — merged into lab-level snapshots alongside the
-    /// per-device scopes.
+    /// The handle's export, merged into lab-level snapshots alongside the
+    /// per-device scopes: `policy.delta_applies`, and `policy.epoch` — the
+    /// epoch the last update left, so a handle nothing updated exports
+    /// none. A last-value gauge (merges keep the later cell's epoch, not
+    /// the max), omitted at 0 like every gauge.
     pub fn obs_snapshot(&self) -> Snapshot {
-        self.metrics.lock().unwrap_or_else(|e| e.into_inner()).registry.snapshot()
+        let mut snap = Snapshot::new();
+        let applies = self.delta_applies.load(Ordering::Acquire);
+        let epoch = self.epoch();
+        if tspu_obs::ENABLED && applies != 0 {
+            snap.insert("policy.delta_applies", MetricValue::Counter(applies));
+            if epoch != 0 {
+                snap.insert("policy.epoch", MetricValue::GaugeLast(epoch as i64));
+            }
+        }
+        snap
     }
 
     /// The March 4, 2022 transition observed in §5.2: throttling (SNI-III)
@@ -942,16 +927,18 @@ mod tests {
         assert_eq!(handle.epoch(), 3);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
-    fn handle_metrics_track_updates() {
+    fn handle_exports_its_updates() {
         let handle = PolicyHandle::new(Policy::example());
+        assert_eq!(handle.obs_snapshot(), Snapshot::new());
         let clone = handle.clone(); // a second "device" shares the counter
         clone.apply_delta(&PolicyDelta::add_rst_batch(["x.example"]));
         handle.update(|p| p.quic_filter = false);
-        let snap = handle.obs_snapshot();
-        assert_eq!(snap.counter("policy.delta_applies"), 2);
-        assert_eq!(snap.gauge("policy.epoch"), Some(2));
+        if tspu_obs::ENABLED {
+            let snap = handle.obs_snapshot();
+            assert_eq!(snap.counter("policy.delta_applies"), 2);
+            assert_eq!(snap.gauge("policy.epoch"), Some(2));
+        }
     }
 
     fn sorted(set: &DomainSet) -> Vec<&str> {

@@ -23,7 +23,7 @@
 //!    number; virtual time is the only clock. Renderings are
 //!    byte-identical at every `TSPU_THREADS` setting.
 //!
-//! Like [`tspu_obs::Registry`], the recorder is a zero-sized no-op when
+//! Like [`tspu_obs::Tracer`], the recorder is a zero-sized no-op when
 //! the `obs` feature is off; [`LedgerEvent`] and [`LedgerKind`] exist in
 //! both shapes so call sites compile unchanged.
 

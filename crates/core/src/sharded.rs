@@ -3,22 +3,37 @@
 //!
 //! ## Why shard
 //!
-//! One [`ConnTracker`] holding 10⁶ flows has two scale problems the paper's
-//! fourteen-packet scenarios never exposed. First, its hash table grows by
-//! doubling: the insert that crosses the threshold rehashes the entire
-//! table on the packet path — a multi-millisecond pause at a million
-//! entries, exactly the kind of cliff that shows as a p999 per-event
-//! latency far above p50 in the soak report. Second, its CLOCK ring is
-//! one queue: reclamation latency for an expired entry scales with the
-//! *total* population, so a burst of short flows can starve behind a sea
-//! of long-lived ones.
+//! Each of the power-of-two shards is a complete, independent
+//! [`ConnTracker`] — its own table, its own CLOCK ring, its own
+//! [`GC_PROBE_BUDGET`](crate::conntrack::GC_PROBE_BUDGET)-bounded sweep —
+//! sized to `capacity / shards` and
+//! addressed by flow-key hash, with no semantic change (below). What that
+//! buys:
 //!
-//! Sharding by flow-key hash fixes both with no semantic change. Each of
-//! the power-of-two shards is a complete, independent [`ConnTracker`] —
-//! its own table, its own ring, its own [`GC_PROBE_BUDGET`]-bounded sweep
-//! — sized to `capacity / shards`, so any rehash that does happen touches
-//! 1/n of the population, and GC pressure in one shard cannot defer
-//! reclamation in another.
+//! * **Provisioned capacity in pieces the allocator can recycle**
+//!   (measured: EXPERIMENTS.md "Counts are fields", reading a). A
+//!   million-flow table is hundreds of MB of buckets; as one allocation it
+//!   is its own mapping, returned to the kernel when its lab drops and
+//!   faulted in again page by page by the next lab, while sixteen shard
+//!   tables come back from malloc's free lists already resident. On
+//!   `soak_steady`, which builds a lab per repetition, one shard costs
+//!   +34 % per flow (27× the page faults, a fifth of the time in the
+//!   kernel); on a single long-lived lab, and on the tracker's own
+//!   ns/op, one shard and sixteen read the same.
+//! * **Reclamation that scales with the shard** (by construction; not
+//!   measured on its own). The CLOCK ring is one queue per tracker: an
+//!   expired entry waits behind the ring's whole
+//!   population, so short flows in one shard are not starved by long-lived
+//!   ones in another.
+//!
+//! It does *not* spread a rehash: every tracker with more than one shard
+//! is built by [`ShardedConnTracker::with_capacity`] or
+//! [`ShardedConnTracker::with_capacity_and_shards`], which reserve each
+//! shard's slice up front, so no table grows on the packet path at any
+//! shard count ([`ShardedConnTracker::with_shards`], unreserved, is the
+//! differential tests' constructor). A table whose cost followed live
+//! flows instead of provisioned capacity would grow, and would want
+//! shard-sized steps for exactly that reason (ROADMAP).
 //!
 //! ## Equivalence with the unsharded tracker
 //!

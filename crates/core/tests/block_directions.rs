@@ -90,10 +90,7 @@ fn turkmenistan_rst_rewrite_touches_both_directions() {
     let out = dev.process_owned(Time::ZERO, Direction::RemoteToLocal, down);
     assert_eq!(flags_of(&out[0]), TcpFlags::RST_ACK);
 
-    // Counter views read zero in an obs-disabled build.
-    if tspu_obs::ENABLED {
-        assert_eq!(dev.stats().packets_rewritten, 2);
-    }
+    assert_eq!(dev.stats().packets_rewritten, 2);
 }
 
 #[test]

@@ -56,9 +56,7 @@ fn sni1_rewrites_downstream_to_rst_ack() {
     // The triggering ClientHello itself passes upstream (Fig. 2 SNI-I).
     let ch = tcp_packet(CLIENT, 40000, SERVER, 443, TcpFlags::PSH_ACK, &clienthello("twitter.com"));
     assert_eq!(dev.process_owned(now, Direction::LocalToRemote, ch.clone()).len(), 1);
-    if tspu_obs::ENABLED {
-        assert_eq!(dev.stats().triggers_sni1, 1);
-    }
+    assert_eq!(dev.stats().triggers_sni1, 1);
 
     // The ServerHello coming back is rewritten: RST/ACK, payload gone,
     // TTL/seq/ack preserved.
@@ -137,9 +135,7 @@ fn sni2_allows_handful_then_drops_symmetrically() {
     handshake(&mut dev, Time::ZERO, 40100);
     let ch = tcp_packet(CLIENT, 40100, SERVER, 443, TcpFlags::PSH_ACK, &clienthello("play.google.com"));
     assert_eq!(dev.process_owned(Time::ZERO, Direction::LocalToRemote, ch.clone()).len(), 1);
-    if tspu_obs::ENABLED {
-        assert_eq!(dev.stats().triggers_sni2, 1);
-    }
+    assert_eq!(dev.stats().triggers_sni2, 1);
 
     // 5–8 more packets (from either side) pass, after which both
     // directions drop.
@@ -171,9 +167,7 @@ fn sni3_throttles_when_policy_active() {
     handshake(&mut dev, Time::ZERO, 40200);
     let ch = tcp_packet(CLIENT, 40200, SERVER, 443, TcpFlags::PSH_ACK, &clienthello("fbcdn.net"));
     assert_eq!(dev.process_owned(Time::ZERO, Direction::LocalToRemote, ch.clone()).len(), 1);
-    if tspu_obs::ENABLED {
-        assert_eq!(dev.stats().triggers_sni3, 1);
-    }
+    assert_eq!(dev.stats().triggers_sni3, 1);
 
     // Stream 1460-byte segments downstream every 100 ms for 60 s; goodput
     // must approximate the 600–700 B/s policer.
@@ -202,9 +196,7 @@ fn march4_switches_throttle_to_rst_centrally() {
         let ch = tcp_packet(CLIENT, 40300, SERVER, 443, TcpFlags::PSH_ACK, &clienthello("fbcdn.net"));
         dev.process_owned(Time::ZERO, Direction::LocalToRemote, ch.clone());
         assert_eq!(dev.stats().triggers_sni3, 0);
-        if tspu_obs::ENABLED {
-            assert_eq!(dev.stats().triggers_sni1, 1);
-        }
+        assert_eq!(dev.stats().triggers_sni1, 1);
     }
 }
 
@@ -224,9 +216,7 @@ fn sni4_backup_fires_when_sni1_evaded() {
     let ch = tcp_packet(CLIENT, 40400, SERVER, 443, TcpFlags::PSH_ACK, &clienthello("twitter.com"));
     let out = dev.process_owned(now, Direction::LocalToRemote, ch.clone());
     assert!(out.is_empty());
-    if tspu_obs::ENABLED {
-        assert_eq!(dev.stats().triggers_sni4, 1);
-    }
+    assert_eq!(dev.stats().triggers_sni4, 1);
     assert_eq!(dev.stats().triggers_sni1, 0);
 
     // Both directions now drop.
@@ -264,9 +254,7 @@ fn quic_v1_blocked_other_versions_pass() {
     // Version 1, 1200 bytes, port 443: blocked including the trigger.
     let v1 = udp_packet(CLIENT, 50000, SERVER, 443, &initial_payload(QuicVersion::V1, 1200));
     assert!(dev.process_owned(now, Direction::LocalToRemote, v1.clone()).is_empty());
-    if tspu_obs::ENABLED {
-        assert_eq!(dev.stats().triggers_quic, 1);
-    }
+    assert_eq!(dev.stats().triggers_quic, 1);
     // All subsequent flow packets drop, both directions, any size.
     let small_up = udp_packet(CLIENT, 50000, SERVER, 443, &[1, 2, 3]);
     assert!(dev.process_owned(now, Direction::LocalToRemote, small_up.clone()).is_empty());

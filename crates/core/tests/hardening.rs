@@ -62,7 +62,7 @@ fn tcp_reassembly_defeats_segmentation() {
             expect_blocked,
             "hardening {hardening:?}"
         );
-        if expect_blocked && tspu_obs::ENABLED {
+        if expect_blocked {
             assert!(dev.stats().reassembly_bytes_buffered as usize >= ch.len());
         }
     }
@@ -102,9 +102,7 @@ fn window_filter_defeats_small_window_servers() {
     let seg = tiny.build(SERVER, CLIENT);
     let synack = Ipv4Repr::new(SERVER, CLIENT, Protocol::Tcp, seg.len()).build(&seg);
     assert!(dev.process_owned(Time::ZERO, Direction::RemoteToLocal, synack.clone()).is_empty());
-    if tspu_obs::ENABLED {
-        assert_eq!(dev.stats().synacks_filtered, 1);
-    }
+    assert_eq!(dev.stats().synacks_filtered, 1);
     // …while an honest one passes.
     let honest = tcp_packet(SERVER, 443, CLIENT, 41002, TcpFlags::SYN_ACK, b"");
     assert_eq!(dev.process_owned(Time::ZERO, Direction::RemoteToLocal, honest.clone()).len(), 1);
@@ -182,9 +180,7 @@ fn strict_roles_overblock_remote_initiated_flows() {
     dev.process_owned(Time::ZERO, Direction::RemoteToLocal, syn.clone());
     let pkt = tcp_packet(CLIENT, 7, SERVER, 443, TcpFlags::PSH_ACK, &ch);
     dev.process_owned(Time::ZERO, Direction::LocalToRemote, pkt.clone());
-    if tspu_obs::ENABLED {
-        assert_eq!(dev.stats().triggers_sni1, 1, "strict roles trigger on a remote-initiated flow");
-    }
+    assert_eq!(dev.stats().triggers_sni1, 1, "strict roles trigger on a remote-initiated flow");
 }
 
 #[test]

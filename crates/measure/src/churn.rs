@@ -140,8 +140,8 @@ impl ChurnCampaign {
             snapshot.insert("churn.convergence_us", MetricValue::Hist(convergence));
         }
         // The campaign resolved over virtual registry time: one window per
-        // registry day, fed from the cells themselves (not the registry
-        // instruments), so the convergence curve exists in every build and
+        // registry day, fed from the cells themselves (not from an export),
+        // so the convergence curve exists in every build and
         // is byte-identical at every thread count — the cells arrive in
         // schedule order regardless of which worker ran them.
         let day_us = (self.churn.day_duration.as_micros() as u64).max(1);

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tspu_obs::{CounterId, Registry, Snapshot};
+use tspu_obs::{MetricNames, Snapshot};
 
 use crate::middlebox::{Direction, Middlebox, MiddleboxImage, Verdict};
 use crate::time::Time;
@@ -69,78 +69,19 @@ impl LinkStats {
     pub fn total_dropped(&self) -> u64 {
         self.dropped + self.clamped + self.flapped
     }
-}
 
-/// The storage behind [`LinkStats`]: a `tspu_obs` registry scope with one
-/// counter per fault dimension. [`LinkStats`] is reconstructed on demand,
-/// so the old accessors keep working while the same numbers surface in
-/// system-wide [`Snapshot`]s under `link.<label>.*`. In an obs-disabled
-/// build this is zero-sized and every count is a no-op.
-struct LinkMetrics {
-    registry: Registry,
-    forwarded: CounterId,
-    dropped: CounterId,
-    injected: CounterId,
-    duplicated: CounterId,
-    reordered: CounterId,
-    delayed: CounterId,
-    clamped: CounterId,
-    flapped: CounterId,
-}
-
-impl LinkMetrics {
-    fn new(label: &str) -> LinkMetrics {
-        let mut registry = Registry::scoped(format!("link.{label}"));
-        LinkMetrics {
-            forwarded: registry.counter("forwarded"),
-            dropped: registry.counter("dropped"),
-            injected: registry.counter("injected"),
-            duplicated: registry.counter("duplicated"),
-            reordered: registry.counter("reordered"),
-            delayed: registry.counter("delayed"),
-            clamped: registry.counter("clamped"),
-            flapped: registry.counter("flapped"),
-            registry,
-        }
-    }
-
-    #[inline]
-    fn inc(&mut self, id: CounterId) {
-        self.registry.inc(id);
-    }
-
-    #[inline]
-    fn add(&mut self, id: CounterId, by: u64) {
-        self.registry.add(id, by);
-    }
-
-    fn stats(&self) -> LinkStats {
-        LinkStats {
-            forwarded: self.registry.counter_value(self.forwarded),
-            dropped: self.registry.counter_value(self.dropped),
-            injected: self.registry.counter_value(self.injected),
-            duplicated: self.registry.counter_value(self.duplicated),
-            reordered: self.registry.counter_value(self.reordered),
-            delayed: self.registry.counter_value(self.delayed),
-            clamped: self.registry.counter_value(self.clamped),
-            flapped: self.registry.counter_value(self.flapped),
-        }
-    }
-
-    /// A zeroed copy for a forked link: same scope and counter slots,
-    /// shared interned names, all values zero.
-    fn fork(&self) -> LinkMetrics {
-        LinkMetrics {
-            registry: self.registry.fork_reset(),
-            forwarded: self.forwarded,
-            dropped: self.dropped,
-            injected: self.injected,
-            duplicated: self.duplicated,
-            reordered: self.reordered,
-            delayed: self.delayed,
-            clamped: self.clamped,
-            flapped: self.flapped,
-        }
+    /// The export table: name under `link.<label>.` → count.
+    fn exported(&self) -> [(&'static str, u64); 8] {
+        [
+            ("forwarded", self.forwarded),
+            ("dropped", self.dropped),
+            ("injected", self.injected),
+            ("duplicated", self.duplicated),
+            ("reordered", self.reordered),
+            ("delayed", self.delayed),
+            ("clamped", self.clamped),
+            ("flapped", self.flapped),
+        ]
     }
 }
 
@@ -287,18 +228,20 @@ pub struct ChaosLink {
     seed: u64,
     faults: LinkFaults,
     held: Vec<HeldPacket>,
-    metrics: LinkMetrics,
+    stats: LinkStats,
+    /// Export names, `link.<label>.*`, shared with the link's forks.
+    names: MetricNames,
 }
 
 impl ChaosLink {
-    /// Creates a chaos link from a fault plan and a seed. Its metrics
-    /// register under `link.chaos.*`; use [`ChaosLink::labeled`] to scope
+    /// Creates a chaos link from a fault plan and a seed. Its counters
+    /// export under `link.chaos.*`; use [`ChaosLink::labeled`] to scope
     /// them to a named link.
     pub fn new(faults: LinkFaults, seed: u64) -> ChaosLink {
         ChaosLink::labeled(faults, seed, "chaos")
     }
 
-    /// Creates a chaos link whose metrics register under `link.<label>.*`.
+    /// Creates a chaos link whose counters export under `link.<label>.*`.
     pub fn labeled(faults: LinkFaults, seed: u64, label: &str) -> ChaosLink {
         assert!((0.0..=1.0).contains(&faults.loss), "loss out of [0,1]");
         assert!((0.0..=1.0).contains(&faults.duplicate), "duplicate out of [0,1]");
@@ -308,20 +251,24 @@ impl ChaosLink {
             seed,
             faults,
             held: Vec::new(),
-            metrics: LinkMetrics::new(label),
+            stats: LinkStats::default(),
+            names: MetricNames::scoped(&format!("link.{label}"), LinkStats::default().exported()),
         }
     }
 
-    /// The fault counters so far — a view over the obs registry (all zero
-    /// in an obs-disabled build).
+    /// The fault counters so far.
     pub fn stats(&self) -> LinkStats {
-        self.metrics.stats()
+        self.stats
     }
 
-    /// This link's metrics as a [`Snapshot`] under its `link.<label>.*`
-    /// scope.
+    /// This link's counters exported as a [`Snapshot`] under its
+    /// `link.<label>.*` scope.
     pub fn obs_snapshot(&self) -> Snapshot {
-        self.metrics.registry.snapshot()
+        let mut snap = Snapshot::new();
+        if tspu_obs::ENABLED {
+            snap.insert_counters(&self.names, self.stats.exported());
+        }
+        snap
     }
 
     /// The plan this link runs.
@@ -360,23 +307,23 @@ impl Middlebox for ChaosLink {
         // Zero-rate fast path: no RNG draw, no hold-queue touch — the
         // no-op plan is *exactly* the absent link.
         if self.faults.is_noop() {
-            self.metrics.inc(self.metrics.forwarded);
+            self.stats.forwarded += 1;
             return Verdict::Pass;
         }
 
         if let Some(flap) = self.faults.flap {
             if flap.is_down(now) {
-                self.metrics.inc(self.metrics.flapped);
+                self.stats.flapped += 1;
                 return Verdict::Drop;
             }
         }
         if self.faults.loss > 0.0 && self.rng.gen_bool(self.faults.loss) {
-            self.metrics.inc(self.metrics.dropped);
+            self.stats.dropped += 1;
             return Verdict::Drop;
         }
         if let Some(mtu) = self.faults.mtu {
             if packet.len() > mtu {
-                self.metrics.inc(self.metrics.clamped);
+                self.stats.clamped += 1;
                 return Verdict::Drop;
             }
         }
@@ -392,28 +339,28 @@ impl Middlebox for ChaosLink {
             // slot still go out now.
             let displacement = self.rng.gen_range(1..=self.faults.max_displacement);
             let released = self.take_released();
-            self.metrics.inc(self.metrics.reordered);
+            self.stats.reordered += 1;
             self.held.push(HeldPacket { remaining: displacement, packet: std::mem::take(packet) });
             if released.is_empty() {
                 return Verdict::Drop;
             }
-            self.metrics.add(self.metrics.forwarded, released.len() as u64);
+            self.stats.forwarded += released.len() as u64;
             return Verdict::Fanout(released);
         }
 
         let released = self.take_released();
         if duplicate {
-            self.metrics.inc(self.metrics.duplicated);
-            self.metrics.inc(self.metrics.injected);
+            self.stats.duplicated += 1;
+            self.stats.injected += 1;
         }
         if released.is_empty() && !duplicate {
             // Common case: the packet continues alone, possibly jittered.
-            self.metrics.inc(self.metrics.forwarded);
+            self.stats.forwarded += 1;
             if self.faults.jitter > Duration::ZERO {
                 let jitter_us = self.faults.jitter.as_micros() as u64;
                 let extra = self.rng.gen_range(0..=jitter_us);
                 if extra > 0 {
-                    self.metrics.inc(self.metrics.delayed);
+                    self.stats.delayed += 1;
                     return Verdict::Delay(Duration::from_micros(extra));
                 }
             }
@@ -427,7 +374,7 @@ impl Middlebox for ChaosLink {
         if duplicate {
             out.push(packet.clone());
         }
-        self.metrics.add(self.metrics.forwarded, out.len() as u64);
+        self.stats.forwarded += out.len() as u64;
         Verdict::Fanout(out)
     }
 
@@ -444,18 +391,18 @@ impl Middlebox for ChaosLink {
         Some(Box::new(ChaosLinkImage {
             faults: self.faults.clone(),
             seed: self.seed,
-            metrics: self.metrics.fork(),
+            names: self.names.clone(),
         }))
     }
 }
 
 /// The immutable configuration of a [`ChaosLink`]: fault plan, RNG seed,
-/// and metric layout. Instantiation reseeds the RNG from scratch, so a
+/// and export names. Instantiation reseeds the RNG from scratch, so a
 /// forked link replays the exact fault sequence of a freshly built one.
 struct ChaosLinkImage {
     faults: LinkFaults,
     seed: u64,
-    metrics: LinkMetrics,
+    names: MetricNames,
 }
 
 impl MiddleboxImage for ChaosLinkImage {
@@ -465,7 +412,8 @@ impl MiddleboxImage for ChaosLinkImage {
             seed: self.seed,
             faults: self.faults.clone(),
             held: Vec::new(),
-            metrics: self.metrics.fork(),
+            stats: LinkStats::default(),
+            names: self.names.clone(),
         })
     }
 }
@@ -474,40 +422,39 @@ impl MiddleboxImage for ChaosLinkImage {
 pub struct LossyLink {
     rng: SmallRng,
     loss: f64,
-    metrics: LinkMetrics,
+    stats: LinkStats,
 }
 
 impl LossyLink {
     /// Creates a lossy link with `loss` drop probability in `[0, 1]`.
-    /// Metrics register under `link.lossy.*`.
     pub fn new(loss: f64, seed: u64) -> LossyLink {
         assert!((0.0..=1.0).contains(&loss));
-        LossyLink { rng: SmallRng::seed_from_u64(seed), loss, metrics: LinkMetrics::new("lossy") }
+        LossyLink { rng: SmallRng::seed_from_u64(seed), loss, stats: LinkStats::default() }
     }
 
-    /// The uniform fault counters — a view over the obs registry.
+    /// The uniform fault counters.
     pub fn stats(&self) -> LinkStats {
-        self.metrics.stats()
+        self.stats
     }
 
     /// Packets dropped so far.
     pub fn dropped(&self) -> u64 {
-        self.metrics.registry.counter_value(self.metrics.dropped)
+        self.stats.dropped
     }
 
     /// Packets forwarded so far.
     pub fn forwarded(&self) -> u64 {
-        self.metrics.registry.counter_value(self.metrics.forwarded)
+        self.stats.forwarded
     }
 }
 
 impl Middlebox for LossyLink {
     fn process(&mut self, _now: Time, _direction: Direction, _packet: &mut Vec<u8>) -> Verdict {
         if self.rng.gen_bool(self.loss) {
-            self.metrics.inc(self.metrics.dropped);
+            self.stats.dropped += 1;
             Verdict::Drop
         } else {
-            self.metrics.inc(self.metrics.forwarded);
+            self.stats.forwarded += 1;
             Verdict::Pass
         }
     }

@@ -124,9 +124,8 @@ pub trait Middlebox: Send + AsAny {
 }
 
 /// The immutable half of a fork-able middlebox: everything needed to
-/// rebuild a pristine instance (configuration, seeds, interned metric
-/// names), none of the per-run state (flow tables, RNG position, metric
-/// values).
+/// rebuild a pristine instance (configuration, seeds, export names), none
+/// of the per-run state (flow tables, RNG position, counters).
 ///
 /// `Send + Sync` is the point: a [`crate::NetworkImage`] holding these can
 /// be shared by reference across sweep worker threads even though the

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use tspu_obs::{CounterId, GaugeId, HistogramId, Registry, Snapshot, Tracer};
+use tspu_obs::{Histogram, MetricValue, Snapshot, Tracer};
 use tspu_wire::fasthash::{FxHashMap, FxHasher};
 use tspu_wire::icmpv4::Icmpv4Repr;
 use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
@@ -144,10 +144,7 @@ pub struct Network {
     now: Time,
     /// Pending events, popped in `(time, seq)` order.
     queue: EventQueue<EventKind>,
-    /// Events popped from the queue so far. A plain field, not an obs
-    /// counter: load drivers divide wall time by it for per-event latency,
-    /// which must work in obs-disabled builds too (where
-    /// [`Network::events_processed`] reads 0).
+    /// Events popped from the queue and dispatched so far.
     events_popped: u64,
     hosts: Vec<HostState>,
     addr_map: Arc<FxHashMap<Ipv4Addr, HostId>>,
@@ -170,35 +167,24 @@ pub struct Network {
     hop_latency: Duration,
     capture_enabled: bool,
     captures: Vec<CaptureRecord>,
-    /// Engine metrics under the `netsim.` scope. In an obs-disabled build
-    /// this (and the tracer) is zero-sized and every recording call below
-    /// compiles away.
-    registry: Registry,
-    tracer: Tracer,
-    c_events: CounterId,
-    c_captures: CounterId,
-    h_queue_depth: HistogramId,
-    /// Last-value mirror of [`Network::events_popped`]: merging forked
-    /// cells in index order keeps the final cell's count, matching how
-    /// the plain field is read after a run.
-    g_events_popped: GaugeId,
+    /// Capture records written so far (the log itself can be drained).
+    captures_recorded: u64,
     /// High-water pending-event count, taken at every push.
-    g_queue_depth_max: GaugeId,
-    /// Scheduled route flips applied ([`Network::schedule_reroute`]) —
-    /// the churn rate the tomography campaigns read back.
-    c_route_flips: CounterId,
+    queue_depth_max: usize,
+    /// Route flips applied ([`Network::schedule_reroute`]) — the churn
+    /// rate the tomography campaigns read back.
+    route_flips: u64,
+    /// Pending-event count sampled every 64th event; allocated at the first
+    /// sample, so a short cell never pays for it. Observational only: not
+    /// recorded with the `obs` feature off.
+    queue_depth: Option<Histogram>,
+    /// Zero-sized with the `obs` feature off.
+    tracer: Tracer,
 }
 
 impl Network {
     /// Creates a network with the given per-hop latency.
     pub fn new(hop_latency: Duration) -> Network {
-        let mut registry = Registry::scoped("netsim");
-        let c_events = registry.counter("events_processed");
-        let c_captures = registry.counter("captures_recorded");
-        let h_queue_depth = registry.histogram("queue_depth");
-        let g_events_popped = registry.gauge_last("events_popped");
-        let g_queue_depth_max = registry.gauge("queue_depth_max");
-        let c_route_flips = registry.counter("route_flips");
         Network {
             now: Time::ZERO,
             queue: EventQueue::new(),
@@ -213,14 +199,11 @@ impl Network {
             hop_latency,
             capture_enabled: false,
             captures: Vec::new(),
-            registry,
+            captures_recorded: 0,
+            queue_depth_max: 0,
+            route_flips: 0,
+            queue_depth: None,
             tracer: Tracer::new(),
-            c_events,
-            c_captures,
-            h_queue_depth,
-            g_events_popped,
-            g_queue_depth_max,
-            c_route_flips,
         }
     }
 
@@ -234,25 +217,32 @@ impl Network {
         self.now
     }
 
-    /// Total events processed so far (for throughput benches). A view
-    /// over the `netsim.events_processed` registry counter; reads 0 in an
-    /// obs-disabled build.
+    /// Total events processed so far (throughput benches, per-event
+    /// latency math).
     pub fn events_processed(&self) -> u64 {
-        self.registry.counter_value(self.c_events)
+        self.events_popped
     }
 
-    /// Events popped from the scheduler so far — like
-    /// [`Network::events_processed`] but independent of the `obs` feature,
-    /// so wall-latency-per-event math works in any build.
+    /// Events popped from the scheduler so far: an event is processed as
+    /// it is popped, so this is [`Network::events_processed`] under its
+    /// other exported name.
     pub fn events_popped(&self) -> u64 {
         self.events_popped
     }
 
-    /// Events currently scheduled — the instantaneous queue depth,
-    /// independent of the `obs` feature, so soak timelines can sample it
-    /// per slice in any build.
+    /// Events currently scheduled — the instantaneous queue depth.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The most events ever pending at once.
+    pub fn queue_depth_max(&self) -> usize {
+        self.queue_depth_max
+    }
+
+    /// Route flips applied so far, scheduled or immediate.
+    pub fn route_flips(&self) -> u64 {
+        self.route_flips
     }
 
     /// Enables or disables virtual-time span tracing (`hop` / `deliver`
@@ -261,18 +251,33 @@ impl Network {
         self.tracer.set_enabled(enabled);
     }
 
-    /// Captures the engine's metrics (no spans) as a [`Snapshot`].
+    /// Exports the engine's counts under `netsim.*` (no spans) as a
+    /// [`Snapshot`]. `events_popped` is a last-value gauge: merging forked
+    /// cells in index order keeps the final cell's count, matching how the
+    /// accessor reads after a run. Gauges at 0 are omitted.
     pub fn obs_snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
+        let mut snap = Snapshot::new();
+        if !tspu_obs::ENABLED {
+            return snap;
+        }
+        snap.insert("netsim.events_processed", MetricValue::Counter(self.events_popped));
+        snap.insert("netsim.captures_recorded", MetricValue::Counter(self.captures_recorded));
+        snap.insert("netsim.route_flips", MetricValue::Counter(self.route_flips));
+        if self.events_popped != 0 {
+            snap.insert("netsim.events_popped", MetricValue::GaugeLast(self.events_popped as i64));
+        }
+        if self.queue_depth_max != 0 {
+            snap.insert("netsim.queue_depth_max", MetricValue::Gauge(self.queue_depth_max as i64));
+        }
+        if let Some(depths) = &self.queue_depth {
+            snap.insert("netsim.queue_depth", MetricValue::Hist(depths.clone()));
+        }
+        snap
     }
 
-    /// Captures the engine's metrics *and* drains recorded spans.
+    /// [`Network::obs_snapshot`] with the recorded spans drained into it.
     pub fn take_obs(&mut self) -> Snapshot {
-        // Stamp the sampled gauge with its end-of-run value so the exported
-        // snapshot reflects the final state even when the run was too short
-        // for the sampled path to fire.
-        self.registry.set(self.g_events_popped, self.events_popped as i64);
-        let mut snap = self.registry.snapshot();
+        let mut snap = self.obs_snapshot();
         self.tracer.drain_into(&mut snap);
         snap
     }
@@ -495,7 +500,7 @@ impl Network {
             self.route_arena.len()
         );
         Arc::make_mut(&mut self.routes).insert((src, dst), rid);
-        self.registry.inc(self.c_route_flips);
+        self.route_flips += 1;
     }
 
     /// Drains the packets delivered to `host` so far.
@@ -519,7 +524,6 @@ impl Network {
         let mut budget: u64 = 100_000_000;
         while let Some((time, kind)) = self.queue.pop() {
             self.now = time;
-            self.events_popped += 1;
             self.dispatch(kind);
             budget -= 1;
             assert!(budget > 0, "event budget exhausted: likely an application loop");
@@ -539,7 +543,6 @@ impl Network {
             }
             let (time, kind) = self.queue.pop().expect("peeked event");
             self.now = time;
-            self.events_popped += 1;
             self.dispatch(kind);
         }
         self.now = deadline;
@@ -547,32 +550,26 @@ impl Network {
 
     fn push_event(&mut self, time: Time, kind: EventKind) {
         self.queue.push(time, kind);
-        self.registry.set_max(self.g_queue_depth_max, self.queue.len() as i64);
+        self.queue_depth_max = self.queue_depth_max.max(self.queue.len());
     }
 
     fn capture(&mut self, point: TracePoint, bytes: &[u8]) {
         if self.capture_enabled {
-            self.registry.inc(self.c_captures);
+            self.captures_recorded += 1;
             self.captures.push(CaptureRecord { time: self.now, point, bytes: bytes.to_vec() });
         }
     }
 
-    /// Per-event accounting.
-    fn note_event(&mut self) {
-        self.registry.inc(self.c_events);
+    fn dispatch(&mut self, kind: EventKind) {
+        self.events_popped += 1;
         // Queue depth is sampled 1-in-64 on the event count: the
-        // statistics keep their shape while the histogram and gauge updates
-        // leave the per-event hot path (the depth high-water mark is exact:
+        // statistics keep their shape while the histogram update leaves the
+        // per-event hot path (the depth high-water mark is exact:
         // `push_event` takes it where depth rises). Event-count sampling is
         // deterministic — no thread-count leak.
-        if self.registry.counter_value(self.c_events) & 63 == 0 {
-            self.registry.record(self.h_queue_depth, self.queue.len() as u64);
-            self.registry.set(self.g_events_popped, self.events_popped as i64);
+        if tspu_obs::ENABLED && self.events_popped & 63 == 0 {
+            self.queue_depth.get_or_insert_with(Histogram::new).record(self.queue.len() as u64);
         }
-    }
-
-    fn dispatch(&mut self, kind: EventKind) {
-        self.note_event();
         // Spans use virtual time, which does not advance inside a handler,
         // so hop/deliver spans are instants marking where simulated time
         // was spent — byte-identical across thread counts by construction.
@@ -894,8 +891,8 @@ impl Network {
     /// Snapshots this network's immutable configuration as a shareable
     /// [`NetworkImage`]. The image captures hosts (addresses only — not
     /// inboxes or applications), routes, middlebox configuration, and
-    /// instrument layout; [`NetworkImage::fork`] then stamps out pristine
-    /// copies without re-interning routes or metric names.
+    /// the tracing switch; [`NetworkImage::fork`] then stamps out pristine
+    /// copies without re-interning routes.
     ///
     /// # Panics
     /// Panics if any installed middlebox does not implement
@@ -918,26 +915,20 @@ impl Network {
             middleboxes,
             hop_latency: self.hop_latency,
             capture_enabled: self.capture_enabled,
-            registry: self.registry.fork_reset(),
             tracer: self.tracer.fork_reset(),
-            c_events: self.c_events,
-            c_captures: self.c_captures,
-            h_queue_depth: self.h_queue_depth,
-            g_events_popped: self.g_events_popped,
-            g_queue_depth_max: self.g_queue_depth_max,
-            c_route_flips: self.c_route_flips,
         }
     }
 }
 
 /// The immutable, shareable half of a [`Network`]: topology, middlebox
-/// configuration, and instrument layout, with none of the per-run state.
+/// configuration, and the capture and tracing switches, with none of the
+/// per-run state.
 ///
 /// Unlike `Network` (whose boxed middleboxes are only `Send`), an image is
 /// `Send + Sync`, so sweep workers can fork from one `&NetworkImage`
 /// concurrently. Forking shares the address map, route table, interned
 /// route arena, and middlebox images by [`Arc`] and rebuilds only the small
-/// mutable cell: event queue, host inboxes, captures, and instruments.
+/// mutable cell: event queue, host inboxes, captures, and counts.
 /// Middleboxes are instantiated on first touch: a fork performs the same
 /// number of allocations at any graph size and lays down one 16-byte empty
 /// slot per device.
@@ -954,20 +945,13 @@ pub struct NetworkImage {
     middleboxes: Arc<[Box<dyn MiddleboxImage>]>,
     hop_latency: Duration,
     capture_enabled: bool,
-    registry: Registry,
     tracer: Tracer,
-    c_events: CounterId,
-    c_captures: CounterId,
-    h_queue_depth: HistogramId,
-    g_events_popped: GaugeId,
-    g_queue_depth_max: GaugeId,
-    c_route_flips: CounterId,
 }
 
 impl NetworkImage {
     /// Builds a pristine network from the image: virtual time zero, empty
     /// queue and inboxes, middleboxes instantiated fresh as each is first
-    /// touched, zeroed instruments — byte-identical in behavior to the
+    /// touched, zeroed counts — byte-identical in behavior to the
     /// network the image was taken from as it stood at construction time.
     pub fn fork(&self) -> Network {
         Network {
@@ -988,14 +972,11 @@ impl NetworkImage {
             hop_latency: self.hop_latency,
             capture_enabled: self.capture_enabled,
             captures: Vec::new(),
-            registry: self.registry.fork_reset(),
+            captures_recorded: 0,
+            queue_depth_max: 0,
+            route_flips: 0,
+            queue_depth: None,
             tracer: self.tracer.fork_reset(),
-            c_events: self.c_events,
-            c_captures: self.c_captures,
-            h_queue_depth: self.h_queue_depth,
-            g_events_popped: self.g_events_popped,
-            g_queue_depth_max: self.g_queue_depth_max,
-            c_route_flips: self.c_route_flips,
         }
     }
 }
@@ -1436,7 +1417,7 @@ mod tests {
         }
         net.run_until_idle();
         assert_eq!(net.interned_routes(), arena, "scheduled reroutes grew the arena");
-        assert_eq!(net.obs_snapshot().counter("netsim.route_flips"), 1_000);
+        assert_eq!(net.route_flips(), 1_000);
     }
 
     #[test]

@@ -1,44 +1,49 @@
 //! `tspu_obs` — deterministic observability for the TSPU reproduction.
 //!
-//! Three pieces, all designed around the simulator's determinism contract
-//! (identical results at every `TSPU_THREADS` setting):
+//! The rule the crate is built around: **a result is a field; a snapshot is
+//! an export.** A component that counts something (packets a device saw,
+//! packets a chaos link ate, events the engine ran) keeps the count as a
+//! plain field of its own and reads it back through its own accessor, in
+//! every build. This crate holds what is purely observational — all of it
+//! designed around the simulator's determinism contract (identical output
+//! at every `TSPU_THREADS` setting):
 //!
-//! * [`Registry`]: typed counters, gauges, and log-linear [`Histogram`]s
-//!   under hierarchical dot-path names (`device.<id>.verdicts.rst_rewrite`,
-//!   `netsim.queue_depth`). Registration interns the name once; recording
-//!   is an indexed integer op — no hashing, no allocation.
+//! * [`Snapshot`]: the ordered, sparse, diffable export — counters add,
+//!   high-water gauges take max, last-value gauges keep the later
+//!   operand, [`Histogram`]s merge elementwise, spans sort by
+//!   `(virtual ts, scenario, seq)`. `to_json()` is deterministic. Each
+//!   component writes one name → field table into it; [`MetricNames`]
+//!   holds a labelled component's full names, formatted once and shared
+//!   across forks.
 //! * [`Tracer`]: virtual-time span recording into a bounded ring buffer,
 //!   exported in Chrome trace-event format
 //!   ([`Snapshot::write_chrome_trace`]) with *simulated* microseconds as
 //!   the clock, so traces are byte-identical across thread counts.
-//! * [`Snapshot`]: the ordered, sparse, diffable capture — counters add,
-//!   high-water gauges take max, last-value gauges keep the later
-//!   operand, histograms merge elementwise, spans sort by
-//!   `(virtual ts, scenario, seq)`. `to_json()` is deterministic.
 //! * [`TimeSeries`]: fixed-width virtual-time windows of snapshots — the
 //!   time-resolved layer. Deterministic and mergeable in window-index
 //!   order, exported as JSON, Chrome-trace counter tracks alongside the
 //!   span timeline, and the OpenMetrics text format
 //!   ([`openmetrics::render`], hand-rolled like `to_json`).
 //!
-//! The whole hot-path half sits behind the `obs` cargo feature (default
-//! on). With `--no-default-features`, [`Registry`] and [`Tracer`] become
-//! zero-sized types whose methods are empty inline bodies: instrumented
-//! code compiles to the uninstrumented code, which the workspace proves
-//! with a counting-allocator test and an enabled-vs-disabled bench.
-//! [`Snapshot`] and [`TimeSeries`] are cold-path data and exist in both
-//! shapes; with the feature off they are simply empty.
+//! The `obs` cargo feature (default on) gates only that: with
+//! `--no-default-features` [`Tracer`] is a zero-sized type whose methods
+//! are empty inline bodies, the engine's queue-depth histogram and the
+//! device's flight recorder record nothing, and the components' exports
+//! ([`ENABLED`] is the switch they read) emit nothing. No count, and so no
+//! result, changes with the flag — CI runs the whole workspace's tests in
+//! both states. [`Snapshot`] and [`TimeSeries`] are cold-path data and
+//! exist in both shapes.
 
 pub mod hist;
 pub mod openmetrics;
-pub mod registry;
 pub mod series;
 pub mod snapshot;
+pub mod tracer;
 
 pub use hist::{bucket_index, bucket_lower, Histogram, BUCKETS};
-pub use registry::{CounterId, GaugeId, HistogramId, Registry, Tracer};
 pub use series::TimeSeries;
-pub use snapshot::{MetricValue, Snapshot, SpanRecord};
+pub use snapshot::{MetricNames, MetricValue, Snapshot, SpanRecord};
+pub use tracer::Tracer;
 
-/// Whether this build records anything (the `obs` feature state).
+/// Whether this build traces and exports (the `obs` feature state).
 pub const ENABLED: bool = cfg!(feature = "obs");

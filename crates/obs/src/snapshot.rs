@@ -1,5 +1,5 @@
-//! Snapshots: the ordered, diffable, serializable view of a registry (or
-//! of a whole merged system) at one instant.
+//! Snapshots: the ordered, diffable, serializable export of a component's
+//! counts (or of a whole merged system) at one instant.
 //!
 //! A [`Snapshot`] is sparse — zero counters and empty histograms are
 //! omitted, so "absent" and "zero" mean the same thing and merging
@@ -11,6 +11,7 @@
 
 use std::fmt::Write as _;
 use std::io::{self, Write};
+use std::sync::Arc;
 
 use crate::hist::Histogram;
 
@@ -57,6 +58,21 @@ impl SpanRecord {
     }
 }
 
+/// The full names a labelled component exports under (`device.<label>.…`,
+/// `link.<label>.…`), in the order of its export table — the component's
+/// list of `(name under its scope, count)` rows. Formatted once where the
+/// component is built and shared by every fork of it, so exporting a cell
+/// formats nothing.
+#[derive(Debug, Clone)]
+pub struct MetricNames(Arc<[String]>);
+
+impl MetricNames {
+    /// `scope.name` for each row of `table`.
+    pub fn scoped<'a>(scope: &str, table: impl IntoIterator<Item = (&'a str, u64)>) -> MetricNames {
+        MetricNames(table.into_iter().map(|(name, _)| format!("{scope}.{name}")).collect())
+    }
+}
+
 /// An ordered, diffable capture of every metric and span in scope.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
@@ -87,6 +103,18 @@ impl Snapshot {
         match self.metrics.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
             Ok(at) => merge_value(&mut self.metrics[at].1, &value),
             Err(at) => self.metrics.insert(at, (name, value)),
+        }
+    }
+
+    /// Inserts a component's counters: each row of its export `table`
+    /// under the full name [`MetricNames::scoped`] gave that row.
+    pub fn insert_counters<'a>(
+        &mut self,
+        names: &MetricNames,
+        table: impl IntoIterator<Item = (&'a str, u64)>,
+    ) {
+        for (name, (_, count)) in names.0.iter().zip(table) {
+            self.insert(name, MetricValue::Counter(count));
         }
     }
 

@@ -705,7 +705,7 @@ impl LabImage {
     /// Stamps out one pristine lab cell. The result is byte-identical in
     /// behavior to building the same lab from scratch: virtual time zero,
     /// empty conntrack/fragment caches, device RNGs reseeded, zeroed
-    /// metrics with the same interned layout, and — if the image carries
+    /// counters under the same export names, and — if the image carries
     /// a fault plan — the plan freshly applied.
     ///
     /// `index` is the cell's scenario coordinate. It does not perturb the

@@ -1,5 +1,5 @@
-//! Campaign observability report: run a large registry sweep with the
-//! metrics registry and virtual-time tracer on, print the campaign-level
+//! Campaign observability report: run a large registry sweep observed,
+//! with the virtual-time tracer sampling, print the campaign-level
 //! report (verdict tally, per-worker pool utilization, top device
 //! counters, virtual scenario-latency histogram), and write the sampled
 //! span trace as Chrome-trace JSON (loadable in Perfetto or

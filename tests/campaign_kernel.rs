@@ -10,13 +10,15 @@ use std::collections::BTreeSet;
 
 use tspu::core::{Policy, PolicyHandle, PolicyHistory};
 use tspu::measure::chaos::{ChaosScenario, ChaosSweep};
+use tspu::measure::domains::test_domain;
 use tspu::measure::reliability::Mechanism;
+use tspu::measure::sweep::scenario_port;
 use tspu::measure::{
     churn_delta, ChurnCampaign, DifferentialCampaign, LocalizeSpec, RunOpts, ScanPool, SweepSpec,
     TomographyConfig,
 };
 use tspu::registry::{ChurnConfig, ChurnSchedule, Universe};
-use tspu::topology::{policy_from_universe, GenParams};
+use tspu::topology::{policy_from_universe, GenParams, VantageLab};
 use tspu_obs::Snapshot;
 
 const DOMAINS: [&str; 5] =
@@ -102,15 +104,19 @@ fn every_driver_is_byte_identical_at_one_and_two_threads() {
 
 /// Traffic guard for the single binary-heap event queue (DESIGN.md "Event
 /// queue"): a sweep cell keeps one packet in flight, so the pending-event
-/// high-water mark merged over all cells is 1. A workload that parks
-/// orders of magnitude more fails here and reopens heap-vs-wheel with data.
+/// high-water mark over all cells is 1. A workload that parks orders of
+/// magnitude more fails here and reopens heap-vs-wheel with data.
 #[test]
 fn sweep_cells_keep_the_event_queue_shallow() {
     let universe = Universe::generate(2022);
-    let sweep = SweepSpec::from_universe(&universe, domains());
-    let run = sweep.run(&ScanPool::new(1), &RunOpts::observed());
-    let peak = run.snapshot.expect("observed run").gauge("netsim.queue_depth_max");
-    assert!(matches!(peak, Some(1..=64)), "netsim.queue_depth_max = {peak:?}");
+    let image = VantageLab::builder().policy(policy(&universe)).image();
+    let sweep_cell = |lab: &mut VantageLab, index: usize, domain: &String| {
+        test_domain(lab, domain, scenario_port(index));
+        lab.net.queue_depth_max()
+    };
+    let run = ScanPool::new(1).run_cells(&RunOpts::quick(), &domains(), |_| &image, sweep_cell);
+    let peak = run.cells.iter().max();
+    assert!(matches!(peak, Some(1..=64)), "queue_depth_max = {peak:?}");
 }
 
 /// What a churn cell starts from: at every batch position of the
