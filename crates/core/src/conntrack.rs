@@ -28,7 +28,6 @@
 //! Timeouts are idle timeouts, refreshed by any packet of the flow, with
 //! the per-state values from [`crate::constants`].
 
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -173,9 +172,6 @@ pub struct FlowEntry {
     /// bumps the epoch and thereby invalidates every flow's cache, so a
     /// hit is exactly equivalent to re-probing the blocklist.
     pub remote_ip_blocked: Option<(u64, bool)>,
-    /// Incarnation tag assigned by the tracker at insertion; see
-    /// [`ConnTracker`]'s GC ring.
-    gen: u64,
 }
 
 impl FlowEntry {
@@ -193,7 +189,6 @@ impl FlowEntry {
             exemption_decided: false,
             rx_stream: Vec::new(),
             remote_ip_blocked: None,
-            gen: 0,
         }
     }
 
@@ -227,43 +222,62 @@ impl FlowEntry {
     }
 }
 
-/// One queued GC probe: a flow key plus the generation of the entry it was
-/// queued for. A slot whose generation no longer matches the live entry is
-/// stale (the flow was removed or replaced) and is simply dropped.
-#[derive(Debug, Clone, Copy)]
-struct RingSlot {
-    key: FlowKey,
-    gen: u64,
+/// One slab slot: a tracked flow, or a link in the free list.
+#[derive(Debug)]
+enum Slot {
+    Live { key: FlowKey, entry: FlowEntry },
+    Free { next: Option<u32> },
 }
 
-/// How many ring slots each observation probes. Reclamation keeps pace
-/// with creation as long as this is > 1 (each packet creates at most one
-/// entry and pushes at most one slot). Public so load drivers can assert
-/// the per-packet GC bound they were promised.
+impl Slot {
+    fn entry(&self) -> &FlowEntry {
+        match self {
+            Slot::Live { entry, .. } => entry,
+            Slot::Free { .. } => unreachable!("the index holds live slots only"),
+        }
+    }
+
+    fn entry_mut(&mut self) -> &mut FlowEntry {
+        match self {
+            Slot::Live { entry, .. } => entry,
+            Slot::Free { .. } => unreachable!("the index holds live slots only"),
+        }
+    }
+}
+
+/// How many slab slots each observation probes. Reclamation keeps pace
+/// with creation as long as this is > 1 (each packet fills at most one
+/// slot). Public so load drivers can assert the per-packet GC bound they
+/// were promised.
 pub const GC_PROBE_BUDGET: usize = 4;
 
-/// The flow table.
+/// The flow table: a compact index `FlowKey → u32` over one dense slab of
+/// keys and entries. Slots fill from 0 up and a freed slot is reused before
+/// the slab grows, so resident memory follows the flows tracked — the
+/// index costs its capacity, the slab only the slots ever in use at once.
 ///
 /// ## Garbage collection
 ///
 /// Expiry is *semantically* lazy — [`ConnTracker::get`]/[`get_mut`] and the
 /// observe paths check [`FlowEntry::expired`] at access time — so GC exists
-/// purely to reclaim memory for flows that are never touched again. It runs
-/// as a CLOCK-style sweep over a ring of slots, one per live entry: every
-/// observation pops at most [`GC_PROBE_BUDGET`] slots, drops the entries
-/// that have expired, and re-queues the live ones. Worst-case work per
-/// packet is O([`GC_PROBE_BUDGET`]) regardless of table size — there is no
-/// full-table scan anywhere on the packet path — and every expired entry is
-/// reclaimed within one ring revolution of its expiry.
+/// purely to reclaim memory for flows that are never touched again. It is
+/// a hand over the slab: every observation inspects the next
+/// [`GC_PROBE_BUDGET`] consecutive slots and frees the expired ones (the
+/// only time GC touches the index). Worst-case work per packet is
+/// O([`GC_PROBE_BUDGET`]) regardless of table size — there is no full-table
+/// scan anywhere on the packet path — and every expired entry is reclaimed
+/// within one revolution of the hand after its expiry.
 #[derive(Default)]
 pub struct ConnTracker {
-    flows: FxHashMap<FlowKey, FlowEntry>,
-    /// GC ring: exactly one non-stale slot per live entry.
-    ring: VecDeque<RingSlot>,
-    /// Generation counter; tags each inserted entry and its ring slot.
-    next_gen: u64,
-    /// Ring slots probed by GC so far — the direct measure of reclamation
-    /// work on the packet path, surfaced as `conntrack.gc_probes`.
+    index: FxHashMap<FlowKey, u32>,
+    slab: Vec<Slot>,
+    /// Head of the free list threaded through [`Slot::Free`].
+    free: Option<u32>,
+    /// The next slab slot GC inspects.
+    hand: usize,
+    /// Slab slots inspected by GC so far — the direct measure of
+    /// reclamation work on the packet path, surfaced as
+    /// `conntrack.gc_probes`.
     gc_probes: u64,
     /// Expired entries reclaimed by GC so far, surfaced as
     /// `conntrack.gc_evictions` and mirrored into the enforcement flight
@@ -277,72 +291,72 @@ impl ConnTracker {
         ConnTracker::default()
     }
 
-    /// Creates a tracker with table and ring space pre-reserved — the
-    /// `nf_conntrack` hashsize analogue. A provisioned table never grows
-    /// on the packet path, so flow insertion latency stays flat (growth
-    /// rehashes are the one remaining O(table) event; see the
-    /// `conntrack/gc_churn_*` tail-latency benches).
-    ///
-    /// The map reserves exactly `capacity` live entries (the std guarantee
-    /// already includes load-factor headroom). The ring reserves 2×: under
-    /// expiry churn it briefly holds a stale slot alongside the fresh slot
-    /// for a replaced key, and without the headroom a full table doubles
-    /// the ring on the packet path — the reallocation cliff this
-    /// constructor exists to prevent.
+    /// Creates a tracker with index and slab space for `capacity` live
+    /// flows pre-reserved — the `nf_conntrack` hashsize analogue. A
+    /// provisioned table never rehashes or copies on the packet path, so
+    /// flow insertion latency stays flat (growth is the one remaining
+    /// O(table) event; see the `conntrack/gc_churn_*` tail-latency
+    /// benches). The slab's reservation is address space only: no slot is
+    /// touched before a flow fills it.
     pub fn with_capacity(capacity: usize) -> ConnTracker {
         ConnTracker {
-            flows: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            ring: VecDeque::with_capacity(capacity.saturating_mul(2)),
-            next_gen: 0,
-            gc_probes: 0,
-            gc_evictions: 0,
+            index: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            slab: Vec::with_capacity(capacity),
+            ..ConnTracker::default()
         }
     }
 
-    /// Allocated table capacity in entries (provisioning telemetry; the
+    /// Allocated index capacity in entries (provisioning telemetry; the
     /// capacity-stability regression test watches this across churn).
     pub fn table_capacity(&self) -> usize {
-        self.flows.capacity()
+        self.index.capacity()
     }
 
-    /// Allocated GC-ring capacity in slots.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Estimated bytes held by the tracker's table and ring allocations.
-    /// An estimate: hashbrown's control bytes and allocation rounding are
-    /// not modeled, only `capacity × entry size`. Load soaks divide this by
-    /// the tracked-flow count for a bytes-per-flow figure.
+    /// Estimated bytes the tracker keeps resident: the index's *capacity*
+    /// × its bucket size (a hash spreads flows over every page of it) plus
+    /// the slab slots *in use* × slot size (the reserved remainder is
+    /// untouched address space). An estimate: hashbrown's control bytes,
+    /// allocation rounding and `rx_stream` buffers are not modeled. Load
+    /// soaks divide this by the tracked-flow count for bytes per flow.
     pub fn memory_bytes_estimate(&self) -> usize {
         use std::mem::size_of;
-        self.flows.capacity() * (size_of::<FlowKey>() + size_of::<FlowEntry>())
-            + self.ring.capacity() * size_of::<RingSlot>()
+        self.index.capacity() * size_of::<(FlowKey, u32)>() + self.slab.len() * size_of::<Slot>()
     }
 
     /// Number of live entries (including expired-but-unswept).
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.index.len()
     }
 
     /// True when no flows are tracked.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.index.is_empty()
     }
 
     /// Read-only view of a flow, expiry-checked.
     pub fn get(&self, now: Time, key: &FlowKey) -> Option<&FlowEntry> {
-        self.flows.get(key).filter(|e| !e.expired(now))
+        let slot = *self.index.get(key)?;
+        Some(self.slab[slot as usize].entry()).filter(|e| !e.expired(now))
     }
 
     /// Mutable view of a flow, expiry-checked.
     pub fn get_mut(&mut self, now: Time, key: &FlowKey) -> Option<&mut FlowEntry> {
-        self.flows.get_mut(key).filter(|e| !e.expired(now))
+        let slot = *self.index.get(key)?;
+        Some(self.slab[slot as usize].entry_mut()).filter(|e| !e.expired(now))
     }
 
     /// Removes a flow.
     pub fn remove(&mut self, key: &FlowKey) {
-        self.flows.remove(key);
+        if let Some(slot) = self.index.remove(key) {
+            self.release(slot);
+        }
+    }
+
+    /// Puts `slot` on the free list, dropping the entry it held (and that
+    /// entry's reassembly buffer) now rather than when the slot is reused.
+    fn release(&mut self, slot: u32) {
+        self.slab[slot as usize] = Slot::Free { next: self.free };
+        self.free = Some(slot);
     }
 
     /// Audits epoch pinning: how many live flows still enforce a verdict
@@ -350,20 +364,24 @@ impl ConnTracker {
     /// residually blocked connections a registry delta does *not* touch —
     /// Table 2's windows outliving the rule that opened them.
     pub fn blocks_pinned_before(&self, now: Time, epoch: u64) -> usize {
-        self.flows
-            .values()
-            .filter(|e| !e.expired(now))
-            .filter_map(|e| e.block.as_ref())
+        self.slab
+            .iter()
+            .filter_map(|slot| match slot {
+                Slot::Live { entry, .. } if !entry.expired(now) => entry.block.as_ref(),
+                _ => None,
+            })
             .filter(|b| b.active(now) && b.epoch < epoch)
             .count()
     }
 
     /// Drops every tracked flow — what a device restart does to its state
-    /// table. Allocated table and ring capacity is kept, so a restarted
+    /// table. Allocated index and slab capacity is kept, so a restarted
     /// provisioned device still never grows on the packet path.
     pub fn clear(&mut self) {
-        self.flows.clear();
-        self.ring.clear();
+        self.index.clear();
+        self.slab.clear();
+        self.free = None;
+        self.hand = 0;
     }
 
     /// Observes a TCP packet of flow `key` from `side`, creating or
@@ -377,14 +395,8 @@ impl ConnTracker {
         payload_len: usize,
     ) -> &mut FlowEntry {
         self.gc_step(now);
-        let (entry, is_new) = Self::lookup_or_insert(
-            &mut self.flows,
-            &mut self.ring,
-            &mut self.next_gen,
-            now,
-            key,
-            || FlowEntry::new(now, side, initial_state(flags, payload_len)),
-        );
+        let (entry, is_new) = self
+            .lookup_or_insert(now, key, || FlowEntry::new(now, side, initial_state(flags, payload_len)));
         // Clear a lapsed block so residual censorship genuinely ends.
         if entry.block.as_ref().is_some_and(|b| !b.active(now)) {
             entry.block = None;
@@ -405,14 +417,8 @@ impl ConnTracker {
     /// state and use the loose timeout.
     pub fn observe_udp(&mut self, now: Time, key: FlowKey, side: Side) -> &mut FlowEntry {
         self.gc_step(now);
-        let (entry, _is_new) = Self::lookup_or_insert(
-            &mut self.flows,
-            &mut self.ring,
-            &mut self.next_gen,
-            now,
-            key,
-            || FlowEntry::new(now, side, ConnState::Udp),
-        );
+        let (entry, _is_new) =
+            self.lookup_or_insert(now, key, || FlowEntry::new(now, side, ConnState::Udp));
         if entry.block.as_ref().is_some_and(|b| !b.active(now)) {
             entry.block = None;
         }
@@ -422,67 +428,66 @@ impl ConnTracker {
         entry
     }
 
-    /// Finds the live entry for `key`, replacing an expired incarnation or
-    /// inserting `make()` when none exists; returns the entry and whether
-    /// it is brand new. One hash lookup covers the expiry check, the
-    /// existence check, and the access — this runs on every packet.
-    fn lookup_or_insert<'a>(
-        flows: &'a mut FxHashMap<FlowKey, FlowEntry>,
-        ring: &mut VecDeque<RingSlot>,
-        next_gen: &mut u64,
+    /// Finds the live entry for `key`, replacing an expired incarnation in
+    /// its slot or filling a slot with `make()` when none exists; returns
+    /// the entry and whether it is brand new. For a flow already tracked
+    /// one index lookup covers the expiry check, the existence check, and
+    /// the access — this runs on every packet; only a new flow hashes twice.
+    fn lookup_or_insert(
+        &mut self,
         now: Time,
         key: FlowKey,
         make: impl FnOnce() -> FlowEntry,
-    ) -> (&'a mut FlowEntry, bool) {
-        use std::collections::hash_map::Entry;
-        let mut tag_fresh = |entry: &mut FlowEntry| {
-            // The new generation invalidates any ring slot still queued
-            // for a replaced incarnation under the same key.
-            entry.gen = *next_gen;
-            *next_gen += 1;
-            ring.push_back(RingSlot { key, gen: entry.gen });
-        };
-        match flows.entry(key) {
-            Entry::Occupied(occ) if occ.get().expired(now) => {
-                let entry = occ.into_mut();
+    ) -> (&mut FlowEntry, bool) {
+        if let Some(&slot) = self.index.get(&key) {
+            let entry = self.slab[slot as usize].entry_mut();
+            let stale = entry.expired(now);
+            if stale {
                 *entry = make();
-                tag_fresh(entry);
-                (entry, true)
             }
-            Entry::Occupied(occ) => (occ.into_mut(), false),
-            Entry::Vacant(vacant) => {
-                let entry = vacant.insert(make());
-                tag_fresh(entry);
-                (entry, true)
-            }
+            return (entry, stale);
         }
+        let live = Slot::Live { key, entry: make() };
+        let slot = match self.free {
+            Some(slot) => {
+                let Slot::Free { next } = std::mem::replace(&mut self.slab[slot as usize], live) else {
+                    unreachable!("the free list holds free slots only")
+                };
+                self.free = next;
+                slot
+            }
+            None => {
+                self.slab.push(live);
+                u32::try_from(self.slab.len() - 1).expect("flow table beyond 2^32 slots")
+            }
+        };
+        self.index.insert(key, slot);
+        (self.slab[slot as usize].entry_mut(), true)
     }
 
-    /// One bounded GC step: probe up to [`GC_PROBE_BUDGET`] ring slots.
-    /// Stale slots (entry gone or replaced under the same key) are dropped;
-    /// expired entries are reclaimed; live entries are re-queued. Probing
-    /// more slots than the ring holds would only re-inspect entries this
-    /// same call just re-queued, so the budget is capped at the ring
-    /// length — a one-flow tracker pays for one probe, not four.
+    /// One bounded GC step: the hand inspects the next [`GC_PROBE_BUDGET`]
+    /// slab slots, wrapping at the end, and frees the expired ones. The
+    /// budget is capped at the slab length — a one-flow tracker pays for
+    /// one probe, not four looks at the same slot.
     fn gc_step(&mut self, now: Time) {
-        for _ in 0..GC_PROBE_BUDGET.min(self.ring.len()) {
-            let Some(slot) = self.ring.pop_front() else { return };
-            self.gc_probes += 1;
-            match self.flows.get(&slot.key) {
-                Some(e) if e.gen == slot.gen => {
-                    if e.expired(now) {
-                        self.flows.remove(&slot.key);
-                        self.gc_evictions += 1;
-                    } else {
-                        self.ring.push_back(slot);
-                    }
-                }
-                _ => {} // stale slot; its entry was removed or replaced
+        let budget = GC_PROBE_BUDGET.min(self.slab.len());
+        for _ in 0..budget {
+            if self.hand >= self.slab.len() {
+                self.hand = 0;
             }
+            if let Slot::Live { key, entry } = &self.slab[self.hand] {
+                if entry.expired(now) {
+                    let key = *key;
+                    self.remove(&key);
+                    self.gc_evictions += 1;
+                }
+            }
+            self.hand += 1;
         }
+        self.gc_probes += budget as u64;
     }
 
-    /// Ring slots probed by GC since construction (telemetry).
+    /// Slab slots inspected by GC since construction (telemetry).
     pub fn gc_probes(&self) -> u64 {
         self.gc_probes
     }
@@ -492,10 +497,29 @@ impl ConnTracker {
         self.gc_evictions
     }
 
-    /// Number of queued GC probes (tests only).
-    #[cfg(test)]
-    fn ring_len(&self) -> usize {
-        self.ring.len()
+    /// Structural invariants of index, slab and free list; panics on the
+    /// first one broken. For the model differential and the unit tests.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_invariants(&self) {
+        for (key, &slot) in &self.index {
+            match self.slab.get(slot as usize) {
+                Some(Slot::Live { key: held, .. }) => assert_eq!(held, key, "slot {slot} holds another key"),
+                other => panic!("index maps {key:?} to slot {slot}: {other:?}"),
+            }
+        }
+        let live = self.slab.iter().filter(|s| matches!(s, Slot::Live { .. })).count();
+        assert_eq!(live, self.index.len(), "a live slot is not indexed");
+        let mut free = 0;
+        let mut next = self.free;
+        while let Some(slot) = next {
+            let Slot::Free { next: link } = &self.slab[slot as usize] else {
+                panic!("free list runs through live slot {slot}")
+            };
+            free += 1;
+            assert!(free <= self.slab.len(), "free list cycles");
+            next = *link;
+        }
+        assert_eq!(live + free, self.slab.len(), "a free slot is off the free list");
     }
 }
 
@@ -599,7 +623,7 @@ mod tests {
             tracker.observe_tcp(now, key(), side, flags, len);
             now += Duration::from_millis(10);
         }
-        tracker.flows.get(&key()).unwrap().clone()
+        tracker.get(now, &key()).unwrap().clone()
     }
 
     use Side::{Local as L, Remote as R};
@@ -792,57 +816,132 @@ mod tests {
         }
         assert_eq!(t.len(), 32);
         // All 32 Loose flows expire by t = 300 s (timeout 180 s). Each
-        // observation probes a bounded number of ring slots, so a handful
-        // of packets on an unrelated flow reclaims the whole table without
-        // any single packet paying for a full-table scan.
-        for i in 0..16u64 {
+        // observation probes a bounded number of slab slots, so one
+        // revolution of the hand — eight packets on an unrelated flow,
+        // which takes the first slot freed — reclaims the whole table
+        // without any single packet paying for a full-table scan.
+        for i in 0..t.slab.len().div_ceil(GC_PROBE_BUDGET) as u64 {
             t.observe_tcp(Time::from_secs(300 + i), key(), L, S, 0);
         }
         assert_eq!(t.len(), 1); // only the probing flow survives
+        t.check_invariants();
     }
 
     #[test]
-    fn gc_ring_holds_one_slot_per_live_entry() {
+    fn slab_does_not_grow_under_same_key_churn() {
         let mut t = ConnTracker::new();
-        // Churn the same key through repeated expiry + re-creation: stale
-        // slots must not accumulate past the probe horizon.
+        // The same key through repeated expiry + re-creation is replaced
+        // in its slot (or evicted by the hand and refilled): one slot.
         for i in 0..1000u64 {
             let now = Time::from_secs(i * 200); // Loose timeout is 180 s
             t.observe_tcp(now, key(), L, TcpFlags::PSH_ACK, 10);
+            t.check_invariants();
         }
         assert_eq!(t.len(), 1);
-        assert!(t.ring_len() <= 8, "ring grew unboundedly: {}", t.ring_len());
+        assert_eq!(t.slab.len(), 1);
+    }
+
+    /// N distinct flows, a different population each `round`.
+    fn churn_key(round: u64, i: usize) -> FlowKey {
+        FlowKey {
+            local_port: (i % 60000) as u16,
+            local_addr: Ipv4Addr::new(10, round as u8, (i / 60000) as u8, 1),
+            ..key()
+        }
     }
 
     #[test]
     fn provisioned_capacity_stable_across_churn() {
-        // A table provisioned for N flows must never rehash (and its ring
-        // must never reallocate) before N live inserts — including under
-        // expiry churn, which replaces entries in place and briefly queues
-        // a stale ring slot next to each fresh one.
+        // A tracker provisioned for N flows must never rehash its index or
+        // move its slab before N live inserts — including under expiry
+        // churn, where the hand frees slots just ahead of the inserts that
+        // refill them.
         const N: usize = 4096;
         let mut t = ConnTracker::with_capacity(N);
-        let table_cap = t.table_capacity();
-        let ring_cap = t.ring_capacity();
-        assert!(table_cap >= N);
-        assert!(ring_cap >= N * 2);
+        let index_cap = t.table_capacity();
+        let slab_at = t.slab.as_ptr();
+        assert!(index_cap >= N);
+        assert!(t.slab.capacity() >= N);
         // Three generations of the full population: each round expires the
         // last (Loose timeout 180 s), so live count tops out at N while
         // total inserts run to 3N.
         for round in 0..3u64 {
             let now = Time::from_secs(round * 300);
             for i in 0..N {
-                let k = FlowKey {
-                    local_port: (i % 60000) as u16,
-                    local_addr: Ipv4Addr::new(10, 0, (i / 60000) as u8, 1),
-                    ..key()
-                };
-                t.observe_tcp(now, k, L, TcpFlags::PSH_ACK, 10);
+                t.observe_tcp(now, churn_key(round, i), L, TcpFlags::PSH_ACK, 10);
             }
             assert!(t.len() <= N);
+            t.check_invariants();
         }
-        assert_eq!(t.table_capacity(), table_cap, "flow table rehashed during churn");
-        assert_eq!(t.ring_capacity(), ring_cap, "GC ring reallocated during churn");
+        // (Evictions leave tombstones the std map counts against its
+        // capacity until `clear`, so mid-churn it can only read lower.)
+        assert!(t.table_capacity() <= index_cap, "index grew during churn");
+        assert_eq!(t.slab.as_ptr(), slab_at, "slab moved during churn");
+        assert!(t.slab.len() <= N, "slab grew past the population: {}", t.slab.len());
+        // A restart keeps both allocations and resets the hand.
+        t.clear();
+        t.check_invariants();
+        assert_eq!((t.len(), t.slab.len(), t.hand), (0, 0, 0));
+        assert_eq!(t.table_capacity(), index_cap, "index reallocated during churn");
+        assert_eq!(t.slab.as_ptr(), slab_at);
+    }
+
+    #[test]
+    fn fresh_tracker_owns_no_memory() {
+        let t = ConnTracker::new();
+        assert_eq!((t.table_capacity(), t.slab.capacity()), (0, 0));
+        assert_eq!(t.memory_bytes_estimate(), 0);
+    }
+
+    #[test]
+    fn memory_estimate_follows_slots_in_use() {
+        use std::mem::size_of;
+        let mut t = ConnTracker::with_capacity(4096);
+        let index_bytes = t.memory_bytes_estimate();
+        assert_eq!(index_bytes, t.table_capacity() * size_of::<(FlowKey, u32)>());
+        for i in 0..100 {
+            t.observe_tcp(Time::ZERO, churn_key(0, i), L, S, 0);
+        }
+        assert_eq!(t.memory_bytes_estimate(), index_bytes + 100 * size_of::<Slot>());
+        // A slot is a key and an entry: the free-list link hides in the
+        // entry's spare bit patterns.
+        assert_eq!(size_of::<Slot>(), size_of::<(FlowKey, FlowEntry)>());
+    }
+
+    #[test]
+    fn a_reclaimed_slot_frees_its_reassembly_buffer_at_once() {
+        // A hardened device accumulates stream bytes on the entry. Every
+        // way a slot is reclaimed must drop that allocation then — a freed
+        // slot that is never refilled would otherwise pin it for good.
+        let hardened = |t: &mut ConnTracker, i: usize| {
+            t.observe_tcp(Time::ZERO, churn_key(0, i), L, TcpFlags::PSH_ACK, 10).rx_stream =
+                Vec::with_capacity(16 << 10);
+        };
+        let held = |t: &ConnTracker| -> usize {
+            t.slab
+                .iter()
+                .map(|slot| match slot {
+                    Slot::Live { entry, .. } => entry.rx_stream.capacity(),
+                    Slot::Free { .. } => 0,
+                })
+                .sum()
+        };
+        let mut t = ConnTracker::new();
+        for i in 0..3 {
+            hardened(&mut t, i);
+        }
+        assert_eq!(held(&t), 3 * (16 << 10));
+        t.remove(&churn_key(0, 0));
+        assert_eq!(held(&t), 2 * (16 << 10));
+        // The hand evicts the other two; the probing flow takes one of the
+        // three free slots and the rest stay free.
+        t.observe_tcp(Time::from_secs(300), key(), L, S, 0);
+        assert_eq!((t.len(), t.slab.len(), t.gc_evictions()), (1, 3, 2));
+        assert_eq!(held(&t), 0);
+        t.check_invariants();
+        hardened(&mut t, 7);
+        t.clear();
+        assert_eq!(held(&t), 0);
     }
 
     #[test]
@@ -852,8 +951,8 @@ mod tests {
             let k = FlowKey { local_port: 1000 + port, ..key() };
             t.observe_tcp(Time::ZERO, k, L, S, 0);
         }
-        // Many observations well within the SynSent timeout: the sweep
-        // cycles every slot several times but must reclaim nothing.
+        // Many observations well within the SynSent timeout: the hand
+        // passes every slot several times but must reclaim nothing.
         for i in 0..256u64 {
             t.observe_tcp(Time::from_micros(i * 1000), key(), L, S, 0);
         }

@@ -4,41 +4,39 @@
 //! ## Why shard
 //!
 //! Each of the power-of-two shards is a complete, independent
-//! [`ConnTracker`] — its own table, its own CLOCK ring, its own
-//! [`GC_PROBE_BUDGET`](crate::conntrack::GC_PROBE_BUDGET)-bounded sweep —
-//! sized to `capacity / shards` and
-//! addressed by flow-key hash, with no semantic change (below). What that
-//! buys:
+//! [`ConnTracker`] — its own index, its own slab, its own
+//! [`GC_PROBE_BUDGET`](crate::conntrack::GC_PROBE_BUDGET)-bounded hand —
+//! sized to `capacity / shards` and addressed by flow-key hash, with no
+//! semantic change (below). What that buys:
 //!
 //! * **Provisioned capacity in pieces the allocator can recycle**
-//!   (measured: EXPERIMENTS.md "Counts are fields", reading a). A
-//!   million-flow table is hundreds of MB of buckets; as one allocation it
-//!   is its own mapping, returned to the kernel when its lab drops and
-//!   faulted in again page by page by the next lab, while sixteen shard
-//!   tables come back from malloc's free lists already resident. On
-//!   `soak_steady`, which builds a lab per repetition, one shard costs
-//!   +34 % per flow (27× the page faults, a fifth of the time in the
-//!   kernel); on a single long-lived lab, and on the tracker's own
-//!   ns/op, one shard and sixteen read the same.
+//!   (measured: EXPERIMENTS.md "Conntrack costs what it tracks", what
+//!   sharding buys). A million-flow tracker is a 40 MB index and a 176 MB
+//!   slab reservation of which only the slots in use are ever touched; as
+//!   one allocation each they are their own mappings, returned to the
+//!   kernel when their lab drops and faulted in again page by page by the
+//!   next lab, while sixteen shards' worth come back from malloc's free
+//!   lists already resident. On `soak_steady`, which builds a lab per
+//!   repetition, one shard costs +9.6 % per flow (45× the page faults, a
+//!   tenth of the time in the kernel) and saves 2.4 MiB of 71; on a single
+//!   long-lived lab, and on the tracker's own ns/op, one shard and sixteen
+//!   read the same.
 //! * **Reclamation that scales with the shard** (by construction; not
-//!   measured on its own). The CLOCK ring is one queue per tracker: an
-//!   expired entry waits behind the ring's whole
-//!   population, so short flows in one shard are not starved by long-lived
-//!   ones in another.
+//!   measured on its own). The hand is one cursor per tracker: an expired
+//!   entry waits for a revolution of its own shard's slab, so short flows
+//!   in one shard are not starved by a long-lived population in another.
 //!
 //! It does *not* spread a rehash: every tracker with more than one shard
 //! is built by [`ShardedConnTracker::with_capacity`] or
 //! [`ShardedConnTracker::with_capacity_and_shards`], which reserve each
-//! shard's slice up front, so no table grows on the packet path at any
-//! shard count ([`ShardedConnTracker::with_shards`], unreserved, is the
-//! differential tests' constructor). A table whose cost followed live
-//! flows instead of provisioned capacity would grow, and would want
-//! shard-sized steps for exactly that reason (ROADMAP).
+//! shard's slice up front, so no index rehashes and no slab moves on the
+//! packet path at any shard count ([`ShardedConnTracker::with_shards`],
+//! unreserved, is the differential tests' constructor).
 //!
 //! ## Equivalence with the unsharded tracker
 //!
 //! Expiry in [`ConnTracker`] is *semantically lazy*: every access checks
-//! [`FlowEntry::expired`] against `now`, and the CLOCK sweep only decides
+//! [`FlowEntry::expired`] against `now`, and the GC hand only decides
 //! when memory is reclaimed, never what an access observes. A flow key
 //! always maps to the same shard, so the sequence of observe/get/remove
 //! calls a given flow experiences is identical whether there is one shard
@@ -46,7 +44,8 @@
 //! timing of physical removal differ. The differential proptest in
 //! `tests/sharded_differential.rs` pins this: arbitrary interleaved
 //! observe/expire/clear sequences produce observation-for-observation
-//! identical results at 1, 4, and 16 shards.
+//! identical results at 1, 4, and 16 shards; `tests/conntrack_model.rs`
+//! holds the same three shard counts to a naive model of the tracker.
 
 use tspu_netsim::Time;
 use tspu_wire::tcp::TcpFlags;
@@ -206,7 +205,7 @@ impl ShardedConnTracker {
         self.shards[idx].observe_udp(now, key, side)
     }
 
-    /// Total ring slots probed by GC across shards (telemetry).
+    /// Total slab slots inspected by GC across shards (telemetry).
     pub fn gc_probes(&self) -> u64 {
         self.shards.iter().map(ConnTracker::gc_probes).sum()
     }
@@ -223,15 +222,22 @@ impl ShardedConnTracker {
         self.shards.iter().map(ConnTracker::len).collect()
     }
 
-    /// Allocated table capacity summed across shards.
+    /// Allocated index capacity summed across shards.
     pub fn table_capacity(&self) -> usize {
         self.shards.iter().map(ConnTracker::table_capacity).sum()
     }
 
-    /// Estimated bytes held by all shards' tables and rings (see
+    /// Estimated resident bytes summed across shards: each index at its
+    /// capacity plus each slab's slots in use (see
     /// [`ConnTracker::memory_bytes_estimate`]).
     pub fn memory_bytes_estimate(&self) -> usize {
         self.shards.iter().map(ConnTracker::memory_bytes_estimate).sum()
+    }
+
+    /// [`ConnTracker::check_invariants`] on every shard.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_invariants(&self) {
+        self.shards.iter().for_each(ConnTracker::check_invariants);
     }
 
     /// Maximum per-shard GC probe count — the figure the load soak holds

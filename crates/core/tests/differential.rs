@@ -8,7 +8,7 @@
 //!   including trailing dots, mixed case, consecutive dots, and bare-TLD
 //!   queries.
 //! * The conntrack differential replays random packet sequences against an
-//!   explicit (state, last_seen) expiry model. The incremental GC ring is
+//!   explicit (state, last_seen) expiry model. The incremental GC hand is
 //!   pure memory reclamation: it must never change which flows `get`
 //!   reports alive, nor their state.
 
@@ -231,7 +231,7 @@ fn model_alive(model: &ExpiryModel, now: Time, key: &FlowKey) -> Option<ConnStat
 }
 
 proptest! {
-    /// The GC ring never changes observable liveness: at every step, for
+    /// The GC hand never changes observable liveness: at every step, for
     /// every key, the tracker's `get` agrees with the lazy-expiry model.
     #[test]
     fn conntrack_gc_preserves_expiry_semantics(

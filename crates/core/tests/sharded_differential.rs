@@ -3,9 +3,9 @@
 //! at every shard count.
 //!
 //! The comparison deliberately excludes `len()` and `gc_probes()`: expiry
-//! in both trackers is checked lazily at access time, so the CLOCK sweep
+//! in both trackers is checked lazily at access time, so the GC hand
 //! only decides *when memory is reclaimed*, never what an access observes.
-//! Shard count changes sweep scheduling (each shard sweeps its own ring),
+//! Shard count changes sweep scheduling (each shard sweeps its own slab),
 //! so physical table size during churn legitimately differs — what must
 //! not differ is any entry field any caller can see.
 

@@ -151,7 +151,7 @@ fn matcher_is_allocation_free_on_the_packet_path() {
     let mut dev = TspuDevice::reliable("zero-alloc", PolicyHandle::new(Policy::example()));
     let mut buf = packet;
     let mut t = 0u64;
-    // Warm up: first packet creates the flow entry and GC ring slot.
+    // Warm up: first packet fills the flow's index bucket and slab slot.
     for _ in 0..16 {
         t += 1;
         let _ = dev.process(Time::from_micros(t), Direction::LocalToRemote, &mut buf);

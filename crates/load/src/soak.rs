@@ -101,14 +101,16 @@ pub struct SoakReport {
     pub peak_tracked_flows: usize,
     /// Final per-shard occupancy.
     pub shard_lens: Vec<usize>,
-    /// Total GC ring probes across shards.
+    /// Total GC slot probes across shards.
     pub gc_probes: u64,
     /// Largest per-shard GC probe count.
     pub max_shard_gc_probes: u64,
     /// Device-visible packets (each endpoint transmission crosses the
     /// device once) — the denominator for the GC budget check.
     pub device_packets: u64,
-    /// Conntrack allocation estimate divided by peak tracked flows.
+    /// The device's conntrack resident-memory estimate (index capacity +
+    /// slab slots in use, `ShardedConnTracker::memory_bytes_estimate`) at
+    /// the end of the run, divided by peak tracked flows.
     pub bytes_per_flow: f64,
     /// Wall-clock duration of the whole run (drain included).
     pub wall_seconds: f64,

@@ -75,6 +75,16 @@ fn fifty_k_flow_soak_is_deterministic_and_oracle_clean() {
         first.peak_tracked_flows
     );
 
+    // The flow table costs what it tracks: a slab slot per flow at the peak
+    // (168 B) plus the provisioned index shared out (2.3 MB over the peak)
+    // — measured 214 B. Inline entries, paid for at capacity, read 462 B
+    // here and 7,392 B on a million-flow table.
+    assert!(
+        first.bytes_per_flow < 320.0,
+        "{:.0} B per tracked flow: conntrack memory follows capacity, not flows",
+        first.bytes_per_flow
+    );
+
     // Traffic guard for the single binary-heap event queue (DESIGN.md
     // "Event queue"): packets in flight are rate × one RTT and wake-up
     // timers one per client, so depth peaks near a thousand (measured 1,092). A
