@@ -16,15 +16,16 @@
 //!   bytes per tracked flow, and per-shard conntrack occupancy.
 //!
 //! Everything virtual-time derived is a pure function of the profile seed:
-//! two runs of the same lab produce byte-identical
-//! [`SoakReport::deterministic_json`] regardless of wall clock or thread
-//! count, which is what lets CI hold the million-flow path to the same
-//! determinism bar as the single-probe experiments.
+//! two runs of the same lab produce equal [`SoakReport::obs_snapshot`]s
+//! and timelines regardless of wall clock or thread count, which is what
+//! lets CI hold the million-flow path to the same determinism bar as the
+//! single-probe experiments. The wall-clock figures live only in the
+//! report's named fields.
 //!
 //! [`Application`]: tspu_netsim::Application
 //! [`TspuDevice`]: tspu_core::TspuDevice
 //! [`LoadProfile`]: gen::LoadProfile
-//! [`SoakReport::deterministic_json`]: soak::SoakReport::deterministic_json
+//! [`SoakReport::obs_snapshot`]: soak::SoakReport::obs_snapshot
 
 pub mod gen;
 pub mod soak;

@@ -6,8 +6,9 @@
 //! [`SoakLab::run`] that forks a pristine [`Network`] from the image,
 //! attaches fresh apps, and drives the population to completion. Repeated
 //! runs of the same lab are byte-identical in everything virtual-time
-//! derived; only the wall-clock latency figures differ run to run, and
-//! [`SoakReport::deterministic_json`] excludes exactly those.
+//! derived — [`SoakReport::obs_snapshot`] and [`SoakReport::timeline`]
+//! hold only that. The wall-clock figures differ run to run and stay in
+//! the report's named fields, never in a [`Snapshot`].
 
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
@@ -16,7 +17,7 @@ use std::time::{Duration, Instant};
 use tspu_core::conntrack::GC_PROBE_BUDGET;
 use tspu_core::{Policy, PolicyHandle, TspuDevice};
 use tspu_netsim::{Direction, MiddleboxHandle, Network, NetworkImage, Route, RouteStep, Time};
-use tspu_obs::{Histogram, MetricValue, Snapshot, TimeSeries};
+use tspu_obs::{MetricValue, Snapshot};
 use tspu_registry::Universe;
 
 use crate::gen::{
@@ -60,10 +61,8 @@ pub struct SoakLab {
     pub blocked_universe_fraction: f64,
 }
 
-/// One virtual-time slice of a soak run. Every field except `wall_ns` is
-/// a pure function of the schedule (byte-identical run to run); `wall_ns`
-/// is the host's contribution and is excluded from the deterministic
-/// exports.
+/// One virtual-time slice of a soak run. Every field is a pure function
+/// of the schedule (byte-identical run to run).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoakSlice {
     /// Virtual time at the slice end, microseconds.
@@ -87,8 +86,6 @@ pub struct SoakSlice {
     pub wheel_depth: usize,
     /// Largest per-shard conntrack occupancy at slice end.
     pub max_shard_len: usize,
-    /// Wall nanoseconds the slice took (host-dependent).
-    pub wall_ns: u64,
 }
 
 /// Everything a soak run measured.
@@ -112,7 +109,9 @@ pub struct SoakReport {
     /// slab slots in use, `ShardedConnTracker::memory_bytes_estimate`) at
     /// the end of the run, divided by peak tracked flows.
     pub bytes_per_flow: f64,
-    /// Wall-clock duration of the whole run (drain included).
+    /// Wall-clock duration of the whole run (drain included). This and
+    /// the three fields below are the host's contribution: they differ
+    /// run to run and are never exported in a [`Snapshot`].
     pub wall_seconds: f64,
     /// Endpoint packets per wall second, the headline figure.
     pub sustained_pps: f64,
@@ -120,8 +119,6 @@ pub struct SoakReport {
     pub p50_event_ns: u64,
     pub p99_event_ns: u64,
     pub p999_event_ns: u64,
-    /// Per-slice ns/event histogram (steady state), for the obs snapshot.
-    latency_hist: Histogram,
     /// The run resolved in time: one entry per driver slice, in order.
     pub timeline: Vec<SoakSlice>,
 }
@@ -133,71 +130,10 @@ impl SoakReport {
         self.gc_probes <= GC_PROBE_BUDGET as u64 * self.device_packets.max(1)
     }
 
-    /// The virtual-time-deterministic slice of the report: identical bytes
-    /// for identical (seed, profile, topology), regardless of wall clock,
-    /// thread count, or machine.
-    pub fn deterministic_json(&self) -> String {
-        let s = &self.stats;
-        let shard_lens: Vec<String> = self.shard_lens.iter().map(usize::to_string).collect();
-        format!(
-            concat!(
-                "{{\"flows_started\":{},\"flows_completed\":{},\"got_data\":{},",
-                "\"resets\":{},\"oracle_mismatches\":{},\"open_loop_flows\":{},",
-                "\"closed_loop_flows\":{},\"client_tx\":{},\"client_rx\":{},",
-                "\"server_tx\":{},\"server_rx\":{},\"events\":{},",
-                "\"peak_tracked_flows\":{},\"gc_probes\":{},\"device_packets\":{},",
-                "\"shard_lens\":[{}]}}"
-            ),
-            s.flows_started,
-            s.flows_completed,
-            s.got_data,
-            s.resets,
-            s.oracle_mismatches,
-            s.open_loop_flows,
-            s.closed_loop_flows,
-            s.client_tx_packets,
-            s.client_rx_packets,
-            s.server_tx_packets,
-            s.server_rx_packets,
-            self.events,
-            self.peak_tracked_flows,
-            self.gc_probes,
-            self.device_packets,
-            shard_lens.join(",")
-        )
-    }
-
-    /// The timeline as a [`TimeSeries`] windowed at the driver's slice
-    /// width: per-slice deltas as counters (`load.slice.*`), end-of-slice
-    /// occupancies as gauges — ready for OpenMetrics or Chrome-trace
-    /// export. Deterministic only: `wall_ns` stays on [`SoakSlice`], so
-    /// the series (like [`SoakReport::deterministic_json`]) is
-    /// byte-identical run to run.
-    pub fn timeline_series(&self, slice: Duration) -> TimeSeries {
-        let window_us = (slice.as_micros() as u64).max(1);
-        let mut series = TimeSeries::with_window_us(window_us);
-        for s in &self.timeline {
-            // Stamp inside the slice's own window: slices end on window
-            // boundaries, so the end instant already belongs to the next.
-            let at = s.at_us.saturating_sub(1);
-            let mut snap = Snapshot::new();
-            snap.insert("load.slice.events", MetricValue::Counter(s.events));
-            snap.insert("load.slice.packets", MetricValue::Counter(s.packets));
-            snap.insert("load.slice.flows_started", MetricValue::Counter(s.flows_started));
-            snap.insert("load.slice.flows_completed", MetricValue::Counter(s.flows_completed));
-            snap.insert("load.slice.resets", MetricValue::Counter(s.resets));
-            snap.insert("load.slice.got_data", MetricValue::Counter(s.got_data));
-            snap.insert("load.slice.tracked_flows", MetricValue::Gauge(s.tracked_flows as i64));
-            snap.insert("load.slice.wheel_depth", MetricValue::Gauge(s.wheel_depth as i64));
-            snap.insert("load.slice.max_shard_len", MetricValue::Gauge(s.max_shard_len as i64));
-            series.observe(at, &snap);
-        }
-        series
-    }
-
-    /// Full report as an obs [`Snapshot`] (counters + the steady-state
-    /// latency histogram), for merging with device/network snapshots and
-    /// JSON export.
+    /// The report's virtual-time-deterministic counts as an obs
+    /// [`Snapshot`], for merging with device/network snapshots and JSON
+    /// export: identical for identical (seed, profile, topology),
+    /// regardless of wall clock, thread count, or machine.
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         let s = &self.stats;
@@ -216,7 +152,6 @@ impl SoakReport {
             ("load.events", self.events),
             ("load.peak_tracked_flows", self.peak_tracked_flows as u64),
             ("load.gc_probes", self.gc_probes),
-            ("load.sustained_pps", self.sustained_pps as u64),
             ("load.bytes_per_flow", self.bytes_per_flow as u64),
         ] {
             snap.insert(name, MetricValue::Counter(v));
@@ -224,7 +159,6 @@ impl SoakReport {
         for (i, &len) in self.shard_lens.iter().enumerate() {
             snap.insert(format!("load.shard_occupancy.{i:02}"), MetricValue::Counter(len as u64));
         }
-        snap.insert("load.event_wall_ns", MetricValue::Hist(self.latency_hist.clone()));
         snap
     }
 }
@@ -416,7 +350,6 @@ impl SoakLab {
                 tracked_flows: tracked,
                 wheel_depth: net.pending_events(),
                 max_shard_len,
-                wall_ns: slice_wall_ns,
             });
             (prev_started, prev_completed) = (started_c, completed);
             (prev_resets, prev_got_data, prev_packets) = (resets, got_data, packets);
@@ -442,10 +375,6 @@ impl SoakLab {
             let idx = ((steady.len() as f64 - 1.0) * q).round() as usize;
             steady[idx]
         };
-        let mut latency_hist = Histogram::new();
-        for &ns in &steady {
-            latency_hist.record(ns);
-        }
 
         let conntrack = net.middlebox(self.device).conntrack();
         let stats = stats.lock().expect("stats lock").clone();
@@ -464,7 +393,6 @@ impl SoakLab {
             p50_event_ns: pct(0.50),
             p99_event_ns: pct(0.99),
             p999_event_ns: pct(0.999),
-            latency_hist,
             timeline,
             stats,
         }
@@ -533,11 +461,16 @@ mod tests {
     }
 
     #[test]
-    fn repeated_runs_are_byte_identical() {
+    fn repeated_runs_export_equal_snapshots() {
         let lab = build_lab(small_config());
-        let a = lab.run().deterministic_json();
-        let b = lab.run().deterministic_json();
-        assert_eq!(a, b);
+        let (a, b) = (lab.run(), lab.run());
+        let snapshot = a.obs_snapshot();
+        assert_eq!(snapshot, b.obs_snapshot());
+        // The wall-clock fence: nothing read from `Instant` is exported.
+        for (name, _) in snapshot.metrics() {
+            assert!(!name.contains("wall") && !name.contains("pps"), "{name} is wall-clock");
+        }
+        assert_eq!(a.timeline, b.timeline);
     }
 
     #[test]
@@ -559,28 +492,8 @@ mod tests {
         }
         // The flow population ramps: some slice must hold >1000 flows.
         assert!(report.timeline.iter().any(|s| s.tracked_flows > 1_000));
-        // Deterministic exports are identical across replays.
-        let replay = lab.run();
-        let slice = small_config().slice;
-        let exported = report.timeline_series(slice).to_json();
-        assert_eq!(exported, replay.timeline_series(slice).to_json());
-        // The wall-clock track differs (or at least is allowed to): the
-        // deterministic JSON must not contain it.
-        assert!(!exported.contains("wall_ns"));
-    }
-
-    #[test]
-    fn timeline_series_windows_match_the_slices() {
-        let lab = build_lab(small_config());
-        let report = lab.run();
-        let series = report.timeline_series(small_config().slice);
-        assert_eq!(series.len(), report.timeline.len());
-        let events = series.counter_series("load.slice.events");
-        // Window i holds slice i's delta (slices without events are
-        // filtered by counter_series, so compare per present window).
-        for (index, v) in events {
-            assert_eq!(v, report.timeline[index as usize].events);
-        }
+        // The timeline replays identically.
+        assert_eq!(report.timeline, lab.run().timeline);
     }
 
     #[test]

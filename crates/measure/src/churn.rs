@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use tspu_core::{Policy, PolicyDelta, PolicyHandle, PolicyHistory, PolicyUpdater};
 use tspu_ispdpi::UpdateLag;
-use tspu_obs::{Histogram, MetricValue, Snapshot, TimeSeries};
+use tspu_obs::{Histogram, MetricValue, Snapshot};
 use tspu_registry::{ChurnBatch, ChurnConfig, ChurnSchedule, Universe};
 use tspu_stack::{ServerApp, SteadyProbe, SteadyProbeConfig};
 use tspu_topology::VantageLab;
@@ -139,36 +139,12 @@ impl ChurnCampaign {
             snapshot.insert("churn.deltas", MetricValue::Counter(out.len() as u64));
             snapshot.insert("churn.convergence_us", MetricValue::Hist(convergence));
         }
-        // The campaign resolved over virtual registry time: one window per
-        // registry day, fed from the cells themselves (not from an export),
-        // so the convergence curve exists in every build and
-        // is byte-identical at every thread count — the cells arrive in
-        // schedule order regardless of which worker ran them.
-        let day_us = (self.churn.day_duration.as_micros() as u64).max(1);
-        let mut series = TimeSeries::with_window_us(day_us);
-        for cell in &out {
-            let at = cell.day as u64 * day_us;
-            let mut day = Snapshot::new();
-            day.insert("churn.day.deltas", MetricValue::Counter(1));
-            day.insert("churn.day.ops", MetricValue::Counter(cell.ops as u64));
-            day.insert(
-                "churn.day.convergence_us",
-                MetricValue::Gauge(cell.convergence_us as i64),
-            );
-            day.insert("churn.day.stale_pinned", MetricValue::Gauge(cell.stale_pinned as i64));
-            day.insert("churn.day.epoch", MetricValue::GaugeLast(cell.epoch as i64));
-            if let Some(&lag) = cell.isp_lag_us.iter().map(|(_, lag)| lag).max() {
-                day.insert("churn.day.isp_lag_us", MetricValue::Gauge(lag as i64));
-            }
-            series.observe(at, &day);
-        }
         ChurnReport {
             cells: out,
             batches: schedule.len(),
             total_adds: schedule.total_adds(),
             total_removes: schedule.total_removes(),
             snapshot,
-            series,
         }
     }
 
@@ -310,22 +286,13 @@ pub struct ChurnReport {
     /// `churn.convergence_us`, and the merged per-cell policy instruments
     /// (`policy.delta_applies`, `policy.epoch`).
     pub snapshot: Snapshot,
-    /// The campaign over virtual registry time: one window per registry
-    /// day (`churn.day.*` tracks — delta count, ops, convergence, stale
-    /// pins, epoch, modeled ISP lag), so delta-to-enforcement convergence
-    /// is visible as a curve rather than one pooled histogram.
-    pub series: TimeSeries,
 }
 
 impl ChurnReport {
     /// The convergence curve: `(registry day, convergence µs)` per
     /// add-bearing day, in day order.
     pub fn convergence_curve(&self) -> Vec<(u64, u64)> {
-        self.series
-            .gauge_series("churn.day.convergence_us")
-            .into_iter()
-            .map(|(day, us)| (day, us as u64))
-            .collect()
+        self.cells.iter().map(|c| (u64::from(c.day), c.convergence_us)).collect()
     }
 
     /// Median TSPU convergence latency across cells (virtual µs).
@@ -433,30 +400,37 @@ mod tests {
     }
 
     #[test]
-    fn day_series_tracks_each_cell_in_registry_time() {
+    fn cells_resolve_the_campaign_day_by_day() {
         let universe = Universe::generate(5);
         let campaign = short_campaign();
         let report = campaign.run(&universe, &ScanPool::single_thread());
-        // One window per add-bearing day, windowed at the day duration.
-        assert_eq!(report.series.len(), report.cells.len());
-        assert_eq!(
-            report.series.window_us(),
-            campaign.churn.day_duration.as_micros() as u64
-        );
+        // One cell per add-bearing registry day, in day order.
+        assert!(report.cells.windows(2).all(|w| w[0].day < w[1].day), "{:?}", report.cells);
         let curve = report.convergence_curve();
         assert_eq!(curve.len(), report.cells.len());
         for (cell, &(day, us)) in report.cells.iter().zip(&curve) {
             assert_eq!(day, cell.day as u64);
             assert_eq!(us, cell.convergence_us);
+            // The slowest modeled ISP dwarfs the TSPU on every day — the
+            // paper's contrast, per point on the curve.
+            let lag = cell.isp_lag_us.iter().map(|&(_, lag)| lag).max().unwrap();
+            assert!(lag > 10 * us, "day {day}: lag {lag} vs convergence {us}");
         }
-        // The ISP-lag track dwarfs the convergence track on every day —
-        // the paper's contrast, now visible per point on the curve.
-        for (day, lag) in report.series.gauge_series("churn.day.isp_lag_us") {
-            let (_, us) = curve.iter().find(|&&(d, _)| d == day).copied().unwrap();
-            assert!(lag as u64 > 10 * us, "day {day}: lag {lag} vs convergence {us}");
-        }
-        // The epoch track is a Last gauge: each day one batch applied.
-        assert!(!report.series.gauge_series("churn.day.epoch").is_empty());
+        // Each day's cell starts from the history at its batch position and
+        // applies one delta, so epochs climb with the days.
+        assert!(report.cells.windows(2).all(|w| w[0].epoch < w[1].epoch));
+    }
+
+    /// The curve is a map over the cells. On the seed-2022 escalation it
+    /// returns exactly the pairs the day-windowed series it replaced did
+    /// (recorded at that commit): every add-bearing day of the window,
+    /// each converging in 14 ms of virtual time.
+    #[test]
+    fn escalation_curve_equals_the_recorded_pairs() {
+        let universe = Universe::generate(2022);
+        let report = ChurnCampaign::escalation_2022().run(&universe, &ScanPool::single_thread());
+        let recorded: Vec<(u64, u64)> = (54..=78).map(|day| (day, 14_000)).collect();
+        assert_eq!(report.convergence_curve(), recorded);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::fmt;
 
 use tspu_core::{CensorProfile, PolicyHandle};
-use tspu_obs::{MetricValue, Snapshot, TimeSeries};
+use tspu_obs::Snapshot;
 use tspu_stack::craft::udp_packet;
 use tspu_topology::{LabImage, VantageLab};
 use tspu_wire::dns::{DnsQuery, DnsResponse, QTYPE_A};
@@ -104,15 +104,6 @@ pub struct ProfileMatrix {
     pub profiles: Vec<&'static str>,
     pub domains: Vec<String>,
     pub snapshot: Option<Snapshot>,
-    /// The matrix as a profile-indexed [`TimeSeries`]: window `i` holds
-    /// profile `profiles[i]`'s verdict mix (`diff.tls.*`, `diff.http.*`,
-    /// `diff.dns.*` counters plus `diff.cells` and
-    /// `diff.oracle_violations`). Windows are 1 µs wide — the axis is the
-    /// profile index, not virtual time (every cell runs from its own
-    /// forked clock at zero, so there is no shared timeline to plot on).
-    /// Built from the cells, so it exists in every build and is
-    /// byte-identical at every thread count.
-    pub series: TimeSeries,
 }
 
 impl ProfileMatrix {
@@ -135,16 +126,6 @@ impl ProfileMatrix {
     /// True when no cell's capture violated its profile's invariants.
     pub fn oracle_clean(&self) -> bool {
         self.cells.iter().all(|c| c.oracle_violations.is_empty())
-    }
-
-    /// One value off the per-profile series: counter `name` in `profile`'s
-    /// window (0 when absent).
-    pub fn profile_counter(&self, profile: &str, name: &str) -> u64 {
-        self.profiles
-            .iter()
-            .position(|p| *p == profile)
-            .and_then(|pi| self.series.window_at(pi as u64))
-            .map_or(0, |snap| snap.counter(name))
     }
 }
 
@@ -223,45 +204,11 @@ impl DifferentialCampaign {
             |&(pi, _)| &images[pi],
             |lab, index, &(pi, di)| self.cell(lab, index, &self.profiles[pi], &self.domains[di]),
         );
-        let matrix_cells = run.cells;
-        let profiles: Vec<&'static str> = self.profiles.iter().map(|p| p.name).collect();
-        let mut series = TimeSeries::with_window_us(1);
-        for cell in &matrix_cells {
-            let pi = profiles.iter().position(|p| *p == cell.profile).expect("known profile");
-            let mut snap = Snapshot::new();
-            snap.insert("diff.cells", MetricValue::Counter(1));
-            let tls = match cell.tls {
-                TlsVerdict::Pass => "diff.tls.pass",
-                TlsVerdict::RstLocal => "diff.tls.rst_local",
-                TlsVerdict::RstBidirectional => "diff.tls.rst_bidirectional",
-                TlsVerdict::DelayedDrop => "diff.tls.delayed_drop",
-                TlsVerdict::FullDrop => "diff.tls.full_drop",
-            };
-            let http = match cell.http {
-                HttpVerdict::Ok => "diff.http.ok",
-                HttpVerdict::BlockPage => "diff.http.block_page",
-                HttpVerdict::Reset => "diff.http.reset",
-                HttpVerdict::Dropped => "diff.http.dropped",
-            };
-            let dns = match cell.dns {
-                DnsVerdict::Answered => "diff.dns.answered",
-                DnsVerdict::Dropped => "diff.dns.dropped",
-            };
-            snap.insert(tls, MetricValue::Counter(1));
-            snap.insert(http, MetricValue::Counter(1));
-            snap.insert(dns, MetricValue::Counter(1));
-            snap.insert(
-                "diff.oracle_violations",
-                MetricValue::Counter(cell.oracle_violations.len() as u64),
-            );
-            series.observe(pi as u64, &snap);
-        }
         let matrix = ProfileMatrix {
-            cells: matrix_cells,
-            profiles,
+            cells: run.cells,
+            profiles: self.profiles.iter().map(|p| p.name).collect(),
             domains: self.domains.clone(),
             snapshot: run.snapshot,
-            series,
         };
         (matrix, run.report)
     }
@@ -430,17 +377,20 @@ mod tests {
             assert_eq!(cell.dns, DnsVerdict::Answered, "{profile}");
         }
 
-        // The per-profile series summarizes the same verdicts as counters:
-        // one window per profile, in profile order.
-        assert_eq!(matrix.series.len(), 3);
+        // Per-profile verdict counts are counts over the cells, which come
+        // back profile-major in profile order.
+        let count = |profile: &str, hit: fn(&ProfileCell) -> bool| {
+            matrix.cells.iter().filter(|c| c.profile == profile && hit(c)).count()
+        };
+        let order: Vec<&str> = matrix.cells.iter().map(|c| c.profile).collect();
+        assert_eq!(order, ["tspu", "tspu", "turkmenistan", "turkmenistan", "india", "india"]);
         for profile in ["tspu", "turkmenistan", "india"] {
-            assert_eq!(matrix.profile_counter(profile, "diff.cells"), 2, "{profile}");
-            assert_eq!(matrix.profile_counter(profile, "diff.oracle_violations"), 0);
+            assert_eq!(count(profile, |c| c.oracle_violations.is_empty()), 2, "{profile}");
         }
-        assert_eq!(matrix.profile_counter("tspu", "diff.tls.rst_local"), 1);
-        assert_eq!(matrix.profile_counter("turkmenistan", "diff.tls.rst_bidirectional"), 1);
-        assert_eq!(matrix.profile_counter("turkmenistan", "diff.dns.dropped"), 1);
-        assert_eq!(matrix.profile_counter("india", "diff.http.block_page"), 1);
-        assert_eq!(matrix.profile_counter("india", "diff.tls.pass"), 2);
+        assert_eq!(count("tspu", |c| c.tls == TlsVerdict::RstLocal), 1);
+        assert_eq!(count("turkmenistan", |c| c.tls == TlsVerdict::RstBidirectional), 1);
+        assert_eq!(count("turkmenistan", |c| c.dns == DnsVerdict::Dropped), 1);
+        assert_eq!(count("india", |c| c.http == HttpVerdict::BlockPage), 1);
+        assert_eq!(count("india", |c| c.tls == TlsVerdict::Pass), 2);
     }
 }

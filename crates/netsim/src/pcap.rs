@@ -6,8 +6,6 @@
 //! followed by 16-byte-headed records. Packets are raw IPv4
 //! (`LINKTYPE_RAW` = 101), exactly what the simulator carries.
 
-use std::io::{self, Write};
-
 use crate::capture::CaptureRecord;
 
 /// libpcap magic (microsecond timestamps, little-endian).
@@ -34,16 +32,6 @@ pub fn to_pcap_bytes(records: &[CaptureRecord]) -> Vec<u8> {
         out.extend_from_slice(&record.bytes);
     }
     out
-}
-
-/// Writes capture records to `writer` in libpcap format.
-pub fn write_pcap<W: Write>(mut writer: W, records: &[CaptureRecord]) -> io::Result<()> {
-    writer.write_all(&to_pcap_bytes(records))
-}
-
-/// Writes capture records to a file at `path`.
-pub fn save_pcap(path: &std::path::Path, records: &[CaptureRecord]) -> io::Result<()> {
-    write_pcap(std::fs::File::create(path)?, records)
 }
 
 #[cfg(test)]
@@ -82,16 +70,5 @@ mod tests {
     fn multiple_records_concatenate() {
         let bytes = to_pcap_bytes(&[record(1, vec![1; 10]), record(2, vec![2; 20])]);
         assert_eq!(bytes.len(), 24 + (16 + 10) + (16 + 20));
-    }
-
-    #[test]
-    fn save_roundtrip() {
-        let dir = std::env::temp_dir().join("tspu-pcap-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.pcap");
-        save_pcap(&path, &[record(77, vec![9; 40])]).unwrap();
-        let read = std::fs::read(&path).unwrap();
-        assert_eq!(read, to_pcap_bytes(&[record(77, vec![9; 40])]));
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -19,11 +19,12 @@
 //!   exported in Chrome trace-event format
 //!   ([`Snapshot::write_chrome_trace`]) with *simulated* microseconds as
 //!   the clock, so traces are byte-identical across thread counts.
-//! * [`TimeSeries`]: fixed-width virtual-time windows of snapshots — the
-//!   time-resolved layer. Deterministic and mergeable in window-index
-//!   order, exported as JSON, Chrome-trace counter tracks alongside the
-//!   span timeline, and the OpenMetrics text format
-//!   ([`openmetrics::render`], hand-rolled like `to_json`).
+//!
+//! A snapshot is the one export: `to_json`, `to_openmetrics`
+//! ([`openmetrics::render`], hand-rolled like `to_json`) and
+//! `write_chrome_trace`. Anything resolved over time or over a campaign's
+//! axes (registry day, censor profile, churn epoch) is the campaign's
+//! typed cells, not a second export format.
 //!
 //! The `obs` cargo feature (default on) gates only that: with
 //! `--no-default-features` [`Tracer`] is a zero-sized type whose methods
@@ -31,17 +32,14 @@
 //! device's flight recorder record nothing, and the components' exports
 //! ([`ENABLED`] is the switch they read) emit nothing. No count, and so no
 //! result, changes with the flag — CI runs the whole workspace's tests in
-//! both states. [`Snapshot`] and [`TimeSeries`] are cold-path data and
-//! exist in both shapes.
+//! both states. [`Snapshot`] is cold-path data and exists in both shapes.
 
 pub mod hist;
 pub mod openmetrics;
-pub mod series;
 pub mod snapshot;
 pub mod tracer;
 
 pub use hist::{bucket_index, bucket_lower, Histogram, BUCKETS};
-pub use series::TimeSeries;
 pub use snapshot::{MetricNames, MetricValue, Snapshot, SpanRecord};
 pub use tracer::Tracer;
 

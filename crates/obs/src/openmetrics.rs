@@ -36,30 +36,9 @@ pub fn metric_name(name: &str) -> String {
 /// Renders `snap` as a complete OpenMetrics exposition ending in `# EOF`.
 pub fn render(snap: &Snapshot) -> String {
     let mut out = String::with_capacity(64 + snap.metrics().len() * 48);
-    let mut typed = Vec::new();
-    render_snapshot(&mut out, snap, None, &mut typed);
-    out.push_str("# EOF\n");
-    out
-}
-
-/// Appends `snap`'s samples to `out`, optionally stamped with a virtual
-/// timestamp (`ts_us`, rendered in seconds). `typed` carries the metric
-/// families already given a `# TYPE` line, so a multi-window series emits
-/// each family's metadata once.
-pub(crate) fn render_snapshot(
-    out: &mut String,
-    snap: &Snapshot,
-    ts_us: Option<u64>,
-    typed: &mut Vec<String>,
-) {
-    let ts = ts_us.map(fmt_timestamp);
-    let suffix = |out: &mut String| {
-        if let Some(ts) = &ts {
-            out.push(' ');
-            out.push_str(ts);
-        }
-        out.push('\n');
-    };
+    // Families already given a `# TYPE` line: two names that sanitize to
+    // one family share it.
+    let mut typed: Vec<String> = Vec::new();
     for (name, value) in snap.metrics() {
         let family = metric_name(name);
         let kind = match value {
@@ -73,19 +52,19 @@ pub(crate) fn render_snapshot(
         }
         match value {
             MetricValue::Counter(v) => {
-                let _ = write!(out, "{family}_total {v}");
-                suffix(out);
+                let _ = writeln!(out, "{family}_total {v}");
             }
             MetricValue::Gauge(v) | MetricValue::GaugeLast(v) => {
-                let _ = write!(out, "{family} {v}");
-                suffix(out);
+                let _ = writeln!(out, "{family} {v}");
             }
-            MetricValue::Hist(h) => render_histogram(out, &family, h, &suffix),
+            MetricValue::Hist(h) => render_histogram(&mut out, &family, h),
         }
     }
+    out.push_str("# EOF\n");
+    out
 }
 
-fn render_histogram(out: &mut String, family: &str, h: &Histogram, suffix: &dyn Fn(&mut String)) {
+fn render_histogram(out: &mut String, family: &str, h: &Histogram) {
     let mut cumulative = 0u64;
     for (lower, n) in h.nonzero_buckets() {
         cumulative += n;
@@ -95,32 +74,12 @@ fn render_histogram(out: &mut String, family: &str, h: &Histogram, suffix: &dyn 
         let index = bucket_index(lower);
         if index + 1 < BUCKETS {
             let le = bucket_lower(index + 1) - 1;
-            let _ = write!(out, "{family}_bucket{{le=\"{le}\"}} {cumulative}");
-            suffix(out);
+            let _ = writeln!(out, "{family}_bucket{{le=\"{le}\"}} {cumulative}");
         }
     }
-    let _ = write!(out, "{family}_bucket{{le=\"+Inf\"}} {}", h.count());
-    suffix(out);
-    let _ = write!(out, "{family}_sum {}", h.sum());
-    suffix(out);
-    let _ = write!(out, "{family}_count {}", h.count());
-    suffix(out);
-}
-
-/// Virtual microseconds as an OpenMetrics timestamp (seconds, with the
-/// fractional part only when nonzero — trailing zeros trimmed so the
-/// common whole-second window stamps stay compact and stable).
-fn fmt_timestamp(us: u64) -> String {
-    let secs = us / 1_000_000;
-    let frac = us % 1_000_000;
-    if frac == 0 {
-        return secs.to_string();
-    }
-    let mut s = format!("{secs}.{frac:06}");
-    while s.ends_with('0') {
-        s.pop();
-    }
-    s
+    let _ = writeln!(out, "{family}_bucket{{le=\"+Inf\"}} {}", h.count());
+    let _ = writeln!(out, "{family}_sum {}", h.sum());
+    let _ = writeln!(out, "{family}_count {}", h.count());
 }
 
 #[cfg(test)]
@@ -167,14 +126,6 @@ policy_epoch 3
         assert_eq!(metric_name("device.er-telecom.rst"), "device_er_telecom_rst");
         assert_eq!(metric_name("9to5"), "_9to5");
         assert_eq!(metric_name("a:b_c"), "a:b_c");
-    }
-
-    #[test]
-    fn timestamps_render_in_seconds() {
-        assert_eq!(fmt_timestamp(0), "0");
-        assert_eq!(fmt_timestamp(2_000_000), "2");
-        assert_eq!(fmt_timestamp(1_500_000), "1.5");
-        assert_eq!(fmt_timestamp(1_000_001), "1.000001");
     }
 
     /// Parses `family_total value` lines into (family, value).

@@ -190,23 +190,6 @@ impl Snapshot {
             .map(|at| &self.metrics[at].1)
     }
 
-    /// Counters of `self` minus `baseline` (saturating; absent = 0) —
-    /// "what moved since the baseline". Gauges and histograms are carried
-    /// from `self` unchanged; spans are dropped.
-    pub fn counter_delta(&self, baseline: &Snapshot) -> Snapshot {
-        let mut out = Snapshot::new();
-        for (name, value) in &self.metrics {
-            match value {
-                MetricValue::Counter(v) => {
-                    let before = baseline.counter(name);
-                    out.insert(name.clone(), MetricValue::Counter(v.saturating_sub(before)));
-                }
-                other => out.insert(name.clone(), other.clone()),
-            }
-        }
-        out
-    }
-
     /// Every nonzero counter, for "which counter moved" reporting.
     pub fn moved_counters(&self) -> Vec<(String, u64)> {
         self.metrics
@@ -288,10 +271,8 @@ impl Snapshot {
     }
 }
 
-/// One Chrome complete-event (`"ph":"X"`) object, no trailing comma —
-/// shared between [`Snapshot::write_chrome_trace`] and the combined
-/// spans-plus-counter-tracks writer in [`crate::series`].
-pub(crate) fn span_event_json(span: &SpanRecord) -> String {
+/// One Chrome complete-event (`"ph":"X"`) object, no trailing comma.
+fn span_event_json(span: &SpanRecord) -> String {
     format!(
         "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"seq\":{}}}}}",
         json_string(span.name),
@@ -320,7 +301,7 @@ fn merge_value(into: &mut MetricValue, from: &MetricValue) {
 
 /// Minimal JSON string escaping (metric and span names are plain ASCII
 /// dot-paths in practice, but stay correct for arbitrary input).
-pub(crate) fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -383,17 +364,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.gauge("policy.epoch"), Some(2), "last-value gauge must not max");
         assert_eq!(a.gauge("depth"), Some(4), "high-water gauge still maxes");
-    }
-
-    #[test]
-    fn delta_names_the_counter_that_moved() {
-        let mut before = Snapshot::new();
-        before.insert("d.rst", MetricValue::Counter(7));
-        let mut after = Snapshot::new();
-        after.insert("d.rst", MetricValue::Counter(9));
-        after.insert("d.drop", MetricValue::Counter(1));
-        let delta = after.counter_delta(&before);
-        assert_eq!(delta.moved_counters(), vec![("d.drop".into(), 1), ("d.rst".into(), 2)]);
     }
 
     #[test]

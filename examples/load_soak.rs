@@ -4,8 +4,9 @@
 //! sharded million-entry flow table.
 //!
 //! Prints the load report and writes `load_report.json` (load counters +
-//! per-shard occupancy + the steady-state latency histogram, merged as an
-//! obs snapshot).
+//! per-shard occupancy as an obs snapshot). The file holds only
+//! virtual-time counts, so two runs write identical bytes; the wall-clock
+//! throughput and latency figures are printed, not exported.
 //!
 //! ```sh
 //! cargo run --release --example load_soak            # 1M flows

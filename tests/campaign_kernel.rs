@@ -1,6 +1,6 @@
 //! The campaign kernel, tier-1: every driver runs its cells through
 //! `ScanPool::run_cells`, so at small size each one must produce the same
-//! bytes — cells, merged snapshot, series — at one and two threads, and
+//! bytes — cells and merged snapshot — at one and two threads, and
 //! `RunOpts` must mean the same thing under every driver that takes it.
 //! The CI `determinism` job checks the same at length and at eight threads.
 //! The churn driver's cells start from `PolicyHistory::as_of`; the replay
@@ -76,14 +76,14 @@ fn every_driver_is_byte_identical_at_one_and_two_threads() {
     assert_same_at_one_and_two_threads("churn", |pool| {
         let report = churn.run(&universe, pool);
         assert!(!report.cells.is_empty());
-        format!("{:?}\n{}\n{}", report.cells, report.snapshot.to_json(), report.series.to_json())
+        format!("{:?}\n{}", report.cells, report.snapshot.to_json())
     });
 
     let differential = DifferentialCampaign::three_country(policy.clone(), domains());
     assert_same_at_one_and_two_threads("differential", |pool| {
         let (matrix, _) = differential.run(pool, &RunOpts::observed());
         assert!(matrix.oracle_clean(), "{:?}", matrix.oracle_violations());
-        format!("{:?}\n{:?}\n{}", matrix.cells, matrix.snapshot, matrix.series.to_json())
+        format!("{:?}\n{:?}", matrix.cells, matrix.snapshot)
     });
 
     let walk = LocalizeSpec::symmetric(policy.clone(), "Rostelecom");
