@@ -173,7 +173,7 @@ pub struct TspuDevice {
     stats: DeviceStats,
     /// Export names, `device.<label>.*`, shared with the device's forks.
     names: MetricNames,
-    /// `verdict` / `reassembly` spans; zero-sized with the `obs` feature off.
+    /// `verdict` / `reassembly` spans, recorded only while tracing is on.
     tracer: Tracer,
     hardening: Hardening,
     /// Pre-provisioned flow-table capacity ([`TspuDevice::with_flow_capacity`]).
@@ -187,8 +187,8 @@ pub struct TspuDevice {
     reload_applied: bool,
     violation: Option<ModelViolation>,
     /// The enforcement flight recorder: a bounded ring of structured
-    /// enforcement events ([`crate::recorder`]). Zero-sized with `obs`
-    /// off; steady-state pass packets record nothing either way.
+    /// enforcement events ([`crate::recorder`]); steady-state pass packets
+    /// record nothing.
     recorder: FlightRecorder,
 }
 
@@ -445,10 +445,8 @@ impl TspuDevice {
     /// Like [`TspuDevice::take_obs`] but without draining spans.
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        if tspu_obs::ENABLED {
-            let table = exported(&self.stats, &self.conntrack, &self.frag_cache);
-            snap.insert_counters(&self.names, table);
-        }
+        let table = exported(&self.stats, &self.conntrack, &self.frag_cache);
+        snap.insert_counters(&self.names, table);
         snap
     }
 

@@ -794,7 +794,7 @@ impl PolicyHandle {
         let mut snap = Snapshot::new();
         let applies = self.delta_applies.load(Ordering::Acquire);
         let epoch = self.epoch();
-        if tspu_obs::ENABLED && applies != 0 {
+        if applies != 0 {
             snap.insert("policy.delta_applies", MetricValue::Counter(applies));
             if epoch != 0 {
                 snap.insert("policy.epoch", MetricValue::GaugeLast(epoch as i64));
@@ -934,11 +934,9 @@ mod tests {
         let clone = handle.clone(); // a second "device" shares the counter
         clone.apply_delta(&PolicyDelta::add_rst_batch(["x.example"]));
         handle.update(|p| p.quic_filter = false);
-        if tspu_obs::ENABLED {
-            let snap = handle.obs_snapshot();
-            assert_eq!(snap.counter("policy.delta_applies"), 2);
-            assert_eq!(snap.gauge("policy.epoch"), Some(2));
-        }
+        let snap = handle.obs_snapshot();
+        assert_eq!(snap.counter("policy.delta_applies"), 2);
+        assert_eq!(snap.gauge("policy.epoch"), Some(2));
     }
 
     fn sorted(set: &DomainSet) -> Vec<&str> {

@@ -13,19 +13,17 @@
 //! Design constraints, in priority order:
 //!
 //! 1. **Steady-state packets record nothing.** Pass-verdict traffic — the
-//!    hot path the `zero_alloc` test and the `obs/overhead_device_hop`
-//!    budget guard — never touches the ring. Events exist only where the
-//!    device already does cold work (arming a verdict, expiring one,
-//!    restarting).
+//!    hot path the `zero_alloc` test guards — never touches the ring.
+//!    Events exist only where the device already does cold work (arming a
+//!    verdict, expiring one, restarting).
 //! 2. **Bounded.** The ring holds [`DEFAULT_LEDGER_CAP`] events and
 //!    overwrites the oldest; a blocked-flow soak cannot grow it.
 //! 3. **Deterministic.** Events are ordered by a monotone sequence
 //!    number; virtual time is the only clock. Renderings are
 //!    byte-identical at every `TSPU_THREADS` setting.
 //!
-//! Like [`tspu_obs::Tracer`], the recorder is a zero-sized no-op when
-//! the `obs` feature is off; [`LedgerEvent`] and [`LedgerKind`] exist in
-//! both shapes so call sites compile unchanged.
+//! Every device keeps one. Unlike [`tspu_obs::Tracer`] it has no run-time
+//! switch: by rule 1 its steady-state cost is one epoch comparison.
 
 use crate::conntrack::FlowKey;
 
@@ -125,213 +123,149 @@ impl LedgerEvent {
     }
 }
 
-#[cfg(feature = "obs")]
-mod imp {
-    use super::{LedgerEvent, LedgerKind, DEFAULT_LEDGER_CAP};
-    use crate::conntrack::FlowKey;
+/// The recorder proper: a ring of the last `cap` events plus the
+/// state needed to coalesce GC sweeps and detect epoch changes.
+#[derive(Debug, Clone)]
+pub struct FlightRecorder {
+    /// Next sequence number; `seq % cap` is the next ring slot.
+    seq: u64,
+    cap: usize,
+    ring: Vec<LedgerEvent>,
+    /// Last policy epoch this device observed; [`FlightRecorder::note_epoch`]
+    /// records only transitions.
+    last_epoch: u64,
+    /// GC eviction total at the last ledger event, for coalescing.
+    last_evictions: u64,
+}
 
-    /// The recorder proper: a ring of the last `cap` events plus the
-    /// state needed to coalesce GC sweeps and detect epoch changes.
-    #[derive(Debug, Clone)]
-    pub struct FlightRecorder {
-        /// Next sequence number; `seq % cap` is the next ring slot.
-        seq: u64,
-        cap: usize,
-        ring: Vec<LedgerEvent>,
-        /// Last policy epoch this device observed; [`FlightRecorder::note_epoch`]
-        /// records only transitions.
-        last_epoch: u64,
-        /// GC eviction total at the last ledger event, for coalescing.
-        last_evictions: u64,
+impl FlightRecorder {
+    /// A recorder with the default capacity, baselined at
+    /// `initial_epoch` so the epoch in force at construction is not
+    /// itself reported as a delta.
+    pub fn new(initial_epoch: u64) -> FlightRecorder {
+        FlightRecorder::with_capacity(DEFAULT_LEDGER_CAP, initial_epoch)
     }
 
-    impl FlightRecorder {
-        /// A recorder with the default capacity, baselined at
-        /// `initial_epoch` so the epoch in force at construction is not
-        /// itself reported as a delta.
-        pub fn new(initial_epoch: u64) -> FlightRecorder {
-            FlightRecorder::with_capacity(DEFAULT_LEDGER_CAP, initial_epoch)
+    /// A recorder holding the last `cap` events (`cap` ≥ 1 enforced).
+    pub fn with_capacity(cap: usize, initial_epoch: u64) -> FlightRecorder {
+        FlightRecorder {
+            seq: 0,
+            cap: cap.max(1),
+            ring: Vec::new(),
+            last_epoch: initial_epoch,
+            last_evictions: 0,
         }
+    }
 
-        /// A recorder holding the last `cap` events (`cap` ≥ 1 enforced).
-        pub fn with_capacity(cap: usize, initial_epoch: u64) -> FlightRecorder {
-            FlightRecorder {
-                seq: 0,
-                cap: cap.max(1),
-                ring: Vec::new(),
-                last_epoch: initial_epoch,
-                last_evictions: 0,
+    /// Ring capacity in events.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    /// Events currently held (≤ capacity).
+    pub fn len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// True when nothing has been recorded (or everything was reset).
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// Total events ever recorded (wrapped-out ones included).
+    pub fn recorded(&self) -> u64 {
+        self.seq
+    }
+
+    /// Records one event. The ring allocates lazily on the first
+    /// event and overwrites the oldest slot once full.
+    pub fn record(
+        &mut self,
+        at_us: u64,
+        flow: Option<FlowKey>,
+        kind: LedgerKind,
+        profile: &'static str,
+        epoch: u64,
+    ) {
+        let event = LedgerEvent { seq: self.seq, at_us, flow, kind, profile, epoch };
+        if self.ring.len() < self.cap {
+            if self.ring.capacity() == 0 {
+                self.ring.reserve_exact(self.cap);
             }
+            self.ring.push(event);
+        } else {
+            let slot = (self.seq % self.cap as u64) as usize;
+            self.ring[slot] = event;
         }
+        self.seq += 1;
+    }
 
-        /// Ring capacity in events.
-        pub fn capacity(&self) -> usize {
-            self.cap
-        }
-
-        /// Events currently held (≤ capacity).
-        pub fn len(&self) -> usize {
-            self.ring.len()
-        }
-
-        /// True when nothing has been recorded (or everything was reset).
-        pub fn is_empty(&self) -> bool {
-            self.ring.is_empty()
-        }
-
-        /// Total events ever recorded (wrapped-out ones included).
-        pub fn recorded(&self) -> u64 {
-            self.seq
-        }
-
-        /// Records one event. The ring allocates lazily on the first
-        /// event and overwrites the oldest slot once full.
-        pub fn record(
-            &mut self,
-            at_us: u64,
-            flow: Option<FlowKey>,
-            kind: LedgerKind,
-            profile: &'static str,
-            epoch: u64,
-        ) {
-            let event = LedgerEvent { seq: self.seq, at_us, flow, kind, profile, epoch };
-            if self.ring.len() < self.cap {
-                if self.ring.capacity() == 0 {
-                    self.ring.reserve_exact(self.cap);
-                }
-                self.ring.push(event);
-            } else {
-                let slot = (self.seq % self.cap as u64) as usize;
-                self.ring[slot] = event;
-            }
-            self.seq += 1;
-        }
-
-        /// Records an [`LedgerKind::EpochObserved`] event iff `epoch`
-        /// differs from the last observed one — the per-packet cost on
-        /// the steady state is this one comparison.
-        #[inline]
-        pub fn note_epoch(&mut self, at_us: u64, epoch: u64, profile: &'static str) {
-            if epoch != self.last_epoch {
-                self.last_epoch = epoch;
-                self.record(at_us, None, LedgerKind::EpochObserved, profile, epoch);
-            }
-        }
-
-        /// Coalesces conntrack GC activity: given the tracker's running
-        /// eviction total, records one [`LedgerKind::GcSweep`] covering
-        /// everything reclaimed since the previous ledger event. Called
-        /// from cold enforcement paths only.
-        pub fn sync_gc(&mut self, at_us: u64, evictions: u64, profile: &'static str, epoch: u64) {
-            if evictions > self.last_evictions {
-                let evicted = evictions - self.last_evictions;
-                self.last_evictions = evictions;
-                self.record(at_us, None, LedgerKind::GcSweep { evicted }, profile, epoch);
-            }
-        }
-
-        /// Re-baselines the epoch detector — used when a forked device is
-        /// pointed at a different policy handle, whose current epoch must
-        /// not read as a delta.
-        pub fn rebase_epoch(&mut self, epoch: u64) {
+    /// Records an [`LedgerKind::EpochObserved`] event iff `epoch`
+    /// differs from the last observed one — the per-packet cost on
+    /// the steady state is this one comparison.
+    #[inline]
+    pub fn note_epoch(&mut self, at_us: u64, epoch: u64, profile: &'static str) {
+        if epoch != self.last_epoch {
             self.last_epoch = epoch;
+            self.record(at_us, None, LedgerKind::EpochObserved, profile, epoch);
         }
+    }
 
-        /// Events oldest-first (ring unrolled in sequence order).
-        pub fn events(&self) -> Vec<LedgerEvent> {
-            let mut out = self.ring.clone();
-            out.sort_by_key(|e| e.seq);
-            out
+    /// Coalesces conntrack GC activity: given the tracker's running
+    /// eviction total, records one [`LedgerKind::GcSweep`] covering
+    /// everything reclaimed since the previous ledger event. Called
+    /// from cold enforcement paths only.
+    pub fn sync_gc(&mut self, at_us: u64, evictions: u64, profile: &'static str, epoch: u64) {
+        if evictions > self.last_evictions {
+            let evicted = evictions - self.last_evictions;
+            self.last_evictions = evictions;
+            self.record(at_us, None, LedgerKind::GcSweep { evicted }, profile, epoch);
         }
+    }
 
-        /// The last `n` events concerning `flow` (device-wide events
-        /// included — a restart or epoch change is part of any flow's
-        /// story), rendered oldest-first.
-        pub fn for_flow(&self, flow: &FlowKey, n: usize) -> Vec<String> {
-            let mut hits: Vec<&LedgerEvent> = self
-                .ring
-                .iter()
-                .filter(|e| e.flow.is_none() || e.flow.as_ref() == Some(flow))
-                .collect();
-            hits.sort_by_key(|e| e.seq);
-            let skip = hits.len().saturating_sub(n);
-            hits[skip..].iter().map(|e| e.render()).collect()
-        }
+    /// Re-baselines the epoch detector — used when a forked device is
+    /// pointed at a different policy handle, whose current epoch must
+    /// not read as a delta.
+    pub fn rebase_epoch(&mut self, epoch: u64) {
+        self.last_epoch = epoch;
+    }
 
-        /// A clean copy for a forked device: same capacity and epoch
-        /// baseline, empty ring, eviction baseline zeroed (the fork's
-        /// conntrack starts empty).
-        pub fn fork_reset(&self) -> FlightRecorder {
-            FlightRecorder {
-                seq: 0,
-                cap: self.cap,
-                ring: Vec::new(),
-                last_epoch: self.last_epoch,
-                last_evictions: 0,
-            }
+    /// Events oldest-first (ring unrolled in sequence order).
+    pub fn events(&self) -> Vec<LedgerEvent> {
+        let mut out = self.ring.clone();
+        out.sort_by_key(|e| e.seq);
+        out
+    }
+
+    /// The last `n` events concerning `flow` (device-wide events
+    /// included — a restart or epoch change is part of any flow's
+    /// story), rendered oldest-first.
+    pub fn for_flow(&self, flow: &FlowKey, n: usize) -> Vec<String> {
+        let mut hits: Vec<&LedgerEvent> = self
+            .ring
+            .iter()
+            .filter(|e| e.flow.is_none() || e.flow.as_ref() == Some(flow))
+            .collect();
+        hits.sort_by_key(|e| e.seq);
+        let skip = hits.len().saturating_sub(n);
+        hits[skip..].iter().map(|e| e.render()).collect()
+    }
+
+    /// A clean copy for a forked device: same capacity and epoch
+    /// baseline, empty ring, eviction baseline zeroed (the fork's
+    /// conntrack starts empty).
+    pub fn fork_reset(&self) -> FlightRecorder {
+        FlightRecorder {
+            seq: 0,
+            cap: self.cap,
+            ring: Vec::new(),
+            last_epoch: self.last_epoch,
+            last_evictions: 0,
         }
     }
 }
 
-#[cfg(not(feature = "obs"))]
-mod imp {
-    use super::{LedgerEvent, LedgerKind};
-    use crate::conntrack::FlowKey;
-
-    /// Obs-disabled shape: zero-sized, every method an empty inline body,
-    /// so instrumented call sites compile to the uninstrumented code.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct FlightRecorder();
-
-    impl FlightRecorder {
-        pub fn new(_initial_epoch: u64) -> FlightRecorder {
-            FlightRecorder()
-        }
-        pub fn with_capacity(_cap: usize, _initial_epoch: u64) -> FlightRecorder {
-            FlightRecorder()
-        }
-        pub fn capacity(&self) -> usize {
-            0
-        }
-        pub fn len(&self) -> usize {
-            0
-        }
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-        pub fn recorded(&self) -> u64 {
-            0
-        }
-        #[inline]
-        pub fn record(
-            &mut self,
-            _at_us: u64,
-            _flow: Option<FlowKey>,
-            _kind: LedgerKind,
-            _profile: &'static str,
-            _epoch: u64,
-        ) {
-        }
-        #[inline]
-        pub fn note_epoch(&mut self, _at_us: u64, _epoch: u64, _profile: &'static str) {}
-        #[inline]
-        pub fn sync_gc(&mut self, _at_us: u64, _evictions: u64, _profile: &'static str, _epoch: u64) {}
-        pub fn rebase_epoch(&mut self, _epoch: u64) {}
-        pub fn events(&self) -> Vec<LedgerEvent> {
-            Vec::new()
-        }
-        pub fn for_flow(&self, _flow: &FlowKey, _n: usize) -> Vec<String> {
-            Vec::new()
-        }
-        pub fn fork_reset(&self) -> FlightRecorder {
-            FlightRecorder()
-        }
-    }
-}
-
-pub use imp::FlightRecorder;
-
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;

@@ -19,9 +19,10 @@
 //!
 //! ## Seeded mutations
 //!
-//! The suite was checked to fail on each of these edits to
-//! `crates/core/src/conntrack.rs`; re-check them when the tracker's
-//! storage is next rewritten.
+//! The suite must fail on each of these edits to
+//! `crates/core/src/conntrack.rs`. Each is a patch under `tests/mutants/`
+//! that CI's `mutants` job applies and runs (`sh tests/mutants/check.sh`);
+//! a rewrite of the tracker's storage re-cuts the patches it breaks.
 //!
 //! 1. `gc_step` evicts on `now.since(last_seen) >= timeout` instead of
 //!    `FlowEntry::expired`'s `>` (an entry exactly at its timeout is alive).

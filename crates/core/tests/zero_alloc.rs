@@ -137,10 +137,9 @@ fn matcher_is_allocation_free_on_the_packet_path() {
 
     // The whole device hop path: a non-triggering TCP data packet through
     // conntrack, IP blocking, trigger evaluation, and verdict application
-    // must not allocate in steady state — with the `obs` feature enabled
-    // (registry increments are indexed adds on preallocated storage) and
-    // with it disabled (recording compiles to no-ops) alike. This test
-    // runs in CI under both feature configurations.
+    // must not allocate in steady state: the device's counts are plain
+    // field adds, tracing is off, and a pass verdict leaves the flight
+    // recorder untouched.
     let client = Ipv4Addr::new(10, 1, 1, 1);
     let server = Ipv4Addr::new(203, 0, 113, 1);
     let mut tcp = TcpRepr::new(40_000, 443, TcpFlags::PSH_ACK);

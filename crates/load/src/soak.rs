@@ -310,11 +310,11 @@ impl SoakLab {
         let (mut prev_started, mut prev_completed) = (0u64, 0u64);
         let (mut prev_resets, mut prev_got_data, mut prev_packets) = (0u64, 0u64, 0u64);
         loop {
-            let events_before = net.events_popped();
+            let events_before = net.events_processed();
             let slice_started = Instant::now();
             net.run_for(self.config.slice);
             let slice_wall_ns = slice_started.elapsed().as_nanos() as u64;
-            let slice_events = net.events_popped() - events_before;
+            let slice_events = net.events_processed() - events_before;
             acc_wall_ns += slice_wall_ns;
             acc_events += slice_events;
             if acc_events >= WINDOW_EVENTS {
@@ -380,7 +380,7 @@ impl SoakLab {
         let stats = stats.lock().expect("stats lock").clone();
         let device_packets = stats.client_tx_packets + stats.server_tx_packets;
         SoakReport {
-            events: net.events_popped(),
+            events: net.events_processed(),
             peak_tracked_flows: peak_tracked,
             shard_lens: conntrack.shard_lens(),
             gc_probes: conntrack.gc_probes(),
@@ -440,7 +440,7 @@ mod tests {
         // of traffic leaves the capture log empty.
         let (mut net, _) = lab.fork();
         net.run_for(small_config().slice);
-        assert!(net.events_popped() > 0, "the slice ran no traffic");
+        assert!(net.events_processed() > 0, "the slice ran no traffic");
         assert!(net.captures().is_empty(), "the soak copied packets into a capture nobody reads");
 
         // The traffic itself is what it was when every soak still captured

@@ -135,10 +135,8 @@ impl ChurnCampaign {
             snapshot.merge(&policy_obs);
             out.push(cell);
         }
-        if tspu_obs::ENABLED {
-            snapshot.insert("churn.deltas", MetricValue::Counter(out.len() as u64));
-            snapshot.insert("churn.convergence_us", MetricValue::Hist(convergence));
-        }
+        snapshot.insert("churn.deltas", MetricValue::Counter(out.len() as u64));
+        snapshot.insert("churn.convergence_us", MetricValue::Hist(convergence));
         ChurnReport {
             cells: out,
             batches: schedule.len(),
@@ -438,16 +436,14 @@ mod tests {
         let universe = Universe::generate(5);
         let campaign = short_campaign();
         let report = campaign.run(&universe, &ScanPool::single_thread());
-        if tspu_obs::ENABLED {
-            assert_eq!(report.snapshot.counter("churn.deltas"), report.cells.len() as u64);
-            let hist = report.snapshot.histogram("churn.convergence_us").expect("histogram");
-            assert_eq!(hist.count(), report.cells.len() as u64);
-            // One updater apply + one audit bump per cell flow through the
-            // merged policy instruments.
-            assert_eq!(
-                report.snapshot.counter("policy.delta_applies"),
-                2 * report.cells.len() as u64
-            );
-        }
+        assert_eq!(report.snapshot.counter("churn.deltas"), report.cells.len() as u64);
+        let hist = report.snapshot.histogram("churn.convergence_us").expect("histogram");
+        assert_eq!(hist.count(), report.cells.len() as u64);
+        // One updater apply + one audit bump per cell flow through the
+        // merged policy instruments.
+        assert_eq!(
+            report.snapshot.counter("policy.delta_applies"),
+            2 * report.cells.len() as u64
+        );
     }
 }

@@ -479,10 +479,8 @@ impl SweepSpec {
                 verdict
             })
             .collect();
-        if tspu_obs::ENABLED {
-            snapshot.insert("sweep.scenarios", MetricValue::Counter(verdicts.len() as u64));
-            snapshot.insert("sweep.scenario_us", MetricValue::Hist(scenario_us));
-        }
+        snapshot.insert("sweep.scenarios", MetricValue::Counter(verdicts.len() as u64));
+        snapshot.insert("sweep.scenario_us", MetricValue::Hist(scenario_us));
         SweepRun { verdicts, snapshot: Some(snapshot), report: run.report }
     }
 }

@@ -241,12 +241,10 @@ pub(crate) fn run_tomography(
     let run = pool.run_cells(opts, &indices, |_| &image, |lab, cell, _| run_cell(lab, config, cell));
     let cells = run.cells;
     let mut snapshot = run.snapshot;
-    if tspu_obs::ENABLED {
-        if let Some(total) = snapshot.as_mut() {
-            total.insert("tomography.cells", MetricValue::Counter(cells.len() as u64));
-            let named = cells.iter().filter(|c| c.named).count() as u64;
-            total.insert("tomography.named", MetricValue::Counter(named));
-        }
+    if let Some(total) = snapshot.as_mut() {
+        total.insert("tomography.cells", MetricValue::Counter(cells.len() as u64));
+        let named = cells.iter().filter(|c| c.named).count() as u64;
+        total.insert("tomography.named", MetricValue::Counter(named));
     }
     (TomographyRun { cells }, snapshot, run.report)
 }

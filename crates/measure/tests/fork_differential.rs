@@ -111,7 +111,5 @@ fn every_fork_starts_pristine() {
     let mut lab = image.fork(1);
     assert_eq!(lab.net.now(), tspu_netsim::Time::ZERO);
     assert!(lab.net.take_captures().is_empty());
-    if tspu_obs::ENABLED {
-        assert_eq!(lab.obs_snapshot().counter("netsim.events_processed"), 0);
-    }
+    assert_eq!(lab.obs_snapshot().counter("netsim.events_processed"), 0);
 }

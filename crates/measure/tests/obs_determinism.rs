@@ -45,17 +45,12 @@ fn observed_run_matches_plain_run_and_actually_observes() {
     assert_eq!(observed.report.expect("report requested").total_items(), spec.len());
     let snapshot = observed.snapshot.expect("observed run");
 
-    if tspu_obs::ENABLED {
-        assert_eq!(snapshot.counter("sweep.scenarios"), spec.len() as u64);
-        let hist = snapshot.histogram("sweep.scenario_us").expect("scenario_us recorded");
-        assert_eq!(hist.count(), spec.len() as u64);
-        assert!(!snapshot.spans().is_empty(), "tracing was on; spans expected");
-        // Every scenario contributed device metrics under its own scope.
-        assert!(snapshot.counter("device.ertelecom-sym.packets_seen") > 0);
-    } else {
-        assert!(snapshot.metrics().is_empty());
-        assert!(snapshot.spans().is_empty());
-    }
+    assert_eq!(snapshot.counter("sweep.scenarios"), spec.len() as u64);
+    let hist = snapshot.histogram("sweep.scenario_us").expect("scenario_us recorded");
+    assert_eq!(hist.count(), spec.len() as u64);
+    assert!(!snapshot.spans().is_empty(), "tracing was on; spans expected");
+    // Every scenario contributed device metrics under its own scope.
+    assert!(snapshot.counter("device.ertelecom-sym.packets_seen") > 0);
 }
 
 #[test]
@@ -65,9 +60,7 @@ fn openmetrics_export_is_byte_identical_across_thread_counts() {
         spec.run(pool, &RunOpts::observed()).snapshot.expect("observed run").to_openmetrics()
     });
     assert!(om.ends_with("# EOF\n"), "exposition must terminate: {om}");
-    if tspu_obs::ENABLED {
-        assert!(om.contains("# TYPE "), "{om}");
-    }
+    assert!(om.contains("# TYPE "), "{om}");
 }
 
 #[test]

@@ -161,23 +161,19 @@ fn violation_report_carries_the_arming_ledger_event() {
         .iter()
         .find(|v| matches!(v.violation, Violation::ResidualExceeded { .. }))
         .expect("no ResidualExceeded reported");
-    if tspu_obs::ENABLED {
-        assert!(
-            v.ledger.iter().any(|line| line.contains("trigger_fired source=http_host")),
-            "ledger must name the arming trigger: {:?}",
-            v.ledger
-        );
-        assert!(
-            v.ledger.iter().any(|line| line.contains("block_armed kind=block_page")),
-            "ledger must name the armed verdict: {:?}",
-            v.ledger
-        );
-        let rendered = v.to_string();
-        assert!(rendered.contains("enforcement ledger"), "rendered report carries the ledger: {rendered}");
-        assert!(rendered.contains("block_armed kind=block_page"), "{rendered}");
-        // Every ledger line names the profile the device was enforcing.
-        assert!(v.ledger.iter().all(|line| line.contains("profile=india")), "{:?}", v.ledger);
-    } else {
-        assert!(v.ledger.is_empty(), "obs-disabled builds attach no ledger");
-    }
+    assert!(
+        v.ledger.iter().any(|line| line.contains("trigger_fired source=http_host")),
+        "ledger must name the arming trigger: {:?}",
+        v.ledger
+    );
+    assert!(
+        v.ledger.iter().any(|line| line.contains("block_armed kind=block_page")),
+        "ledger must name the armed verdict: {:?}",
+        v.ledger
+    );
+    let rendered = v.to_string();
+    assert!(rendered.contains("enforcement ledger"), "rendered report carries the ledger: {rendered}");
+    assert!(rendered.contains("block_armed kind=block_page"), "{rendered}");
+    // Every ledger line names the profile the device was enforcing.
+    assert!(v.ledger.iter().all(|line| line.contains("profile=india")), "{:?}", v.ledger);
 }

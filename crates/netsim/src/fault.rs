@@ -265,9 +265,7 @@ impl ChaosLink {
     /// `link.<label>.*` scope.
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        if tspu_obs::ENABLED {
-            snap.insert_counters(&self.names, self.stats.exported());
-        }
+        snap.insert_counters(&self.names, self.stats.exported());
         snap
     }
 

@@ -175,10 +175,11 @@ pub struct Network {
     /// rate the tomography campaigns read back.
     route_flips: u64,
     /// Pending-event count sampled every 64th event; allocated at the first
-    /// sample, so a short cell never pays for it. Observational only: not
-    /// recorded with the `obs` feature off.
+    /// sample, so a short cell never pays for it. Observational only: no
+    /// result reads it, the export does.
     queue_depth: Option<Histogram>,
-    /// Zero-sized with the `obs` feature off.
+    /// `hop` / `deliver` spans, recorded only while
+    /// [`Network::set_tracing`] has switched it on.
     tracer: Tracer,
 }
 
@@ -218,15 +219,9 @@ impl Network {
     }
 
     /// Total events processed so far (throughput benches, per-event
-    /// latency math).
+    /// latency math). An event is processed as it is popped, so this is
+    /// also the exported `netsim.events_popped` gauge.
     pub fn events_processed(&self) -> u64 {
-        self.events_popped
-    }
-
-    /// Events popped from the scheduler so far: an event is processed as
-    /// it is popped, so this is [`Network::events_processed`] under its
-    /// other exported name.
-    pub fn events_popped(&self) -> u64 {
         self.events_popped
     }
 
@@ -257,9 +252,6 @@ impl Network {
     /// accessor reads after a run. Gauges at 0 are omitted.
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        if !tspu_obs::ENABLED {
-            return snap;
-        }
         snap.insert("netsim.events_processed", MetricValue::Counter(self.events_popped));
         snap.insert("netsim.captures_recorded", MetricValue::Counter(self.captures_recorded));
         snap.insert("netsim.route_flips", MetricValue::Counter(self.route_flips));
@@ -567,7 +559,7 @@ impl Network {
         // per-event hot path (the depth high-water mark is exact:
         // `push_event` takes it where depth rises). Event-count sampling is
         // deterministic — no thread-count leak.
-        if tspu_obs::ENABLED && self.events_popped & 63 == 0 {
+        if self.events_popped & 63 == 0 {
             self.queue_depth.get_or_insert_with(Histogram::new).record(self.queue.len() as u64);
         }
         // Spans use virtual time, which does not advance inside a handler,

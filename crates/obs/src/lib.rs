@@ -26,13 +26,10 @@
 //! axes (registry day, censor profile, churn epoch) is the campaign's
 //! typed cells, not a second export format.
 //!
-//! The `obs` cargo feature (default on) gates only that: with
-//! `--no-default-features` [`Tracer`] is a zero-sized type whose methods
-//! are empty inline bodies, the engine's queue-depth histogram and the
-//! device's flight recorder record nothing, and the components' exports
-//! ([`ENABLED`] is the switch they read) emit nothing. No count, and so no
-//! result, changes with the flag — CI runs the whole workspace's tests in
-//! both states. [`Snapshot`] is cold-path data and exists in both shapes.
+//! There is one build: every component exports in every program, and the
+//! only switch is the run-time one that turns span recording on
+//! ([`Tracer::set_enabled`], reached through `set_tracing` or a campaign's
+//! `RunOpts`). No count, and so no result, depends on it.
 
 pub mod hist;
 pub mod openmetrics;
@@ -42,6 +39,3 @@ pub mod tracer;
 pub use hist::{bucket_index, bucket_lower, Histogram, BUCKETS};
 pub use snapshot::{MetricNames, MetricValue, Snapshot, SpanRecord};
 pub use tracer::Tracer;
-
-/// Whether this build traces and exports (the `obs` feature state).
-pub const ENABLED: bool = cfg!(feature = "obs");

@@ -164,9 +164,6 @@ fn even_cells(cells: usize) -> BTreeSet<u32> {
 /// from every cell, spans from exactly the even ones.
 #[test]
 fn sampling_traces_exactly_the_even_cells_under_every_driver() {
-    if !tspu_obs::ENABLED {
-        return;
-    }
     let universe = Universe::generate(2022);
     let policy = policy(&universe);
     let opts = RunOpts::sampled(2);

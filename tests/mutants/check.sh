@@ -1,0 +1,38 @@
+#!/bin/sh
+# Seeded-mutation check. Each tests/mutants/*.patch starts with a line
+# `# must fail: <command>`; the patch is applied to the checkout, the command
+# must build and then fail, and the patch is reverted. Exits non-zero if a
+# patch no longer applies, a mutant no longer builds, or a mutant survives.
+#
+#   sh tests/mutants/check.sh        # from a checkout with no local edits
+set -u
+cd "$(git rev-parse --show-toplevel)" || exit 2
+if ! git diff --quiet; then
+    echo "tests/mutants/check.sh: the checkout has local edits" >&2
+    exit 2
+fi
+status=0
+for patch in tests/mutants/*.patch; do
+    cmd=$(sed -n '1s/^# must fail: //p' "$patch")
+    if [ -z "$cmd" ]; then
+        echo "BAD      $patch: first line is not '# must fail: <command>'"
+        status=1
+        continue
+    fi
+    if ! git apply "$patch"; then
+        echo "STALE    $patch: no longer applies"
+        status=1
+        continue
+    fi
+    if ! sh -c "$cmd --no-run" >/dev/null 2>&1; then
+        echo "BROKEN   $patch: does not build under '$cmd'"
+        status=1
+    elif sh -c "$cmd" >/dev/null 2>&1; then
+        echo "SURVIVED $patch: '$cmd' passed"
+        status=1
+    else
+        echo "caught   $patch"
+    fi
+    git apply -R "$patch" || exit 2
+done
+exit $status

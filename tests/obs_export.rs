@@ -1,6 +1,6 @@
 //! Counts are results, the snapshot is an export of them: one lossy Fig. 1
-//! cell whose device, chaos-link and engine counts must read the same in
-//! either `obs` feature state, and whose exported snapshot — every
+//! cell whose device, chaos-link and engine counts are read off the
+//! components, and one fixed run whose exported snapshot — every
 //! component that exports one, forked from an image, tracing on — is pinned
 //! byte for byte. `TSPU_BLESS=1 cargo test --test obs_export` rewrites the
 //! golden files after an intended export change.
@@ -23,9 +23,10 @@ fn lossy_links() -> LinkFaults {
 }
 
 /// What Table 1 and the chaos grid score themselves on, read straight off
-/// the components. CI compiles this with and without the `obs` feature.
+/// the components: the device's packets, the engine's events and the chaos
+/// links' drops and injections.
 #[test]
-fn a_lossy_cell_counts_the_same_in_either_feature_state() {
+fn a_lossy_cell_counts_its_chaos_device_and_engine_work() {
     let universe = Universe::generate(2022);
     let policy = policy_from_universe(&universe, false, true);
 
@@ -35,7 +36,8 @@ fn a_lossy_cell_counts_the_same_in_either_feature_state() {
     let device = lab.vantage("ER-Telecom").sym_device;
     assert!(lab.net.middlebox(device).stats().packets_seen > 0);
     assert!(lab.net.events_processed() > 0);
-    assert_eq!(lab.net.events_processed(), lab.net.events_popped());
+    let events = lab.net.obs_snapshot().gauge("netsim.events_popped");
+    assert_eq!(events, Some(lab.net.events_processed() as i64));
 
     let sweep = ChaosSweep {
         scenarios: vec![ChaosScenario { vantage: "ER-Telecom", mechanism: Mechanism::Sni1 }],
@@ -68,9 +70,6 @@ fn fetch(lab: &mut VantageLab, vantage: &str, port: u16, domain: &str, shaping: 
 /// and `policy.*` name, kind and value, and the span count.
 #[test]
 fn the_export_of_a_fixed_lab_run_is_pinned() {
-    if !tspu_obs::ENABLED {
-        return;
-    }
     let universe = Universe::generate(2022);
     let mut built = VantageLab::builder().universe(&universe).table1().build();
     let restart = DeviceFaults { restarts: vec![Duration::from_secs(601)], ..DeviceFaults::default() };
