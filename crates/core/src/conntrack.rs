@@ -28,6 +28,7 @@
 //! Timeouts are idle timeouts, refreshed by any packet of the flow, with
 //! the per-state values from [`crate::constants`].
 
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -37,7 +38,7 @@ use tspu_netsim::Time;
 
 use crate::behaviors::BlockState;
 use crate::constants;
-use crate::fasthash::FxHashMap;
+use crate::fasthash::FxHasher;
 
 /// Which side of the device a packet came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,6 +98,17 @@ impl FlowKey {
             },
         }
     }
+}
+
+/// The FxHash of a flow key. [`ShardedConnTracker`](crate::ShardedConnTracker)
+/// picks a shard from its low bits and a tracker's index its home bucket
+/// from the high bits and its tag from bits 24–30, so the three never
+/// share a bit.
+#[inline]
+pub(crate) fn flow_hash(key: &FlowKey) -> u64 {
+    let mut hasher = FxHasher::default();
+    key.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// Connection-tracking states. Each carries the idle timeout measured for
@@ -230,6 +242,13 @@ enum Slot {
 }
 
 impl Slot {
+    fn key(&self) -> &FlowKey {
+        match self {
+            Slot::Live { key, .. } => key,
+            Slot::Free { .. } => unreachable!("the index holds live slots only"),
+        }
+    }
+
     fn entry(&self) -> &FlowEntry {
         match self {
             Slot::Live { entry, .. } => entry,
@@ -245,16 +264,169 @@ impl Slot {
     }
 }
 
+/// The flow index: an open-addressed table of slab slot numbers, five
+/// bytes a bucket. Keys live only in the slab; a bucket holds the slot
+/// number and a one-byte tag of the key's hash, and a key is compared in
+/// the slab only when its tag matches. Linear probing from the home bucket
+/// (the hash's high bits); a deletion shifts the rest of its cluster back,
+/// so there are no tombstones and a lookup stops at the first empty bucket.
+/// At most three quarters of the buckets are full.
+///
+/// The two arrays are allocated, zeroed, by the first insert: a provisioned
+/// index that never sees a flow touches no memory, where a zeroed
+/// allocation made up front would be written in full whenever the
+/// allocator hands back recycled pages.
+#[derive(Default)]
+struct FlowIndex {
+    /// The slab slot each full bucket names; read only where `tags` is full.
+    slots: Vec<u32>,
+    /// 0 for an empty bucket, else the key's [`tag`] (high bit set).
+    tags: Vec<u8>,
+    /// Buckets, a power of two or 0; the arrays' length once allocated.
+    buckets: usize,
+    /// Full buckets.
+    len: usize,
+    /// `64 − log2(buckets)`: a hash's home bucket is `hash >> shift`.
+    shift: u32,
+}
+
+/// A full bucket's tag: hash bits 24–30, which neither the home bucket nor
+/// a shard index (at most 64 shards) uses, with the high bit set.
+#[inline]
+fn tag(hash: u64) -> u8 {
+    (hash >> 24) as u8 | 0x80
+}
+
+impl FlowIndex {
+    /// An index that holds `flows` keys without growing: the smallest
+    /// power of two of buckets with `flows` at most three quarters of it.
+    fn with_capacity(flows: usize) -> FlowIndex {
+        if flows == 0 {
+            return FlowIndex::default();
+        }
+        FlowIndex::with_buckets((flows * 4).div_ceil(3).next_power_of_two())
+    }
+
+    fn with_buckets(buckets: usize) -> FlowIndex {
+        debug_assert!(buckets.is_power_of_two());
+        FlowIndex { buckets, shift: 64 - buckets.trailing_zeros(), ..FlowIndex::default() }
+    }
+
+    fn allocate(&mut self) {
+        self.slots = vec![0; self.buckets];
+        self.tags = vec![0; self.buckets];
+    }
+
+    /// Keys held before the next insert doubles the table.
+    fn capacity(&self) -> usize {
+        self.buckets * 3 / 4
+    }
+
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (hash >> self.shift) as usize
+    }
+
+    /// The bucket holding `key`, whose hash is `hash`.
+    #[inline]
+    fn find(&self, hash: u64, key: &FlowKey, slab: &[Slot]) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let (mask, tag) = (self.buckets - 1, tag(hash));
+        let mut pos = self.home(hash);
+        loop {
+            match self.tags[pos] {
+                0 => return None,
+                t if t == tag && slab[self.slots[pos] as usize].key() == key => return Some(pos),
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+
+    /// The slab slot holding `key`.
+    #[inline]
+    fn get(&self, hash: u64, key: &FlowKey, slab: &[Slot]) -> Option<u32> {
+        self.find(hash, key, slab).map(|pos| self.slots[pos])
+    }
+
+    /// Indexes `slot`, whose key (hashing to `hash`) is not indexed yet.
+    fn insert(&mut self, hash: u64, slot: u32, slab: &[Slot]) {
+        if self.len == self.capacity() {
+            self.grow(slab);
+        } else if self.tags.is_empty() {
+            self.allocate();
+        }
+        self.place(hash, slot);
+        self.len += 1;
+    }
+
+    /// Writes `slot` into the first empty bucket from its home.
+    fn place(&mut self, hash: u64, slot: u32) {
+        let mask = self.buckets - 1;
+        let mut pos = self.home(hash);
+        while self.tags[pos] != 0 {
+            pos = (pos + 1) & mask;
+        }
+        self.tags[pos] = tag(hash);
+        self.slots[pos] = slot;
+    }
+
+    /// Doubles the buckets (four at first), re-hashing each key read from
+    /// the slab.
+    fn grow(&mut self, slab: &[Slot]) {
+        let old = std::mem::replace(self, FlowIndex::with_buckets((self.buckets * 2).max(4)));
+        self.allocate();
+        self.len = old.len;
+        for (&slot, &tag) in old.slots.iter().zip(&old.tags) {
+            if tag != 0 {
+                self.place(flow_hash(slab[slot as usize].key()), slot);
+            }
+        }
+    }
+
+    /// Unindexes `key` and returns its slot; the key must still be in the
+    /// slab. Every later bucket of the cluster whose home allows it moves
+    /// back into the hole, so no lookup ever stops short of its key.
+    fn remove(&mut self, key: &FlowKey, slab: &[Slot]) -> Option<u32> {
+        let mut hole = self.find(flow_hash(key), key, slab)?;
+        let slot = self.slots[hole];
+        let mask = self.buckets - 1;
+        let mut next = (hole + 1) & mask;
+        while self.tags[next] != 0 {
+            let home = self.home(flow_hash(slab[self.slots[next] as usize].key()));
+            // The key at `next` may fill the hole unless its home lies
+            // cyclically in (hole, next].
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[next];
+                self.tags[hole] = self.tags[next];
+                hole = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.tags[hole] = 0;
+        self.len -= 1;
+        Some(slot)
+    }
+
+    /// Empties every bucket, keeping the allocation.
+    fn clear(&mut self) {
+        self.tags.fill(0);
+        self.len = 0;
+    }
+}
+
 /// How many slab slots each observation probes. Reclamation keeps pace
 /// with creation as long as this is > 1 (each packet fills at most one
 /// slot). Public so load drivers can assert the per-packet GC bound they
 /// were promised.
 pub const GC_PROBE_BUDGET: usize = 4;
 
-/// The flow table: a compact index `FlowKey → u32` over one dense slab of
-/// keys and entries. Slots fill from 0 up and a freed slot is reused before
-/// the slab grows, so resident memory follows the flows tracked — the
-/// index costs its capacity, the slab only the slots ever in use at once.
+/// The flow table: a five-byte-a-bucket index ([`FlowIndex`]) over one
+/// dense slab of keys and entries. Slots fill from 0 up and a freed slot is
+/// reused before the slab grows, so resident memory follows the flows
+/// tracked — the index costs its buckets, the slab only the slots ever in
+/// use at once.
 ///
 /// ## Garbage collection
 ///
@@ -269,7 +441,7 @@ pub const GC_PROBE_BUDGET: usize = 4;
 /// within one revolution of the hand after its expiry.
 #[derive(Default)]
 pub struct ConnTracker {
-    index: FxHashMap<FlowKey, u32>,
+    index: FlowIndex,
     slab: Vec<Slot>,
     /// Head of the free list threaded through [`Slot::Free`].
     free: Option<u32>,
@@ -297,57 +469,59 @@ impl ConnTracker {
     /// flow insertion latency stays flat (growth is the one remaining
     /// O(table) event; see the `conntrack/gc_churn_*` tail-latency
     /// benches). The slab's reservation is address space only: no slot is
-    /// touched before a flow fills it.
+    /// touched before a flow fills it; the index is allocated at its full
+    /// size by the first flow.
     pub fn with_capacity(capacity: usize) -> ConnTracker {
         ConnTracker {
-            index: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: FlowIndex::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
             ..ConnTracker::default()
         }
     }
 
-    /// Allocated index capacity in entries (provisioning telemetry; the
+    /// Flows the index holds before it grows (provisioning telemetry; the
     /// capacity-stability regression test watches this across churn).
     pub fn table_capacity(&self) -> usize {
         self.index.capacity()
     }
 
-    /// Estimated bytes the tracker keeps resident: the index's *capacity*
-    /// × its bucket size (a hash spreads flows over every page of it) plus
-    /// the slab slots *in use* × slot size (the reserved remainder is
-    /// untouched address space). An estimate: hashbrown's control bytes,
-    /// allocation rounding and `rx_stream` buffers are not modeled. Load
-    /// soaks divide this by the tracked-flow count for bytes per flow.
+    /// Estimated bytes the tracker keeps resident: the index's allocated
+    /// buckets × five bytes (a hash spreads flows over every page) plus the
+    /// slab slots *in use* × slot size (the reserved remainder is untouched
+    /// address space). An estimate: allocation rounding and `rx_stream`
+    /// buffers are not modeled. Load soaks divide this by the tracked-flow
+    /// count for bytes per flow.
     pub fn memory_bytes_estimate(&self) -> usize {
         use std::mem::size_of;
-        self.index.capacity() * size_of::<(FlowKey, u32)>() + self.slab.len() * size_of::<Slot>()
+        self.index.tags.len() * (size_of::<u32>() + size_of::<u8>())
+            + self.slab.len() * size_of::<Slot>()
     }
 
     /// Number of live entries (including expired-but-unswept).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// True when no flows are tracked.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len == 0
     }
 
     /// Read-only view of a flow, expiry-checked.
     pub fn get(&self, now: Time, key: &FlowKey) -> Option<&FlowEntry> {
-        let slot = *self.index.get(key)?;
+        let slot = self.index.get(flow_hash(key), key, &self.slab)?;
         Some(self.slab[slot as usize].entry()).filter(|e| !e.expired(now))
     }
 
     /// Mutable view of a flow, expiry-checked.
     pub fn get_mut(&mut self, now: Time, key: &FlowKey) -> Option<&mut FlowEntry> {
-        let slot = *self.index.get(key)?;
+        let slot = self.index.get(flow_hash(key), key, &self.slab)?;
         Some(self.slab[slot as usize].entry_mut()).filter(|e| !e.expired(now))
     }
 
     /// Removes a flow.
     pub fn remove(&mut self, key: &FlowKey) {
-        if let Some(slot) = self.index.remove(key) {
+        if let Some(slot) = self.index.remove(key, &self.slab) {
             self.release(slot);
         }
     }
@@ -430,16 +604,17 @@ impl ConnTracker {
 
     /// Finds the live entry for `key`, replacing an expired incarnation in
     /// its slot or filling a slot with `make()` when none exists; returns
-    /// the entry and whether it is brand new. For a flow already tracked
-    /// one index lookup covers the expiry check, the existence check, and
-    /// the access — this runs on every packet; only a new flow hashes twice.
+    /// the entry and whether it is brand new. One hash and one probe
+    /// sequence cover the expiry check, the existence check and the access
+    /// — this runs on every packet; a new flow reuses the hash to insert.
     fn lookup_or_insert(
         &mut self,
         now: Time,
         key: FlowKey,
         make: impl FnOnce() -> FlowEntry,
     ) -> (&mut FlowEntry, bool) {
-        if let Some(&slot) = self.index.get(&key) {
+        let hash = flow_hash(&key);
+        if let Some(slot) = self.index.get(hash, &key, &self.slab) {
             let entry = self.slab[slot as usize].entry_mut();
             let stale = entry.expired(now);
             if stale {
@@ -461,7 +636,7 @@ impl ConnTracker {
                 u32::try_from(self.slab.len() - 1).expect("flow table beyond 2^32 slots")
             }
         };
-        self.index.insert(key, slot);
+        self.index.insert(hash, slot, &self.slab);
         (self.slab[slot as usize].entry_mut(), true)
     }
 
@@ -501,14 +676,32 @@ impl ConnTracker {
     /// first one broken. For the model differential and the unit tests.
     #[cfg(any(test, debug_assertions))]
     pub fn check_invariants(&self) {
-        for (key, &slot) in &self.index {
-            match self.slab.get(slot as usize) {
-                Some(Slot::Live { key: held, .. }) => assert_eq!(held, key, "slot {slot} holds another key"),
-                other => panic!("index maps {key:?} to slot {slot}: {other:?}"),
+        let index = &self.index;
+        let mask = index.buckets.wrapping_sub(1);
+        let mut full = 0;
+        for (pos, (&slot, &held)) in index.slots.iter().zip(&index.tags).enumerate() {
+            if held == 0 {
+                continue;
             }
+            full += 1;
+            let key = match self.slab.get(slot as usize) {
+                Some(Slot::Live { key, .. }) => key,
+                other => panic!("bucket {pos} names slot {slot}: {other:?}"),
+            };
+            let hash = flow_hash(key);
+            assert_eq!(held, tag(hash), "bucket {pos} carries another key's tag");
+            let home = index.home(hash);
+            let mut probe = home;
+            while probe != pos {
+                assert_ne!(index.tags[probe], 0, "{key:?} sits past an empty bucket from its home {home}");
+                probe = (probe + 1) & mask;
+            }
+            assert_eq!(index.find(hash, key, &self.slab), Some(pos), "{key:?} is indexed twice");
         }
+        assert_eq!(full, index.len, "the index miscounts its full buckets");
+        assert!(index.len <= index.capacity(), "index past three quarters full");
         let live = self.slab.iter().filter(|s| matches!(s, Slot::Live { .. })).count();
-        assert_eq!(live, self.index.len(), "a live slot is not indexed");
+        assert_eq!(live, index.len, "a live slot is not indexed");
         let mut free = 0;
         let mut next = self.free;
         while let Some(slot) = next {
@@ -873,9 +1066,7 @@ mod tests {
             assert!(t.len() <= N);
             t.check_invariants();
         }
-        // (Evictions leave tombstones the std map counts against its
-        // capacity until `clear`, so mid-churn it can only read lower.)
-        assert!(t.table_capacity() <= index_cap, "index grew during churn");
+        assert_eq!(t.table_capacity(), index_cap, "index grew during churn");
         assert_eq!(t.slab.as_ptr(), slab_at, "slab moved during churn");
         assert!(t.slab.len() <= N, "slab grew past the population: {}", t.slab.len());
         // A restart keeps both allocations and resets the hand.
@@ -884,6 +1075,69 @@ mod tests {
         assert_eq!((t.len(), t.slab.len(), t.hand), (0, 0, 0));
         assert_eq!(t.table_capacity(), index_cap, "index reallocated during churn");
         assert_eq!(t.slab.as_ptr(), slab_at);
+    }
+
+    /// A key whose home bucket in `t`'s index is `home`, from a different
+    /// local port on each call.
+    fn key_homed_at(t: &ConnTracker, home: usize, port: &mut u16) -> FlowKey {
+        loop {
+            *port += 1;
+            let k = FlowKey { local_port: *port, ..key() };
+            if t.index.home(flow_hash(&k)) == home {
+                return k;
+            }
+        }
+    }
+
+    #[test]
+    fn delete_inside_a_wrapping_cluster_keeps_every_key_findable() {
+        let mut t = ConnTracker::with_capacity(6);
+        assert_eq!(t.index.buckets, 8);
+        // Three keys homed at the last bucket fill 7, 0 and 1; one homed at
+        // 0 lands in 2 and one homed at 1 in 3: a cluster 7..=3 that wraps.
+        let mut port = 0;
+        let keys: Vec<FlowKey> = [7, 7, 7, 0, 1]
+            .iter()
+            .map(|&home| key_homed_at(&t, home, &mut port))
+            .collect();
+        for &k in &keys {
+            t.observe_tcp(Time::ZERO, k, L, S, 0);
+        }
+        let bucket_of = |t: &ConnTracker, k: &FlowKey| t.index.find(flow_hash(k), k, &t.slab);
+        let at: Vec<_> = keys.iter().map(|k| bucket_of(&t, k)).collect();
+        assert_eq!(at, [7, 0, 1, 2, 3].map(Some));
+        t.check_invariants();
+        // Delete from the middle, past the wrap: the rest shift back.
+        t.remove(&keys[1]);
+        t.check_invariants();
+        assert!(t.get(Time::ZERO, &keys[1]).is_none());
+        for k in keys.iter().filter(|&k| *k != keys[1]) {
+            assert!(t.get(Time::ZERO, k).is_some(), "{k:?} lost");
+        }
+        let at: Vec<_> = keys.iter().map(|k| bucket_of(&t, k)).collect();
+        assert_eq!(at, [Some(7), None, Some(0), Some(1), Some(2)]);
+        assert_eq!(t.index.tags[3], 0);
+    }
+
+    #[test]
+    fn unprovisioned_index_grows_by_doubling() {
+        let mut t = ConnTracker::new();
+        let mut capacities = vec![t.table_capacity()];
+        for i in 0..1000 {
+            t.observe_tcp(Time::ZERO, churn_key(0, i), L, S, 0);
+            t.check_invariants();
+            if capacities.last() != Some(&t.table_capacity()) {
+                capacities.push(t.table_capacity());
+            }
+        }
+        assert_eq!(capacities, [0, 3, 6, 12, 24, 48, 96, 192, 384, 768, 1536]);
+        assert_eq!(t.index.buckets, 2048);
+        for i in (0..1000).step_by(3) {
+            t.remove(&churn_key(0, i));
+            t.check_invariants();
+        }
+        assert_eq!(t.len(), 666);
+        assert!((0..1000).all(|i| t.get(Time::ZERO, &churn_key(0, i)).is_some() == (i % 3 != 0)));
     }
 
     #[test]
@@ -897,12 +1151,16 @@ mod tests {
     fn memory_estimate_follows_slots_in_use() {
         use std::mem::size_of;
         let mut t = ConnTracker::with_capacity(4096);
-        let index_bytes = t.memory_bytes_estimate();
-        assert_eq!(index_bytes, t.table_capacity() * size_of::<(FlowKey, u32)>());
+        assert_eq!(t.table_capacity(), 6144);
+        // Provisioned, but nothing is allocated before the first flow …
+        assert_eq!(t.memory_bytes_estimate(), 0);
         for i in 0..100 {
             t.observe_tcp(Time::ZERO, churn_key(0, i), L, S, 0);
         }
-        assert_eq!(t.memory_bytes_estimate(), index_bytes + 100 * size_of::<Slot>());
+        // … which allocates all ⌈4 · 4096 / 3⌉ = 5462 → 8192 buckets of a
+        // slot number and a tag at once.
+        assert_eq!(t.memory_bytes_estimate(), 8192 * 5 + 100 * size_of::<Slot>());
+        assert_eq!(t.table_capacity(), 6144);
         // A slot is a key and an entry: the free-list link hides in the
         // entry's spare bit patterns.
         assert_eq!(size_of::<Slot>(), size_of::<(FlowKey, FlowEntry)>());

@@ -11,14 +11,15 @@
 //!
 //! * **Provisioned capacity in pieces the allocator can recycle**
 //!   (measured: EXPERIMENTS.md "Conntrack costs what it tracks", what
-//!   sharding buys). A million-flow tracker is a 40 MB index and a 176 MB
-//!   slab reservation of which only the slots in use are ever touched; as
-//!   one allocation each they are their own mappings, returned to the
-//!   kernel when their lab drops and faulted in again page by page by the
-//!   next lab, while sixteen shards' worth come back from malloc's free
-//!   lists already resident. On `soak_steady`, which builds a lab per
-//!   repetition, one shard costs +9.6 % per flow (45× the page faults, a
-//!   tenth of the time in the kernel) and saves 2.4 MiB of 71; on a single
+//!   sharding buys). A million-flow tracker is a 10.5 MB index (2²¹
+//!   five-byte buckets, or 16 × 2¹⁷) and a 176 MB slab reservation of
+//!   which only the slots in use are ever touched; as one allocation each
+//!   they are their own mappings, returned to the kernel when their lab
+//!   drops and faulted in again page by page by the next lab, while
+//!   sixteen shards' worth come back from malloc's free lists already
+//!   resident. On `soak_steady`, which builds a lab per repetition, one
+//!   shard cost +9.6 % per flow (45× the page faults, a tenth of the time
+//!   in the kernel) when the index was a 40 MB std map; on a single
 //!   long-lived lab, and on the tracker's own ns/op, one shard and sixteen
 //!   read the same.
 //! * **Reclamation that scales with the shard** (by construction; not
@@ -50,9 +51,7 @@
 use tspu_netsim::Time;
 use tspu_wire::tcp::TcpFlags;
 
-use crate::conntrack::{ConnTracker, FlowEntry, FlowKey, Side};
-use crate::fasthash::FxHasher;
-use std::hash::{Hash, Hasher};
+use crate::conntrack::{flow_hash, ConnTracker, FlowEntry, FlowKey, Side};
 
 /// Hard cap on shard count: beyond this the per-shard tables are small
 /// enough that more shards only add fixed overhead.
@@ -125,9 +124,7 @@ impl ShardedConnTracker {
         if self.mask == 0 {
             return 0;
         }
-        let mut hasher = FxHasher::default();
-        key.hash(&mut hasher);
-        (hasher.finish() & self.mask) as usize
+        (flow_hash(key) & self.mask) as usize
     }
 
     #[inline]

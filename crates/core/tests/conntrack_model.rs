@@ -29,6 +29,8 @@
 //! 2. `gc_step` frees the slot but leaves its key in the index.
 //! 3. `lookup_or_insert` replaces an expired entry in place but carries the
 //!    old incarnation's `block` over.
+//! 4. Deleting from the flow index empties the key's bucket and skips the
+//!    backward shift, so a key displaced past it is no longer found.
 
 use proptest::prelude::*;
 use std::collections::HashMap;

@@ -3,8 +3,8 @@
 //! A device provisioned for a million flows and carrying fifty thousand
 //! must pay for the fifty thousand: the index is resident at its capacity
 //! (a hash spreads flows over every page of it), the slab only in the
-//! slots that hold a flow. With entries inline in the hash table the same
-//! population touched ≈ 160 MiB — a page per flow.
+//! slots that hold a flow. Measured: 18 MiB — 10 MiB of five-byte index
+//! buckets and 8 MiB of slab.
 //!
 //! One test in its own binary, so nothing else moves the process's
 //! resident set while it measures. Read from `/proc/self/status` (`VmRSS`,
@@ -43,10 +43,12 @@ fn a_million_flow_table_is_resident_for_the_flows_it_holds() {
     }
     assert_eq!(tracker.len(), 50_000);
     let grown_mib = resident_kib().expect("read once already").saturating_sub(before) / 1024;
-    assert!(grown_mib < 80, "50,000 flows made {grown_mib} MiB resident");
+    let estimate_mib = tracker.memory_bytes_estimate() as u64 >> 20;
+    eprintln!("50,000 flows: {grown_mib} MiB resident, {estimate_mib} MiB estimated");
+    // 18 MiB measured, × 1.3.
+    assert!(grown_mib < 24, "50,000 flows made {grown_mib} MiB resident");
     // The estimate the soak divides into bytes per flow tracks the same
     // thing: within a factor of two of what the kernel counted.
-    let estimate_mib = tracker.memory_bytes_estimate() as u64 >> 20;
     assert!(
         (grown_mib / 2..=grown_mib * 2).contains(&estimate_mib),
         "estimated {estimate_mib} MiB, resident {grown_mib} MiB"
