@@ -13,5 +13,7 @@ fn main() {
     for report in tspu_bench::run_all() {
         println!("{}", report.render());
     }
-    println!("\nall experiments regenerated in {:.1?}", started.elapsed());
+    // Wall clock goes to stderr with the per-experiment timings, so stdout
+    // depends on the seed alone.
+    eprintln!("\nall experiments regenerated in {:.1?}", started.elapsed());
 }

@@ -8,27 +8,24 @@ use std::time::Duration;
 
 use tspu_measure::behaviors::classify_behavior;
 use tspu_measure::harness::{handshake_prefix, run_script, ProbeSide, ScriptEnd, ScriptStep};
-use tspu_measure::reliability::{run_cell, Mechanism};
+use tspu_measure::reliability::Mechanism;
 use tspu_measure::sequences;
 use tspu_measure::timeouts;
-use tspu_measure::{chfuzz, quicfp};
+use tspu_measure::{chfuzz, quicfp, ChaosSweep, ScanPool};
+use tspu_netsim::fault::LinkFaults;
 use tspu_netsim::Time;
 use tspu_registry::stats::table1 as paper_table1;
 use tspu_topology::VantageLab;
 use tspu_wire::tcp::TcpFlags;
 use tspu_wire::tls::ClientHelloBuilder;
 
-use super::{universe, ExperimentReport};
+use super::{policy, universe, ExperimentReport};
 use crate::env_usize;
-
-fn lab() -> VantageLab {
-    VantageLab::builder().universe(&universe()).table1().build()
-}
 
 /// Fig. 2: packet traces of the blocking behaviors, as seen from both
 /// endpoints.
 pub fn fig2() -> ExperimentReport {
-    let mut lab = lab();
+    let mut lab = VantageLab::builder().universe(&universe()).build();
     let mut body = String::new();
 
     let mut trace = |title: &str, domain: &str, prefix: Vec<ScriptStep>, port: u16| {
@@ -141,9 +138,8 @@ pub fn fig3() -> ExperimentReport {
 
 /// Fig. 4: trigger-sequence exploration.
 pub fn fig4() -> ExperimentReport {
-    let mut lab = lab();
     let max_len = env_usize("TSPU_SEQ_LEN", 3);
-    let verdicts = sequences::explore(&mut lab, max_len, "ER-Telecom");
+    let verdicts = sequences::explore(&policy(), max_len, "ER-Telecom", &ScanPool::from_env());
     let summary = sequences::summarize(&verdicts);
     let mut body = String::new();
     let _ = writeln!(
@@ -169,12 +165,11 @@ pub fn fig4() -> ExperimentReport {
 
 /// Fig. 5: a worked SYN-SENT timeout inference.
 pub fn fig5() -> ExperimentReport {
-    let mut lab = lab();
     let rows = timeouts::table2_state_rows();
     let mut body = String::from(
         "protocol: play sequence, SLEEP T, finish sequence, send SNI-II trigger,\nobserve block/pass; binary-search the flip (Fig. 5's procedure).\n\n",
     );
-    let measured = timeouts::measure_table2_row(&mut lab, &rows[0], 61_000);
+    let measured = timeouts::state_timeouts(&policy(), &rows[..1], &ScanPool::from_env())[0];
     let _ = writeln!(
         body,
         "SYN-SENT flip search over Remote.SYN; SLEEP; Local.SYN; Remote.SA; trigger\n  measured flip: {:?} s (paper: 60 s)",
@@ -183,30 +178,34 @@ pub fn fig5() -> ExperimentReport {
     ExperimentReport { id: "fig5", title: "Fig. 5 timeout-inference protocol", body }
 }
 
-/// Table 1: trigger reliability per vantage and mechanism.
+/// Table 1: trigger reliability per vantage and mechanism — the
+/// reliability campaign on fault-free links, one cell per vantage ×
+/// mechanism on the failure-dice lab.
 pub fn table1() -> ExperimentReport {
-    let mut lab = lab();
     let trials = env_usize("TSPU_TRIALS", 20_000) as u32;
+    let sweep = ChaosSweep {
+        forward: LinkFaults::default(),
+        reverse: LinkFaults::default(),
+        check_oracle: false,
+        ..ChaosSweep::table1_grid(policy(), vec![2022], trials)
+    };
     let mut body = format!("{trials} trials per cell (paper: 20,000). Failure %.\n\n");
     body.push_str("vantage      mechanism   measured%   paper%\n");
-    for vantage in ["Rostelecom", "ER-Telecom", "OBIT"] {
+    for cell in sweep.run(&ScanPool::from_env()) {
         let paper = paper_table1::OBSERVED
             .iter()
-            .find(|(name, _)| *name == vantage)
+            .find(|(name, _)| *name == cell.vantage)
             .map(|(_, v)| *v)
             .unwrap();
-        for (i, mechanism) in Mechanism::ALL.iter().enumerate() {
-            let stats = run_cell(&mut lab, vantage, *mechanism, trials);
-            let paper_value = paper[i];
-            let _ = writeln!(
-                body,
-                "{:<13}{:<12}{:<12.4}{}",
-                vantage,
-                mechanism.label(),
-                stats.percent(),
-                if paper_value.is_nan() { "N/A".to_string() } else { format!("{paper_value:.4}") }
-            );
-        }
+        let paper_value = paper[Mechanism::ALL.iter().position(|m| *m == cell.mechanism).unwrap()];
+        let _ = writeln!(
+            body,
+            "{:<13}{:<12}{:<12.4}{}",
+            cell.vantage,
+            cell.mechanism.label(),
+            cell.stats.percent(),
+            if paper_value.is_nan() { "N/A".to_string() } else { format!("{paper_value:.4}") }
+        );
     }
     body.push_str(
         "\npaper (§5.2.1): ER-Telecom (single device) fails visibly more than\nRostelecom/OBIT, whose two on-path devices must both fail.\n",
@@ -216,10 +215,10 @@ pub fn table1() -> ExperimentReport {
 
 /// Table 2: state timeouts and block residuals.
 pub fn table2() -> ExperimentReport {
-    let mut lab = lab();
+    let (policy, pool) = (policy(), ScanPool::from_env());
+    let rows = timeouts::table2_state_rows();
     let mut body = String::from("state / verdict   measured (s)   paper (s)\n");
-    for (i, row) in timeouts::table2_state_rows().iter().enumerate() {
-        let measured = timeouts::measure_table2_row(&mut lab, row, 62_000 + (i as u16) * 700);
+    for (row, measured) in rows.iter().zip(timeouts::state_timeouts(&policy, &rows, &pool)) {
         let _ = writeln!(
             body,
             "{:<18}{:<15}{}",
@@ -228,13 +227,14 @@ pub fn table2() -> ExperimentReport {
             row.paper_timeout
         );
     }
-    let paper_residuals = [("SNI-I", 75), ("SNI-II", 420), ("SNI-IV", 40), ("QUIC", 420)];
-    for (name, measured) in timeouts::measure_block_residuals(&mut lab, 7_000) {
-        let paper = paper_residuals.iter().find(|(n, _)| *n == name).unwrap().1;
+    // Paper values, in the order of timeouts::RESIDUALS.
+    let paper_residuals = [75, 420, 40, 420];
+    let residuals = timeouts::block_residuals(&policy, &pool);
+    for ((mechanism, measured), paper) in residuals.into_iter().zip(paper_residuals) {
         let _ = writeln!(
             body,
             "{:<18}{:<15}{}",
-            name,
+            mechanism.label(),
             measured.map(|v| v.to_string()).unwrap_or_else(|| "none".into()),
             paper
         );
@@ -244,7 +244,6 @@ pub fn table2() -> ExperimentReport {
 
 /// Table 8: per-sequence timeout estimates.
 pub fn table8() -> ExperimentReport {
-    let mut lab = lab();
     // Paper's values, in the order of timeouts::table8_sequences().
     let paper: [(u64, &str); 17] = [
         (180, "DROP"), (30, "PASS"), (30, "PASS"), (180, "DROP"), (480, "PASS"),
@@ -253,9 +252,9 @@ pub fn table8() -> ExperimentReport {
         (480, "PASS"), (480, "DROP"),
     ];
     let mut body = String::from("sequence (+trigger)     measured(s)  action   paper(s)  paper-action\n");
-    for (i, seq) in timeouts::table8_sequences().iter().enumerate() {
-        let row = timeouts::measure_sequence(&mut lab, seq, 8_000 + (i as u16) * 600);
-        let (paper_timeout, paper_action) = paper[i];
+    let sequences = timeouts::table8_sequences();
+    let rows = timeouts::sequence_timeouts(&policy(), &sequences, &ScanPool::from_env());
+    for (row, (paper_timeout, paper_action)) in rows.into_iter().zip(paper) {
         let _ = writeln!(
             body,
             "{:<24}{:<13}{:<9}{:<10}{}",
@@ -324,7 +323,7 @@ pub fn fig14() -> ExperimentReport {
 /// Sanity hook used by integration tests: behaviors classified correctly
 /// end to end.
 pub fn behavior_sanity() -> bool {
-    let mut lab = lab();
+    let mut lab = VantageLab::builder().universe(&universe()).build();
     let vantage = lab.vantage("ER-Telecom");
     let local = ScriptEnd { host: vantage.host, addr: vantage.addr, port: 36_000 };
     let remote = ScriptEnd { host: lab.us_main, addr: lab.us_main_addr, port: 443 };

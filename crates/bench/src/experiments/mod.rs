@@ -5,7 +5,10 @@ mod how;
 mod what;
 mod r#where;
 
+use tspu_core::{Hardening, PolicyHandle};
+use tspu_measure::ScanPool;
 use tspu_registry::Universe;
+use tspu_topology::policy_from_universe;
 
 pub use how::{behavior_sanity, fig13, fig14, fig2, fig3, fig4, fig5, table1, table2, table8};
 pub use r#where::{arch_compare, fig10_11, fig12, fig8, fig9, local_ttl, table4, table5, upstream_only};
@@ -34,10 +37,15 @@ pub fn universe() -> Universe {
     Universe::generate(2022)
 }
 
+/// The universe's post-March-4 central policy (QUIC filter on, throttling
+/// off), which the §5 technique drivers probe.
+fn policy() -> PolicyHandle {
+    policy_from_universe(&universe(), false, true)
+}
+
 /// Circumvention matrix (§8).
 pub fn circumvention() -> ExperimentReport {
-    let universe = universe();
-    let rows = tspu_circumvent::evaluate_matrix(&universe);
+    let rows = tspu_circumvent::evaluate_matrix(&universe(), Hardening::none(), &ScanPool::from_env());
     let mut body = String::new();
     body.push_str("strategy                              | side   | target  | sym-only | +upstream\n");
     body.push_str("--------------------------------------+--------+---------+----------+----------\n");
@@ -64,9 +72,9 @@ pub fn circumvention() -> ExperimentReport {
 /// The §8 arms race: the same strategy matrix against fully hardened
 /// devices (every patch the paper predicts, at once).
 pub fn arms_race() -> ExperimentReport {
-    let universe = universe();
-    let baseline = tspu_circumvent::evaluate_matrix(&universe);
-    let hardened = tspu_circumvent::evaluate_matrix_hardened(&universe);
+    let (universe, pool) = (universe(), ScanPool::from_env());
+    let baseline = tspu_circumvent::evaluate_matrix(&universe, Hardening::none(), &pool);
+    let hardened = tspu_circumvent::evaluate_matrix(&universe, Hardening::full(), &pool);
     let mut body = String::new();
     body.push_str("strategy                              | target  | 2022 TSPU | hardened
 ");

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use tspu_measure::domains::{self, DomainVerdict};
 use tspu_measure::os_reference;
 use tspu_measure::sweep::{self, ScanPool};
-use tspu_topology::VantageLab;
+use tspu_topology::policy_from_universe;
 
 use super::{universe, ExperimentReport};
 use crate::env_usize;
@@ -79,16 +79,15 @@ pub fn fig7() -> ExperimentReport {
 /// Table 3: blocking types per domain.
 pub fn table3() -> ExperimentReport {
     let universe = universe();
-    let mut lab = VantageLab::builder().universe(&universe).table1().build();
     // The named anchors plus a sample establish each type's membership.
-    let probe: Vec<&str> = vec![
+    let probe = [
         "infox.sg", "tor.eff.org", "theins.ru", "twimg.com", "t.co", "facebook.com",
         "twitter.com", "dw.com", "instagram.com", "meduza.io", "bbc.com",
         "nordaccount.com", "play.google.com", "news.google.com", "nordvpn.com",
         "messenger.com", "cdninstagram.com", "web.facebook.com",
         "wikipedia.org", "rust-lang.org",
     ];
-    let campaign = domains::run_campaign(&mut lab, probe.iter().copied());
+    let campaign = sweep::registry_campaign(&universe, probe, &ScanPool::from_env());
 
     let mut by_type: std::collections::BTreeMap<&str, Vec<String>> = Default::default();
     for (domain, verdict) in &campaign.tspu {
@@ -107,17 +106,12 @@ pub fn table3() -> ExperimentReport {
         let _ = writeln!(body, "{label:<8}: {}", domains.join(", "));
     }
     // Full-scale count from the ground-truth policy.
-    let _ = writeln!(
-        body,
-        "\nfull SNI-I list size: {} (paper Table 3: 9,899)",
-        lab.policy.read().sni_rst.len()
-    );
-    let _ = writeln!(body, "SNI-II list: {:?}", {
-        let policy = lab.policy.read();
-        let mut v: Vec<String> = policy.sni_slow.iter().map(str::to_string).collect();
-        v.sort();
-        v
-    });
+    let policy = policy_from_universe(&universe, false, true);
+    let policy = policy.read();
+    let _ = writeln!(body, "\nfull SNI-I list size: {} (paper Table 3: 9,899)", policy.sni_rst.len());
+    let mut sni_slow: Vec<String> = policy.sni_slow.iter().map(str::to_string).collect();
+    sni_slow.sort();
+    let _ = writeln!(body, "SNI-II list: {sni_slow:?}");
     body.push_str("paper Table 3's SNI-II list: nordaccount.com, play.google.com,\nnews.google.com, nordvpn.com; SNI-IV: twimg.com, t.co, messenger.com,\ncdninstagram.com, twitter.com, web.facebook.com, numbuster.ru.\n");
     ExperimentReport { id: "table3", title: "Table 3 domain blocking types", body }
 }

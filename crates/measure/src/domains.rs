@@ -125,44 +125,6 @@ pub fn test_domain_from(
     }
 }
 
-/// Runs the campaign over `domains` (already name-only) against the TSPU
-/// and all three ISP resolvers.
-pub fn run_campaign<'a, I: IntoIterator<Item = &'a str>>(
-    lab: &mut VantageLab,
-    domains: I,
-) -> DomainCampaign {
-    let mut campaign = DomainCampaign::default();
-    let mut port = 2048u16;
-    let resolver_names: Vec<String> = lab.resolvers.iter().map(|r| r.isp().to_string()).collect();
-    for name in &resolver_names {
-        campaign.isp_blocked.insert(name.clone(), HashSet::new());
-    }
-    for domain in domains {
-        port = port.wrapping_add(3) | 2048;
-        let mut verdict = test_domain(lab, domain, port);
-        // §3: "all measurements … were repeated multiple times (>5) to
-        // account for the TSPU failure" — an Open result gets retried on
-        // fresh ports before being believed.
-        let mut retries = 0;
-        while verdict == DomainVerdict::Open && retries < 2 {
-            port = port.wrapping_add(3) | 2048;
-            verdict = test_domain(lab, domain, port);
-            retries += 1;
-        }
-        campaign.tspu.insert(domain.to_string(), verdict);
-        for resolver in &lab.resolvers {
-            if resolver.lists(domain) {
-                campaign
-                    .isp_blocked
-                    .get_mut(resolver.isp())
-                    .expect("resolver registered")
-                    .insert(domain.to_string());
-            }
-        }
-    }
-    campaign
-}
-
 /// Fig. 7: category histogram over the registry sample — fetch each
 /// domain's page from outside Russia, classify, and tally all vs blocked.
 #[derive(Debug, Default)]
@@ -225,16 +187,11 @@ mod tests {
 
     #[test]
     fn campaign_over_sample_shows_tspu_superset() {
-        let (universe, mut lab) = lab_and_universe();
+        let universe = Universe::generate(3);
         // A slice of the registry sample: TSPU coverage must exceed the
         // stale Rostelecom resolver's.
-        let names: Vec<&str> = universe
-            .registry_sample
-            .iter()
-            .take(60)
-            .map(|d| d.name.as_str())
-            .collect();
-        let campaign = run_campaign(&mut lab, names.iter().copied());
+        let names = universe.registry_sample.iter().take(60).map(|d| d.name.as_str());
+        let campaign = crate::sweep::registry_campaign(&universe, names, &crate::ScanPool::new(2));
         let tspu = campaign.tspu_blocked();
         let rostelecom = &campaign.isp_blocked["Rostelecom"];
         assert!(tspu.len() > rostelecom.len(), "tspu {} vs rostelecom {}", tspu.len(), rostelecom.len());
@@ -242,15 +199,6 @@ mod tests {
         // construction (central policy); resolvers differ per ISP.
         let obit = &campaign.isp_blocked["OBIT"];
         assert!(rostelecom.len() <= obit.len());
-    }
-
-    #[test]
-    fn out_registry_domains_blocked_only_by_tspu() {
-        let (_u, mut lab) = lab_and_universe();
-        let campaign = run_campaign(&mut lab, ["play.google.com", "nordvpn.com"]);
-        let only = campaign.tspu_only();
-        assert!(only.contains("play.google.com"));
-        assert!(only.contains("nordvpn.com"));
     }
 
     #[test]

@@ -2,12 +2,20 @@
 //! every flag sequence up to length 3 as a prefix, append a triggering
 //! ClientHello, and record which prefixes arm which blocking mechanism.
 
+use tspu_core::PolicyHandle;
 use tspu_topology::VantageLab;
 use tspu_wire::tcp::TcpFlags;
 use tspu_wire::tls::ClientHelloBuilder;
 
 use crate::behaviors::{classify_behavior, ObservedBehavior};
 use crate::harness::{ProbeSide, ScriptEnd, ScriptStep};
+use crate::sweep::{fig1_cells, ScanPool};
+
+/// Source ports of a Fig. 4 cell's two probes: the SNI-I-only domain's,
+/// then the SNI-IV domain's. Every cell is a fresh fork, so each reuses
+/// them.
+const SNI1_PORT: u16 = 10_001;
+const SNI4_PORT: u16 = 10_002;
 
 /// The probe alphabet: who sends, with which flags. The paper modulates
 /// SYN/SYN-ACK/ACK from both endpoints.
@@ -69,9 +77,15 @@ impl SequenceVerdict {
     }
 }
 
-/// Enumerates all sequences of length ≤ `max_len` and classifies each.
-/// `domain_sni1` must be SNI-I-only; `domain_sni4` on both I and IV.
-pub fn explore(lab: &mut VantageLab, max_len: usize, vantage: &str) -> Vec<SequenceVerdict> {
+/// Fig. 4 on the campaign kernel: every sequence of length ≤ `max_len`,
+/// shortest first, one cell per sequence on a fork of a reliable Fig. 1
+/// image enforcing `policy`, probed from the named vantage.
+pub fn explore(
+    policy: &PolicyHandle,
+    max_len: usize,
+    vantage: &str,
+    pool: &ScanPool,
+) -> Vec<SequenceVerdict> {
     let mut sequences: Vec<Vec<Symbol>> = vec![Vec::new()];
     let mut frontier: Vec<Vec<Symbol>> = vec![Vec::new()];
     for _ in 0..max_len {
@@ -86,40 +100,27 @@ pub fn explore(lab: &mut VantageLab, max_len: usize, vantage: &str) -> Vec<Seque
         }
         frontier = next;
     }
+    fig1_cells(policy, &sequences, pool, |lab, seq| classify_sequence(lab, vantage, seq))
+}
+
+/// One Fig. 4 cell: `seq` as a prefix before a ClientHello for a domain on
+/// the SNI-I list only (meduza.io), then before one on both the SNI-I and
+/// SNI-IV lists (twitter.com).
+fn classify_sequence(lab: &mut VantageLab, vantage: &str, seq: &[Symbol]) -> SequenceVerdict {
+    let notation: Vec<String> = seq.iter().map(Symbol::notation).collect();
+    let notation = if notation.is_empty() { "∅".to_string() } else { notation.join(";") };
+    let prefix: Vec<ScriptStep> = seq.iter().map(|sym| ScriptStep::new(sym.from, sym.flags)).collect();
 
     let vantage_info = lab.vantage(vantage);
     let (v_host, v_addr) = (vantage_info.host, vantage_info.addr);
     let us = ScriptEnd { host: lab.us_main, addr: lab.us_main_addr, port: 443 };
-
-    let mut verdicts = Vec::with_capacity(sequences.len());
-    let mut port = 10_000u16;
-    for seq in &sequences {
-        let notation: Vec<String> = seq.iter().map(Symbol::notation).collect();
-        let notation = if notation.is_empty() { "∅".to_string() } else { notation.join(";") };
-        let prefix: Vec<ScriptStep> =
-            seq.iter().map(|sym| ScriptStep::new(sym.from, sym.flags)).collect();
-
-        port += 1;
+    let mut behavior = |port, domain| {
         let local = ScriptEnd { host: v_host, addr: v_addr, port };
-        let sni1_behavior = classify_behavior(
-            &mut lab.net,
-            local,
-            us,
-            &prefix,
-            ClientHelloBuilder::new("meduza.io").build(),
-        );
-        port += 1;
-        let local = ScriptEnd { host: v_host, addr: v_addr, port };
-        let sni4_behavior = classify_behavior(
-            &mut lab.net,
-            local,
-            us,
-            &prefix,
-            ClientHelloBuilder::new("twitter.com").build(),
-        );
-        verdicts.push(SequenceVerdict { notation, sni1_behavior, sni4_behavior });
-    }
-    verdicts
+        classify_behavior(&mut lab.net, local, us, &prefix, ClientHelloBuilder::new(domain).build())
+    };
+    let sni1_behavior = behavior(SNI1_PORT, "meduza.io");
+    let sni4_behavior = behavior(SNI4_PORT, "twitter.com");
+    SequenceVerdict { notation, sni1_behavior, sni4_behavior }
 }
 
 /// Summary counts over an exploration (the Fig. 4 statistics).
@@ -147,13 +148,13 @@ pub fn summarize(verdicts: &[SequenceVerdict]) -> SequenceSummary {
 mod tests {
     use super::*;
     use tspu_registry::Universe;
+    use tspu_topology::policy_from_universe;
 
     /// Length ≤ 2 exploration asserts the paper's three headline findings.
     #[test]
     fn exploration_matches_fig4_claims() {
-        let universe = Universe::generate(3);
-        let mut lab = VantageLab::builder().universe(&universe).table1().build();
-        let verdicts = explore(&mut lab, 2, "ER-Telecom");
+        let policy = policy_from_universe(&Universe::generate(3), false, true);
+        let verdicts = explore(&policy, 2, "ER-Telecom", &ScanPool::new(2));
 
         let by_notation = |n: &str| verdicts.iter().find(|v| v.notation == n).unwrap();
 

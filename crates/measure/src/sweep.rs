@@ -445,9 +445,10 @@ impl SweepSpec {
     /// Verdicts come back parallel to `self.domains`, in domain order at
     /// every thread count.
     ///
-    /// Scan labs use reliable devices, so the §3 "repeat >5 times" retry
-    /// loop of the sequential campaign is unnecessary here: one attempt
-    /// per scenario, on a port derived purely from the scenario index.
+    /// Scan labs use reliable devices, so §3's "repeated multiple times
+    /// (>5) to account for the TSPU failure" needs no retry here: one
+    /// attempt per scenario, on a port derived purely from the scenario
+    /// index.
     ///
     /// With [`RunOpts::observe`], the campaign [`Snapshot`] also carries
     /// `sweep.scenarios` and a `sweep.scenario_us` histogram of *virtual*
@@ -496,6 +497,24 @@ pub struct SweepRun {
     pub report: Option<PoolReport>,
 }
 
+/// The §5 technique drivers' kernel call: one cell per item, each on a
+/// fork of a reliable Fig. 1 image enforcing `policy`, results in item
+/// order. Reliable, because a flip search that meets one failure-dice
+/// exemption binary-searches towards the wrong threshold.
+pub(crate) fn fig1_cells<T, R>(
+    policy: &PolicyHandle,
+    items: &[T],
+    pool: &ScanPool,
+    cell: impl Fn(&mut VantageLab, &T) -> R + Sync,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+{
+    let image = VantageLab::builder().policy(policy.clone()).image();
+    pool.run_cells(&RunOpts::quick(), items, |_| &image, |lab, _, item| cell(lab, item)).cells
+}
+
 /// Source port for scenario `index`, a pure function of the index so the
 /// sweep's traffic is identical no matter which worker runs the scenario.
 /// Stays in `2048..32048`: below `0x8000`, because [`test_domain`]'s
@@ -505,10 +524,9 @@ pub fn scenario_port(index: usize) -> u16 {
     2048 + (index % 30_000) as u16
 }
 
-/// The §6 campaign, parallel: TSPU verdicts via the pool, ISP resolver
-/// membership computed sequentially during aggregation (a pure lookup).
-/// Byte-identical to itself at any thread count; equivalent to the
-/// sequential [`crate::domains::run_campaign`] on reliable labs.
+/// The §6 campaign (Fig. 6, Table 3): TSPU verdicts via the pool, ISP
+/// resolver membership computed sequentially during aggregation (a pure
+/// lookup). Byte-identical at any thread count.
 pub fn registry_campaign<'a, I>(universe: &Universe, domains: I, pool: &ScanPool) -> DomainCampaign
 where
     I: IntoIterator<Item = &'a str>,

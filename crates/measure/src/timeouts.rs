@@ -12,15 +12,34 @@
 //! * **residual search** — for sequences where the trigger is blocked
 //!   regardless, the *duration* of the installed verdict is measured by
 //!   probing the same flow after a variable delay.
+//!
+//! Each driver runs one flip search per cell on the campaign kernel, every
+//! cell on a fork of a reliable Fig. 1 image; within a cell every trial of
+//! the search gets a fresh source port, counting up from [`FIRST_PORT`].
 
 use std::time::Duration;
 
+use tspu_core::PolicyHandle;
 use tspu_topology::VantageLab;
 use tspu_wire::tcp::TcpFlags;
 use tspu_wire::tls::ClientHelloBuilder;
 
 use crate::harness::{run_script, ProbeSide, ScriptEnd, ScriptStep};
+use crate::reliability::Mechanism;
 use crate::sequences::Symbol;
+use crate::sweep::{fig1_cells, ScanPool};
+
+/// The port below a cell's first trial port.
+const FIRST_PORT: u16 = 20_000;
+
+/// A cell's trial ports: `FIRST_PORT + 1`, `+ 2`, …
+fn trial_ports() -> impl FnMut() -> u16 {
+    let mut port = FIRST_PORT;
+    move || {
+        port += 1;
+        port
+    }
+}
 
 /// Whether the trigger was acted on (DROP) or ignored (PASS) — Table 8's
 /// "Action" column.
@@ -123,19 +142,14 @@ fn flip_search<F: FnMut(Duration) -> bool>(lo: u64, hi: u64, mut predicate: F) -
 /// Measures one sequence row (Table 8 methodology): first try the
 /// trigger-outcome flip; when the trigger drops on both sides of the
 /// window, fall back to the residual-duration observable.
-pub fn measure_sequence(lab: &mut VantageLab, prefix: &[Symbol], port_base: u16) -> TimeoutEstimate {
+pub fn measure_sequence(lab: &mut VantageLab, prefix: &[Symbol]) -> TimeoutEstimate {
     let notation = if prefix.is_empty() {
         "∅".to_string()
     } else {
         prefix.iter().map(Symbol::notation).collect::<Vec<_>>().join(";")
     };
 
-    let mut port = port_base;
-    let mut next_port = || {
-        port += 1;
-        port
-    };
-
+    let mut next_port = trial_ports();
     let blocked_short = blocked_after(lab, next_port(), prefix, Duration::from_secs(1));
     let action = if blocked_short { Action::Drop } else { Action::Pass };
 
@@ -148,6 +162,15 @@ pub fn measure_sequence(lab: &mut VantageLab, prefix: &[Symbol], port_base: u16)
     };
 
     TimeoutEstimate { notation, timeout_secs, action }
+}
+
+/// Table 8: one [`measure_sequence`] cell per prefix, in `sequences` order.
+pub fn sequence_timeouts(
+    policy: &PolicyHandle,
+    sequences: &[Vec<Symbol>],
+    pool: &ScanPool,
+) -> Vec<TimeoutEstimate> {
+    fig1_cells(policy, sequences, pool, |lab, prefix| measure_sequence(lab, prefix))
 }
 
 /// The Table 8 sequence set (prefixes before the trigger).
@@ -193,7 +216,7 @@ pub struct Table2Row {
 }
 
 /// The first three rows of Table 2 (the TCP states; the block residuals
-/// are measured by [`measure_block_residuals`]).
+/// are measured by [`block_residuals`]).
 pub fn table2_state_rows() -> Vec<Table2Row> {
     use ProbeSide::{Local as L, Remote as R};
     let s = |from, flags| Symbol { from, flags };
@@ -226,12 +249,11 @@ pub fn table2_state_rows() -> Vec<Table2Row> {
 
 /// Measures a Table 2 state row: play `before`, SLEEP T, play `after`,
 /// trigger; binary-search the flip.
-pub fn measure_table2_row(lab: &mut VantageLab, row: &Table2Row, port_base: u16) -> Option<u64> {
-    let mut port = port_base;
-    let mut outcome = |t: Duration| {
-        port += 1;
+pub fn measure_table2_row(lab: &mut VantageLab, row: &Table2Row) -> Option<u64> {
+    let mut next_port = trial_ports();
+    flip_search(1, 600, |t| {
         let vantage = lab.vantage("ER-Telecom");
-        let local = ScriptEnd { host: vantage.host, addr: vantage.addr, port };
+        let local = ScriptEnd { host: vantage.host, addr: vantage.addr, port: next_port() };
         let remote = ScriptEnd { host: lab.us_main, addr: lab.us_main_addr, port: 443 };
         let mut steps: Vec<ScriptStep> =
             row.before.iter().map(|s| ScriptStep::new(s.from, s.flags)).collect();
@@ -253,119 +275,110 @@ pub fn measure_table2_row(lab: &mut VantageLab, row: &Table2Row, port_base: u16)
         }
         let result = run_script(&mut lab.net, local, remote, &steps);
         result.at_remote.iter().filter(|p| p.payload_len == 64).count() < 10
-    };
-    flip_search(1, 600, &mut outcome)
+    })
 }
 
-/// Measured residuals of the four blocking verdicts (Table 2's lower
-/// half): trigger on an established flow, then probe after T.
-pub fn measure_block_residuals(lab: &mut VantageLab, port_base: u16) -> Vec<(&'static str, Option<u64>)> {
-    let mut results = Vec::new();
-    let mut port = port_base;
+/// Fig. 5 and Table 2's upper half: one [`measure_table2_row`] cell per
+/// row, in `rows` order.
+pub fn state_timeouts(policy: &PolicyHandle, rows: &[Table2Row], pool: &ScanPool) -> Vec<Option<u64>> {
+    fig1_cells(policy, rows, pool, measure_table2_row)
+}
 
-    // SNI-I residual (75 s): after the trigger, remote data is rewritten
-    // to RST/ACK until the verdict lapses.
-    let mut sni1 = |t: Duration| {
-        port += 1;
-        let vantage = lab.vantage("ER-Telecom");
-        let local = ScriptEnd { host: vantage.host, addr: vantage.addr, port };
-        let remote = ScriptEnd { host: lab.us_main, addr: lab.us_main_addr, port: 443 };
-        let mut steps = crate::harness::handshake_prefix();
-        steps.push(
-            ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK)
-                .payload(ClientHelloBuilder::new("meduza.io").build()),
-        );
-        let mut probe = ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK).payload(vec![0x44; 80]);
-        probe.wait_before = t;
-        steps.push(probe);
-        let result = run_script(&mut lab.net, local, remote, &steps);
-        result.at_local.iter().any(|p| p.is_rst_ack)
-    };
-    results.push(("SNI-I", flip_search(1, 600, &mut sni1)));
+/// The verdicts whose residuals Table 2's lower half lists, in its order.
+pub const RESIDUALS: [Mechanism; 4] =
+    [Mechanism::Sni1, Mechanism::Sni2, Mechanism::Sni4, Mechanism::Quic];
 
-    // SNI-II residual (420 s).
-    let handshake: Vec<Symbol> = vec![
-        Symbol { from: ProbeSide::Local, flags: TcpFlags::SYN },
-        Symbol { from: ProbeSide::Remote, flags: TcpFlags::SYN_ACK },
-        Symbol { from: ProbeSide::Local, flags: TcpFlags::ACK },
-    ];
-    let base = port + 10;
-    let mut p2 = base;
-    let mut sni2 = |t: Duration| {
-        p2 += 1;
-        still_blocked_after(lab, p2, &handshake, t)
-    };
-    results.push(("SNI-II", flip_search(1, 600, &mut sni2)));
+/// Measures one verdict's residual (Table 2's lower half): trigger
+/// `mechanism`, then binary-search how long a later probe on the same flow
+/// stays blocked. `None` for IP-based blocking, which keys on an address
+/// and installs no per-flow verdict to time.
+pub fn measure_block_residual(lab: &mut VantageLab, mechanism: Mechanism) -> Option<u64> {
+    let mut next_port = trial_ports();
+    let vantage = lab.vantage("ER-Telecom");
+    let (v_host, v_addr) = (vantage.host, vantage.addr);
+    let remote = ScriptEnd { host: lab.us_main, addr: lab.us_main_addr, port: 443 };
+    match mechanism {
+        // SNI-I (75 s): after the trigger, remote data is rewritten to
+        // RST/ACK until the verdict lapses.
+        Mechanism::Sni1 => flip_search(1, 600, |t| {
+            let local = ScriptEnd { host: v_host, addr: v_addr, port: next_port() };
+            let mut steps = crate::harness::handshake_prefix();
+            steps.push(
+                ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK)
+                    .payload(ClientHelloBuilder::new("meduza.io").build()),
+            );
+            steps.push(
+                ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK).payload(vec![0x44; 80]).after(t),
+            );
+            let result = run_script(&mut lab.net, local, remote, &steps);
+            result.at_local.iter().any(|p| p.is_rst_ack)
+        }),
+        // SNI-II (420 s).
+        Mechanism::Sni2 => {
+            let handshake = [
+                Symbol { from: ProbeSide::Local, flags: TcpFlags::SYN },
+                Symbol { from: ProbeSide::Remote, flags: TcpFlags::SYN_ACK },
+                Symbol { from: ProbeSide::Local, flags: TcpFlags::ACK },
+            ];
+            flip_search(1, 600, |t| still_blocked_after(lab, next_port(), &handshake, t))
+        }
+        // SNI-IV (40 s): split-handshake prefix, backup verdict, then
+        // probe whether local data still drops.
+        Mechanism::Sni4 => flip_search(1, 600, |t| {
+            let local = ScriptEnd { host: v_host, addr: v_addr, port: next_port() };
+            let steps = [
+                ScriptStep::new(ProbeSide::Local, TcpFlags::SYN),
+                ScriptStep::new(ProbeSide::Remote, TcpFlags::SYN),
+                ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK)
+                    .payload(ClientHelloBuilder::new("twitter.com").build()),
+                ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK).payload(vec![0x33; 32]).after(t),
+            ];
+            let result = run_script(&mut lab.net, local, remote, &steps);
+            !result.at_remote.iter().any(|p| p.payload_len == 32)
+        }),
+        // QUIC (420 s).
+        Mechanism::Quic => flip_search(1, 600, |t| {
+            let port = next_port();
+            let _ = lab.net.take_inbox(remote.host);
+            let initial = tspu_stack::craft::udp_packet(
+                v_addr,
+                port,
+                remote.addr,
+                443,
+                &tspu_wire::quic::initial_payload(tspu_wire::quic::QuicVersion::V1, 1200),
+            );
+            lab.net.send_from(v_host, initial);
+            lab.net.run_for(Duration::from_millis(100));
+            lab.net.run_for(t);
+            let probe = tspu_stack::craft::udp_packet(v_addr, port, remote.addr, 443, &[0x22; 40]);
+            lab.net.send_from(v_host, probe);
+            lab.net.run_for(Duration::from_millis(300));
+            !lab.net.take_inbox(remote.host).iter().any(|(_, bytes)| {
+                tspu_wire::ipv4::Ipv4Packet::new_checked(&bytes[..])
+                    .map(|ip| ip.payload().len() == 8 + 40)
+                    .unwrap_or(false)
+            })
+        }),
+        Mechanism::IpBased => None,
+    }
+}
 
-    // SNI-IV residual (40 s): split-handshake prefix, backup verdict, then
-    // probe whether local data still drops.
-    let mut p4 = p2 + 200;
-    let mut sni4 = |t: Duration| {
-        p4 += 1;
-        let vantage = lab.vantage("ER-Telecom");
-        let local = ScriptEnd { host: vantage.host, addr: vantage.addr, port: p4 };
-        let remote = ScriptEnd { host: lab.us_main, addr: lab.us_main_addr, port: 443 };
-        let steps = vec![
-            ScriptStep::new(ProbeSide::Local, TcpFlags::SYN),
-            ScriptStep::new(ProbeSide::Remote, TcpFlags::SYN),
-            ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK)
-                .payload(ClientHelloBuilder::new("twitter.com").build()),
-            {
-                let mut probe =
-                    ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK).payload(vec![0x33; 32]);
-                probe.wait_before = t;
-                probe
-            },
-        ];
-        let result = run_script(&mut lab.net, local, remote, &steps);
-        !result.at_remote.iter().any(|p| p.payload_len == 32)
-    };
-    results.push(("SNI-IV", flip_search(1, 600, &mut sni4)));
-
-    // QUIC residual (420 s).
-    let mut pq = p4 + 200;
-    let mut quic = |t: Duration| {
-        pq += 1;
-        let vantage = lab.vantage("ER-Telecom");
-        let (v_host, v_addr) = (vantage.host, vantage.addr);
-        let us_host = lab.us_main;
-        let us_addr = lab.us_main_addr;
-        let _ = lab.net.take_inbox(us_host);
-        let initial = tspu_stack::craft::udp_packet(
-            v_addr,
-            pq,
-            us_addr,
-            443,
-            &tspu_wire::quic::initial_payload(tspu_wire::quic::QuicVersion::V1, 1200),
-        );
-        lab.net.send_from(v_host, initial);
-        lab.net.run_for(Duration::from_millis(100));
-        lab.net.run_for(t);
-        let probe = tspu_stack::craft::udp_packet(v_addr, pq, us_addr, 443, &[0x22; 40]);
-        lab.net.send_from(v_host, probe);
-        lab.net.run_for(Duration::from_millis(300));
-        !lab.net.take_inbox(us_host).iter().any(|(_, bytes)| {
-            tspu_wire::ipv4::Ipv4Packet::new_checked(&bytes[..])
-                .map(|ip| ip.payload().len() == 8 + 40)
-                .unwrap_or(false)
-        })
-    };
-    results.push(("QUIC", flip_search(1, 600, &mut quic)));
-
-    results
+/// Table 2's lower half: one [`measure_block_residual`] cell per verdict
+/// of [`RESIDUALS`], in that order.
+pub fn block_residuals(policy: &PolicyHandle, pool: &ScanPool) -> Vec<(Mechanism, Option<u64>)> {
+    fig1_cells(policy, &RESIDUALS, pool, |lab, &mechanism| {
+        (mechanism, measure_block_residual(lab, mechanism))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tspu_registry::Universe;
+    use tspu_topology::policy_from_universe;
 
-    fn lab() -> VantageLab {
-        // Reliable devices: these tests recover the ground-truth timeout
-        // constants via binary search, where one failure-dice exemption
-        // would flip an observable mid-search.
-        let universe = Universe::generate(3);
-        VantageLab::builder().universe(&universe).build()
+    fn policy() -> PolicyHandle {
+        policy_from_universe(&Universe::generate(3), false, true)
     }
 
     fn close_to(measured: u64, expected: u64) -> bool {
@@ -374,60 +387,40 @@ mod tests {
 
     #[test]
     fn table2_states_recovered() {
-        let mut lab = lab();
-        let rows = table2_state_rows();
-        let syn_sent = measure_table2_row(&mut lab, &rows[0], 20_000).unwrap();
-        assert!(close_to(syn_sent, 60), "SYN_SENT measured {syn_sent}");
-        let syn_rcvd = measure_table2_row(&mut lab, &rows[1], 21_000).unwrap();
-        assert!(close_to(syn_rcvd, 105), "SYN_RCVD measured {syn_rcvd}");
-        let established = measure_table2_row(&mut lab, &rows[2], 22_000).unwrap();
-        assert!(close_to(established, 480), "ESTABLISHED measured {established}");
+        let measured = state_timeouts(&policy(), &table2_state_rows(), &ScanPool::new(2));
+        for (measured, expected) in measured.into_iter().zip([60, 105, 480]) {
+            assert!(close_to(measured.unwrap(), expected), "{measured:?}, expected {expected}");
+        }
     }
 
     #[test]
     fn block_residuals_recovered() {
-        let mut lab = lab();
-        let residuals = measure_block_residuals(&mut lab, 30_000);
-        let get = |name: &str| {
-            residuals
-                .iter()
-                .find(|(n, _)| *n == name)
-                .and_then(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("{name} unmeasured"))
-        };
-        assert!(close_to(get("SNI-I"), 75), "SNI-I {}", get("SNI-I"));
-        assert!(close_to(get("SNI-II"), 420), "SNI-II {}", get("SNI-II"));
-        assert!(close_to(get("SNI-IV"), 40), "SNI-IV {}", get("SNI-IV"));
-        assert!(close_to(get("QUIC"), 420), "QUIC {}", get("QUIC"));
+        let residuals = block_residuals(&policy(), &ScanPool::new(2));
+        let measured: Vec<_> = residuals.iter().map(|&(m, v)| (m.label(), v.unwrap())).collect();
+        for ((label, measured), expected) in measured.into_iter().zip([75, 420, 40, 420]) {
+            assert!(close_to(measured, expected), "{label} {measured}");
+        }
+        let mut lab = VantageLab::builder().policy(policy()).build();
+        assert_eq!(measure_block_residual(&mut lab, Mechanism::IpBased), None);
     }
 
     #[test]
     fn table8_selected_rows() {
-        let mut lab = lab();
-        // `Lt` (empty prefix): DROP with the 180 s Loose residual.
-        let row = measure_sequence(&mut lab, &[], 40_000);
-        assert_eq!(row.action, Action::Drop);
-        assert!(close_to(row.timeout_secs.unwrap(), 180), "{row:?}");
-
-        // `Rs;Lt`: PASS; flips at the SYN-SENT expiry.
-        let rs = vec![Symbol { from: ProbeSide::Remote, flags: TcpFlags::SYN }];
-        let row = measure_sequence(&mut lab, &rs, 41_000);
-        assert_eq!(row.action, Action::Pass);
-        assert!(close_to(row.timeout_secs.unwrap(), 60), "{row:?}");
-
-        // `Ls;Ra;Lt`: PASS (Invalid state), flips at 180 s.
-        let seq = vec![
-            Symbol { from: ProbeSide::Local, flags: TcpFlags::SYN },
-            Symbol { from: ProbeSide::Remote, flags: TcpFlags::ACK },
-        ];
-        let row = measure_sequence(&mut lab, &seq, 42_000);
-        assert_eq!(row.action, Action::Pass);
-        assert!(close_to(row.timeout_secs.unwrap(), 180), "{row:?}");
-
-        // `Lsa;Lt`: DROP, residual clipped by the SNI-II verdict (420 s).
-        let seq = vec![Symbol { from: ProbeSide::Local, flags: TcpFlags::SYN_ACK }];
-        let row = measure_sequence(&mut lab, &seq, 43_000);
-        assert_eq!(row.action, Action::Drop);
-        assert!(close_to(row.timeout_secs.unwrap(), 420), "{row:?}");
+        let ls = Symbol { from: ProbeSide::Local, flags: TcpFlags::SYN };
+        let lsa = Symbol { from: ProbeSide::Local, flags: TcpFlags::SYN_ACK };
+        let rs = Symbol { from: ProbeSide::Remote, flags: TcpFlags::SYN };
+        let ra = Symbol { from: ProbeSide::Remote, flags: TcpFlags::ACK };
+        let sequences = [vec![], vec![rs], vec![ls, ra], vec![lsa]];
+        let rows = sequence_timeouts(&policy(), &sequences, &ScanPool::new(2));
+        // `Lt` (empty prefix): DROP with the 180 s Loose residual; `Rs;Lt`:
+        // PASS, flips at the SYN-SENT expiry; `Ls;Ra;Lt`: PASS (Invalid
+        // state), flips at 180 s; `Lsa;Lt`: DROP, residual clipped by the
+        // SNI-II verdict (420 s).
+        let expected =
+            [(Action::Drop, 180), (Action::Pass, 60), (Action::Pass, 180), (Action::Drop, 420)];
+        for (row, (action, timeout)) in rows.iter().zip(expected) {
+            assert_eq!(row.action, action, "{row:?}");
+            assert!(close_to(row.timeout_secs.unwrap(), timeout), "{row:?}");
+        }
     }
 }

@@ -7,7 +7,6 @@
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use tspu_netsim::{Application, Output, Time};
 use tspu_wire::ipv4::{self, Ipv4Packet, Protocol};
@@ -242,21 +241,20 @@ impl ReplyCounter {
 }
 
 /// What [`QuicClient::start`] hands the driver: the app, the shared
-/// reply counter, and the initial timed packets to inject.
-pub type QuicClientStart = (QuicClient, ReplyCounter, Vec<(Duration, Vec<u8>)>);
+/// reply counter, and the datagrams to inject.
+pub type QuicClientStart = (QuicClient, ReplyCounter, Vec<Vec<u8>>);
 
-/// A QUIC client: fires one Initial-sized datagram, then `follow_ups`
-/// smaller datagrams at 100 ms intervals, and records replies.
+/// A QUIC client: one Initial-sized datagram, then `follow_ups` smaller
+/// datagrams, all injected at once by the driver; records replies.
 pub struct QuicClient {
-    src: Ipv4Addr,
     src_port: u16,
     dst: Ipv4Addr,
     replies: ReplyCounter,
 }
 
 impl QuicClient {
-    /// Builds the client and the initial packets to send (the driver
-    /// injects them). Returns (app, replies-handle, packets).
+    /// Builds the client and the datagrams to send (the driver injects
+    /// them). Returns (app, replies-handle, packets).
     pub fn start(
         src: Ipv4Addr,
         src_port: u16,
@@ -265,18 +263,17 @@ impl QuicClient {
         follow_ups: usize,
     ) -> QuicClientStart {
         let replies = ReplyCounter::default();
-        let mut packets = Vec::new();
-        packets.push((
-            Duration::ZERO,
-            crate::craft::udp_packet(src, src_port, dst, 443, &tspu_wire::quic::initial_payload(version, 1200)),
-        ));
-        for i in 0..follow_ups {
-            packets.push((
-                Duration::from_millis(100 * (i as u64 + 1)),
-                crate::craft::udp_packet(src, src_port, dst, 443, &[0x5a; 120]),
-            ));
+        let mut packets = vec![crate::craft::udp_packet(
+            src,
+            src_port,
+            dst,
+            443,
+            &tspu_wire::quic::initial_payload(version, 1200),
+        )];
+        for _ in 0..follow_ups {
+            packets.push(crate::craft::udp_packet(src, src_port, dst, 443, &[0x5a; 120]));
         }
-        let client = QuicClient { src, src_port, dst, replies: replies.clone() };
+        let client = QuicClient { src_port, dst, replies: replies.clone() };
         (client, replies, packets)
     }
 }
@@ -295,7 +292,6 @@ impl Application for QuicClient {
         if datagram.dst_port() == self.src_port {
             self.replies.bump();
         }
-        let _ = self.src;
         Vec::new()
     }
 }
@@ -392,8 +388,7 @@ mod tests {
         let (app, replies, packets) =
             QuicClient::start(CLIENT, 45000, SERVER, tspu_wire::quic::QuicVersion::V1, 3);
         net.set_app(c, Box::new(app));
-        for (delay, packet) in packets {
-            let _ = delay;
+        for packet in packets {
             net.send_from(c, packet);
         }
         net.run_until_idle();

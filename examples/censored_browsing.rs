@@ -143,7 +143,7 @@ fn main() {
         let (app, replies, packets) =
             QuicClient::start(addr, port, lab.us_main_addr, QuicVersion::V1, 2);
         lab.net.set_app(host, Box::new(app));
-        for (_, packet) in packets {
+        for packet in packets {
             lab.net.send_from(host, packet);
         }
         lab.net.run_until_idle();

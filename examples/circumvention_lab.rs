@@ -6,12 +6,14 @@
 //! cargo run --release --example circumvention_lab
 //! ```
 
+use tspu_core::Hardening;
+use tspu_measure::ScanPool;
 use tspu_registry::Universe;
 
 fn main() {
     let universe = Universe::generate(2022);
     println!("evaluating {} strategies — this replays full TLS fetches per cell\n", tspu_circumvent::all_strategies().len());
-    let rows = tspu_circumvent::evaluate_matrix(&universe);
+    let rows = tspu_circumvent::evaluate_matrix(&universe, Hardening::none(), &ScanPool::from_env());
 
     println!(
         "{:<38} {:<7} {:<8} {:<10} +upstream-only",

@@ -13,8 +13,8 @@
 
 use tspu_measure::behaviors::{classify_behavior, ObservedBehavior};
 use tspu_measure::harness::{handshake_prefix, ProbeSide, ScriptEnd, ScriptStep};
-use tspu_measure::sweep::{RunOpts, ScanPool};
-use tspu_measure::{domains, echo, fragscan, timeouts, LocalizeSpec};
+use tspu_measure::sweep::{registry_campaign, RunOpts, ScanPool};
+use tspu_measure::{echo, fragscan, timeouts, LocalizeSpec};
 use tspu_registry::Universe;
 use tspu_topology::{policy_from_universe, Runet, RunetConfig, VantageLab};
 use tspu_wire::tcp::TcpFlags;
@@ -73,22 +73,21 @@ fn main() {
     );
     println!("  split handshake + meduza.io: {green:?} (a Fig. 4 'green' sequence)");
 
-    // State timeouts, measured black-box.
+    // State timeouts, measured black-box, one flip search per forked cell.
     println!("\n§5.3 the connection tracker's timeouts (binary-searched, Fig. 5):");
-    for (row, label) in timeouts::table2_state_rows().iter().zip(["SYN-SENT", "SYN-RCVD", "ESTABLISHED"]) {
-        let measured = timeouts::measure_table2_row(&mut lab, row, 25_000);
+    let policy = policy_from_universe(&universe, false, true);
+    let pool = ScanPool::from_env();
+    let rows = timeouts::table2_state_rows();
+    let labels = ["SYN-SENT", "SYN-RCVD", "ESTABLISHED"];
+    let measured = timeouts::state_timeouts(&policy, &rows, &pool);
+    for ((row, measured), label) in rows.iter().zip(measured).zip(labels) {
         println!("  {label:<12} {:>3?} s (paper: {} s)", measured.unwrap_or(0), row.paper_timeout);
     }
 
     // ───────────────────────── §6 WHAT does it block? ─────────────────────────
     println!("\n§6 WHAT — testing 400 registry-sample domains + anchors:");
-    let names: Vec<&str> = universe
-        .registry_sample
-        .iter()
-        .take(400)
-        .map(|d| d.name.as_str())
-        .collect();
-    let campaign = domains::run_campaign(&mut lab, names);
+    let names = universe.registry_sample.iter().take(400).map(|d| d.name.as_str());
+    let campaign = registry_campaign(&universe, names, &pool);
     let tspu = campaign.tspu_blocked();
     println!("  TSPU blocks {}/400 uniformly; resolver coverage differs per ISP:", tspu.len());
     for (isp, blocked) in &campaign.isp_blocked {
@@ -97,8 +96,6 @@ fn main() {
 
     // ───────────────────────── §7 WHERE does it block? ─────────────────────────
     println!("\n§7 WHERE — TTL localization from the vantage points:");
-    let policy = policy_from_universe(&universe, false, true);
-    let pool = ScanPool::from_env();
     for name in ["Rostelecom", "ER-Telecom", "OBIT"] {
         let found = LocalizeSpec::symmetric(policy.clone(), name)
             .port_base(26_000)

@@ -2,17 +2,21 @@
 //! `ScanPool::run_cells`, so at small size each one must produce the same
 //! bytes — cells and merged snapshot — at one and two threads, and
 //! `RunOpts` must mean the same thing under every driver that takes it.
-//! The CI `determinism` job checks the same at length and at eight threads.
+//! The CI `determinism` job checks the `tspu-measure` drivers at length and
+//! at eight threads; the CI `test` job `cmp`s the §5/§6/§8 `experiments`
+//! output at one and eight.
 //! The churn driver's cells start from `PolicyHistory::as_of`; the replay
 //! that used to build that policy is kept here as its reference.
 
 use std::collections::BTreeSet;
 
-use tspu::core::{Policy, PolicyHandle, PolicyHistory};
+use tspu::circumvent::evaluate_matrix;
+use tspu::core::{Hardening, Policy, PolicyHandle, PolicyHistory};
 use tspu::measure::chaos::{ChaosScenario, ChaosSweep};
 use tspu::measure::domains::test_domain;
 use tspu::measure::reliability::Mechanism;
 use tspu::measure::sweep::scenario_port;
+use tspu::measure::{sequences, timeouts};
 use tspu::measure::{
     churn_delta, ChurnCampaign, DifferentialCampaign, LocalizeSpec, RunOpts, ScanPool, SweepSpec,
     TomographyConfig,
@@ -36,7 +40,7 @@ fn tomography(policy: PolicyHandle) -> LocalizeSpec {
     LocalizeSpec::tomography(policy, TomographyConfig::new(GenParams::new(13, 140)).cells(4))
 }
 
-// The same comparison the six determinism suites are written in.
+// The same comparison the `tspu-measure` determinism suites are written in.
 #[path = "../crates/measure/tests/common/mod.rs"]
 mod common;
 
@@ -93,13 +97,34 @@ fn every_driver_is_byte_identical_at_one_and_two_threads() {
         format!("{:?}\n{:?}", run.devices, run.snapshot)
     });
 
-    let tomography = tomography(policy);
+    let tomography = tomography(policy.clone());
     assert_same_at_one_and_two_threads("tomography", |pool| {
         let run = tomography.run(pool, &RunOpts::observed());
         let cells = run.tomography.expect("tomography technique");
         assert!(cells.cells.iter().all(|c| c.named), "{:?}", cells.cells);
         format!("{cells:?}\n{:?}", run.snapshot)
     });
+
+    assert_same_at_one_and_two_threads("explore", |pool| {
+        let verdicts = sequences::explore(&policy, 1, "ER-Telecom", pool);
+        assert_eq!(verdicts.len(), 7);
+        format!("{verdicts:?}")
+    });
+
+    let table8 = timeouts::table8_sequences()[..3].to_vec();
+    assert_same_at_one_and_two_threads("table8", |pool| {
+        format!("{:?}", timeouts::sequence_timeouts(&policy, &table8, pool))
+    });
+
+    assert_same_at_one_and_two_threads("residuals", |pool| {
+        format!("{:?}", timeouts::block_residuals(&policy, pool))
+    });
+
+    for (matrix, hardening) in [("circumvention", Hardening::none()), ("arms race", Hardening::full())] {
+        assert_same_at_one_and_two_threads(matrix, |pool| {
+            format!("{:?}", evaluate_matrix(&universe, hardening, pool))
+        });
+    }
 }
 
 /// Traffic guard for the single binary-heap event queue (DESIGN.md "Event

@@ -1,29 +1,70 @@
 //! The paper's headline claims, each asserted end-to-end against the
 //! reproduction — the executable summary of EXPERIMENTS.md.
 
-use tspu::measure::timeouts;
+use tspu::core::PolicyHandle;
+use tspu::measure::timeouts::{self, Action};
+use tspu::measure::ScanPool;
 use tspu::registry::Universe;
-use tspu::topology::VantageLab;
+use tspu::topology::{policy_from_universe, VantageLab};
 
 fn lab(seed: u64) -> VantageLab {
     VantageLab::builder().universe(&Universe::generate(seed)).table1().build()
 }
 
+fn policy(seed: u64) -> PolicyHandle {
+    policy_from_universe(&Universe::generate(seed), false, true)
+}
+
 #[test]
 fn claim_tspu_is_stateful_with_nonstandard_timeouts() {
     // §5.3.3 + Table 7: the TSPU's timeouts match no documented system.
-    let mut lab = lab(90);
     let rows = timeouts::table2_state_rows();
-    let measured: Vec<u64> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, row)| timeouts::measure_table2_row(&mut lab, row, 10_000 + i as u16 * 800).unwrap())
+    let measured: Vec<u64> = timeouts::state_timeouts(&policy(90), &rows, &ScanPool::new(2))
+        .into_iter()
+        .map(Option::unwrap)
         .collect();
     // 60 / 105 / 480 within measurement slack.
     assert!(measured[0].abs_diff(60) <= 5, "{measured:?}");
     assert!(measured[1].abs_diff(105) <= 5, "{measured:?}");
     assert!(measured[2].abs_diff(480) <= 5, "{measured:?}");
     assert!(!tspu::measure::os_reference::any_system_matches_tspu());
+}
+
+#[test]
+fn claim_table2_and_table8_recovered_black_box() {
+    // EXPERIMENTS.md's measured columns at seed 2022: every Table 2 value
+    // and every Table 8 row (action, and timeout within 5 s), each flip
+    // search on its own forked cell of a reliable lab.
+    let (policy, pool) = (policy(2022), ScanPool::new(2));
+    let close = |measured: Option<u64>, expected: u64| {
+        measured.is_some_and(|m| m.abs_diff(expected) <= 5)
+    };
+
+    let states = timeouts::state_timeouts(&policy, &timeouts::table2_state_rows(), &pool);
+    for (measured, expected) in states.into_iter().zip([60, 105, 480]) {
+        assert!(close(measured, expected), "state timeout {measured:?}, expected {expected}");
+    }
+    let residuals = timeouts::block_residuals(&policy, &pool);
+    for ((mechanism, measured), expected) in residuals.into_iter().zip([75, 418, 40, 420]) {
+        let label = mechanism.label();
+        assert!(close(measured, expected), "{label} residual {measured:?}, expected {expected}");
+    }
+
+    use Action::{Drop, Pass};
+    let table8 = [
+        ("∅", 178, Drop), ("Rs", 60, Pass), ("Rs;Ls", 105, Pass), ("Ls;Rs", 178, Drop),
+        ("Rs;Ls;Rsa", 480, Pass), ("Rs;Ls;Lsa", 480, Pass), ("Rs;Ls;Rsa;Lsa", 480, Pass),
+        ("Ra", 480, Pass), ("Ra;Lsa", 480, Pass), ("Lsa", 418, Drop), ("Rs;Lsa", 480, Pass),
+        ("Ra;Lsa;Ra", 480, Pass), ("Rsa", 480, Pass), ("Ls;Ra", 180, Pass), ("Rsa;Lsa", 480, Pass),
+        ("Rsa;La", 480, Pass), ("La", 418, Drop),
+    ];
+    let rows = timeouts::sequence_timeouts(&policy, &timeouts::table8_sequences(), &pool);
+    assert_eq!(rows.len(), table8.len());
+    for (row, (notation, timeout, action)) in rows.iter().zip(table8) {
+        assert_eq!(row.notation, notation);
+        assert_eq!(row.action, action, "{row:?}");
+        assert!(close(row.timeout_secs, timeout), "{row:?}, expected {timeout}");
+    }
 }
 
 #[test]
@@ -85,8 +126,7 @@ fn claim_fragment_cache_fingerprint_is_45() {
 #[test]
 fn claim_green_sequences_evade_sni1_but_not_sni4() {
     use tspu::measure::sequences;
-    let mut lab = lab(92);
-    let verdicts = sequences::explore(&mut lab, 2, "ER-Telecom");
+    let verdicts = sequences::explore(&policy(92), 2, "ER-Telecom", &ScanPool::new(2));
     let find = |n: &str| verdicts.iter().find(|v| v.notation == n).unwrap();
     assert!(find("Ls;Rs").green());
     assert!(!find("Ls;Rs").sni1_valid());
