@@ -280,13 +280,6 @@ impl SoakLab {
         (net, stats)
     }
 
-    fn drain_inboxes(&self, net: &mut Network) {
-        for &(host, _) in &self.clients {
-            drop(net.take_inbox(host));
-        }
-        drop(net.take_inbox(self.server));
-    }
-
     /// Runs one soak to completion and reports.
     pub fn run(&self) -> SoakReport {
         let (mut net, stats) = self.fork();
@@ -321,10 +314,6 @@ impl SoakLab {
                 samples.push((acc_wall_ns / acc_events, acc_events));
                 (acc_wall_ns, acc_events) = (0, 0);
             }
-            // Endpoints consume packets through their apps; the inbox
-            // copies the simulator also keeps would pin every payload of
-            // the soak in memory. Drop them each slice.
-            self.drain_inboxes(&mut net);
             let conntrack = net.middlebox(self.device).conntrack();
             let tracked = conntrack.len();
             let max_shard_len = conntrack.shard_lens().into_iter().max().unwrap_or(0);
@@ -359,7 +348,6 @@ impl SoakLab {
         }
         // Drain stragglers (FINs in flight past the last slice).
         net.run_until_idle();
-        self.drain_inboxes(&mut net);
         let wall_seconds = started.elapsed().as_secs_f64();
 
         // Steady state: skip the ramp-up (first 10% of windows). Every

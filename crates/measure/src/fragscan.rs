@@ -278,6 +278,38 @@ mod tests {
     }
 
     #[test]
+    fn a_port_scan_leaves_no_packet_in_an_endpoint_inbox() {
+        // Every endpoint answers through its reassembling application, and a
+        // packet delivered to an application is not also kept in an inbox:
+        // the 45/46-fragment trains the scan sends are freed as they land.
+        let mut r = runet();
+        let (rows, ases_seen, ases_positive) = run_port_scan(&mut r, 1);
+        let rows: Vec<_> = rows.iter().map(|row| (row.port, row.endpoints, row.positive)).collect();
+        // (port, endpoints, positive) as the scan read when inboxes still
+        // kept a copy of every delivery: the sink changes no answer.
+        assert_eq!(
+            rows,
+            [
+                (21, 62, 6),
+                (22, 115, 3),
+                (80, 138, 10),
+                (443, 162, 8),
+                (445, 35, 11),
+                (1723, 40, 11),
+                (3389, 59, 7),
+                (7547, 257, 80),
+                (8080, 116, 32),
+                (58000, 84, 25),
+            ]
+        );
+        assert_eq!((ases_seen, ases_positive), (158, 22));
+        let endpoints: Vec<_> = r.endpoints.iter().map(|e| e.host).collect();
+        for host in endpoints {
+            assert!(r.net.take_inbox(host).is_empty(), "endpoint {host:?} kept its packets");
+        }
+    }
+
+    #[test]
     fn ttl_localization_matches_ground_truth() {
         let mut r = runet();
         let covered: Vec<_> = r

@@ -13,9 +13,9 @@
 //! ## Model
 //!
 //! * A [`Network`] owns hosts, middleboxes, and directed routes.
-//! * A **host** is an endpoint with one IPv4 address, an inbox that records
-//!   every delivered packet, and optionally an [`Application`] that reacts
-//!   to packets and timers (echo servers, TLS peers, …).
+//! * A **host** is an endpoint with one IPv4 address and either an
+//!   [`Application`] that reacts to packets and timers (echo servers, TLS
+//!   peers, …) or an inbox that records every packet delivered to it.
 //! * A **route** from host A to host B is an ordered list of
 //!   [`RouteStep`]s: a router hop (with an address, for traceroute
 //!   TTL-exceeded replies) followed by zero or more middlebox attachments.

@@ -111,14 +111,20 @@ impl Route {
 
 struct HostState {
     addr: Ipv4Addr,
+    /// Deliveries to a host without an application; one with an
+    /// application hands each packet to it instead.
     inbox: Vec<(Time, Vec<u8>)>,
     app: Option<Box<dyn Application>>,
 }
 
 #[derive(Debug)]
 enum EventKind {
-    /// A packet arriving at route step `step` of the (src, dst) route.
-    Hop { src: HostId, dst: HostId, step: usize, packet: Vec<u8> },
+    /// A packet bound for `dst` arriving at step `step` of route `rid`:
+    /// a hop with devices, or the hop where its TTL runs out
+    /// ([`Network::schedule_walk`] covers the hops in between). The id is
+    /// the route the packet was sent on, so a reroute never moves a packet
+    /// already in flight.
+    Hop { dst: HostId, rid: RouteId, step: usize, packet: Vec<u8> },
     /// Final delivery to a host interface.
     Deliver { dst: HostId, packet: Vec<u8> },
     /// A host transmission (possibly delayed by an application).
@@ -127,7 +133,7 @@ enum EventKind {
     Timer { host: HostId },
     /// A scheduled routing-table flip: at its instant, the (src, dst)
     /// entry starts resolving to `rid`. Packets already in flight keep the
-    /// route id they were scheduled with — mirroring how a BGP path change
+    /// route id their hop events carry — mirroring how a BGP path change
     /// affects new traffic, not packets already past the decision point.
     Reroute { src: HostId, dst: HostId, rid: RouteId },
 }
@@ -181,6 +187,10 @@ pub struct Network {
     /// `hop` / `deliver` spans, recorded only while
     /// [`Network::set_tracing`] has switched it on.
     tracer: Tracer,
+    /// The packets at one hop's device chain, each with its queueing
+    /// delay so far: empty between events, kept so a hop reuses its
+    /// capacity instead of allocating.
+    train: Vec<(Vec<u8>, Duration)>,
 }
 
 impl Network {
@@ -205,6 +215,7 @@ impl Network {
             route_flips: 0,
             queue_depth: None,
             tracer: Tracer::new(),
+            train: Vec::new(),
         }
     }
 
@@ -240,8 +251,9 @@ impl Network {
         self.route_flips
     }
 
-    /// Enables or disables virtual-time span tracing (`hop` / `deliver`
-    /// spans). Off by default so the event loop pays only a branch.
+    /// Enables or disables virtual-time span tracing: a `hop` span at each
+    /// device hop and TTL death, a `deliver` span at each delivery. Off by
+    /// default so the event loop pays only a branch.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.tracer.set_enabled(enabled);
     }
@@ -275,10 +287,9 @@ impl Network {
     }
 
     /// Enables or disables packet capture. Off until asked for: a capture
-    /// copies every packet at every trace point and keeps the engine on the
-    /// per-hop path, so only the consumers that replay one (the oracle
-    /// audit, pcap export, differential tests) switch it on. Inboxes record
-    /// deliveries either way.
+    /// copies every packet at every trace point, so only the consumers that
+    /// replay one (the oracle audit, pcap export, differential tests)
+    /// switch it on. Packets take the same path either way.
     pub fn set_capture(&mut self, enabled: bool) {
         self.capture_enabled = enabled;
     }
@@ -439,17 +450,16 @@ impl Network {
     /// Queues a packet for transmission from `host` at the current time.
     /// The destination is taken from the packet's IPv4 destination field.
     pub fn send_from(&mut self, host: HostId, packet: Vec<u8>) {
-        // Fast path: when nothing is pending at the current instant the
-        // send event would be dispatched next anyway, so run it inline and
-        // skip the heap round-trip. Any queued event at `now` (an earlier
-        // same-instant send) must keep its seq-order priority, so the
-        // slow path stays for that case — and for capture/tracing runs,
-        // where the event itself is observable.
+        // When nothing is pending at the current instant the send event
+        // would be dispatched next anyway, so run it inline and skip the
+        // heap round-trip. Any queued event at `now` (an earlier
+        // same-instant send) must keep its seq-order priority, so that case
+        // still queues.
         let head_later = match self.queue.peek_time() {
             None => true,
             Some(head_time) => head_time > self.now,
         };
-        if head_later && self.fast_path() {
+        if head_later {
             self.do_send(host, packet);
             return;
         }
@@ -495,7 +505,9 @@ impl Network {
         self.route_flips += 1;
     }
 
-    /// Drains the packets delivered to `host` so far.
+    /// Drains the packets delivered to `host` so far. Only a host without
+    /// an [`Application`] has any: a packet delivered to a host with one
+    /// goes to the application alone.
     pub fn take_inbox(&mut self, host: HostId) -> Vec<(Time, Vec<u8>)> {
         std::mem::take(&mut self.hosts[host.0].inbox)
     }
@@ -568,9 +580,9 @@ impl Network {
         let now_us = self.now.as_micros();
         match kind {
             EventKind::SendFrom { host, packet } => self.do_send(host, packet),
-            EventKind::Hop { src, dst, step, packet } => {
+            EventKind::Hop { dst, rid, step, packet } => {
                 self.tracer.span("hop", "netsim", now_us, now_us);
-                self.do_hop(src, dst, step, packet);
+                self.do_hop(dst, rid, step, packet);
             }
             EventKind::Deliver { dst, packet } => {
                 self.tracer.span("deliver", "netsim", now_us, now_us);
@@ -596,44 +608,22 @@ impl Network {
             return;
         };
         let time = self.now + self.hop_latency;
-        if self.fast_path() {
-            if let Some(&rid) = self.routes.get(&(host, dst)) {
-                self.schedule_walk(host, dst, rid, 0, time, packet);
-                return;
-            }
-            // No installed route: the hop handler's direct delivery, one
-            // hop of latency later, without the intermediate event.
-            self.push_event(time, EventKind::Deliver { dst, packet });
-            return;
+        match self.routes.get(&(host, dst)) {
+            Some(&rid) => self.schedule_walk(dst, rid, 0, time, packet),
+            // No installed route: direct delivery, one hop of latency later.
+            None => self.push_event(time, EventKind::Deliver { dst, packet }),
         }
-        self.push_event(time, EventKind::Hop { src: host, dst, step: 0, packet });
     }
 
-    fn do_hop(&mut self, src: HostId, dst: HostId, step: usize, mut packet: Vec<u8>) {
-        // Copy out the per-step scalars up front; the device loop below
-        // re-indexes the arena per device so no `&self` borrow is ever
-        // live across the `slot_mut(..).process(..)` call (the arena is
-        // append-only and `process` cannot reach it, so indices are
-        // stable). This is what let the interned arena replace `Rc<Route>`
-        // without cloning the device list per hop.
-        let rid = match self.routes.get(&(src, dst)) {
-            Some(&rid) => rid,
-            None => {
-                // No installed route: direct delivery.
-                self.push_event(self.now, EventKind::Deliver { dst, packet });
-                return;
-            }
-        };
-        let (hop_addr, n_devices) = {
-            let route = &self.route_arena[rid.0 as usize];
-            if step >= route.steps.len() {
-                self.push_event(self.now, EventKind::Deliver { dst, packet });
-                return;
-            }
-            (route.steps[step].hop_addr, route.steps[step].devices.len())
-        };
-
-        // Router: decrement TTL; expire with ICMP time-exceeded.
+    /// The packet reaches step `step` of route `rid`, which has devices or
+    /// is where its TTL runs out: the router decrements the TTL or kills
+    /// the packet, then the step's devices run, then
+    /// [`Network::schedule_walk`] takes every packet they forward on to
+    /// the next step.
+    fn do_hop(&mut self, dst: HostId, rid: RouteId, step: usize, mut packet: Vec<u8>) {
+        // Router: decrement TTL; expire with ICMP time-exceeded. The walk
+        // stops at the hop a packet dies on, so this is the one place a
+        // packet dies of its TTL.
         {
             let Ok(mut view) = Ipv4Packet::new_checked(&mut packet[..]) else {
                 self.capture(TracePoint::Dropped { step }, &packet);
@@ -643,6 +633,7 @@ impl Network {
             if ttl <= 1 {
                 let orig_src = view.src_addr();
                 self.capture(TracePoint::Dropped { step }, &packet);
+                let hop_addr = self.route_arena[rid.0 as usize].steps[step].hop_addr;
                 self.emit_time_exceeded(hop_addr, orig_src, step);
                 return;
             }
@@ -650,168 +641,86 @@ impl Network {
             view.fill_checksum();
         }
 
-        // Middleboxes on this link, chained in order. The single-packet
-        // case — every hop of every non-fragmented flow — is copy-free:
-        // the one buffer moves through the chain (rewritten in place or
-        // replaced when a device says so) and on into the next hop event.
-        // Device-level trace points bracket each call: an ingress record
-        // for the packet as the device saw it, an egress record per packet
-        // it forwarded. Extra queueing delay from Delay verdicts rides
-        // along with each in-flight packet into the next hop event.
+        // Middleboxes on this link, chained in order and device-major: each
+        // device sees the whole train — one packet, or a fragment train a
+        // device flushed — before the next device runs, so captures come
+        // out device by device. The train lives in a buffer kept on the
+        // network, so a hop allocates nothing, and a verdict edits it in
+        // place: a forwarded packet keeps its slot (rewritten in place or
+        // replaced when a device says so), and only a drop or a fan-out
+        // moves the packets behind it. The arena is re-indexed per device so
+        // no `&self` borrow is live across `process`. Device-level trace
+        // points bracket each call: an ingress record for the packet as the
+        // device saw it, an egress record per packet it forwarded. Extra
+        // queueing delay from Delay verdicts rides along with each packet.
         let now = self.now;
-        let mut fanout: Option<Vec<Vec<u8>>> = None;
-        let mut extra_delay = Duration::ZERO;
-        let mut resume = n_devices;
+        let n_devices = self.route_arena[rid.0 as usize].steps[step].devices.len();
+        let mut train = std::mem::take(&mut self.train);
+        train.push((packet, Duration::ZERO));
         for di in 0..n_devices {
             let (mb_id, direction) = self.route_arena[rid.0 as usize].steps[step].devices[di];
-            self.capture(TracePoint::DeviceIngress { device: mb_id, step }, &packet);
-            match self.slot_mut(mb_id).process(now, direction, &mut packet) {
-                Verdict::Pass => {
-                    self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &packet);
-                }
-                Verdict::Drop => {
-                    self.capture(TracePoint::Dropped { step }, &packet);
-                    return;
-                }
-                Verdict::Replace(replacement) => {
-                    packet = replacement;
-                    self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &packet);
-                }
-                Verdict::Fanout(packets) => {
-                    if packets.is_empty() {
-                        self.capture(TracePoint::Dropped { step }, &packet);
-                        return;
-                    }
-                    if self.capture_enabled {
-                        for pkt in &packets {
-                            self.capture(TracePoint::DeviceEgress { device: mb_id, step }, pkt);
+            // The packets before `i` have passed this device.
+            let mut i = 0;
+            while i < train.len() {
+                let (pkt, delay) = &mut train[i];
+                self.capture(TracePoint::DeviceIngress { device: mb_id, step }, pkt);
+                match self.slot_mut(mb_id).process(now, direction, pkt) {
+                    Verdict::Pass => {}
+                    Verdict::Replace(replacement) => *pkt = replacement,
+                    Verdict::Delay(extra) => *delay += extra,
+                    Verdict::Fanout(packets) if !packets.is_empty() => {
+                        let delay = *delay;
+                        for out in &packets {
+                            self.capture(TracePoint::DeviceEgress { device: mb_id, step }, out);
                         }
+                        let n = packets.len();
+                        train.splice(i..=i, packets.into_iter().map(|out| (out, delay)));
+                        i += n;
+                        continue;
                     }
-                    fanout = Some(packets);
-                    resume = di + 1;
-                    break;
+                    Verdict::Drop | Verdict::Fanout(_) => {
+                        self.capture(TracePoint::Dropped { step }, pkt);
+                        train.remove(i);
+                        continue;
+                    }
                 }
-                Verdict::Delay(delay) => {
-                    extra_delay += delay;
-                    self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &packet);
-                }
+                self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &train[i].0);
+                i += 1;
             }
         }
-        let Some(in_flight) = fanout else {
-            let time = self.now + self.hop_latency + extra_delay;
-            if self.fast_path() {
-                self.schedule_walk(src, dst, rid, step + 1, time, packet);
-                return;
-            }
-            if step + 1 >= self.route_arena[rid.0 as usize].steps.len() {
-                self.push_event(time, EventKind::Deliver { dst, packet });
-            } else {
-                self.push_event(time, EventKind::Hop { src, dst, step: step + 1, packet });
-            }
-            return;
-        };
-        let mut in_flight: Vec<(Vec<u8>, Duration)> =
-            in_flight.into_iter().map(|pkt| (pkt, extra_delay)).collect();
-
-        // Rare multi-packet tail (a fragment train flushed mid-chain): the
-        // remaining devices process each packet of the train, each packet
-        // carrying its own accumulated queueing delay.
-        for di in resume..n_devices {
-            let (mb_id, direction) = self.route_arena[rid.0 as usize].steps[step].devices[di];
-            let mut next = Vec::new();
-            for (mut pkt, delay) in in_flight {
-                self.capture(TracePoint::DeviceIngress { device: mb_id, step }, &pkt);
-                match self.slot_mut(mb_id).process(now, direction, &mut pkt) {
-                    Verdict::Pass => {
-                        self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &pkt);
-                        next.push((pkt, delay));
-                    }
-                    Verdict::Drop => self.capture(TracePoint::Dropped { step }, &pkt),
-                    Verdict::Replace(replacement) => {
-                        self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &replacement);
-                        next.push((replacement, delay));
-                    }
-                    Verdict::Fanout(packets) => {
-                        if packets.is_empty() {
-                            self.capture(TracePoint::Dropped { step }, &pkt);
-                        }
-                        for out in packets {
-                            self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &out);
-                            next.push((out, delay));
-                        }
-                    }
-                    Verdict::Delay(extra) => {
-                        self.capture(TracePoint::DeviceEgress { device: mb_id, step }, &pkt);
-                        next.push((pkt, delay + extra));
-                    }
-                }
-            }
-            in_flight = next;
-            if in_flight.is_empty() {
-                return;
-            }
+        for (pkt, delay) in train.drain(..) {
+            self.schedule_walk(dst, rid, step + 1, now + self.hop_latency + delay, pkt);
         }
-
-        for (pkt, delay) in in_flight {
-            let time = self.now + self.hop_latency + delay;
-            self.push_event(time, EventKind::Hop { src, dst, step: step + 1, packet: pkt });
-        }
+        self.train = train;
     }
 
-    /// Whether the engine may collapse device-free hop runs into a single
-    /// scheduled event. Captures and span tracing both observe individual
-    /// hops (`Dropped { step }` records on TTL death, per-event `hop`
-    /// spans), so the collapse only engages when neither is watching.
-    fn fast_path(&self) -> bool {
-        !self.capture_enabled && !self.tracer.is_enabled()
-    }
-
-    /// Fast-path scheduler: the packet arrives at route step `step` at
-    /// `time`. Walks the run of device-free steps from there — each one is
-    /// pure bookkeeping, a TTL decrement at a known instant — and pushes
-    /// the single event that ends the run: the first device-bearing hop, a
-    /// TTL death, or final delivery. Arrival times, TTL deaths, and device
-    /// processing instants are identical to the per-event path; only the
-    /// internal event count shrinks, which is why callers must check
-    /// [`Network::fast_path`] first.
-    fn schedule_walk(
-        &mut self,
-        src: HostId,
-        dst: HostId,
-        rid: RouteId,
-        step: usize,
-        mut time: Time,
-        mut packet: Vec<u8>,
-    ) {
+    /// The one hop scheduler: the packet reaches route step `step` at
+    /// `time`. Walks the run of device-free steps the packet survives —
+    /// each one pure bookkeeping, a TTL decrement at a known instant — and
+    /// pushes the single event that ends the run: a [`Network::do_hop`]
+    /// at the first step with devices or at the step where the TTL runs
+    /// out, or final delivery.
+    fn schedule_walk(&mut self, dst: HostId, rid: RouteId, step: usize, mut time: Time, mut packet: Vec<u8>) {
         let route = &self.route_arena[rid.0 as usize];
         let total = route.steps.len();
+        // An unparseable packet walks nowhere: `do_hop` drops it.
+        let ttl = Ipv4Packet::new_checked(&packet[..]).map_or(0, |view| usize::from(view.ttl()));
         let mut next = step;
-        while next < total && route.steps[next].devices.is_empty() {
+        // Step `next` is survived when the packet reaches it with TTL > 1.
+        while next < total && route.steps[next].devices.is_empty() && next - step + 1 < ttl {
             next += 1;
         }
         let skipped = next - step;
         if skipped > 0 {
-            if let Ok(mut view) = Ipv4Packet::new_checked(&mut packet[..]) {
-                let ttl = usize::from(view.ttl());
-                if ttl <= skipped {
-                    // Dies mid-walk, exactly where the per-event path
-                    // would kill it: at the hop reached with TTL 1.
-                    let die_step = step + ttl - 1;
-                    let die_time = time + self.hop_latency * (ttl as u32 - 1);
-                    let hop_addr = route.steps[die_step].hop_addr;
-                    let orig_src = view.src_addr();
-                    self.emit_time_exceeded_at(die_time, hop_addr, orig_src, die_step);
-                    return;
-                }
-                view.set_ttl((ttl - skipped) as u8);
-                view.fill_checksum();
-                time += self.hop_latency * skipped as u32;
-            }
+            let mut view = Ipv4Packet::new_unchecked(&mut packet[..]);
+            view.set_ttl((ttl - skipped) as u8);
+            view.fill_checksum();
+            time += self.hop_latency * skipped as u32;
         }
-        if next >= total {
+        if next == total {
             self.push_event(time, EventKind::Deliver { dst, packet });
         } else {
-            self.push_event(time, EventKind::Hop { src, dst, step: next, packet });
+            self.push_event(time, EventKind::Hop { dst, rid, step: next, packet });
         }
     }
 
@@ -821,19 +730,6 @@ impl Network {
     /// error is irrelevant to every experiment modeled here, and routers
     /// are not hosts.
     fn emit_time_exceeded(&mut self, hop_addr: Ipv4Addr, orig_src: Ipv4Addr, steps_back: usize) {
-        self.emit_time_exceeded_at(self.now, hop_addr, orig_src, steps_back);
-    }
-
-    /// [`Network::emit_time_exceeded`] from an explicit TTL-death instant
-    /// — the fast-forwarded hop walk kills packets at virtual times ahead
-    /// of the event being dispatched.
-    fn emit_time_exceeded_at(
-        &mut self,
-        at: Time,
-        hop_addr: Ipv4Addr,
-        orig_src: Ipv4Addr,
-        steps_back: usize,
-    ) {
         let Some(&src_host) = self.addr_map.get(&orig_src) else {
             return;
         };
@@ -841,19 +737,21 @@ impl Network {
         let repr = Ipv4Repr::new(hop_addr, orig_src, Protocol::Icmp, icmp.len());
         let packet = repr.build(&icmp);
         let delay = Duration::from_micros(self.hop_latency.as_micros() as u64 * (steps_back as u64 + 1));
-        let time = at + delay;
+        let time = self.now + delay;
         self.push_event(time, EventKind::Deliver { dst: src_host, packet });
     }
 
+    /// Hands the packet to the host's application, or keeps it in the
+    /// host's inbox if it has none — one sink, never both.
     fn do_deliver(&mut self, dst: HostId, packet: Vec<u8>) {
         self.capture(TracePoint::HostRx(dst), &packet);
-        if let Some(mut app) = self.hosts[dst.0].app.take() {
-            let outputs = app.on_packet(self.now, &packet);
-            self.hosts[dst.0].app = Some(app);
-            self.hosts[dst.0].inbox.push((self.now, packet));
-            self.apply_outputs(dst, outputs);
-        } else {
-            self.hosts[dst.0].inbox.push((self.now, packet));
+        match self.hosts[dst.0].app.take() {
+            Some(mut app) => {
+                let outputs = app.on_packet(self.now, &packet);
+                self.hosts[dst.0].app = Some(app);
+                self.apply_outputs(dst, outputs);
+            }
+            None => self.hosts[dst.0].inbox.push((self.now, packet)),
         }
     }
 
@@ -969,6 +867,7 @@ impl NetworkImage {
             route_flips: 0,
             queue_depth: None,
             tracer: self.tracer.fork_reset(),
+            train: Vec::new(),
         }
     }
 }
@@ -1154,6 +1053,8 @@ mod tests {
         assert_eq!(inbox.len(), 1);
         let view = Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap();
         assert_eq!(view.payload(), b"ping");
+        // One sink: the ping went to the echo application and nowhere else.
+        assert!(net.take_inbox(b).is_empty(), "an application host kept a copy");
     }
 
     struct TimerApp {
@@ -1464,38 +1365,32 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_hop_runs_match_per_event_path() {
-        // A same-instant burst through a device-bearing route: with capture
-        // on the engine walks one event per hop; with capture off it
-        // collapses the device-free run into one event. Delivery times and
-        // payloads must be identical, and the device must see the packets
-        // in send order.
-        let run = |fast: bool| {
-            let mut net = Network::with_default_latency();
-            net.set_capture(!fast);
-            let a = net.add_host(A);
-            let b = net.add_host(B);
-            let counter = net.install_middlebox(CountAll::default());
-            net.set_route_symmetric(a, b, Route {
-                steps: vec![
-                    RouteStep::router(R1),
-                    RouteStep::with_device(R2, counter.id(), Direction::LocalToRemote),
-                ],
-            });
-            for i in 0..200u8 {
-                net.send_from(a, packet(A, B, 64, &[i]));
-            }
-            net.run_until_idle();
-            assert_eq!(net.middlebox(counter).seen, 200);
-            net.take_inbox(b)
-                .into_iter()
-                .map(|(t, p)| {
-                    let view = Ipv4Packet::new_checked(&p[..]).unwrap();
-                    (t, view.payload().to_vec())
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(true), run(false));
+    fn a_packet_in_flight_keeps_its_route_across_a_reroute() {
+        // Sent at 0 on R1, R2, R3+device, the packet reaches the device hop
+        // at 3 ms. The (a, b) entry flips at 1.5 ms to a one-router route;
+        // the packet is past the decision point and must finish the route
+        // it was sent on: seen by the device, delivered at 4 ms, TTL 61.
+        let mut net = Network::with_default_latency();
+        let a = net.add_host(A);
+        let b = net.add_host(B);
+        let counter = net.install_middlebox(CountAll::default());
+        net.set_route(a, b, Route {
+            steps: vec![
+                RouteStep::router(R1),
+                RouteStep::router(R2),
+                RouteStep::with_device(Ipv4Addr::new(10, 255, 0, 3), counter.id(), Direction::LocalToRemote),
+            ],
+        });
+        let short = net.intern_route(Route::through(&[R1]));
+        net.schedule_reroute(Duration::from_micros(1_500), a, b, short);
+        net.send_from(a, packet(A, B, 64, b"in flight"));
+        net.run_until_idle();
+        assert_eq!(net.route(a, b).unwrap().steps.len(), 1, "the flip applied");
+        assert_eq!(net.middlebox(counter).seen, 1, "the device on the old route never saw the packet");
+        let inbox = net.take_inbox(b);
+        assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox[0].0, Time::from_micros(4_000));
+        assert_eq!(Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap().ttl(), 61);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use tspu_netsim::{Network, Route, Time};
+use tspu_netsim::{Direction, Middlebox, Network, Route, Time, TracePoint, Verdict};
 use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
 
 const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -21,32 +21,81 @@ fn hops(n: usize) -> Vec<Ipv4Addr> {
     (0..n as u32).map(|i| Ipv4Addr::from(0x0aff_0000 + i)).collect()
 }
 
+/// A device that forwards everything and counts what it saw.
+#[derive(Default)]
+struct PassThrough {
+    seen: usize,
+}
+
+impl Middlebox for PassThrough {
+    fn process(&mut self, _now: Time, _dir: Direction, _packet: &mut Vec<u8>) -> Verdict {
+        self.seen += 1;
+        Verdict::Pass
+    }
+}
+
 proptest! {
-    /// A packet with TTL t crosses an n-router path iff t > n; otherwise
-    /// exactly one ICMP time-exceeded returns, from router t — on the
-    /// per-hop path (capture on) and the collapsed one (capture off) alike.
+    /// The reference for the hop walk. A packet with TTL t crosses an
+    /// n-router path iff t > n, arriving after n + 1 hop latencies;
+    /// otherwise it dies at router t (step t - 1, reached after t
+    /// latencies, where a capture records the drop) and exactly one ICMP
+    /// time-exceeded returns from that router, t latencies later. A
+    /// pass-through device at a drawn step changes none of this, and sees
+    /// the packet iff it survives that step's router.
     #[test]
-    fn ttl_semantics_exact(n in 0usize..20, ttl in 1u8..25, capture in any::<bool>()) {
+    fn ttl_semantics_exact(
+        n in 0usize..20,
+        ttl in 1u8..25,
+        capture in any::<bool>(),
+        with_device in any::<bool>(),
+        at in 0usize..20,
+    ) {
         let mut net = Network::new(Duration::from_millis(1));
         net.set_capture(capture);
         let a = net.add_host(A);
         let b = net.add_host(B);
         let route_hops = hops(n);
-        net.set_route_symmetric(a, b, Route::through(&route_hops));
+        let mut route = Route::through(&route_hops);
+        let device = (with_device && n > 0).then(|| {
+            let step = at % n;
+            let handle = net.install_middlebox(PassThrough::default());
+            route.steps[step].devices.push((handle.id(), Direction::LocalToRemote));
+            (step, handle)
+        });
+        net.set_route(a, b, route);
         net.send_from(a, packet(ttl, 1));
         net.run_until_idle();
+        let ttl = usize::from(ttl);
+        let ms = |k: usize| Time::from_micros(1_000 * k as u64);
         let delivered = net.take_inbox(b);
         let returned = net.take_inbox(a);
-        if usize::from(ttl) > n {
+        let drops: Vec<_> = net
+            .captures()
+            .iter()
+            .filter_map(|c| match c.point {
+                TracePoint::Dropped { step } => Some((step, c.time)),
+                _ => None,
+            })
+            .collect();
+        if ttl > n {
             prop_assert_eq!(delivered.len(), 1);
             prop_assert_eq!(returned.len(), 0);
+            prop_assert_eq!(delivered[0].0, ms(n + 1));
             let view = Ipv4Packet::new_checked(&delivered[0].1[..]).unwrap();
-            prop_assert_eq!(usize::from(view.ttl()), usize::from(ttl) - n);
+            prop_assert_eq!(usize::from(view.ttl()), ttl - n);
+            prop_assert!(drops.is_empty());
         } else {
             prop_assert_eq!(delivered.len(), 0);
             prop_assert_eq!(returned.len(), 1);
+            prop_assert_eq!(returned[0].0, ms(2 * ttl));
             let view = Ipv4Packet::new_checked(&returned[0].1[..]).unwrap();
-            prop_assert_eq!(view.src_addr(), route_hops[usize::from(ttl) - 1]);
+            prop_assert_eq!(view.src_addr(), route_hops[ttl - 1]);
+            if capture {
+                prop_assert_eq!(drops, vec![(ttl - 1, ms(ttl))]);
+            }
+        }
+        if let Some((step, handle)) = device {
+            prop_assert_eq!(net.middlebox(handle).seen, usize::from(ttl > step + 1));
         }
     }
 

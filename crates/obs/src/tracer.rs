@@ -42,11 +42,6 @@ impl Tracer {
         self.enabled = enabled;
     }
 
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a completed span `[begin_us, end_us]` in virtual time.
     #[inline]
     pub fn span(&mut self, name: &'static str, cat: &'static str, begin_us: u64, end_us: u64) {

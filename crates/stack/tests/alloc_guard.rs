@@ -75,11 +75,12 @@ const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
 const SERVER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 44);
 const PAGE: usize = 1 << 20;
 
-/// Fetches the page once from source port `port` and drains both inboxes.
-/// Returns the data segments received and the allocations the transfer
-/// itself performed (SYN out to idle; building the client and freeing the
-/// inboxes are outside the window).
-fn download(net: &mut Network, client: HostId, server: HostId, port: u16) -> (usize, usize) {
+/// Fetches the page once from source port `port`. Returns the data
+/// segments received and the allocations the transfer itself performed
+/// (SYN out to idle; building the client is outside the window). Both ends
+/// are applications, so every delivered packet is freed by its receiver
+/// and no inbox holds a copy.
+fn download(net: &mut Network, client: HostId, port: u16) -> (usize, usize) {
     let hello = ClientHelloBuilder::new("example.org").build();
     let (app, report, syn) = TcpClient::start(TcpClientConfig::new(CLIENT, port, SERVER, 443, hello));
     net.set_app(client, Box::new(app));
@@ -87,8 +88,6 @@ fn download(net: &mut Network, client: HostId, server: HostId, port: u16) -> (us
     net.send_from(client, syn);
     net.run_until_idle();
     let allocations = ALLOCATIONS.with(Cell::get) - before;
-    drop(net.take_inbox(client));
-    drop(net.take_inbox(server));
     let received = report.read();
     assert_eq!(received.bytes_received, PAGE + 52, "ServerHello, record header and the whole page");
     (received.data_segments, allocations)
@@ -102,11 +101,11 @@ fn a_download_allocates_per_packet_and_leaves_nothing_behind() {
     let server = net.add_host_with_app(SERVER, Box::new(site));
     net.set_route_symmetric(client, server, Route::direct());
 
-    // The first download also grows whatever grows once (event queue,
-    // inbox and reply-list capacity); it is not measured.
-    download(&mut net, client, server, 30_000);
+    // The first download also grows whatever grows once (event queue and
+    // reply-list capacity); it is not measured.
+    download(&mut net, client, 30_000);
 
-    let (segments, allocations) = download(&mut net, client, server, 30_001);
+    let (segments, allocations) = download(&mut net, client, 30_001);
     assert_eq!(segments, (PAGE + 52).div_ceil(1460));
     let per_segment = allocations as f64 / segments as f64;
     assert!(
@@ -115,12 +114,12 @@ fn a_download_allocates_per_packet_and_leaves_nothing_behind() {
     );
 
     // Every measurement below is taken at the same point of the cycle —
-    // both inboxes drained, the last client still installed and holding
-    // the one report — so what differs between two of them is what a
-    // finished download left behind in the server and the network.
+    // the network idle, the last client still installed and holding the
+    // one report — so what differs between two of them is what a finished
+    // download left behind in the server and the network.
     let mut live = Vec::new();
     for index in 0..8 {
-        download(&mut net, client, server, 30_002 + index);
+        download(&mut net, client, 30_002 + index);
         live.push(LIVE_BYTES.with(Cell::get));
     }
     for pair in live.windows(2) {

@@ -78,6 +78,9 @@ fn the_export_of_a_fixed_lab_run_is_pinned() {
     lab.set_tracing(true);
     lab.net.set_app(lab.us_main, Box::new(ServerApp::https_site(lab.us_main_addr)));
 
+    // The cells are here for the traffic they drive, not for their verdicts:
+    // with an application on the US host its deliveries go to the
+    // application, and the script harness reads that host's empty inbox.
     for mechanism in Mechanism::ALL {
         run_cell(&mut lab, "Rostelecom", mechanism, 6);
     }
