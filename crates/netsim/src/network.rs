@@ -195,7 +195,17 @@ pub struct Network {
 
 impl Network {
     /// Creates a network with the given per-hop latency.
+    ///
+    /// # Panics
+    /// Panics unless the latency is a positive whole number of
+    /// microseconds: [`Time`] counts whole µs, and a send must land
+    /// strictly after the instant it leaves, which is what lets a send run
+    /// inline ([`Network::send_from`]).
     pub fn new(hop_latency: Duration) -> Network {
+        assert!(
+            !hop_latency.is_zero() && hop_latency.subsec_nanos().is_multiple_of(1_000),
+            "hop latency must be a positive whole number of microseconds, got {hop_latency:?}"
+        );
         Network {
             now: Time::ZERO,
             queue: EventQueue::new(),
@@ -452,7 +462,7 @@ impl Network {
     pub fn send_from(&mut self, host: HostId, packet: Vec<u8>) {
         // When nothing is pending at the current instant the send event
         // would be dispatched next anyway, so run it inline and skip the
-        // heap round-trip. Any queued event at `now` (an earlier
+        // queue round-trip. Any queued event at `now` (an earlier
         // same-instant send) must keep its seq-order priority, so that case
         // still queues.
         let head_later = match self.queue.peek_time() {
@@ -736,8 +746,7 @@ impl Network {
         let icmp = Icmpv4Repr::TimeExceeded.build();
         let repr = Ipv4Repr::new(hop_addr, orig_src, Protocol::Icmp, icmp.len());
         let packet = repr.build(&icmp);
-        let delay = Duration::from_micros(self.hop_latency.as_micros() as u64 * (steps_back as u64 + 1));
-        let time = self.now + delay;
+        let time = self.now + self.hop_latency * (steps_back + 1) as u32;
         self.push_event(time, EventKind::Deliver { dst: src_host, packet });
     }
 
@@ -763,9 +772,17 @@ impl Network {
         }
     }
 
+    /// Carries out one handler call's outputs. A reply made only of
+    /// zero-delay sends goes through [`Network::send_from`], inline when
+    /// nothing else is due now: queued, those `SendFrom`s would pop next
+    /// and back to back, each pushing what the inline send pushes. A batch
+    /// with a timer or a delayed send is queued whole — an inline send
+    /// would jump ahead of a timer due at the instant its hop lands.
     fn apply_outputs(&mut self, host: HostId, outputs: Vec<Output>) {
+        let all_sends_now = outputs.iter().all(|o| matches!(o, Output::Send { delay, .. } if delay.is_zero()));
         for output in outputs {
             match output {
+                Output::Send { packet, .. } if all_sends_now => self.send_from(host, packet),
                 Output::Send { delay, packet } => {
                     let time = self.now + delay;
                     self.push_event(time, EventKind::SendFrom { host, packet });
@@ -1391,6 +1408,58 @@ mod tests {
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].0, Time::from_micros(4_000));
         assert_eq!(Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap().ttl(), 61);
+    }
+
+    /// What ran, in order: a device's `process` and an application's
+    /// `on_timer` both append to it.
+    type Log = Arc<std::sync::Mutex<Vec<&'static str>>>;
+
+    struct LogHops(Log);
+    impl Middlebox for LogHops {
+        fn process(&mut self, _now: Time, _dir: Direction, _packet: &mut Vec<u8>) -> Verdict {
+            self.0.lock().unwrap().push("hop");
+            Verdict::Pass
+        }
+    }
+
+    const C: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 2);
+
+    /// Answers a packet with a send to C and a timer one hop latency out.
+    struct SendThenTimer(Log);
+    impl Application for SendThenTimer {
+        fn on_packet(&mut self, _now: Time, _packet: &[u8]) -> Vec<Output> {
+            vec![Output::send(packet(B, C, 64, b"on")), Output::Timer { delay: Duration::from_millis(1) }]
+        }
+        fn on_timer(&mut self, _now: Time) -> Vec<Output> {
+            self.0.lock().unwrap().push("timer");
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn same_instant_order_survives_inline_sends() {
+        // B's reply reaches the device at step 0 of B → C one hop latency
+        // later, the instant its timer fires. Queued, the send's hop event
+        // is pushed only when its `SendFrom` pops, after the timer: the
+        // timer runs first. Inlining a batch that holds a timer would
+        // push the hop ahead of it.
+        let log = Log::default();
+        let mut net = Network::with_default_latency();
+        let a = net.add_host(A);
+        let b = net.add_host_with_app(B, Box::new(SendThenTimer(Arc::clone(&log))));
+        let c = net.add_host(C);
+        let logger = net.add_middlebox(Box::new(LogHops(Arc::clone(&log))));
+        net.set_route(b, c, Route { steps: vec![RouteStep::with_device(R1, logger, Direction::LocalToRemote)] });
+        net.send_from(a, packet(A, B, 64, b"go"));
+        net.run_until_idle();
+        assert_eq!(net.take_inbox(c).len(), 1);
+        assert_eq!(*log.lock().unwrap(), ["timer", "hop"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of microseconds")]
+    fn hop_latency_must_be_whole_microseconds() {
+        Network::new(Duration::from_nanos(1_500));
     }
 
     #[test]

@@ -180,9 +180,10 @@ proptest! {
                 prop_assert_eq!(queue.pop(), Some(expected));
                 now = expected.0.as_micros();
             } else {
-                // Mostly within a few hop latencies of `now`, with the raw
-                // offset kept 1-in-8 as a far timer.
-                let ahead = if offset % 8 == 0 { offset } else { offset % 5_000 };
+                // Mostly on the 1 ms hop-latency grid within a few hops of
+                // `now`, so same-instant ties and in-order runs dominate,
+                // with the raw offset kept 1-in-8 as a far timer.
+                let ahead = if offset % 8 == 0 { offset } else { offset % 5 * 1_000 };
                 let t = Time::from_micros(now + ahead);
                 queue.push(t, i as u32);
                 pending.push((t, i as u32));
