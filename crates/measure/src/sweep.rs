@@ -145,9 +145,11 @@ impl ScanPool {
     ///   `(image, index, item)` — that is the whole determinism argument;
     /// * with [`RunOpts::observe`], cells whose index `trace_every`
     ///   divides record spans, every cell's [`VantageLab::take_obs`] is
-    ///   stamped with its index and the lot is merged in index order into
+    ///   stamped with its index and merged, in index order, into
     ///   [`CellsRun::snapshot`] — a pure function of the campaign,
-    ///   byte-identical at every thread count;
+    ///   byte-identical at every thread count. A cell's snapshot is folded
+    ///   into its chunk's as the cell returns, so memory grows with the
+    ///   chunks claimed, not with the cells run;
     /// * with [`RunOpts::report`], the wall-clock [`PoolReport`] rides
     ///   along, on the far side of that fence.
     ///
@@ -173,24 +175,21 @@ impl ScanPool {
             return CellsRun { cells: run.results, snapshot: None, report: run.report };
         }
         let trace_every = opts.trace_every;
-        let run = self.run(items, opts, |index, item| {
+        // Chunks are contiguous index ranges and merge is associative, so
+        // merging the chunks in chunk order below is the index-order merge
+        // of every cell, last-value gauges included.
+        let (chunks, report) = self.run_inner(items, |index, item, chunk: &mut Snapshot| {
             let mut lab = image_of(item).fork(index);
             if trace_every != 0 && index % trace_every == 0 {
                 lab.set_tracing(true);
             }
             let result = cell(&mut lab, index, item);
-            (result, lab.take_obs().with_scenario(index as u32))
+            chunk.merge(&lab.take_obs().with_scenario(index as u32));
+            result
         });
-        let mut cells = Vec::with_capacity(run.results.len());
         let mut snapshot = Snapshot::new();
-        // Reassembled cell order: merging here (not in the workers) keeps
-        // the merge order index-driven, though merge itself is
-        // order-insensitive anyway.
-        for (result, cell_snapshot) in run.results {
-            cells.push(result);
-            snapshot.merge(&cell_snapshot);
-        }
-        CellsRun { cells, snapshot: Some(snapshot), report: run.report }
+        let cells = unchunk(chunks, |chunk| snapshot.merge(&chunk));
+        CellsRun { cells, snapshot: Some(snapshot), report: opts.report.then_some(report) }
     }
 
     /// Maps `f` over `items`, sharding across the pool with guided
@@ -205,35 +204,35 @@ impl ScanPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let (results, report) = self.run_inner(items, f);
-        PoolRun { results, report: opts.report.then_some(report) }
+        let (chunks, report) = self.run_inner(items, |index, item, _: &mut ()| f(index, item));
+        PoolRun { results: unchunk(chunks, drop), report: opts.report.then_some(report) }
     }
 
     /// The scheduler: guided self-scheduling over a shared cursor, per-
-    /// worker timing on the side.
-    fn run_inner<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, PoolReport)
+    /// worker timing on the side. `f` also folds into an accumulator of
+    /// its chunk: one per claimed chunk, and one for a one-thread pool.
+    /// The chunks come back sorted by start, so their results concatenate
+    /// in item order.
+    fn run_inner<T, R, A, F>(&self, items: &[T], f: F) -> (Vec<Chunk<R, A>>, PoolReport)
     where
         T: Sync,
         R: Send,
-        F: Fn(usize, &T) -> R + Sync,
+        A: Default + Send,
+        F: Fn(usize, &T, &mut A) -> R + Sync,
     {
         let sweep_start = Instant::now();
         if self.threads == 1 || items.len() <= 1 {
             let mut worker = WorkerReport::default();
             let mut latencies = Histogram::new();
-            let results = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let started = Instant::now();
-                    let result = f(i, item);
-                    let elapsed = started.elapsed().as_nanos() as u64;
-                    worker.busy_ns += elapsed;
-                    worker.items += 1;
-                    latencies.record(elapsed);
-                    result
-                })
-                .collect();
+            let mut chunk = Chunk::starting_at(0, items.len());
+            for (i, item) in items.iter().enumerate() {
+                let started = Instant::now();
+                chunk.results.push(f(i, item, &mut chunk.acc));
+                let elapsed = started.elapsed().as_nanos() as u64;
+                worker.busy_ns += elapsed;
+                worker.items += 1;
+                latencies.record(elapsed);
+            }
             worker.chunks = usize::from(!items.is_empty());
             worker.alive_ns = sweep_start.elapsed().as_nanos() as u64;
             let report = PoolReport {
@@ -241,19 +240,19 @@ impl ScanPool {
                 workers: vec![worker],
                 scenario_wall_ns: latencies,
             };
-            return (results, report);
+            return (vec![chunk], report);
         }
         let workers = self.threads.min(items.len());
         let total = items.len();
         let cursor = AtomicUsize::new(0);
-        type Shard<R> = (Vec<(usize, R)>, WorkerReport, Histogram);
-        let mut shards: Vec<Shard<R>> = Vec::with_capacity(workers);
+        type Shard<R, A> = (Vec<Chunk<R, A>>, WorkerReport, Histogram);
+        let mut shards: Vec<Shard<R, A>> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
                         let born = Instant::now();
-                        let mut out: Vec<(usize, R)> = Vec::new();
+                        let mut out: Vec<Chunk<R, A>> = Vec::new();
                         let mut worker = WorkerReport::default();
                         let mut latencies = Histogram::new();
                         loop {
@@ -273,16 +272,18 @@ impl ScanPool {
                             }
                             worker.chunks += 1;
                             let end = (start + chunk).min(total);
+                            let mut claimed = Chunk::starting_at(start, end - start);
                             for (index, item) in
                                 items.iter().enumerate().take(end).skip(start)
                             {
                                 let started = Instant::now();
-                                out.push((index, f(index, item)));
+                                claimed.results.push(f(index, item, &mut claimed.acc));
                                 let elapsed = started.elapsed().as_nanos() as u64;
                                 worker.busy_ns += elapsed;
                                 worker.items += 1;
                                 latencies.record(elapsed);
                             }
+                            out.push(claimed);
                         }
                         worker.alive_ns = born.elapsed().as_nanos() as u64;
                         (out, worker, latencies)
@@ -293,22 +294,52 @@ impl ScanPool {
                 shards.push(handle.join().expect("sweep worker panicked"));
             }
         });
-        let mut indexed: Vec<(usize, R)> = Vec::with_capacity(total);
+        let mut chunks: Vec<Chunk<R, A>> = Vec::new();
         let mut worker_reports = Vec::with_capacity(workers);
         let mut latencies = Histogram::new();
         for (shard, worker, shard_latencies) in shards {
-            indexed.extend(shard);
+            chunks.extend(shard);
             worker_reports.push(worker);
             latencies.merge(&shard_latencies);
         }
-        indexed.sort_by_key(|&(index, _)| index);
+        chunks.sort_unstable_by_key(|chunk| chunk.start);
         let report = PoolReport {
             wall_ns: sweep_start.elapsed().as_nanos() as u64,
             workers: worker_reports,
             scenario_wall_ns: latencies,
         };
-        (indexed.into_iter().map(|(_, result)| result).collect(), report)
+        (chunks, report)
     }
+}
+
+/// One claimed run of consecutive items: the index of its first, its
+/// results in item order, and what its accumulator folded over them.
+struct Chunk<R, A> {
+    start: usize,
+    results: Vec<R>,
+    acc: A,
+}
+
+impl<R, A: Default> Chunk<R, A> {
+    fn starting_at(start: usize, len: usize) -> Chunk<R, A> {
+        Chunk { start, results: Vec::with_capacity(len), acc: A::default() }
+    }
+}
+
+/// Concatenates start-sorted chunks' results into item order, handing each
+/// accumulator to `fold` in the same order. The first chunk's results
+/// become the whole, so a one-thread run copies nothing.
+fn unchunk<R, A>(chunks: Vec<Chunk<R, A>>, mut fold: impl FnMut(A)) -> Vec<R> {
+    let mut results = Vec::new();
+    for chunk in chunks {
+        if results.is_empty() {
+            results = chunk.results;
+        } else {
+            results.extend(chunk.results);
+        }
+        fold(chunk.acc);
+    }
+    results
 }
 
 /// What one worker did during a pool run. All wall-clock.

@@ -96,6 +96,31 @@ fn differential_cells_and_exports_are_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn the_last_value_gauge_is_the_last_cells_at_any_thread_count() {
+    // 191 open cells, then the one blocked domain: its event count is no
+    // other cell's, so the merged `events_popped` gauge reads it only if
+    // the chunks merged in index order. Which worker claims the last chunk
+    // varies run to run, so the parallel run repeats.
+    let universe = Universe::generate(3);
+    let mut domains: Vec<String> = (0..191).map(|i| format!("site-{i}.example")).collect();
+    domains.push("meduza.io".into());
+    let spec = SweepSpec::from_universe(&universe, domains);
+    let opts = RunOpts { observe: true, ..RunOpts::default() };
+    let events_popped = |spec: &SweepSpec, threads: usize| {
+        let run = spec.run(&ScanPool::new(threads), &opts);
+        run.snapshot.expect("observed run").gauge("netsim.events_popped").expect("cells ran")
+    };
+    let own = events_popped(&SweepSpec::from_universe(&universe, ["meduza.io"]), 1);
+    let open = events_popped(&SweepSpec::from_universe(&universe, ["site-0.example"]), 1);
+    assert_ne!(own, open, "the blocked cell must count differently from an open one");
+    for (threads, runs) in [(1, 1), (8, 6)] {
+        for _ in 0..runs {
+            assert_eq!(events_popped(&spec, threads), own, "{threads} threads");
+        }
+    }
+}
+
+#[test]
 fn quick_run_carries_no_snapshot_or_report() {
     let spec = campaign_spec();
     let quick = spec.run(&ScanPool::new(2), &RunOpts::quick());

@@ -359,6 +359,13 @@ impl Network {
         self.middleboxes.iter().filter(|slot| slot.get().is_some()).count()
     }
 
+    /// Whether slot `id` holds its middlebox yet, without filling it.
+    /// An empty slot's middlebox is pristine: it has seen no packet, moved
+    /// no counter and recorded no span.
+    pub fn middlebox_built(&self, id: MiddleboxId) -> bool {
+        self.middleboxes[id.0].get().is_some()
+    }
+
     /// Registers a concrete middlebox, returning a typed handle that can
     /// borrow it back after the network takes ownership. Use
     /// [`MiddleboxHandle::id`] for route attachments.

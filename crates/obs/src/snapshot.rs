@@ -135,13 +135,22 @@ impl Snapshot {
         self
     }
 
-    /// Merges `other` in: counters add, gauges take the maximum (the only
-    /// commutative-associative choice that keeps "high water mark"
-    /// semantics), histograms merge elementwise, spans interleave in
-    /// deterministic key order.
+    /// Merges `other` in: counters add, high-water gauges take the
+    /// maximum, last-value gauges take `other`'s value, histograms merge
+    /// elementwise, spans interleave in deterministic key order.
+    ///
+    /// Merge is associative, so a campaign may merge its cells in
+    /// contiguous runs and then merge the runs. It is commutative only
+    /// without [`MetricValue::GaugeLast`], which is why every caller
+    /// merges in a fixed (cell index) order.
     pub fn merge(&mut self, other: &Snapshot) {
+        // `other` is sparse already, so nothing here is dropped; a name is
+        // cloned only when it is new to `self`.
         for (name, value) in &other.metrics {
-            self.insert(name.clone(), value.clone());
+            match self.metrics.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+                Ok(at) => merge_value(&mut self.metrics[at].1, value),
+                Err(at) => self.metrics.insert(at, (name.clone(), value.clone())),
+            }
         }
         if !other.spans.is_empty() {
             self.spans.extend(other.spans.iter().copied());

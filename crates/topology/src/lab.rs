@@ -21,7 +21,7 @@ use tspu_core::chaos::{audit_for_profile, restart_times};
 use tspu_core::{CensorProfile, FailureProfile, PolicyHandle, TspuDevice};
 use tspu_ispdpi::IspResolver;
 use tspu_netsim::fault::{ChaosLink, FaultPlan};
-use tspu_netsim::oracle::{Oracle, OracleReport, OracleSpec};
+use tspu_netsim::oracle::{DeviceAudit, Oracle, OracleReport, OracleSpec};
 use tspu_netsim::{Direction, MiddleboxId, Network, Route, RouteStep};
 use tspu_netsim::{HostId, MiddleboxHandle};
 use tspu_obs::Snapshot;
@@ -470,45 +470,45 @@ impl VantageLab {
         }
     }
 
-    /// The oracle audit specification covering every TSPU device in the
-    /// lab: each audit shares the device's policy handle and carries its
-    /// applied restart schedule, so the oracle judges captures against
-    /// exactly what the device was configured to do.
+    /// The oracle audit specification covering every TSPU device the lab
+    /// has built: each audit shares the device's policy handle and carries
+    /// its applied restart schedule, so the oracle judges captures against
+    /// exactly what the device was configured to do. A device a fork never
+    /// built saw no packet, so it has no capture records to audit.
     pub fn oracle_spec(&self) -> OracleSpec {
         let mut spec = OracleSpec::new(|addr: Ipv4Addr| addr.octets()[0] == 10);
         for vantage in &self.vantages {
-            let handles = std::iter::once((format!("{}-sym", vantage.name), vantage.sym_device))
-                .chain(
-                    vantage
-                        .upstream_devices
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &h)| (format!("{}-up{}", vantage.name, i), h)),
-                );
-            for (label, handle) in handles {
-                let device = self.net.middlebox(handle);
-                spec.devices.push(audit_for_profile(
-                    handle.id(),
-                    &label,
-                    device.policy().clone(),
-                    restart_times(&device.device_faults().restarts),
-                    device.censor_profile().clone(),
-                ));
+            if self.net.middlebox_built(vantage.sym_device.id()) {
+                let label = format!("{}-sym", vantage.name);
+                spec.devices.push(self.device_audit(vantage.sym_device, &label));
+            }
+            for (i, &handle) in vantage.upstream_devices.iter().enumerate() {
+                if self.net.middlebox_built(handle.id()) {
+                    let label = format!("{}-up{i}", vantage.name);
+                    spec.devices.push(self.device_audit(handle, &label));
+                }
             }
         }
         if let Some(gen) = &self.gen {
             for d in &gen.devices {
-                let device = self.net.middlebox(d.handle);
-                spec.devices.push(audit_for_profile(
-                    d.handle.id(),
-                    &d.label,
-                    device.policy().clone(),
-                    restart_times(&device.device_faults().restarts),
-                    device.censor_profile().clone(),
-                ));
+                if self.net.middlebox_built(d.handle.id()) {
+                    spec.devices.push(self.device_audit(d.handle, &d.label));
+                }
             }
         }
         spec
+    }
+
+    /// The oracle's audit of one device, under `label`.
+    fn device_audit(&self, handle: MiddleboxHandle<TspuDevice>, label: &str) -> DeviceAudit {
+        let device = self.net.middlebox(handle);
+        audit_for_profile(
+            handle.id(),
+            label,
+            device.policy().clone(),
+            restart_times(&device.device_faults().restarts),
+            device.censor_profile().clone(),
+        )
     }
 
     /// The audit every campaign and test runs: drains the capture taken
@@ -550,6 +550,16 @@ impl VantageLab {
             .collect()
     }
 
+    /// [`VantageLab::device_handles`] less the devices a fork has not
+    /// built. An unbuilt device is pristine: all-zero counters, which a
+    /// sparse [`Snapshot`] drops, and no spans. So skipping it changes no
+    /// export, and exporting builds nothing.
+    fn built_device_handles(&self) -> Vec<MiddleboxHandle<TspuDevice>> {
+        let mut handles = self.device_handles();
+        handles.retain(|h| self.net.middlebox_built(h.id()));
+        handles
+    }
+
     /// Arms a generated topology's churn schedule on the engine: every
     /// [`crate::gen::ChurnEvent`] becomes scheduled reroutes (both
     /// destinations, both directions) firing at its virtual instant. A
@@ -577,7 +587,8 @@ impl VantageLab {
     }
 
     /// Enables or disables virtual-time span tracing on the engine and on
-    /// every TSPU device (chaos links carry no spans).
+    /// every TSPU device (chaos links carry no spans). Every device, built
+    /// or not: one built later would miss the switch.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.net.set_tracing(enabled);
         for handle in self.device_handles() {
@@ -587,9 +598,10 @@ impl VantageLab {
 
     /// Per-device metric snapshots keyed by middlebox id — the lookup the
     /// oracle's `attach_device_counters` wants for naming which counters
-    /// moved alongside a violation.
+    /// moved alongside a violation. Only built devices: an unbuilt one has
+    /// no counter that moved.
     pub fn device_snapshots(&self) -> Vec<(MiddleboxId, Snapshot)> {
-        self.device_handles()
+        self.built_device_handles()
             .into_iter()
             .map(|h| (h.id(), self.net.middlebox(h).obs_snapshot()))
             .collect()
@@ -612,9 +624,10 @@ impl VantageLab {
     /// counters, every device's `device.<label>.*` metrics, and every
     /// chaos link's `link.<label>.*` counters. Metrics only — spans stay
     /// in the tracers (use [`VantageLab::take_obs`] to drain them too).
+    /// A device a fork has not built exports nothing and stays unbuilt.
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = self.net.obs_snapshot();
-        for handle in self.device_handles() {
+        for handle in self.built_device_handles() {
             snap.merge(&self.net.middlebox(handle).obs_snapshot());
         }
         for (_, link) in &self.chaos_links {
@@ -628,7 +641,7 @@ impl VantageLab {
     /// spans out of the engine's and every device's tracer.
     pub fn take_obs(&mut self) -> Snapshot {
         let mut snap = self.net.take_obs();
-        for handle in self.device_handles() {
+        for handle in self.built_device_handles() {
             snap.merge(&self.net.middlebox_mut(handle).take_obs());
         }
         for (_, link) in &self.chaos_links {
@@ -668,6 +681,8 @@ impl VantageLab {
     /// [`PolicyHandle`]. Device state (conntrack, RNG, metrics) is
     /// untouched, so forking and then calling `set_policy` is
     /// behaviorally identical to building the lab against that handle.
+    /// It builds every device, because one built later would enforce the
+    /// image's policy.
     pub fn set_policy(&mut self, policy: PolicyHandle) {
         for handle in self.device_handles() {
             self.net.middlebox_mut(handle).set_policy(policy.clone());
@@ -945,9 +960,11 @@ mod tests {
                 let built = lab.net.middleboxes_built();
                 let packets: Vec<_> =
                     lab.net.captures().iter().map(|c| (c.time, c.point, c.bytes.clone())).collect();
-                // The snapshot reads every device, so the untouched ones
-                // are built here — pristine, like the fresh lab's.
-                (built, packets, format!("{:?}", lab.obs_snapshot()))
+                let obs = format!("{:?}", lab.obs_snapshot());
+                let audited = lab.oracle_spec().devices.len();
+                assert_eq!(lab.net.middleboxes_built(), built, "exporting or auditing built a device");
+                assert_eq!(audited, built, "the audit covers exactly the built devices");
+                (built, packets, obs)
             };
 
             let (fresh_built, fresh_packets, fresh_obs) = run(builder().build());
