@@ -16,6 +16,7 @@
 //! 6. Trains missing fragments are discarded after **5 seconds**.
 
 use crate::fasthash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
 
 use tspu_netsim::Time;
@@ -34,7 +35,9 @@ pub struct FragKey {
 #[derive(Debug)]
 struct Train {
     started: Time,
-    /// (offset, payload_len, packet bytes), insertion order preserved.
+    /// (offset, payload_len, packet bytes), sorted by offset. A duplicate
+    /// or an overlap poisons the train, so the offsets held are strictly
+    /// increasing and their ranges disjoint.
     fragments: Vec<(usize, usize, Vec<u8>)>,
     /// Train was poisoned by a malformed fragment; drop everything until
     /// the state times out.
@@ -42,8 +45,64 @@ struct Train {
 }
 
 impl Train {
+    fn new(now: Time) -> Train {
+        Train { started: now, fragments: Vec::new(), poisoned: false }
+    }
+
     fn expired(&self, now: Time, timeout: std::time::Duration) -> bool {
         now.since(self.started) > timeout
+    }
+
+    /// Rules 1, 4 and 5 for one fragment: buffers it in offset order, or
+    /// poisons the train and counts a discard. True when the fragment has
+    /// MF = 0 and so ends the train (rule 2).
+    fn take(&mut self, packet: &[u8], queue_limit: usize, discarded: &mut u64) -> bool {
+        if self.poisoned {
+            return false;
+        }
+        let view = Ipv4Packet::new_unchecked(packet);
+        let offset = view.frag_offset();
+        let len = view.payload().len();
+        // Rule 4 against the neighbours only: the ranges held are sorted
+        // and disjoint. A range is at least one byte long, so an empty
+        // fragment still collides with one at its offset.
+        let at = self.fragments.partition_point(|&(off, _, _)| off < offset);
+        let overlaps = at
+            .checked_sub(1)
+            .and_then(|before| self.fragments.get(before))
+            .is_some_and(|&(off, flen, _)| off + flen.max(1) > offset)
+            || self.fragments.get(at).is_some_and(|&(off, _, _)| off < offset + len.max(1));
+        // Rule 5: the 46th fragment discards the queue.
+        if overlaps || self.fragments.len() >= queue_limit {
+            self.fragments.clear();
+            self.poisoned = true;
+            *discarded += 1;
+            return false;
+        }
+        self.fragments.insert(at, (offset, len, packet.to_vec()));
+        !view.more_fragments()
+    }
+
+    /// Rules 2 and 3: every fragment in offset order, fragments 2..n
+    /// rewritten to the first fragment's TTL.
+    fn flush(self) -> Vec<Vec<u8>> {
+        let first_ttl = match self.fragments.first() {
+            Some((0, _, bytes)) => Some(Ipv4Packet::new_unchecked(&bytes[..]).ttl()),
+            _ => None,
+        };
+        self.fragments
+            .into_iter()
+            .map(|(offset, _, mut bytes)| {
+                if offset != 0 {
+                    if let Some(ttl) = first_ttl {
+                        let mut view = Ipv4Packet::new_unchecked(&mut bytes[..]);
+                        view.set_ttl(ttl);
+                        view.fill_checksum();
+                    }
+                }
+                bytes
+            })
+            .collect()
     }
 }
 
@@ -151,88 +210,41 @@ impl FragCache {
 
     /// Offers one fragment. Returns the packets to forward now: empty
     /// while buffering (or when poisoned), or the whole train once its
-    /// last fragment arrives.
+    /// last fragment arrives. One table probe per fragment; a full table
+    /// adds the lookup that decides whether to make room.
     pub fn offer(&mut self, now: Time, packet: &[u8]) -> Vec<Vec<u8>> {
         let Ok(view) = Ipv4Packet::new_checked(packet) else {
             return vec![packet.to_vec()]; // unparseable: not ours to manage
         };
         debug_assert!(view.is_fragment(), "FragCache::offer expects fragments");
         let key = FragKey { src: view.src_addr(), dst: view.dst_addr(), ident: view.ident() };
-        let offset = view.frag_offset();
-        let len = view.payload().len();
-        let more = view.more_fragments();
-
-        // Expired state is swept lazily.
-        let timeout = self.config.timeout;
-        if self.trains.get(&key).is_some_and(|t| t.expired(now, timeout)) {
-            self.trains.remove(&key);
-            self.discarded += 1;
-        }
-
-        if !self.trains.contains_key(&key) {
+        if self.trains.len() >= self.config.max_trains && !self.trains.contains_key(&key) {
             self.make_room(now);
         }
-        let train = self.trains.entry(key).or_insert(Train {
-            started: now,
-            fragments: Vec::new(),
-            poisoned: false,
-        });
-
-        if train.poisoned {
-            return Vec::new();
-        }
-
-        // Rule 4: duplicates or overlaps poison the train.
-        let new_range = offset..offset + len.max(1);
-        let overlaps = train.fragments.iter().any(|(off, flen, _)| {
-            let existing = *off..*off + (*flen).max(1);
-            new_range.start < existing.end && existing.start < new_range.end
-        });
-        if overlaps {
-            train.fragments.clear();
-            train.poisoned = true;
-            self.discarded += 1;
-            return Vec::new();
-        }
-
-        // Rule 5: the 46th fragment discards the queue.
-        if train.fragments.len() >= self.config.queue_limit {
-            train.fragments.clear();
-            train.poisoned = true;
-            self.discarded += 1;
-            return Vec::new();
-        }
-
-        train.fragments.push((offset, len, packet.to_vec()));
-
-        if more {
-            return Vec::new(); // Rule 1: keep buffering.
-        }
-
-        // Rule 2 + 3: last fragment arrived — flush all in offset order,
-        // rewriting TTLs to the first fragment's.
-        let mut train = self.trains.remove(&key).expect("train exists");
-        train.fragments.sort_by_key(|(off, _, _)| *off);
-        let first_ttl = train
-            .fragments
-            .iter()
-            .find(|(off, _, _)| *off == 0)
-            .map(|(_, _, bytes)| Ipv4Packet::new_unchecked(&bytes[..]).ttl());
-        self.flushed += 1;
-        train
-            .fragments
-            .into_iter()
-            .map(|(offset, _, mut bytes)| {
-                if offset != 0 {
-                    if let Some(ttl) = first_ttl {
-                        let mut view = Ipv4Packet::new_unchecked(&mut bytes[..]);
-                        view.set_ttl(ttl);
-                        view.fill_checksum();
-                    }
+        let queue_limit = self.config.queue_limit;
+        match self.trains.entry(key) {
+            Entry::Occupied(mut slot) => {
+                // Expired state is swept lazily: the fragment starts the
+                // key's next train.
+                if slot.get().expired(now, self.config.timeout) {
+                    slot.insert(Train::new(now));
+                    self.discarded += 1;
                 }
-                bytes
-            })
-            .collect()
+                if slot.get_mut().take(packet, queue_limit, &mut self.discarded) {
+                    self.flushed += 1;
+                    return slot.remove().flush();
+                }
+            }
+            Entry::Vacant(slot) => {
+                let mut train = Train::new(now);
+                if train.take(packet, queue_limit, &mut self.discarded) {
+                    self.flushed += 1;
+                    return train.flush();
+                }
+                slot.insert(train);
+            }
+        }
+        Vec::new()
     }
 }
 

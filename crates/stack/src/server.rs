@@ -3,12 +3,15 @@
 //! servers (port 7, §7.2), TR-069 endpoints (port 7547, §7.3), and the
 //! sites being censored.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use tspu_netsim::{Application, Output, Time};
+use tspu_wire::fasthash::FxHashMap;
+use tspu_wire::frag::Reassembly;
 use tspu_wire::icmpv4::{Icmpv4Packet, Icmpv4Repr};
 use tspu_wire::ipv4::{Ipv4Packet, Protocol};
 use tspu_wire::tcp::TcpSegment;
@@ -317,9 +320,16 @@ impl Application for ServerApp {
 /// to an inner application — a normal OS network stack's behavior, needed
 /// by the fragmentation-scan targets (§7.2: endpoints must respond to
 /// fragmented SYNs for the fingerprint to be observable).
+///
+/// Each fragment is copied once, into the datagram being rebuilt
+/// ([`Reassembly`]). A datagram gets one attempt, at its first MF = 0
+/// fragment, and is gone after it whatever the outcome; there is no
+/// reassembly timeout.
 pub struct ReassemblingApp<A> {
     inner: A,
-    pending: HashMap<(Ipv4Addr, Ipv4Addr, u16), Vec<Vec<u8>>>,
+    /// Datagrams in flight by (src, dst, ident). Swapped for an empty map,
+    /// which holds no allocation, whenever its last datagram leaves.
+    pending: FxHashMap<(Ipv4Addr, Ipv4Addr, u16), Reassembly>,
     /// Maximum fragments per datagram this *endpoint* accepts (Linux
     /// default: 64). The fingerprint compares this against the TSPU's 45.
     pub frag_limit: usize,
@@ -328,7 +338,7 @@ pub struct ReassemblingApp<A> {
 impl<A> ReassemblingApp<A> {
     /// Wraps `inner` with Linux-like reassembly (limit 64).
     pub fn new(inner: A) -> ReassemblingApp<A> {
-        ReassemblingApp { inner, pending: HashMap::new(), frag_limit: 64 }
+        ReassemblingApp { inner, pending: FxHashMap::default(), frag_limit: 64 }
     }
 }
 
@@ -341,23 +351,42 @@ impl<A: Application> Application for ReassemblingApp<A> {
             return self.inner.on_packet(now, packet);
         }
         let key = (view.src_addr(), view.dst_addr(), view.ident());
-        let train = self.pending.entry(key).or_default();
-        train.push(packet.to_vec());
-        if train.len() > self.frag_limit {
-            self.pending.remove(&key);
-            return Vec::new();
+        // One probe: the entry places the fragment and, when the fragment
+        // ends the datagram, removes it.
+        let complete = match self.pending.entry(key) {
+            // The piece after the frag_limit-th discards the datagram.
+            Entry::Occupied(datagram) if datagram.get().pieces() >= self.frag_limit => {
+                datagram.remove();
+                None
+            }
+            Entry::Occupied(mut datagram) => {
+                datagram.get_mut().push(&view);
+                if view.more_fragments() {
+                    None
+                } else {
+                    Some(datagram.remove())
+                }
+            }
+            Entry::Vacant(_) if self.frag_limit == 0 => None,
+            Entry::Vacant(slot) => {
+                let Ok(datagram) = Reassembly::new(&view) else {
+                    return Vec::new();
+                };
+                if view.more_fragments() {
+                    slot.insert(datagram);
+                    None
+                } else {
+                    Some(datagram)
+                }
+            }
+        };
+        if self.pending.is_empty() {
+            self.pending = FxHashMap::default();
         }
-        // Attempt reassembly whenever the last fragment is present.
-        let have_last = train
-            .iter()
-            .any(|p| !Ipv4Packet::new_unchecked(&p[..]).more_fragments());
-        if !have_last {
-            return Vec::new();
-        }
-        let train = self.pending.remove(&key).expect("train exists");
-        match tspu_wire::frag::reassemble(&train) {
-            Ok(whole) => self.inner.on_packet(now, &whole),
-            Err(_) => Vec::new(), // holes/overlaps: strict receiver drops
+        // Holes or overlaps: the strict receiver drops the datagram.
+        match complete.map(Reassembly::finish) {
+            Some(Ok(whole)) => self.inner.on_packet(now, &whole),
+            _ => Vec::new(),
         }
     }
 
@@ -494,5 +523,51 @@ mod tests {
             replies = app.on_packet(Time::ZERO, fragment);
         }
         assert!(replies.is_empty());
+    }
+
+    /// Feeds `fragments` in order; the replies to the last one.
+    fn feed(app: &mut ReassemblingApp<ServerApp>, fragments: &[Vec<u8>]) -> Vec<Output> {
+        let mut replies = Vec::new();
+        for fragment in fragments {
+            replies = app.on_packet(Time::ZERO, fragment);
+        }
+        replies
+    }
+
+    /// A SYN with a 512-byte payload from `port`, cut into `pieces`.
+    fn fragmented_syn(port: u16, pieces: usize) -> Vec<Vec<u8>> {
+        let syn = TcpPacketSpec::new(CLIENT, port, SERVER, 7, TcpFlags::SYN)
+            .payload(vec![0xaa; 512])
+            .ident(port)
+            .build();
+        tspu_wire::frag::fragment_into(&syn, pieces).unwrap()
+    }
+
+    #[test]
+    fn an_idle_endpoint_holds_no_reassembly_state() {
+        let mut app = ReassemblingApp::new(ServerApp::echo_server(SERVER));
+        // A completed train is answered and leaves nothing behind.
+        assert_eq!(feed(&mut app, &fragmented_syn(4005, 45)).len(), 1);
+        assert_eq!(app.pending.capacity(), 0);
+        // So does one a duplicate poisons: it fails its one attempt.
+        let mut duplicated = fragmented_syn(4006, 45);
+        duplicated.insert(7, duplicated[3].clone());
+        assert!(feed(&mut app, &duplicated).is_empty());
+        assert_eq!(app.pending.capacity(), 0);
+        // And one past the endpoint's limit of 64.
+        assert!(feed(&mut app, &fragmented_syn(4007, 65)).is_empty());
+        assert_eq!(app.pending.capacity(), 0);
+    }
+
+    #[test]
+    fn a_reversed_train_fails_at_its_first_piece() {
+        // MF = 0 arrives first: the one attempt fails on the spot, and the
+        // 44 pieces after it wait for an MF = 0 piece that has come and gone.
+        let mut app = ReassemblingApp::new(ServerApp::echo_server(SERVER));
+        let mut reversed = fragmented_syn(4008, 45);
+        reversed.reverse();
+        assert!(feed(&mut app, &reversed).is_empty());
+        assert_eq!(app.pending.len(), 1);
+        assert_eq!(app.pending.values().next().map(Reassembly::pieces), Some(44));
     }
 }

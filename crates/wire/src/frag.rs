@@ -5,7 +5,7 @@
 //! pieces) that exercise the TSPU fragment cache (§5.3.1) — and receivers
 //! need standards-compliant reassembly to verify delivery.
 
-use crate::ipv4::{Ipv4Packet, Ipv4Repr};
+use crate::ipv4::{Ipv4Packet, Ipv4Repr, HEADER_LEN};
 use crate::{Error, Result};
 
 /// Splits an IPv4 datagram (`bytes` must be a complete, non-fragmented
@@ -83,50 +83,106 @@ pub fn fragment_into(bytes: &[u8], n: usize) -> Result<Vec<Vec<u8>>> {
     Ok(fragments)
 }
 
-/// Reassembles fragments of one datagram into the original packet bytes.
-/// Fragments may arrive in any order; overlaps/duplicates are rejected
-/// (strict receiver, per RFC 5722's spirit). All fragments must share
-/// (src, dst, ident).
-pub fn reassemble(fragments: &[Vec<u8>]) -> Result<Vec<u8>> {
-    if fragments.is_empty() {
-        return Err(Error::Truncated);
-    }
-    let first = Ipv4Packet::new_checked(&fragments[0][..])?;
-    let key = (first.src_addr(), first.dst_addr(), first.ident());
+/// Room reserved for a datagram being reassembled: the 576 bytes RFC 791
+/// requires every host to accept, so a typical train never regrows it.
+const DATAGRAM_RESERVE: usize = 576;
 
-    let mut pieces: Vec<(usize, bool, Vec<u8>)> = Vec::with_capacity(fragments.len());
-    for buf in fragments {
+/// Room reserved for the piece list: Linux's 64 fragments per datagram.
+const PIECES_RESERVE: usize = 64;
+
+/// One datagram being reassembled as its fragments arrive. Each piece's
+/// payload is copied once, to its offset in the datagram being rebuilt, so
+/// finishing writes a header and allocates nothing.
+///
+/// The strict-receiver rules, for [`reassemble`] and endpoints alike: the
+/// datagram takes its header from the first fragment to *arrive*; sorted by
+/// offset (ties in arrival order), the pieces must tile `[0, end)` with no
+/// gap and no overlap, and only the last may have MF = 0, so a duplicate or
+/// an overlap fails the datagram (per RFC 5722's spirit). When to finish
+/// and how many pieces to take are the caller's.
+#[derive(Debug)]
+pub struct Reassembly {
+    /// The first arrival's header.
+    repr: Ipv4Repr,
+    /// `HEADER_LEN` bytes of room for the rebuilt header, then the payload.
+    datagram: Vec<u8>,
+    /// `(offset, len, more fragments)` per piece, in arrival order.
+    pieces: Vec<(usize, usize, bool)>,
+}
+
+impl Reassembly {
+    /// Starts a datagram on its first-arriving fragment, whose header it
+    /// keeps, and takes that fragment as its first piece.
+    pub fn new<T: AsRef<[u8]>>(first: &Ipv4Packet<T>) -> Result<Reassembly> {
+        let mut datagram = Reassembly {
+            repr: Ipv4Repr::parse(first)?,
+            datagram: Vec::with_capacity(DATAGRAM_RESERVE),
+            pieces: Vec::with_capacity(PIECES_RESERVE),
+        };
+        datagram.push(first);
+        Ok(datagram)
+    }
+
+    /// Pieces taken so far.
+    pub fn pieces(&self) -> usize {
+        self.pieces.len()
+    }
+
+    /// Copies one more fragment's payload into place. Overlapping pieces
+    /// overwrite each other here; [`Reassembly::finish`] then fails the
+    /// datagram.
+    pub fn push<T: AsRef<[u8]>>(&mut self, fragment: &Ipv4Packet<T>) {
+        let offset = fragment.frag_offset();
+        let payload = fragment.payload();
+        let start = HEADER_LEN + offset;
+        let end = start + payload.len();
+        if self.datagram.len() < end {
+            self.datagram.resize(end, 0);
+        }
+        self.datagram[start..end].copy_from_slice(payload);
+        self.pieces.push((offset, payload.len(), fragment.more_fragments()));
+    }
+
+    /// The whole datagram, or `Malformed` when the pieces break the rules.
+    pub fn finish(mut self) -> Result<Vec<u8>> {
+        // Stable: pieces at one offset keep their arrival order.
+        self.pieces.sort_by_key(|&(offset, _, _)| offset);
+        let last = self.pieces.len() - 1;
+        let mut end = 0;
+        for (i, &(offset, len, more)) in self.pieces.iter().enumerate() {
+            if offset != end || more == (i == last) {
+                return Err(Error::Malformed);
+            }
+            end += len;
+        }
+        let mut repr = self.repr;
+        repr.more_fragments = false;
+        repr.frag_offset = 0;
+        repr.payload_len = end;
+        self.datagram.truncate(HEADER_LEN + end);
+        repr.emit(&mut Ipv4Packet::new_unchecked(&mut self.datagram[..]));
+        Ok(self.datagram)
+    }
+}
+
+/// Reassembles the collected fragments of one datagram into the original
+/// packet bytes, by [`Reassembly`]'s rules; they may come in any order. All
+/// fragments must share (src, dst, ident).
+pub fn reassemble(fragments: &[Vec<u8>]) -> Result<Vec<u8>> {
+    let Some((first, rest)) = fragments.split_first() else {
+        return Err(Error::Truncated);
+    };
+    let first = Ipv4Packet::new_checked(&first[..])?;
+    let key = (first.src_addr(), first.dst_addr(), first.ident());
+    let mut datagram = Reassembly::new(&first)?;
+    for buf in rest {
         let packet = Ipv4Packet::new_checked(&buf[..])?;
         if (packet.src_addr(), packet.dst_addr(), packet.ident()) != key {
             return Err(Error::Malformed);
         }
-        pieces.push((packet.frag_offset(), packet.more_fragments(), packet.payload().to_vec()));
+        datagram.push(&packet);
     }
-    pieces.sort_by_key(|(off, _, _)| *off);
-
-    // Validate contiguity: each fragment must start exactly where the
-    // previous one ended, the first at 0, the last with MF clear.
-    let mut expected = 0usize;
-    for (i, (off, more, payload)) in pieces.iter().enumerate() {
-        if *off != expected {
-            return Err(Error::Malformed);
-        }
-        expected += payload.len();
-        let is_last = i == pieces.len() - 1;
-        if is_last == *more {
-            return Err(Error::Malformed);
-        }
-    }
-
-    let mut payload = Vec::with_capacity(expected);
-    for (_, _, piece) in &pieces {
-        payload.extend_from_slice(piece);
-    }
-    let mut repr = Ipv4Repr::parse(&first)?;
-    repr.more_fragments = false;
-    repr.frag_offset = 0;
-    repr.payload_len = payload.len();
-    Ok(repr.build(&payload))
+    datagram.finish()
 }
 
 #[cfg(test)]
