@@ -166,11 +166,26 @@ mod tests {
             ("fig13", fig13),
             ("fig14", fig14),
             ("table7", table7),
+            ("attribution", attribution),
         ] {
             let report = f();
             assert_eq!(report.id, id);
             assert!(!report.body.is_empty(), "{id} body");
             assert!(report.render().contains(report.title));
+        }
+    }
+
+    /// §5.1's attribution table, pinned row for row: the legacy columns
+    /// differ per ISP, the TSPU column does not.
+    #[test]
+    fn attribution_rows_are_pinned() {
+        let body = attribution().body;
+        for row in [
+            "ISP-A (DNS blockpage)     blockpage IP   reaches server       RST/ACK rewrite\n",
+            "ISP-B (HTTP keyword DPI)  real IP        swallowed (timeout)  RST/ACK rewrite\n",
+            "ISP-C (no legacy gear)    real IP        reaches server       RST/ACK rewrite\n",
+        ] {
+            assert!(body.contains(row), "missing row {row:?} in\n{body}");
         }
     }
 

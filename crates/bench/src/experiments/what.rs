@@ -120,25 +120,28 @@ pub fn table3() -> ExperimentReport {
 /// ISP blocking by its *uniformity*. Three ISPs with different legacy
 /// equipment (DNS blockpage, HTTP keyword DPI, nothing) all overlay the
 /// same TSPU: the port-443 behavior is identical everywhere while the
-/// legacy layer differs per ISP — the attribution signal.
+/// legacy layer differs per ISP — the attribution signal. The keyword DPI
+/// is the shared censor engine under `CensorProfile::legacy_isp`, with
+/// the ISP's own list.
 pub fn attribution() -> ExperimentReport {
     use std::net::Ipv4Addr;
     use std::time::Duration;
-    use tspu_core::{Policy, PolicyHandle, TspuDevice};
-    use tspu_ispdpi::HttpKeywordDpi;
+    use tspu_core::{CensorProfile, Policy, PolicyHandle, TspuDevice};
     use tspu_netsim::{Direction, Network, Route, RouteStep};
     use tspu_stack::craft::TcpPacketSpec;
+    use tspu_topology::IspResolver;
     use tspu_wire::http::HttpRequest;
     use tspu_wire::ipv4::Ipv4Packet;
     use tspu_wire::tcp::{TcpFlags, TcpSegment};
     use tspu_wire::tls::ClientHelloBuilder;
 
     let domain = "blocked-site.ru";
-    let policy = PolicyHandle::new({
+    let listing = |name: &str| {
         let mut p = Policy::default();
-        p.sni_rst.insert(domain);
-        p
-    });
+        p.sni_rst.insert(name);
+        PolicyHandle::new(p)
+    };
+    let policy = listing(domain);
 
     let mut net = Network::with_default_latency();
     let server_addr = Ipv4Addr::new(203, 0, 113, 50);
@@ -147,10 +150,10 @@ pub fn attribution() -> ExperimentReport {
     // Three ISPs: legacy equipment differs, the TSPU is the same model
     // with the same central policy.
     let mut isps = Vec::new();
-    for (i, (name, legacy)) in [
-        ("ISP-A (DNS blockpage)", "dns"),
-        ("ISP-B (HTTP keyword DPI)", "http"),
-        ("ISP-C (no legacy gear)", "none"),
+    for (i, (name, dns_blockpage, keyword_dpi)) in [
+        ("ISP-A (DNS blockpage)", true, false),
+        ("ISP-B (HTTP keyword DPI)", false, true),
+        ("ISP-C (no legacy gear)", false, false),
     ]
     .into_iter()
     .enumerate()
@@ -161,10 +164,10 @@ pub fn attribution() -> ExperimentReport {
         let hop_a = Ipv4Addr::new(10, 40 + i as u8, 255, 1);
         let hop_b = Ipv4Addr::new(10, 40 + i as u8, 255, 2);
         let mut step_a = RouteStep::router(hop_a);
-        if legacy == "http" {
-            let mut list = std::collections::HashSet::new();
-            list.insert(domain.to_string());
-            let dpi = net.add_middlebox(Box::new(HttpKeywordDpi::new(name, list)));
+        if keyword_dpi {
+            let dpi = TspuDevice::reliable(name, listing(domain))
+                .with_censor_profile(CensorProfile::legacy_isp());
+            let dpi = net.add_middlebox(Box::new(dpi));
             step_a.devices.push((dpi, Direction::LocalToRemote));
         }
         let step_b = RouteStep::with_device(hop_b, tspu, Direction::LocalToRemote);
@@ -179,7 +182,9 @@ pub fn attribution() -> ExperimentReport {
                 ],
             },
         );
-        isps.push((name, legacy, client, client_addr));
+        let resolver_list = if dns_blockpage { HashSet::from([domain.to_string()]) } else { HashSet::new() };
+        let resolver = IspResolver::new(name, resolver_list, Ipv4Addr::new(10, 40 + i as u8, 0, 80));
+        isps.push((name, resolver, client, client_addr));
     }
 
     let mut body = String::from(
@@ -188,9 +193,9 @@ pub fn attribution() -> ExperimentReport {
          ISP                       DNS            HTTP:80          HTTPS:443 (TSPU layer)
 ",
     );
-    for (name, legacy, client, client_addr) in isps {
-        // DNS observable (the resolver layer is per-ISP policy).
-        let dns = if legacy == "dns" { "blockpage IP" } else { "real IP" };
+    for (name, resolver, client, client_addr) in isps {
+        // DNS observable: the ISP's own resolver and list.
+        let dns = if resolver.resolve(domain, server_addr).is_blocked() { "blockpage IP" } else { "real IP" };
 
         // HTTP observable: does the GET reach the server?
         let _ = net.take_inbox(server);

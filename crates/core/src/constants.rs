@@ -77,7 +77,7 @@ pub const QUIC_MIN_PAYLOAD: usize = 1001;
 /// SNI inspection applies to TCP packets destined to port 443.
 pub const SNI_PORT: u16 = 443;
 
-// --- Non-TSPU censor profiles (PAPERS.md: Turkmenistan, India) ---
+// --- Non-TSPU censor profiles (PAPERS.md: Turkmenistan, India; legacy ISP gear) ---
 
 /// HTTP Host-header inspection applies to TCP packets destined to port 80
 /// (the Turkmenistan HTTP trigger and India's block-page injection point).
@@ -97,6 +97,12 @@ pub const BLOCK_PAGE: Duration = Duration::from_secs(60);
 /// follow-up connections for on the order of a minute; the exact figure is
 /// a modeling choice documented in EXPERIMENTS.md.
 pub const BLOCK_TKM: Duration = Duration::from_secs(60);
+
+/// Residual window of the legacy ISP keyword DPI's HTTP verdict: zero. The
+/// pre-TSPU box swallows the matching request and keeps no per-flow
+/// memory, so the drop armed at the trigger's instant lapses at the next
+/// one and later segments on the flow pass untouched.
+pub const LEGACY_HTTP_WINDOW: Duration = Duration::ZERO;
 
 // --- Fragment cache (paper §5.3.1) ---
 

@@ -7,7 +7,7 @@
 //! triggers fire (SNI, QUIC fingerprint, DNS qname, HTTP Host) and *how*
 //! verdicts act (unidirectional vs bidirectional RST, silent drop,
 //! HTTP-200 block-page injection, throttling) plus the residual-window
-//! semantics. Three profiles ship:
+//! semantics. Four profiles ship:
 //!
 //! * [`CensorProfile::tspu`] — the paper's device, byte-identical to the
 //!   pre-refactor model (pinned by `tests/profile_tspu_differential.rs`).
@@ -19,6 +19,11 @@
 //!   requests for blocked hosts with an injected HTTP 200 block page
 //!   (PAPERS.md: India censorship study); SNI and QUIC untouched, no IP
 //!   blocklist.
+//! * [`CensorProfile::legacy_isp`] — the pre-TSPU keyword DPI some Russian
+//!   ISPs ran in path (§2): it silently swallows a plaintext HTTP request
+//!   whose Host is listed and remembers nothing afterwards. Blind to
+//!   HTTPS, and per-ISP — the non-uniformity §5.1 uses to tell ISP
+//!   blocking apart from the TSPU.
 //!
 //! All profiles interpret the same [`crate::policy::Policy`] domain lists,
 //! so a differential campaign probes one universe against every country.
@@ -140,6 +145,26 @@ impl CensorProfile {
             }),
             rst_directions: EnforceDirections::ToLocal,
             block_page: Some(india_block_page().into()),
+            ip_blocking: false,
+        }
+    }
+
+    /// Legacy per-ISP keyword DPI: a port-80 request whose Host is on the
+    /// ISP's list is dropped, and only that request — the zero residual
+    /// window lapses at the next instant. No SNI engine, no QUIC filter, no
+    /// DNS trigger, no IP blocklist, no block page.
+    pub fn legacy_isp() -> CensorProfile {
+        CensorProfile {
+            name: "legacy_isp",
+            sni: SniMode::Disabled,
+            quic_filter: false,
+            dns: None,
+            http_host: Some(HttpHostFilter {
+                kind: BlockKind::FullDrop,
+                window: constants::LEGACY_HTTP_WINDOW,
+            }),
+            rst_directions: EnforceDirections::ToLocal,
+            block_page: None,
             ip_blocking: false,
         }
     }

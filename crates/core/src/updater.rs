@@ -12,7 +12,7 @@
 //! Because every TSPU device holds a clone of the same handle, a delta is
 //! visible to the whole country within the same virtual instant — the
 //! centralized half of the paper's update-lag contrast. ISP DPI lag is
-//! modeled separately (`tspu_topology::ispdpi`).
+//! modeled separately (`tspu_measure::churn::UpdateLag`).
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

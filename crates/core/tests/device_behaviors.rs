@@ -5,8 +5,9 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use tspu_core::device::rst_ack_rewrite;
-use tspu_core::{FailureProfile, Policy, PolicyHandle, TspuDevice};
+use tspu_core::{CensorProfile, FailureProfile, Policy, PolicyHandle, TspuDevice};
 use tspu_netsim::{Direction, Middlebox, Time};
+use tspu_wire::http::HttpRequest;
 use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
 use tspu_wire::quic::{initial_payload, QuicVersion};
 use tspu_wire::tcp::{TcpFlags, TcpRepr, TcpSegment};
@@ -501,4 +502,71 @@ fn interleaved_flows_behave_like_sequential_ones() {
     let interleaved = run(true);
     assert_eq!(sequential, interleaved);
     assert_eq!(sequential, vec![true, false, true]);
+}
+
+// --- The legacy ISP keyword DPI: `CensorProfile::legacy_isp` ---
+//
+// The pre-TSPU box some ISPs ran in path (§2): plaintext HTTP only, the
+// ISP's own list, and a matching request silently swallowed.
+
+fn legacy_box() -> TspuDevice {
+    let mut policy = Policy::default();
+    policy.sni_rst.insert("blocked.ru");
+    TspuDevice::reliable("legacy-isp", PolicyHandle::new(policy))
+        .with_censor_profile(CensorProfile::legacy_isp())
+}
+
+fn http_get(host: &str, port: u16) -> Vec<u8> {
+    tcp_packet(CLIENT, 40_000, SERVER, port, TcpFlags::PSH_ACK, &HttpRequest::get(host, "/").build())
+}
+
+#[test]
+fn legacy_isp_swallows_a_listed_hosts_request() {
+    let mut dev = legacy_box();
+    let out = dev.process_owned(Time::ZERO, Direction::LocalToRemote, http_get("blocked.ru", 80));
+    assert!(out.is_empty());
+    assert_eq!(dev.stats().triggers_http, 1);
+}
+
+#[test]
+fn legacy_isp_swallows_a_subdomain_too() {
+    let mut dev = legacy_box();
+    let out = dev.process_owned(Time::ZERO, Direction::LocalToRemote, http_get("www.blocked.ru", 80));
+    assert!(out.is_empty());
+}
+
+#[test]
+fn legacy_isp_passes_a_clean_host() {
+    let mut dev = legacy_box();
+    let packet = http_get("open.ru", 80);
+    assert_eq!(dev.process_owned(Time::ZERO, Direction::LocalToRemote, packet.clone()), vec![packet]);
+    assert_eq!(dev.stats().triggers_http, 0);
+}
+
+#[test]
+fn legacy_isp_is_blind_to_port_443() {
+    // The same "request" on port 443 sails through: this box predates
+    // SNI filtering — which is why the TSPU was needed at all.
+    let mut dev = legacy_box();
+    let https = http_get("blocked.ru", 443);
+    assert_eq!(dev.process_owned(Time::ZERO, Direction::LocalToRemote, https).len(), 1);
+}
+
+#[test]
+fn legacy_isp_leaves_inbound_traffic_untouched() {
+    let mut dev = legacy_box();
+    let inbound = http_get("blocked.ru", 80);
+    assert_eq!(dev.process_owned(Time::ZERO, Direction::RemoteToLocal, inbound).len(), 1);
+}
+
+#[test]
+fn legacy_isp_swallows_the_request_only() {
+    // The zero residual window lapses at the next instant: a later clean
+    // segment on the same flow passes.
+    let mut dev = legacy_box();
+    let out = dev.process_owned(Time::ZERO, Direction::LocalToRemote, http_get("blocked.ru", 80));
+    assert!(out.is_empty());
+    let later = tcp_packet(CLIENT, 40_000, SERVER, 80, TcpFlags::PSH_ACK, b"more");
+    let out = dev.process_owned(Time::from_micros(1), Direction::LocalToRemote, later.clone());
+    assert_eq!(out, vec![later]);
 }

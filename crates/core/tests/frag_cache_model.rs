@@ -238,6 +238,11 @@ proptest! {
                 }
             };
             for packet in &packets {
+                // Flipping MF on a first piece makes a whole datagram, and
+                // the device hands the cache fragments only.
+                if !Ipv4Packet::new_unchecked(&packet[..]).is_fragment() {
+                    continue;
+                }
                 let got = cache.offer(now, packet);
                 let want = model.offer(now, packet);
                 prop_assert_eq!(got, want, "forwarded bytes diverged at op {} ({:?})", step, op);

@@ -27,7 +27,6 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use tspu_core::{Policy, PolicyDelta, PolicyHandle, PolicyHistory, PolicyUpdater};
-use tspu_ispdpi::UpdateLag;
 use tspu_obs::{Histogram, MetricValue, Snapshot};
 use tspu_registry::{ChurnBatch, ChurnConfig, ChurnSchedule, Universe};
 use tspu_stack::{ServerApp, SteadyProbe, SteadyProbeConfig};
@@ -55,6 +54,53 @@ pub fn churn_delta(batch: &ChurnBatch) -> PolicyDelta {
         quic_filter: batch.quic_filter,
         throttle_active: batch.throttle_active,
         ..PolicyDelta::default()
+    }
+}
+
+/// Registry-sync lag: how long after a central registry delta each ISP's
+/// own gear starts enforcing it. §6.3 finds ISP resolvers "do not enforce
+/// blocking effectively on domains recently added to the registry" — each
+/// ISP syncs its snapshot on its own schedule, while the TSPU's one
+/// centrally distributed policy converges within a round trip.
+///
+/// A deterministic lag distribution: `base + uniform[0, jitter)`,
+/// sampled per `(isp, delta index)` from `seed`. No RNG state — every
+/// sample is a pure hash of its coordinates, so campaign cells can ask
+/// for lags in any order (or in parallel) and agree byte-for-byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UpdateLag {
+    /// Minimum lag every ISP pays (distribution offset).
+    pub base: Duration,
+    /// Width of the uniform jitter added on top.
+    pub jitter: Duration,
+    pub seed: u64,
+}
+
+impl UpdateLag {
+    /// The 2022 registry-sync picture scaled to a churn replay where one
+    /// registry day lasts `day`: ISPs pick up a delta after 1 to 21 days
+    /// (§6.3's staleness window).
+    pub fn registry_sync_2022(day: Duration) -> UpdateLag {
+        UpdateLag { base: day, jitter: day * 20, seed: 0 }
+    }
+
+    /// The lag `isp` pays on delta `delta_index`.
+    pub fn lag(&self, isp: &str, delta_index: usize) -> Duration {
+        let jitter_ns = self.jitter.as_nanos() as u64;
+        if jitter_ns == 0 {
+            return self.base;
+        }
+        let mut h = self.seed ^ 0xcbf2_9ce4_8422_2325;
+        for byte in isp.bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h ^= delta_index as u64;
+        // splitmix64 finalizer over the FNV-1a digest.
+        h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+        self.base + Duration::from_nanos(h % jitter_ns)
     }
 }
 
@@ -445,5 +491,32 @@ mod tests {
             report.snapshot.counter("policy.delta_applies"),
             2 * report.cells.len() as u64
         );
+    }
+
+
+    #[test]
+    fn lag_is_deterministic_and_bounded() {
+        let lag = UpdateLag::registry_sync_2022(Duration::from_millis(200));
+        for isp in ["Rostelecom", "ER-Telecom", "OBIT"] {
+            for delta in 0..50 {
+                let sample = lag.lag(isp, delta);
+                assert_eq!(sample, lag.lag(isp, delta));
+                assert!(sample >= lag.base);
+                assert!(sample < lag.base + lag.jitter);
+            }
+        }
+    }
+
+    #[test]
+    fn isps_and_deltas_draw_different_lags() {
+        let lag = UpdateLag::registry_sync_2022(Duration::from_millis(200));
+        assert_ne!(lag.lag("Rostelecom", 0), lag.lag("OBIT", 0));
+        assert_ne!(lag.lag("Rostelecom", 0), lag.lag("Rostelecom", 1));
+    }
+
+    #[test]
+    fn zero_jitter_collapses_to_base() {
+        let lag = UpdateLag { base: Duration::from_secs(1), jitter: Duration::ZERO, seed: 7 };
+        assert_eq!(lag.lag("AnyISP", 42), Duration::from_secs(1));
     }
 }

@@ -22,7 +22,7 @@ use std::time::Instant;
 use tspu_core::PolicyHandle;
 use tspu_obs::{Histogram, MetricValue, Snapshot};
 use tspu_registry::Universe;
-use tspu_topology::{policy_from_universe, LabImage, TopologySpec, VantageLab};
+use tspu_topology::{policy_from_universe, vantage_resolvers, LabImage, TopologySpec, VantageLab};
 
 use crate::domains::{test_domain, DomainCampaign, DomainVerdict};
 
@@ -565,7 +565,7 @@ where
     let spec = SweepSpec::from_universe(universe, domains);
     let verdicts = spec.run(pool, &RunOpts::quick()).verdicts;
 
-    let resolvers = tspu_ispdpi::vantage_resolvers(universe);
+    let resolvers = vantage_resolvers(universe);
     let mut campaign = DomainCampaign {
         tspu: BTreeMap::new(),
         isp_blocked: resolvers.iter().map(|r| (r.isp().to_string(), HashSet::new())).collect(),

@@ -19,9 +19,6 @@
 //! * [`LinkStats`] — uniform per-middlebox fault counters, the fault
 //!   layer's analogue of the device's `DeviceStats`, consumed by oracle
 //!   reports.
-//!
-//! [`LossyLink`] and [`CorruptingLink`] remain as minimal single-fault
-//! links; `LossyLink` now keeps its counts in the same [`LinkStats`].
 
 use std::time::Duration;
 
@@ -416,132 +413,9 @@ impl MiddleboxImage for ChaosLinkImage {
     }
 }
 
-/// A link that randomly drops packets with a fixed probability.
-pub struct LossyLink {
-    rng: SmallRng,
-    loss: f64,
-    stats: LinkStats,
-}
-
-impl LossyLink {
-    /// Creates a lossy link with `loss` drop probability in `[0, 1]`.
-    pub fn new(loss: f64, seed: u64) -> LossyLink {
-        assert!((0.0..=1.0).contains(&loss));
-        LossyLink { rng: SmallRng::seed_from_u64(seed), loss, stats: LinkStats::default() }
-    }
-
-    /// The uniform fault counters.
-    pub fn stats(&self) -> LinkStats {
-        self.stats
-    }
-
-    /// Packets dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.stats.dropped
-    }
-
-    /// Packets forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.stats.forwarded
-    }
-}
-
-impl Middlebox for LossyLink {
-    fn process(&mut self, _now: Time, _direction: Direction, _packet: &mut Vec<u8>) -> Verdict {
-        if self.rng.gen_bool(self.loss) {
-            self.stats.dropped += 1;
-            Verdict::Drop
-        } else {
-            self.stats.forwarded += 1;
-            Verdict::Pass
-        }
-    }
-
-    fn label(&self) -> String {
-        format!("lossy({:.2}%)", self.loss * 100.0)
-    }
-}
-
-/// A link that flips one random byte of a packet with a fixed probability.
-/// Corruption happens *below* the IP checksum, so receivers (and DPIs)
-/// see packets that fail verification — useful for robustness tests.
-pub struct CorruptingLink {
-    rng: SmallRng,
-    chance: f64,
-}
-
-impl CorruptingLink {
-    /// Creates a corrupting link with `chance` probability in `[0, 1]`.
-    pub fn new(chance: f64, seed: u64) -> CorruptingLink {
-        assert!((0.0..=1.0).contains(&chance));
-        CorruptingLink { rng: SmallRng::seed_from_u64(seed), chance }
-    }
-}
-
-impl Middlebox for CorruptingLink {
-    fn process(&mut self, _now: Time, _direction: Direction, packet: &mut Vec<u8>) -> Verdict {
-        if !packet.is_empty() && self.rng.gen_bool(self.chance) {
-            let pos = self.rng.gen_range(0..packet.len());
-            let bit = 1u8 << self.rng.gen_range(0..8);
-            packet[pos] ^= bit;
-        }
-        Verdict::Pass
-    }
-
-    fn label(&self) -> String {
-        format!("corrupting({:.2}%)", self.chance * 100.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lossy_link_drops_roughly_at_rate() {
-        let mut link = LossyLink::new(0.25, 7);
-        let packet = vec![0u8; 32];
-        let mut delivered = 0;
-        for _ in 0..10_000 {
-            delivered += link.process_owned(Time::ZERO, Direction::LocalToRemote, packet.clone()).len();
-        }
-        assert!((7_300..=7_700).contains(&delivered), "delivered {delivered}");
-        assert_eq!(link.dropped() + link.forwarded(), 10_000);
-    }
-
-    #[test]
-    fn zero_loss_forwards_everything() {
-        let mut link = LossyLink::new(0.0, 1);
-        for _ in 0..100 {
-            assert_eq!(link.process_owned(Time::ZERO, Direction::RemoteToLocal, vec![1, 2, 3]).len(), 1);
-        }
-    }
-
-    #[test]
-    fn corruption_changes_exactly_one_bit() {
-        let mut link = CorruptingLink::new(1.0, 3);
-        let original = vec![0u8; 64];
-        let out = link.process_owned(Time::ZERO, Direction::LocalToRemote, original.clone());
-        let corrupted = &out[0];
-        let flipped: u32 = original
-            .iter()
-            .zip(corrupted.iter())
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(flipped, 1);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let run = |seed| {
-            let mut link = LossyLink::new(0.5, seed);
-            (0..64)
-                .map(|_| link.process_owned(Time::ZERO, Direction::LocalToRemote, vec![0]).len())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43));
-    }
 
     #[test]
     fn derive_seed_decorrelates_salts() {
@@ -567,13 +441,15 @@ mod tests {
 
     #[test]
     fn chaos_loss_counts_in_stats() {
-        let mut link = ChaosLink::new(LinkFaults::lossy(0.5), 11);
-        for _ in 0..1000 {
-            link.process_owned(Time::ZERO, Direction::LocalToRemote, vec![0; 16]);
+        for (loss, packets, dropped) in [(0.5, 1_000, 300..=700), (0.25, 10_000, 2_300..=2_700)] {
+            let mut link = ChaosLink::new(LinkFaults::lossy(loss), 11);
+            for _ in 0..packets {
+                link.process_owned(Time::ZERO, Direction::LocalToRemote, vec![0; 16]);
+            }
+            let stats = link.stats();
+            assert_eq!(stats.forwarded + stats.dropped, packets);
+            assert!(dropped.contains(&stats.dropped), "loss {loss}: dropped {}", stats.dropped);
         }
-        let stats = link.stats();
-        assert_eq!(stats.forwarded + stats.dropped, 1000);
-        assert!((300..=700).contains(&(stats.dropped as usize)), "dropped {}", stats.dropped);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use std::net::Ipv4Addr;
 
 use tspu_core::chaos::{audit_for_profile, restart_times};
 use tspu_core::{CensorProfile, FailureProfile, PolicyHandle, TspuDevice};
-use tspu_ispdpi::IspResolver;
 use tspu_netsim::fault::{ChaosLink, FaultPlan};
 use tspu_netsim::oracle::{DeviceAudit, Oracle, OracleReport, OracleSpec};
 use tspu_netsim::{Direction, MiddleboxId, Network, Route, RouteStep};
@@ -28,7 +27,7 @@ use tspu_obs::Snapshot;
 use tspu_registry::{stats, Universe};
 
 use crate::gen::{GenTopology, TopologySpec};
-use crate::policy_build::{policy_from_universe, TOR_ENTRY_NODE};
+use crate::policy_build::{policy_from_universe, vantage_resolvers, IspResolver, TOR_ENTRY_NODE};
 
 /// One in-country vantage point.
 #[derive(Clone)]
@@ -402,7 +401,7 @@ impl VantageLab {
             net.set_route_symmetric(a, b, Route::through(&[Ipv4Addr::new(192, 0, 2, 254)]));
         }
 
-        let resolvers = universe.map(tspu_ispdpi::vantage_resolvers).unwrap_or_default();
+        let resolvers = universe.map(vantage_resolvers).unwrap_or_default();
 
         VantageLab {
             net,

@@ -19,7 +19,7 @@
 //!   by policy) with a deterministic route-churn schedule, the substrate
 //!   for tomography-based censorship localization.
 //! * [`policy_build`] — turning a `tspu-registry` universe into the
-//!   central `tspu-core` policy.
+//!   central `tspu-core` policy and the per-ISP censoring resolvers.
 
 pub mod gen;
 pub mod lab;
@@ -31,5 +31,5 @@ pub use gen::{
     TopologySpec,
 };
 pub use lab::{LabBuilder, LabImage, Vantage, VantageLab};
-pub use policy_build::{policy_from_universe, TOR_ENTRY_NODE};
+pub use policy_build::{policy_from_universe, vantage_resolvers, IspResolver, Resolution, TOR_ENTRY_NODE};
 pub use runet::{AsInfo, AsKind, Coverage, Endpoint, PlacementModel, Runet, RunetConfig};

@@ -8,7 +8,6 @@
 //! * [`wire`] — wire formats (IPv4/TCP/UDP/ICMP/TLS/QUIC)
 //! * [`netsim`] — deterministic discrete-event network simulator
 //! * [`core`] — the TSPU device model
-//! * [`ispdpi`] — per-ISP DNS blockpage baseline
 //! * [`stack`] — endpoint host stacks
 //! * [`registry`] — domain universe, blocklists, policy timeline
 //! * [`topology`] — vantage lab and country-scale RuNet
@@ -47,7 +46,6 @@
 
 pub use tspu_circumvent as circumvent;
 pub use tspu_core as core;
-pub use tspu_ispdpi as ispdpi;
 pub use tspu_measure as measure;
 pub use tspu_netsim as netsim;
 pub use tspu_registry as registry;
