@@ -9,6 +9,7 @@
 //! clones the handle, so a central update (e.g. the March 4, 2022 switch
 //! from throttling to RST blocking) is observed by all devices at once.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -110,18 +111,74 @@ impl NormalizedHost {
     }
 }
 
-/// How [`DomainSet`] stores an entry: ASCII lowercase, one trailing dot
-/// stripped.
-fn normalize_entry(domain: &str) -> String {
-    let mut d = domain.to_ascii_lowercase();
-    if d.ends_with('.') {
-        d.pop();
+/// A hash bucket: its first entry is held inline, and it spills to a
+/// `Vec` only when a second entry shares the first's hash — which for
+/// [`suffix_hash_of`] takes a deliberate collision, so a listed name costs
+/// its own copy and no bucket allocation.
+#[derive(Debug, Clone)]
+enum Bucket<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Bucket<T> {
+    fn push(&mut self, item: T) {
+        *self = match std::mem::replace(self, Bucket::Many(Vec::new())) {
+            Bucket::One(first) => Bucket::Many(vec![first, item]),
+            Bucket::Many(mut items) => {
+                items.push(item);
+                Bucket::Many(items)
+            }
+        };
     }
-    d
+
+    /// Removes entry `pos`, moving the last entry into its place. False
+    /// when `pos` was the bucket's last entry: a bucket cannot be empty, so
+    /// the caller drops the whole bucket instead.
+    fn swap_remove(&mut self, pos: usize) -> bool {
+        match self {
+            Bucket::One(_) => false,
+            Bucket::Many(items) => {
+                items.swap_remove(pos);
+                !items.is_empty()
+            }
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Bucket<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match self {
+            Bucket::One(item) => std::slice::from_ref(item),
+            Bucket::Many(items) => items,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Bucket<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Bucket::One(item) => std::slice::from_mut(item),
+            Bucket::Many(items) => items,
+        }
+    }
+}
+
+/// Adds `item` to the bucket at `hash`, opening the bucket if need be.
+fn push_at<T>(buckets: &mut FxHashMap<u64, Bucket<T>>, hash: u64, item: T) {
+    match buckets.entry(hash) {
+        Entry::Occupied(bucket) => bucket.into_mut().push(item),
+        Entry::Vacant(slot) => {
+            slot.insert(Bucket::One(item));
+        }
+    }
 }
 
 /// Names bucketed by their [`suffix_hash_of`] value.
-type NameBuckets = FxHashMap<u64, Vec<Box<str>>>;
+type NameBuckets = FxHashMap<u64, Bucket<Box<str>>>;
 
 fn holds_name(buckets: &NameBuckets, hash: u64, name: &[u8]) -> bool {
     buckets.get(&hash).is_some_and(|bucket| bucket.iter().any(|e| e.as_bytes() == name))
@@ -129,11 +186,10 @@ fn holds_name(buckets: &NameBuckets, hash: u64, name: &[u8]) -> bool {
 
 /// Removes `name` from its bucket (dropping a bucket it empties); true if
 /// it was there.
-fn take_name(buckets: &mut NameBuckets, hash: u64, name: &str) -> bool {
+fn take_name(buckets: &mut NameBuckets, hash: u64, name: &[u8]) -> bool {
     let Some(bucket) = buckets.get_mut(&hash) else { return false };
-    let Some(pos) = bucket.iter().position(|e| **e == *name) else { return false };
-    bucket.swap_remove(pos);
-    if bucket.is_empty() {
+    let Some(pos) = bucket.iter().position(|e| e.as_bytes() == name) else { return false };
+    if !bucket.swap_remove(pos) {
         buckets.remove(&hash);
     }
     true
@@ -201,7 +257,7 @@ impl DomainSet {
     }
 
     /// Builds a set from an iterator of domain names.
-    pub fn from_names<I: IntoIterator<Item = S>, S: Into<String>>(domains: I) -> DomainSet {
+    pub fn from_names<I: IntoIterator<Item = S>, S: AsRef<str>>(domains: I) -> DomainSet {
         let mut set = DomainSet::new();
         for d in domains {
             set.insert(d);
@@ -210,21 +266,22 @@ impl DomainSet {
     }
 
     /// Inserts a domain (normalized to lowercase, trailing dot stripped).
-    pub fn insert<S: Into<String>>(&mut self, domain: S) {
-        let d = normalize_entry(&domain.into());
+    /// The name is normalized on the stack and probed by reference, so
+    /// only a name that actually lands is copied to the heap.
+    pub fn insert<S: AsRef<str>>(&mut self, domain: S) {
+        let d = NormalizedHost::new(domain.as_ref());
         let hash = suffix_hash_of(d.as_bytes());
         if let Some(shared) = &mut self.shared {
             if shared.lists(hash, d.as_bytes()) {
                 // Already an entry unless removed since: then re-list it.
-                if take_name(&mut shared.tombstones, hash, &d) {
+                if take_name(&mut shared.tombstones, hash, d.as_bytes()) {
                     self.len += 1;
                 }
                 return;
             }
         }
-        let bucket = self.buckets.entry(hash).or_default();
-        if !bucket.iter().any(|e| **e == *d) {
-            bucket.push(d.into_boxed_str());
+        if !holds_name(&self.buckets, hash, d.as_bytes()) {
+            push_at(&mut self.buckets, hash, d.as_str().into());
             self.len += 1;
         }
     }
@@ -232,13 +289,13 @@ impl DomainSet {
     /// Removes a domain (normalized like [`DomainSet::insert`], so a
     /// delisting with a trailing dot still finds the stored entry).
     pub fn remove(&mut self, domain: &str) {
-        let d = normalize_entry(domain);
+        let d = NormalizedHost::new(domain);
         let hash = suffix_hash_of(d.as_bytes());
-        if take_name(&mut self.buckets, hash, &d) {
+        if take_name(&mut self.buckets, hash, d.as_bytes()) {
             self.len -= 1;
         } else if let Some(shared) = &mut self.shared {
             if shared.contains(hash, d.as_bytes()) {
-                shared.tombstones.entry(hash).or_default().push(d.into_boxed_str());
+                push_at(&mut shared.tombstones, hash, d.as_str().into());
                 self.len -= 1;
             }
         }
@@ -307,7 +364,7 @@ impl DomainSet {
     /// Iterates over the entries.
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         let shared = self.shared.iter().flat_map(SharedNames::iter);
-        self.buckets.values().flatten().map(|s| &**s).chain(shared)
+        self.buckets.values().flat_map(|bucket| bucket.iter()).map(|s| &**s).chain(shared)
     }
 }
 
@@ -440,8 +497,9 @@ impl Policy {
             (&mut self.sni_throttle, &delta.add_throttle),
             (&mut self.sni_backup, &delta.add_backup),
         ] {
+            list.buckets.reserve(names.len());
             for name in names {
-                list.insert(name.as_str());
+                list.insert(name);
             }
         }
         for (list, names) in [
@@ -550,11 +608,18 @@ struct Listing {
     listed: Range<usize>,
 }
 
+impl Listing {
+    /// Whether this is `name`'s current, not yet delisted, stay.
+    fn is_open(&self, name: &[u8]) -> bool {
+        self.listed.end == STILL_LISTED && self.name.as_bytes() == name
+    }
+}
+
 /// Every version of one name list in a single suffix-hash table: a name
 /// delisted and listed again has two [`Listing`]s in its bucket.
 #[derive(Debug)]
 struct ListHistory {
-    buckets: FxHashMap<u64, Vec<Listing>>,
+    buckets: FxHashMap<u64, Bucket<Listing>>,
     /// Entries live at each version, `0..=` the deltas compiled.
     live: Vec<usize>,
 }
@@ -568,28 +633,29 @@ impl ListHistory {
     /// removals, as [`Policy::apply_delta`] orders them.
     fn apply(&mut self, version: usize, adds: &[String], removes: &[String]) {
         let mut live = self.live[version - 1];
+        self.buckets.reserve(adds.len());
         for name in adds {
-            let name = normalize_entry(name);
-            let bucket = self.buckets.entry(suffix_hash_of(name.as_bytes())).or_default();
-            if !bucket.iter().any(|l| l.listed.end == STILL_LISTED && *l.name == *name) {
-                bucket.push(Listing { name: name.into(), listed: version..STILL_LISTED });
+            let name = NormalizedHost::new(name);
+            let hash = suffix_hash_of(name.as_bytes());
+            let bucket = self.buckets.get(&hash);
+            if !bucket.is_some_and(|b| b.iter().any(|l| l.is_open(name.as_bytes()))) {
+                let listing = Listing { name: name.as_str().into(), listed: version..STILL_LISTED };
+                push_at(&mut self.buckets, hash, listing);
                 live += 1;
             }
         }
         for name in removes {
-            let name = normalize_entry(name);
-            let Some(bucket) = self.buckets.get_mut(&suffix_hash_of(name.as_bytes())) else {
-                continue;
-            };
-            let open =
-                bucket.iter().position(|l| l.listed.end == STILL_LISTED && *l.name == *name);
-            if let Some(pos) = open {
+            let name = NormalizedHost::new(name);
+            let hash = suffix_hash_of(name.as_bytes());
+            let Some(bucket) = self.buckets.get_mut(&hash) else { continue };
+            if let Some(pos) = bucket.iter().position(|l| l.is_open(name.as_bytes())) {
                 live -= 1;
-                if bucket[pos].listed.start == version {
-                    // Added by this same delta: live at no version.
-                    bucket.swap_remove(pos);
-                } else {
+                if bucket[pos].listed.start != version {
                     bucket[pos].listed.end = version;
+                } else if !bucket.swap_remove(pos) {
+                    // Added by this same delta, live at no version, and
+                    // the bucket's last listing.
+                    self.buckets.remove(&hash);
                 }
             }
         }
@@ -809,17 +875,19 @@ impl PolicyHandle {
     pub fn march_4_2022_transition(&self) {
         self.update(|p| {
             p.throttle_active = false;
-            let throttled: Vec<String> = p.sni_throttle.iter().map(str::to_string).collect();
-            for d in throttled {
-                p.sni_rst.insert(d);
-            }
             p.quic_filter = true;
+            let Policy { sni_throttle, sni_rst, .. } = p;
+            for d in sni_throttle.iter() {
+                sni_rst.insert(d);
+            }
         });
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -1075,6 +1143,86 @@ mod tests {
         assert!(policy.sni_rst.matches("cdn.fbcdn.net"));
         assert_eq!(sorted(&policy.sni_rst), ["example.com", "fbcdn.net", "sub.example.com"]);
         assert_eq!(sorted(&policy.sni_throttle), ["fbcdn.net"]);
+    }
+
+    /// Two names whose suffix hashes collide: 1,024-byte Thue–Morse
+    /// strings over `{a, b}` and their complement. The hash difference is
+    /// `∏ (1 − B^(2^j))` for `j < 10`; factor `j` is divisible by
+    /// `2^(j + 2)` (by 2 for `j = 0`), so the product vanishes modulo
+    /// 2^64 (at 512 bytes it need not, and does not). The shared
+    /// `.example.ru` only scales the difference.
+    fn colliding_pair() -> (String, String) {
+        let thue_morse = |i: usize| (i.count_ones() % 2) as u8;
+        let a: String = (0..1024).map(|i| char::from(b'a' + thue_morse(i))).collect();
+        let b: String = (0..1024).map(|i| char::from(b'b' - thue_morse(i))).collect();
+        (format!("{a}.example.ru"), format!("{b}.example.ru"))
+    }
+
+    /// `set` holds exactly `model`, by count, by iteration and by match
+    /// (of each colliding name and of a subdomain of it).
+    fn agrees(set: &DomainSet, model: &BTreeSet<&str>, names: [&str; 2]) {
+        assert_eq!(set.len(), model.len());
+        assert_eq!(set.iter().collect::<BTreeSet<_>>(), *model);
+        for name in names {
+            let listed = model.contains(name);
+            assert_eq!(set.matches(name), listed, "{}…", &name[..16]);
+            assert_eq!(set.matches(&format!("www.{name}")), listed, "www.{}…", &name[..16]);
+        }
+    }
+
+    #[test]
+    fn colliding_names_share_a_bucket_and_stay_distinct() {
+        let (x, y) = colliding_pair();
+        assert_ne!(x, y);
+        assert_eq!(suffix_hash_of(x.as_bytes()), suffix_hash_of(y.as_bytes()));
+        let names = [x.as_str(), y.as_str()];
+
+        // A plain set: the second name spills the bucket.
+        let mut set = DomainSet::new();
+        let mut model = BTreeSet::new();
+        for name in [&x, &y, &x] {
+            set.insert(name);
+            model.insert(name.as_str());
+            agrees(&set, &model, names);
+        }
+        set.remove(&x);
+        model.remove(x.as_str());
+        agrees(&set, &model, names);
+        set.insert(&x);
+        model.insert(&x);
+        agrees(&set, &model, names);
+        set.remove(&y);
+        set.remove(&x);
+        agrees(&set, &BTreeSet::new(), names);
+
+        // A history that lists and drops `y` within one delta (out of a
+        // spilled table bucket), then lists `y` and delists `x`.
+        let history = PolicyHistory::compile([
+            PolicyDelta {
+                add_rst: vec![x.clone(), y.clone()],
+                remove_rst: vec![y.clone()],
+                ..PolicyDelta::default()
+            },
+            PolicyDelta {
+                add_rst: vec![y.clone()],
+                remove_rst: vec![x.clone()],
+                ..PolicyDelta::default()
+            },
+        ]);
+        // Each version: tombstone the name the table lists, overlay-insert
+        // the other, re-list the first, drop the overlay entry.
+        for (version, listed, other) in [(1, &x, &y), (2, &y, &x)] {
+            let mut set = history.as_of(version).expect("compiled").sni_rst;
+            agrees(&set, &BTreeSet::from([listed.as_str()]), names);
+            set.remove(listed);
+            agrees(&set, &BTreeSet::new(), names);
+            set.insert(other);
+            agrees(&set, &BTreeSet::from([other.as_str()]), names);
+            set.insert(listed);
+            agrees(&set, &BTreeSet::from(names), names);
+            set.remove(other);
+            agrees(&set, &BTreeSet::from([listed.as_str()]), names);
+        }
     }
 
     #[test]

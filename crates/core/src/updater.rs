@@ -1,7 +1,7 @@
 //! The central policy updater as a simulated actor: Roskomnadzor's
 //! distribution pipe, scheduled in virtual time.
 //!
-//! A [`PolicyUpdater`] holds a sorted list of `(offset, PolicyDelta)`
+//! A [`PolicyUpdater`] holds a sorted list of `(offset, Arc<PolicyDelta>)`
 //! pairs and a shared [`crate::PolicyHandle`]. Installed on a host (any
 //! host — it never sends packets) and bootstrapped with one
 //! `Network::arm_timer` call, it wakes at each delta's virtual offset,
@@ -39,8 +39,9 @@ pub type UpdateLog = Arc<Mutex<Vec<DeltaApplication>>>;
 /// offsets (measured from simulation start).
 pub struct PolicyUpdater {
     policy: PolicyHandle,
-    /// Sorted by offset.
-    schedule: Vec<(Duration, PolicyDelta)>,
+    /// Sorted by offset. Shared, so campaign cells replaying one registry
+    /// day hand every updater the same delta.
+    schedule: Vec<(Duration, Arc<PolicyDelta>)>,
     next: usize,
     log: UpdateLog,
 }
@@ -49,7 +50,12 @@ impl PolicyUpdater {
     /// Builds an updater over `schedule` (offset from simulation start →
     /// delta). The schedule is sorted by offset; ties apply in the given
     /// order within one timer tick.
-    pub fn new(policy: PolicyHandle, mut schedule: Vec<(Duration, PolicyDelta)>) -> PolicyUpdater {
+    pub fn new<D: Into<Arc<PolicyDelta>>>(
+        policy: PolicyHandle,
+        schedule: Vec<(Duration, D)>,
+    ) -> PolicyUpdater {
+        let mut schedule: Vec<(Duration, Arc<PolicyDelta>)> =
+            schedule.into_iter().map(|(offset, delta)| (offset, delta.into())).collect();
         schedule.sort_by_key(|(offset, _)| *offset);
         PolicyUpdater { policy, schedule, next: 0, log: Arc::new(Mutex::new(Vec::new())) }
     }
@@ -132,7 +138,8 @@ mod tests {
 
     #[test]
     fn packets_are_ignored() {
-        let mut updater = PolicyUpdater::new(PolicyHandle::new(Policy::permissive()), Vec::new());
+        let schedule: Vec<(Duration, PolicyDelta)> = Vec::new();
+        let mut updater = PolicyUpdater::new(PolicyHandle::new(Policy::permissive()), schedule);
         assert!(updater.on_packet(Time::ZERO, &[0u8; 20]).is_empty());
         assert_eq!(updater.first_offset(), None);
     }

@@ -1,7 +1,8 @@
 //! Proof that the packet-path matcher is allocation-free: a counting
 //! global allocator wraps the system allocator, and `DomainSet::matches`
 //! / `NormalizedHost::new` must not allocate for hostnames that fit the
-//! 256-byte stack buffer — i.e. every hostname a real SNI carries.
+//! 256-byte stack buffer — i.e. every hostname a real SNI carries. The
+//! write side has budgets too: a listed name costs one allocation.
 //!
 //! The counter is per-thread (the libtest harness main thread allocates
 //! at unpredictable times while a test runs, and would otherwise bleed
@@ -134,6 +135,28 @@ fn matcher_is_allocation_free_on_the_packet_path() {
     let oversized = format!("b{max_host}");
     let n = allocations_during(|| NormalizedHost::new(&oversized).as_bytes().len());
     assert!(n > 0, "counter failed to observe the spill-path allocation");
+
+    // Writing the policy: a name is normalized on the stack and copied
+    // to the heap only when it lands. Inserting a name already held (in
+    // any spelling) allocates nothing; a new lower-case name allocates
+    // its one copy. `fresh.example` is inserted and removed first, so its
+    // slot in the hash table is already there.
+    let mut set = set;
+    let n = allocations_during(|| set.insert("Facebook.COM."));
+    assert_eq!(n, 0, "inserting a held name allocated {n} times");
+    set.insert("fresh.example");
+    set.remove("fresh.example");
+    let n = allocations_during(|| set.insert("fresh.example"));
+    assert_eq!(n, 1, "inserting a new name allocated {n} times");
+
+    // A k-name delta onto a history version lands in the version's own
+    // overlay: k name copies plus the overlay's table.
+    let k = 12;
+    let delta = PolicyDelta::add_rst_batch((0..k).map(|i| format!("day-{i}.example.ru")));
+    let mut policy = history.as_of(1).expect("one delta compiled");
+    let n = allocations_during(|| policy.apply_delta(&delta));
+    assert!(n <= k + 2, "a {k}-name delta allocated {n} times");
+    assert!(policy.sni_rst.matches("www.day-11.example.ru"));
 
     // The whole device hop path: a non-triggering TCP data packet through
     // conntrack, IP blocking, trigger evaluation, and verdict application

@@ -190,7 +190,7 @@ pub fn build_lab(config: SoakConfig) -> SoakLab {
 
     let mut policy = Policy::permissive();
     for d in &universe.blocks.sni_rst {
-        policy.sni_rst.insert(d.clone());
+        policy.sni_rst.insert(d);
     }
     let blocked: Vec<bool> = domains.iter().map(|d| policy.sni_rst.matches(d)).collect();
     let blocked_universe_fraction =

@@ -1,21 +1,24 @@
 //! The registry-churn campaign: per-delta blocking-convergence latency,
 //! measured in virtual time and sharded across the [`ScanPool`].
 //!
-//! The schedule's batches are compiled once into a [`PolicyHistory`];
-//! each cell then replays one registry day of the [`ChurnSchedule`]: the
-//! lab starts from the policy as of the previous day — the history read
-//! at that day, which costs the same on day 1 and on day 60 — a
-//! [`SteadyProbe`] keeps identical TLS flows running toward a name the
-//! day's batch is about to blocklist, and a [`PolicyUpdater`] fires the
-//! batch's delta at its scheduled virtual instant through the incremental
-//! [`Policy::apply_delta`] path, into that cell's policy alone. The gap
-//! between the delta's application and the first probe to draw a RST is
-//! the TSPU's *blocking-convergence latency* — one centrally distributed
-//! policy, so it converges within about one round trip (§5). The
-//! decentralized per-ISP baseline never needs its own packet simulation:
-//! each cell also samples the [`UpdateLag`] distribution, whose days-long
-//! registry-sync lags dwarf the TSPU's round-trip convergence by
-//! construction.
+//! The schedule's batches are moved, names and all, into one shared
+//! [`PolicyDelta`] per registry day (an `Arc`), and those deltas are
+//! compiled once into a [`PolicyHistory`]; each cell then replays one
+//! registry day of the [`ChurnSchedule`]: the lab starts from the policy
+//! as of the previous day — the history read at that day, which costs the
+//! same on day 1 and on day 60 — a [`SteadyProbe`] keeps identical TLS
+//! flows running toward a name the day's batch is about to blocklist, and
+//! a [`PolicyUpdater`] fires the day's shared delta at its scheduled
+//! virtual instant through the incremental [`Policy::apply_delta`] path,
+//! into that cell's policy alone. Past the schedule, a listed name is
+//! copied once into the history's table and once into the overlay of the
+//! cell that applies it, and nowhere else. The gap between the delta's
+//! application and the first probe to draw a RST is the TSPU's
+//! *blocking-convergence latency* — one centrally distributed policy, so
+//! it converges within about one round trip (§5). The decentralized
+//! per-ISP baseline never needs its own packet simulation: each cell also
+//! samples the [`UpdateLag`] distribution, whose days-long registry-sync
+//! lags dwarf the TSPU's round-trip convergence by construction.
 //!
 //! Every cell is a pure function of `(schedule, batch index, campaign
 //! config)` — a private lab from the campaign kernel
@@ -24,6 +27,7 @@
 //! campaign is byte-identical at any worker-thread count.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 use tspu_core::{Policy, PolicyDelta, PolicyHandle, PolicyHistory, PolicyUpdater};
@@ -48,9 +52,15 @@ const PROBE_PORT_BASE: u16 = 40_000;
 /// SNI-I (RST rewrite) — the paper's dominant mechanism — and the
 /// timeline's toggle flips ride along.
 pub fn churn_delta(batch: &ChurnBatch) -> PolicyDelta {
+    into_delta(batch.clone())
+}
+
+/// [`churn_delta`] for a batch the caller is done with: its names move
+/// into the delta instead of being copied.
+fn into_delta(batch: ChurnBatch) -> PolicyDelta {
     PolicyDelta {
-        add_rst: batch.add.clone(),
-        remove_rst: batch.remove.clone(),
+        add_rst: batch.add,
+        remove_rst: batch.remove,
         quic_filter: batch.quic_filter,
         throttle_active: batch.throttle_active,
         ..PolicyDelta::default()
@@ -147,20 +157,27 @@ impl ChurnCampaign {
     /// Derives the schedule from `universe` and runs every cell on the
     /// pool.
     pub fn run(&self, universe: &Universe, pool: &ScanPool) -> ChurnReport {
-        let schedule = ChurnSchedule::from_universe(universe, &self.churn);
-        self.run_schedule(&schedule, pool)
+        self.run_schedule(ChurnSchedule::from_universe(universe, &self.churn), pool)
     }
 
     /// Runs one cell per batch that adds at least one domain (toggle-only
     /// and pure-delisting batches carry no blocking-convergence signal).
     /// Cells come back in schedule order — byte-identical at every thread
     /// count, because each cell is a pure function of its batch index.
-    pub fn run_schedule(&self, schedule: &ChurnSchedule, pool: &ScanPool) -> ChurnReport {
-        let cells: Vec<usize> = schedule
-            .batches()
+    pub fn run_schedule(&self, schedule: ChurnSchedule, pool: &ScanPool) -> ChurnReport {
+        let (batches, total_adds, total_removes) =
+            (schedule.len(), schedule.total_adds(), schedule.total_removes());
+        // Each day's names move into one delta: the history compiles from
+        // it, and the day's cell hands its updater a clone of the `Arc`.
+        let (days, deltas): (Vec<u32>, Vec<Arc<PolicyDelta>>) = schedule
+            .into_batches()
+            .into_iter()
+            .map(|batch| (batch.day, Arc::new(into_delta(batch))))
+            .unzip();
+        let cells: Vec<usize> = deltas
             .iter()
             .enumerate()
-            .filter(|(_, batch)| !batch.add.is_empty())
+            .filter(|(_, delta)| !delta.add_rst.is_empty())
             .map(|(index, _)| index)
             .collect();
         // The image carries a placeholder handle; each cell swaps in its
@@ -169,9 +186,9 @@ impl ChurnCampaign {
             VantageLab::builder().policy(PolicyHandle::new(Policy::permissive())).image();
         // Version `pos` of the history is the country on the eve of batch
         // `pos`.
-        let history = PolicyHistory::compile(schedule.batches().iter().map(churn_delta));
+        let history = PolicyHistory::compile(deltas.iter().map(Arc::as_ref));
         let run = pool.run_cells(&RunOpts::quick(), &cells, |_| &image, |lab, _, &pos| {
-            self.run_cell(lab, schedule, &history, pos)
+            self.run_cell(lab, days[pos], &deltas[pos], &history, pos)
         });
         let mut convergence = Histogram::new();
         let mut snapshot = Snapshot::new();
@@ -185,31 +202,30 @@ impl ChurnCampaign {
         snapshot.insert("churn.convergence_us", MetricValue::Hist(convergence));
         ChurnReport {
             cells: out,
-            batches: schedule.len(),
-            total_adds: schedule.total_adds(),
-            total_removes: schedule.total_removes(),
+            batches,
+            total_adds,
+            total_removes,
             snapshot,
         }
     }
 
-    /// One cell: replay day `pos` of the schedule and time its delta's
-    /// convergence.
+    /// One cell: replay registry `day`, batch `pos` of the schedule, and
+    /// time its delta's convergence.
     fn run_cell(
         &self,
         lab: &mut VantageLab,
-        schedule: &ChurnSchedule,
+        day: u32,
+        delta: &Arc<PolicyDelta>,
         history: &PolicyHistory,
         pos: usize,
     ) -> (DeltaConvergence, Snapshot) {
-        let batch = &schedule.batches()[pos];
-
         let policy = history.as_of(pos).expect("the history was compiled from this schedule");
         let handle = PolicyHandle::new(policy);
         lab.set_policy(handle.clone());
         lab.net.set_app(lab.us_main, Box::new(ServerApp::https_site(lab.us_main_addr)));
 
         // Steady traffic toward the day's first (sorted) addition.
-        let target = batch.add.first().expect("cells are add-bearing batches").clone();
+        let target = delta.add_rst.first().expect("cells are add-bearing batches").clone();
         let vantage = lab.vantage(self.vantage);
         let (probe_host, probe_addr) = (vantage.host, vantage.addr);
         let (probe, probe_log) = SteadyProbe::new(SteadyProbeConfig {
@@ -226,7 +242,7 @@ impl ChurnCampaign {
 
         // The central updater fires the day's delta after the warmup.
         let delta_at = self.probe_period * self.warmup_probes;
-        let updater = PolicyUpdater::new(handle.clone(), vec![(delta_at, churn_delta(batch))]);
+        let updater = PolicyUpdater::new(handle.clone(), vec![(delta_at, Arc::clone(delta))]);
         let update_log = updater.log();
         let first_offset = updater.first_offset().expect("one scheduled delta");
         let controller = lab.net.add_host(CONTROLLER);
@@ -242,7 +258,7 @@ impl ChurnCampaign {
             .cloned()
             .expect("scheduled delta fired");
         let (_, enforced_at) = probe_log.first_reset().unwrap_or_else(|| {
-            panic!("day {} delta never enforced (target {target})", batch.day)
+            panic!("day {day} delta never enforced (target {target})")
         });
         let applied_at_us = applied.at.as_micros();
         let enforced_at_us = enforced_at.as_micros();
@@ -269,7 +285,7 @@ impl ChurnCampaign {
             .collect();
 
         let cell = DeltaConvergence {
-            day: batch.day,
+            day,
             target,
             ops: applied.ops,
             epoch: applied.epoch,

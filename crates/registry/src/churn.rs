@@ -167,6 +167,11 @@ impl ChurnSchedule {
         &self.batches
     }
 
+    /// The batches, moved out (ordered by virtual timestamp).
+    pub fn into_batches(self) -> Vec<ChurnBatch> {
+        self.batches
+    }
+
     /// Number of batches.
     pub fn len(&self) -> usize {
         self.batches.len()

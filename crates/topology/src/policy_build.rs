@@ -28,16 +28,16 @@ pub const EXTRA_BLOCKED_IPS: [Ipv4Addr; 6] = [
 pub fn policy_from_universe(universe: &Universe, throttle_active: bool, quic_filter: bool) -> PolicyHandle {
     let mut policy = Policy::default();
     for name in &universe.blocks.sni_rst {
-        policy.sni_rst.insert(name.clone());
+        policy.sni_rst.insert(name);
     }
     for name in &universe.blocks.sni_slow {
-        policy.sni_slow.insert(name.clone());
+        policy.sni_slow.insert(name);
     }
     for name in &universe.blocks.sni_throttle {
-        policy.sni_throttle.insert(name.clone());
+        policy.sni_throttle.insert(name);
     }
     for name in &universe.blocks.sni_backup {
-        policy.sni_backup.insert(name.clone());
+        policy.sni_backup.insert(name);
     }
     policy.blocked_ips.insert(TOR_ENTRY_NODE);
     for addr in EXTRA_BLOCKED_IPS {
