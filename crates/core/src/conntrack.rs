@@ -167,18 +167,19 @@ pub struct FlowEntry {
     /// the other side; the SNI-IV backup remains armed if the original
     /// first sender was local.
     pub reversed: bool,
-    pub created: Time,
     pub last_seen: Time,
-    /// Active blocking verdict, if this flow tripped a trigger.
-    pub block: Option<BlockState>,
+    /// Active blocking verdict, if this flow tripped a trigger. Boxed: only
+    /// the flows that trip one pay for its bytes, and a slot stays 64 B.
+    pub block: Option<Box<BlockState>>,
     /// This device failed to act on this flow (Table 1's failure rates);
     /// triggers are ignored for the entry's lifetime.
     pub exempt: bool,
     /// Whether the exemption dice have been rolled for this flow yet.
     pub exemption_decided: bool,
     /// Accumulated local→remote stream bytes, kept only when the device
-    /// runs with TCP-reassembly hardening (see `crate::hardening`).
-    pub rx_stream: Vec<u8>,
+    /// runs with TCP-reassembly hardening (see `crate::hardening`); the
+    /// first buffered segment allocates it.
+    pub rx_stream: Option<Box<Vec<u8>>>,
     /// Cached IP-blocklist verdict for the flow's remote endpoint, tagged
     /// with the policy epoch it was looked up under. A registry delta
     /// bumps the epoch and thereby invalidates every flow's cache, so a
@@ -194,12 +195,11 @@ impl FlowEntry {
             first_sender,
             ambiguous: false,
             reversed: false,
-            created: now,
             last_seen: now,
             block: None,
             exempt: false,
             exemption_decided: false,
-            rx_stream: Vec::new(),
+            rx_stream: None,
             remote_ip_blocked: None,
         }
     }
@@ -486,15 +486,28 @@ impl ConnTracker {
     }
 
     /// Estimated bytes the tracker keeps resident: the index's allocated
-    /// buckets × five bytes (a hash spreads flows over every page) plus the
+    /// buckets × five bytes (a hash spreads flows over every page), the
     /// slab slots *in use* × slot size (the reserved remainder is untouched
-    /// address space). An estimate: allocation rounding and `rx_stream`
-    /// buffers are not modeled. Load soaks divide this by the tracked-flow
-    /// count for bytes per flow.
+    /// address space), and what live entries hold on the heap — each boxed
+    /// verdict, and each `rx_stream` buffer's box and capacity. One pass
+    /// over the slab. An estimate: allocation rounding is not modeled. Load
+    /// soaks divide this by the tracked-flow count for bytes per flow.
     pub fn memory_bytes_estimate(&self) -> usize {
         use std::mem::size_of;
+        let heap: usize = self
+            .slab
+            .iter()
+            .map(|slot| match slot {
+                Slot::Live { entry, .. } => {
+                    entry.block.as_ref().map_or(0, |_| size_of::<BlockState>())
+                        + entry.rx_stream.as_ref().map_or(0, |s| size_of::<Vec<u8>>() + s.capacity())
+                }
+                Slot::Free { .. } => 0,
+            })
+            .sum();
         self.index.tags.len() * (size_of::<u32>() + size_of::<u8>())
             + self.slab.len() * size_of::<Slot>()
+            + heap
     }
 
     /// Number of live entries (including expired-but-unswept).
@@ -527,7 +540,8 @@ impl ConnTracker {
     }
 
     /// Puts `slot` on the free list, dropping the entry it held (and that
-    /// entry's reassembly buffer) now rather than when the slot is reused.
+    /// entry's boxed verdict and reassembly buffer) now rather than when the
+    /// slot is reused.
     fn release(&mut self, slot: u32) {
         self.slab[slot as usize] = Slot::Free { next: self.free };
         self.free = Some(slot);
@@ -1159,11 +1173,34 @@ mod tests {
         }
         // … which allocates all ⌈4 · 4096 / 3⌉ = 5462 → 8192 buckets of a
         // slot number and a tag at once.
-        assert_eq!(t.memory_bytes_estimate(), 8192 * 5 + 100 * size_of::<Slot>());
+        let unarmed = 8192 * 5 + 100 * size_of::<Slot>();
+        assert_eq!(t.memory_bytes_estimate(), unarmed);
         assert_eq!(t.table_capacity(), 6144);
+        // An armed flow adds its boxed verdict, a buffered stream its box
+        // and capacity; neither moves the slab.
+        let throttle = crate::ThrottleConfig::hard_2022();
+        let block = BlockState::new(crate::BlockKind::RstRewrite, Time::ZERO, 0, throttle);
+        t.get_mut(Time::ZERO, &churn_key(0, 7)).unwrap().block = Some(Box::new(block));
+        assert_eq!(t.memory_bytes_estimate(), unarmed + size_of::<BlockState>());
+        t.get_mut(Time::ZERO, &churn_key(0, 8)).unwrap().rx_stream = Some(Box::new(Vec::with_capacity(64)));
+        assert_eq!(
+            t.memory_bytes_estimate(),
+            unarmed + size_of::<BlockState>() + size_of::<Vec<u8>>() + 64
+        );
         // A slot is a key and an entry: the free-list link hides in the
         // entry's spare bit patterns.
         assert_eq!(size_of::<Slot>(), size_of::<(FlowKey, FlowEntry)>());
+    }
+
+    #[test]
+    fn a_tracked_flow_fits_one_cache_line() {
+        // The cold verdict and stream buffer are boxed, so an entry is
+        // 48 B and a slot (with its 14-byte key) 64 B. A test, not a const
+        // assertion, so that a layout regression fails rather than breaks
+        // the build.
+        use std::mem::size_of;
+        assert!(size_of::<FlowEntry>() <= 48, "FlowEntry is {} B", size_of::<FlowEntry>());
+        assert!(size_of::<Slot>() <= 64, "a slab slot is {} B", size_of::<Slot>());
     }
 
     #[test]
@@ -1173,13 +1210,13 @@ mod tests {
         // slot that is never refilled would otherwise pin it for good.
         let hardened = |t: &mut ConnTracker, i: usize| {
             t.observe_tcp(Time::ZERO, churn_key(0, i), L, TcpFlags::PSH_ACK, 10).rx_stream =
-                Vec::with_capacity(16 << 10);
+                Some(Box::new(Vec::with_capacity(16 << 10)));
         };
         let held = |t: &ConnTracker| -> usize {
             t.slab
                 .iter()
                 .map(|slot| match slot {
-                    Slot::Live { entry, .. } => entry.rx_stream.capacity(),
+                    Slot::Live { entry, .. } => entry.rx_stream.as_ref().map_or(0, |s| s.capacity()),
                     Slot::Free { .. } => 0,
                 })
                 .sum()

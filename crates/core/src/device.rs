@@ -614,9 +614,10 @@ impl TspuDevice {
             && payload_len > 0
         {
             if let Some(entry) = self.conntrack.get_mut(now, &key) {
-                let room = REASSEMBLY_CAP.saturating_sub(entry.rx_stream.len());
+                let stream = entry.rx_stream.get_or_insert_with(Box::default);
+                let room = REASSEMBLY_CAP.saturating_sub(stream.len());
                 let take = payload_len.min(room);
-                entry.rx_stream.extend_from_slice(&segment.payload()[..take]);
+                stream.extend_from_slice(&segment.payload()[..take]);
                 self.stats.reassembly_bytes_buffered += take as u64;
             }
         }
@@ -713,9 +714,9 @@ impl TspuDevice {
             return Some(name);
         }
         if self.hardening.tcp_reassembly {
-            let stream = self.conntrack.get(now, key).map(|e| e.rx_stream.clone())?;
+            let stream = self.conntrack.get(now, key)?.rx_stream.as_deref()?;
             if !stream.is_empty() {
-                return extract_sni_scanning(&stream, scan);
+                return extract_sni_scanning(stream, scan);
             }
         }
         None
@@ -864,12 +865,12 @@ impl TspuDevice {
         };
         let directions = self.profile.rst_directions;
         if let Some(entry) = self.conntrack.get_mut(now, key) {
-            entry.block = Some(
+            entry.block = Some(Box::new(
                 BlockState::new(kind, now, allowance, throttle)
                     .with_window(window)
                     .with_directions(directions)
                     .pinned_to(epoch),
-            );
+            ));
         }
         self.ledger(now, Some(*key), LedgerKind::TriggerFired { trigger: trigger.name(kind) }, epoch);
         self.ledger(now, Some(*key), LedgerKind::BlockArmed { kind: block_kind_name(kind) }, epoch);

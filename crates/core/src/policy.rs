@@ -393,11 +393,6 @@ impl ThrottleConfig {
     pub fn hard_2022() -> ThrottleConfig {
         ThrottleConfig { rate_bytes_per_sec: constants::THROTTLE_RATE_2022, burst_bytes: 1600 }
     }
-
-    /// The March 2021 Twitter throttle (≈ 130 kbit/s).
-    pub fn twitter_2021() -> ThrottleConfig {
-        ThrottleConfig { rate_bytes_per_sec: constants::THROTTLE_RATE_2021, burst_bytes: 16_000 }
-    }
 }
 
 /// The complete censorship policy a TSPU device enforces.

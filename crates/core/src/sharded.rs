@@ -225,8 +225,8 @@ impl ShardedConnTracker {
     }
 
     /// Estimated resident bytes summed across shards: each index at its
-    /// capacity plus each slab's slots in use (see
-    /// [`ConnTracker::memory_bytes_estimate`]).
+    /// capacity, each slab's slots in use and what their entries hold on
+    /// the heap (see [`ConnTracker::memory_bytes_estimate`]).
     pub fn memory_bytes_estimate(&self) -> usize {
         self.shards.iter().map(ConnTracker::memory_bytes_estimate).sum()
     }

@@ -179,7 +179,7 @@ fn observe(e: &FlowEntry) -> impl PartialEq + std::fmt::Debug {
         e.state,
         e.client,
         e.last_seen,
-        e.block.as_ref().map(observe_block),
+        e.block.as_deref().map(observe_block),
         e.exempt,
         e.remote_ip_blocked,
     )
@@ -188,12 +188,12 @@ fn observe(e: &FlowEntry) -> impl PartialEq + std::fmt::Debug {
 fn install(e: &mut FlowEntry, now: Time, op: &Op) {
     let Op::Block { kind, both, window_secs, epoch, .. } = *op else { unreachable!() };
     let directions = if both { EnforceDirections::Both } else { EnforceDirections::ToLocal };
-    e.block = Some(
+    e.block = Some(Box::new(
         BlockState::new(KINDS[kind], now, 6, ThrottleConfig::hard_2022())
             .with_window(Duration::from_secs(window_secs))
             .with_directions(directions)
             .pinned_to(epoch),
-    );
+    ));
 }
 
 proptest! {

@@ -126,7 +126,6 @@ proptest! {
                 }
             }
             prop_assert!(entry.last_seen <= now);
-            prop_assert!(entry.created <= entry.last_seen);
         }
         prop_assert!(tracker.len() <= 1);
     }

@@ -84,7 +84,6 @@ fn observe(e: &FlowEntry) -> impl PartialEq + std::fmt::Debug {
         e.first_sender,
         e.ambiguous,
         e.reversed,
-        e.created,
         e.last_seen,
         e.block.is_some(),
         e.exempt,

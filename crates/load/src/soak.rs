@@ -106,8 +106,9 @@ pub struct SoakReport {
     /// device once) — the denominator for the GC budget check.
     pub device_packets: u64,
     /// The device's conntrack resident-memory estimate (index capacity +
-    /// slab slots in use, `ShardedConnTracker::memory_bytes_estimate`) at
-    /// the end of the run, divided by peak tracked flows.
+    /// slab slots in use + the boxed verdicts and stream buffers live
+    /// entries hold, `ShardedConnTracker::memory_bytes_estimate`) at the end
+    /// of the run, divided by peak tracked flows.
     pub bytes_per_flow: f64,
     /// Wall-clock duration of the whole run (drain included). This and
     /// the three fields below are the host's contribution: they differ

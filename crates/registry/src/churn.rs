@@ -191,11 +191,6 @@ impl ChurnSchedule {
     pub fn total_removes(&self) -> usize {
         self.batches.iter().map(|b| b.remove.len()).sum()
     }
-
-    /// The virtual instant of the last batch (ZERO when empty).
-    pub fn horizon(&self) -> Duration {
-        self.batches.last().map(|b| b.at).unwrap_or(Duration::ZERO)
-    }
 }
 
 #[cfg(test)]

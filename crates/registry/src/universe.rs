@@ -329,12 +329,6 @@ impl Universe {
         Universe { tranco, registry_sample, blocks }
     }
 
-    /// Builds the TSPU [`tspu-core` policy]-shaped lists. (Returned as
-    /// plain collections; `tspu-topology` turns them into a `Policy`.)
-    pub fn block_sets(&self) -> &BlockSets {
-        &self.blocks
-    }
-
     /// All domains across both lists.
     pub fn all_domains(&self) -> impl Iterator<Item = &Domain> {
         self.tranco.iter().chain(self.registry_sample.iter())

@@ -107,11 +107,6 @@ impl IspResolver {
         self.blockpage_addr
     }
 
-    /// Number of names on this ISP's list.
-    pub fn blocklist_len(&self) -> usize {
-        self.blocklist.len()
-    }
-
     /// True if the ISP's snapshot lists `name` (exact or parent domain,
     /// like the registry's own matching). Delegates to the shared
     /// allocation-free suffix matcher.

@@ -163,12 +163,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         Protocol::from(self.buffer.as_ref()[field::PROTOCOL])
     }
 
-    /// Header checksum field as stored.
-    pub fn header_checksum(&self) -> u16 {
-        let data = self.buffer.as_ref();
-        u16::from_be_bytes([data[field::CHECKSUM.start], data[field::CHECKSUM.start + 1]])
-    }
-
     /// Source address.
     pub fn src_addr(&self) -> Ipv4Addr {
         let data = self.buffer.as_ref();
@@ -281,13 +275,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         let header_len = self.header_len();
         let ck = checksum::checksum(&self.buffer.as_ref()[..header_len]);
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// Mutable access to the transport payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let header_len = self.header_len();
-        let total_len = self.total_len().min(self.buffer.as_ref().len());
-        &mut self.buffer.as_mut()[header_len..total_len]
     }
 }
 

@@ -67,10 +67,6 @@ impl TcpFlags {
         self.contains(TcpFlags::FIN)
     }
 
-    pub fn psh(self) -> bool {
-        self.contains(TcpFlags::PSH)
-    }
-
     /// True for a pure SYN (no ACK), the packet that normally identifies
     /// the connection's client.
     pub fn is_pure_syn(self) -> bool {
@@ -246,12 +242,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpSegment<T> {
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
         let ck = checksum::pseudo_header_checksum(src, dst, 6, self.buffer.as_ref());
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let header_len = self.header_len();
-        &mut self.buffer.as_mut()[header_len..]
     }
 }
 

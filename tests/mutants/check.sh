@@ -3,6 +3,8 @@
 # `# must fail: <command>`; the patch is applied to the checkout, the command
 # must build and then fail, and the patch is reverted. Exits non-zero if a
 # patch no longer applies, a mutant no longer builds, or a mutant survives.
+# A mutant caught by a property test is printed with the size of the shrunk
+# counterexample: its draws, and the elements of its outermost collections.
 #
 #   sh tests/mutants/check.sh        # from a checkout with no local edits
 set -u
@@ -12,6 +14,8 @@ if ! git diff --quiet; then
     exit 2
 fi
 status=0
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
 for patch in tests/mutants/*.patch; do
     cmd=$(sed -n '1s/^# must fail: //p' "$patch")
     if [ -z "$cmd" ]; then
@@ -27,11 +31,13 @@ for patch in tests/mutants/*.patch; do
     if ! sh -c "$cmd --no-run" >/dev/null 2>&1; then
         echo "BROKEN   $patch: does not build under '$cmd'"
         status=1
-    elif sh -c "$cmd" >/dev/null 2>&1; then
+    elif sh -c "$cmd" >"$log" 2>&1; then
         echo "SURVIVED $patch: '$cmd' passed"
         status=1
     else
-        echo "caught   $patch"
+        # A property-test catch reports the size of its shrunk input.
+        size=$(sed -n 's/.*shrunk from [0-9]* to \([0-9]* draws ([0-9]* ops)\).*/\1/p' "$log" | head -n 1)
+        echo "caught   $patch${size:+ (shrunk to $size)}"
     fi
     git apply -R "$patch" || exit 2
 done
