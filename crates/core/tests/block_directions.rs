@@ -1,28 +1,15 @@
-//! Direction semantics of blocking verdicts (PR 8's latent-asymmetry fix).
-//!
-//! The conntrack used to hard-code forward-direction (remote→local)
-//! enforcement; [`BlockState`] now carries [`EnforceDirections`] and a
-//! per-verdict residual window so bidirectional profiles (Turkmenistan)
-//! share the tracker unchanged. Two things are pinned here:
-//!
-//! 1. Device-level direction contracts: the `tspu` profile rewrites only
-//!    remote→local packets (§5.2 SNI-I), while the `turkmenistan` profile
-//!    RSTs both directions and expires on its own `BLOCK_TKM` window.
-//! 2. Sharded/unsharded observational identity with the *full* block
-//!    state visible — kind, since, allowance, epoch, window, directions.
-//!    The older sharded differential only compared `block.is_some()`,
-//!    which is exactly the blind spot where a direction/window asymmetry
-//!    between the trackers could have hidden.
+//! Direction semantics of blocking verdicts. A verdict carries its
+//! `EnforceDirections` and residual window, so bidirectional profiles
+//! (Turkmenistan) share the tracker unchanged: the `tspu` profile rewrites
+//! only remote→local packets (§5.2 SNI-I), while the `turkmenistan` profile
+//! RSTs both directions and expires on its own `BLOCK_TKM` window. That
+//! every tracker carries the full verdict — kind, window, directions,
+//! epoch — identically is the tracker differential's
+//! (`crates/spec/tests/tracker.rs`).
 
 use std::net::Ipv4Addr;
-use std::time::Duration;
 
-use proptest::prelude::*;
-use tspu_core::conntrack::{ConnTracker, FlowEntry};
-use tspu_core::{
-    BlockKind, BlockState, CensorProfile, EnforceDirections, FlowKey, Policy, PolicyHandle,
-    ShardedConnTracker, Side, ThrottleConfig, TspuDevice,
-};
+use tspu_core::{CensorProfile, Policy, PolicyHandle, TspuDevice};
 use tspu_netsim::{Direction, Middlebox, Time};
 use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
 use tspu_wire::tcp::{TcpFlags, TcpRepr, TcpSegment};
@@ -107,137 +94,4 @@ fn turkmenistan_residual_uses_profile_window_not_table_2() {
     // profile's override, not Table 2, must decide): passes untouched.
     let out = dev.process_owned(Time::from_secs(61), Direction::RemoteToLocal, reply.clone());
     assert_eq!(out, vec![reply]);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded/unsharded identity with direction-carrying blocks.
-// ---------------------------------------------------------------------------
-
-const KINDS: &[BlockKind] = &[
-    BlockKind::RstRewrite,
-    BlockKind::DelayedDrop,
-    BlockKind::FullDrop,
-    BlockKind::QuicDrop,
-    BlockKind::BlockPage,
-];
-
-#[derive(Debug, Clone)]
-enum Op {
-    /// Observe a TCP packet on flow `port` from `side`.
-    Tcp { port: u16, side: Side, flags: TcpFlags, payload: usize },
-    /// Install a verdict with explicit window/directions on flow `port`.
-    Block { port: u16, kind: usize, both: bool, window_secs: u64, epoch: u64 },
-    /// Expiry-checked read.
-    Get { port: u16 },
-    /// Device restart: drop everything.
-    Clear,
-    /// Let time pass (drives entry expiry and residual windows).
-    Advance { secs: u64 },
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    let port = 0u16..16;
-    let flags = prop_oneof![
-        Just(TcpFlags::SYN),
-        Just(TcpFlags::SYN_ACK),
-        Just(TcpFlags::ACK),
-        Just(TcpFlags::PSH_ACK),
-        Just(TcpFlags::RST),
-    ];
-    let side = prop_oneof![Just(Side::Local), Just(Side::Remote)];
-    prop_oneof![
-        (port.clone(), side, flags, 0usize..400)
-            .prop_map(|(port, side, flags, payload)| Op::Tcp { port, side, flags, payload }),
-        (port.clone(), 0..KINDS.len(), any::<bool>(), 1u64..200, 0u64..5)
-            .prop_map(|(port, kind, both, window_secs, epoch)| Op::Block {
-                port, kind, both, window_secs, epoch
-            }),
-        port.clone().prop_map(|port| Op::Get { port }),
-        Just(Op::Clear),
-        (1u64..200).prop_map(|secs| Op::Advance { secs }),
-    ]
-}
-
-fn key(port: u16) -> FlowKey {
-    FlowKey {
-        local_addr: Ipv4Addr::new(10, 0, 0, 5),
-        local_port: 40_000 + port,
-        remote_addr: Ipv4Addr::new(203, 0, 113, 5),
-        remote_port: 443,
-        protocol: 6,
-    }
-}
-
-/// The full caller-visible verdict — every field a profile can set.
-/// (`bucket` is excluded: none of the kinds armed here attach one.)
-fn observe_block(b: &BlockState) -> impl PartialEq + std::fmt::Debug {
-    (b.kind, b.since, b.allowance, b.epoch, b.window, b.directions)
-}
-
-fn observe(e: &FlowEntry) -> impl PartialEq + std::fmt::Debug {
-    (
-        e.state,
-        e.client,
-        e.last_seen,
-        e.block.as_deref().map(observe_block),
-        e.exempt,
-        e.remote_ip_blocked,
-    )
-}
-
-fn install(e: &mut FlowEntry, now: Time, op: &Op) {
-    let Op::Block { kind, both, window_secs, epoch, .. } = *op else { unreachable!() };
-    let directions = if both { EnforceDirections::Both } else { EnforceDirections::ToLocal };
-    e.block = Some(Box::new(
-        BlockState::new(KINDS[kind], now, 6, ThrottleConfig::hard_2022())
-            .with_window(Duration::from_secs(window_secs))
-            .with_directions(directions)
-            .pinned_to(epoch),
-    ));
-}
-
-proptest! {
-    #[test]
-    fn sharded_blocks_carry_identical_windows_and_directions(
-        ops in proptest::collection::vec(arb_op(), 1..120),
-    ) {
-        let mut reference = ConnTracker::new();
-        let mut sharded: Vec<ShardedConnTracker> =
-            [1, 4, 16].iter().map(|&n| ShardedConnTracker::with_shards(n)).collect();
-
-        let mut now = Time::ZERO;
-        for op in &ops {
-            match *op {
-                Op::Tcp { port, side, flags, payload } => {
-                    let want = observe(reference.observe_tcp(now, key(port), side, flags, payload));
-                    for s in &mut sharded {
-                        let got = observe(s.observe_tcp(now, key(port), side, flags, payload));
-                        prop_assert_eq!(&got, &want, "observe_tcp diverged at {} shards", s.shard_count());
-                    }
-                }
-                Op::Block { port, .. } => {
-                    install(reference.observe_tcp(now, key(port), Side::Local, TcpFlags::PSH_ACK, 10), now, op);
-                    for s in &mut sharded {
-                        install(s.observe_tcp(now, key(port), Side::Local, TcpFlags::PSH_ACK, 10), now, op);
-                    }
-                }
-                Op::Get { port } => {
-                    let want = reference.get(now, &key(port)).map(observe);
-                    for s in &sharded {
-                        let got = s.get(now, &key(port)).map(observe);
-                        prop_assert_eq!(&got, &want, "get diverged at {} shards", s.shard_count());
-                    }
-                }
-                Op::Clear => {
-                    reference.clear();
-                    for s in &mut sharded {
-                        s.clear();
-                    }
-                }
-                Op::Advance { secs } => {
-                    now += Duration::from_secs(secs);
-                }
-            }
-        }
-    }
 }

@@ -1,61 +1,19 @@
-//! Differential tests pinning the zero-allocation fast paths to the
-//! behavior of the seed implementations they replaced.
+//! Differential tests pinning the policy's fast paths to references.
 //!
-//! * [`RefDomainSet`] is a line-for-line port of the seed's
-//!   `HashSet<String>`-walking `DomainSet` (lowercase, strip one trailing
-//!   dot, walk `split_once('.')` suffixes, never descend to a bare TLD).
-//!   The bucketed rolling-hash `DomainSet` must agree on every input,
-//!   including trailing dots, mixed case, consecutive dots, and bare-TLD
-//!   queries.
-//! * The conntrack differential replays random packet sequences against an
-//!   explicit (state, last_seen) expiry model. The incremental GC hand is
-//!   pure memory reclamation: it must never change which flows `get`
-//!   reports alive, nor their state.
+//! * The bucketed rolling-hash `DomainSet` must agree with
+//!   `tspu_spec::names::RefDomainSet`, the seed's `HashSet<String>` suffix
+//!   matcher (lowercase, strip one trailing dot, walk `split_once('.')`
+//!   suffixes, never descend to a bare TLD), on every input, including
+//!   trailing dots, mixed case, consecutive dots, and bare-TLD queries.
+//! * `policy_delta_differential`: incremental deltas, a rebuild from
+//!   scratch and `PolicyHistory` arrive at the same policy.
 
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
-use std::time::Duration;
 
-use tspu_core::conntrack::{ConnState, ConnTracker, FlowKey, Side};
 use tspu_core::policy::DomainSet;
-use tspu_netsim::Time;
-use tspu_wire::tcp::TcpFlags;
-
-/// The seed's suffix matcher, preserved verbatim as the reference.
-#[derive(Default)]
-struct RefDomainSet {
-    entries: HashSet<String>,
-}
-
-impl RefDomainSet {
-    fn insert(&mut self, domain: &str) {
-        let mut d = domain.to_ascii_lowercase();
-        if d.ends_with('.') {
-            d.pop();
-        }
-        self.entries.insert(d);
-    }
-
-    fn remove(&mut self, domain: &str) {
-        self.entries.remove(&domain.to_ascii_lowercase());
-    }
-
-    fn matches(&self, hostname: &str) -> bool {
-        let host = hostname.to_ascii_lowercase();
-        let host = host.strip_suffix('.').unwrap_or(&host);
-        let mut rest = host;
-        loop {
-            if self.entries.contains(rest) {
-                return true;
-            }
-            match rest.split_once('.') {
-                Some((_, parent)) if parent.contains('.') => rest = parent,
-                _ => return false,
-            }
-        }
-    }
-}
+use tspu_spec::names::RefDomainSet;
 
 fn arb_label() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9-]{1,8}"
@@ -183,98 +141,6 @@ fn domainset_seed_agreement_corner_cases() {
             reference.matches(host),
             "matchers disagree on {host:?}"
         );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Conntrack expiry differential
-// ---------------------------------------------------------------------------
-
-const LOCAL: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 7);
-const REMOTE: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 7);
-
-fn pool_key(slot: u8) -> FlowKey {
-    FlowKey {
-        local_addr: LOCAL,
-        local_port: 40_000 + u16::from(slot % 6),
-        remote_addr: REMOTE,
-        remote_port: 443,
-        protocol: 6,
-    }
-}
-
-fn arb_flags() -> impl Strategy<Value = TcpFlags> {
-    prop_oneof![
-        Just(TcpFlags::SYN),
-        Just(TcpFlags::SYN_ACK),
-        Just(TcpFlags::ACK),
-        Just(TcpFlags::PSH_ACK),
-        Just(TcpFlags::RST),
-        Just(TcpFlags::FIN),
-        any::<u8>().prop_map(|b| TcpFlags(b & 0x3f)),
-    ]
-}
-
-fn arb_side() -> impl Strategy<Value = Side> {
-    prop_oneof![Just(Side::Local), Just(Side::Remote)]
-}
-
-/// What the seed's lazy-expiry tracker exposes per flow: the state and
-/// last-seen time recorded at the most recent observation. A flow is
-/// alive at `now` iff `now - last_seen <= state.timeout()` — GC must not
-/// make this prediction wrong in either direction.
-type ExpiryModel = HashMap<FlowKey, (ConnState, Time)>;
-
-fn model_alive(model: &ExpiryModel, now: Time, key: &FlowKey) -> Option<ConnState> {
-    let (state, last_seen) = model.get(key)?;
-    (now.since(*last_seen) <= state.timeout()).then_some(*state)
-}
-
-proptest! {
-    /// The GC hand never changes observable liveness: at every step, for
-    /// every key, the tracker's `get` agrees with the lazy-expiry model.
-    #[test]
-    fn conntrack_gc_preserves_expiry_semantics(
-        ops in proptest::collection::vec(
-            // (key slot, side, flags, payload len, gap ms, tcp?)
-            (any::<u8>(), arb_side(), arb_flags(), 0usize..600, 0u64..700_000, any::<bool>()),
-            1..80,
-        ),
-    ) {
-        let mut tracker = ConnTracker::new();
-        let mut model: ExpiryModel = HashMap::new();
-        let mut now = Time::ZERO;
-        for (slot, side, flags, len, gap_ms, tcp) in ops {
-            now += Duration::from_millis(gap_ms);
-            // Probe every key in the pool before the observation: the
-            // tracker and the model must agree on who is still alive.
-            for probe_slot in 0..6u8 {
-                let key = pool_key(probe_slot);
-                let expected = model_alive(&model, now, &key);
-                let got = tracker.get(now, &key).map(|e| e.state);
-                prop_assert_eq!(got, expected, "liveness diverged for slot {} at {:?}", probe_slot, now);
-            }
-            let key = pool_key(slot);
-            let entry = if tcp {
-                tracker.observe_tcp(now, key, side, flags, len)
-            } else {
-                tracker.observe_udp(now, key, side)
-            };
-            prop_assert_eq!(entry.last_seen, now);
-            model.insert(key, (entry.state, entry.last_seen));
-        }
-        // Long after the last packet every state's timeout has lapsed;
-        // the tracker must report nothing alive and GC must be able to
-        // reclaim the table with a handful of further observations.
-        let distant = now + Duration::from_secs(10_000);
-        for probe_slot in 0..6u8 {
-            prop_assert!(tracker.get(distant, &pool_key(probe_slot)).is_none());
-        }
-        let churn_key = FlowKey { local_port: 50_000, ..pool_key(0) };
-        for i in 0..16u64 {
-            tracker.observe_tcp(distant + Duration::from_millis(i), churn_key, Side::Local, TcpFlags::SYN, 0);
-        }
-        prop_assert_eq!(tracker.len(), 1, "GC left expired entries behind");
     }
 }
 
