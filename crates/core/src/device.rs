@@ -707,11 +707,12 @@ impl TspuDevice {
     }
 
     /// Locates a server name in this packet (and, under hardening, in the
-    /// reassembled stream / past leading non-handshake records).
-    fn locate_sni(&mut self, now: Time, key: &FlowKey, payload: &[u8]) -> Option<String> {
+    /// reassembled stream / past leading non-handshake records), normalized
+    /// on the stack.
+    fn locate_sni(&mut self, now: Time, key: &FlowKey, payload: &[u8]) -> Option<NormalizedHost> {
         let scan = self.hardening.scan_multiple_records;
-        if let Some(name) = extract_sni_scanning(payload, scan) {
-            return Some(name);
+        if let Some(host) = extract_sni_scanning(payload, scan) {
+            return Some(host);
         }
         if self.hardening.tcp_reassembly {
             let stream = self.conntrack.get(now, key)?.rx_stream.as_deref()?;
@@ -738,10 +739,9 @@ impl TspuDevice {
         {
             return TriggerAction::None;
         }
-        let Some(hostname) = self.locate_sni(now, key, payload) else {
+        let Some(host) = self.locate_sni(now, key, payload) else {
             return TriggerAction::None;
         };
-        let host = NormalizedHost::new(&hostname);
         let verdict = match self.profile.sni {
             SniMode::SingleList { kind, window } => self.single_listed(&host).then_some((kind, window)),
             _ => self.tspu_lists_verdict(now, key, &host).map(|kind| (kind, kind.duration())),
@@ -1122,9 +1122,9 @@ fn rewrite_segment(packet: &[u8], flags: TcpFlags, payload: &[u8]) -> Vec<u8> {
 
 /// Extracts an SNI, optionally walking past leading non-handshake TLS
 /// records (the hardening counter to the record-prepend evasion).
-fn extract_sni_scanning(payload: &[u8], scan: bool) -> Option<String> {
+fn extract_sni_scanning(payload: &[u8], scan: bool) -> Option<NormalizedHost> {
     if let SniOutcome::Sni(name) = extract_sni(payload) {
-        return Some(name);
+        return Some(NormalizedHost::new(&name));
     }
     if !scan {
         return None;
@@ -1135,7 +1135,7 @@ fn extract_sni_scanning(payload: &[u8], scan: bool) -> Option<String> {
     while payload.len() >= offset + 5 {
         if payload[offset] == 0x16 {
             if let SniOutcome::Sni(name) = extract_sni(&payload[offset..]) {
-                return Some(name);
+                return Some(NormalizedHost::new(&name));
             }
             return None;
         }

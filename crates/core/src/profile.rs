@@ -10,7 +10,8 @@
 //! semantics. Four profiles ship:
 //!
 //! * [`CensorProfile::tspu`] — the paper's device, byte-identical to the
-//!   pre-refactor model (pinned by `tests/profile_tspu_differential.rs`).
+//!   pre-refactor model (held to the paper's §5 model by
+//!   `crates/spec/tests/device.rs`).
 //! * [`CensorProfile::turkmenistan`] — few centralized chokepoints firing
 //!   **bidirectional** RSTs on SNI and HTTP-Host triggers and residually
 //!   dropping DNS flows that queried a blocked name (PAPERS.md:

@@ -42,11 +42,10 @@
 //! always maps to the same shard, so the sequence of observe/get/remove
 //! calls a given flow experiences is identical whether there is one shard
 //! or sixty-four; only `gc_probes()` (how much sweeping happened) and the
-//! timing of physical removal differ. The differential proptest in
-//! `tests/sharded_differential.rs` pins this: arbitrary interleaved
-//! observe/expire/clear sequences produce observation-for-observation
-//! identical results at 1, 4, and 16 shards; `tests/conntrack_model.rs`
-//! holds the same three shard counts to a naive model of the tracker.
+//! timing of physical removal differ. The tracker differential in
+//! `crates/spec/tests/tracker.rs` pins this: arbitrary op sequences run
+//! on the spec's naive conntrack model, a bare [`ConnTracker`] and 1-, 4-
+//! and 16-shard trackers, and every entry is compared.
 
 use tspu_netsim::Time;
 use tspu_wire::tcp::TcpFlags;

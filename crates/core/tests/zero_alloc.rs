@@ -2,12 +2,20 @@
 //! global allocator wraps the system allocator, and `DomainSet::matches`
 //! / `NormalizedHost::new` must not allocate for hostnames that fit the
 //! 256-byte stack buffer — i.e. every hostname a real SNI carries. The
-//! write side has budgets too: a listed name costs one allocation.
+//! write side has budgets too: a listed name costs one allocation. So
+//! does a built ClientHello, and the device inspects one without any.
 //!
 //! The counter is per-thread (the libtest harness main thread allocates
 //! at unpredictable times while a test runs, and would otherwise bleed
 //! into the measured windows), and everything runs in ONE test function
 //! so no sibling test shares this thread.
+//!
+//! ## Seeded mutations
+//!
+//! Each is a patch under `tests/mutants/` this test must fail on:
+//! `extract_sni_always_owns` (the SNI is always copied out of the
+//! payload) and `client_hello_scratch_extensions` (the builder assembles
+//! the extensions in a temporary buffer). Both leave every byte the same.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +26,7 @@ use tspu_core::{Policy, PolicyDelta, PolicyHandle, PolicyHistory, TspuDevice};
 use tspu_netsim::{Direction, Middlebox, Time, Verdict};
 use tspu_wire::ipv4::{Ipv4Repr, Protocol};
 use tspu_wire::tcp::{TcpFlags, TcpRepr};
+use tspu_wire::tls::ClientHelloBuilder;
 
 struct CountingAllocator;
 
@@ -188,4 +197,45 @@ fn matcher_is_allocation_free_on_the_packet_path() {
         passed
     });
     assert_eq!(n, 0, "device hop path allocated {n} times in 1000 packets");
+
+    // A ClientHello costs its one record buffer to build: the name is
+    // borrowed, the defaults are static, and the record is sized before
+    // it is written.
+    let name = "unlisted.example";
+    let n = allocations_during(|| ClientHelloBuilder::new(name).build());
+    assert_eq!(n, 1, "building a ClientHello allocated {n} times");
+
+    // Inspecting one costs nothing: the SNI is a slice of the payload and
+    // is normalized on the stack. An unlisted lower-case name passes
+    // without a heap allocation once its flow is tracked.
+    let hello_packet = |name: &str| {
+        let mut tcp = TcpRepr::new(40_001, 443, TcpFlags::PSH_ACK);
+        tcp.payload = ClientHelloBuilder::new(name).build();
+        let segment = tcp.build(client, server);
+        Ipv4Repr::new(client, server, Protocol::Tcp, segment.len()).build(&segment)
+    };
+    let mut hello = hello_packet(name);
+    for _ in 0..16 {
+        t += 1;
+        let _ = dev.process(Time::from_micros(t), Direction::LocalToRemote, &mut hello);
+    }
+    let n = allocations_during(|| {
+        let mut passed = 0u32;
+        for _ in 0..1000 {
+            t += 1;
+            let verdict = dev.process(Time::from_micros(t), Direction::LocalToRemote, &mut hello);
+            passed += u32::from(verdict == Verdict::Pass);
+        }
+        passed
+    });
+    assert_eq!(n, 0, "an unlisted ClientHello allocated {n} times in 1000 packets");
+
+    // The counter sees that path: the same name in upper case is parsed
+    // into one lowercased copy per packet.
+    let mut shouted = hello_packet("UNLISTED.EXAMPLE");
+    let n = allocations_during(|| {
+        t += 1;
+        dev.process(Time::from_micros(t), Direction::LocalToRemote, &mut shouted)
+    });
+    assert_eq!(n, 1, "an upper-case ClientHello allocated {n} times");
 }

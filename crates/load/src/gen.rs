@@ -463,8 +463,7 @@ impl Application for LoadServerApp {
                     TcpFlags::PSH_ACK,
                 )
                 .seq_ack(1, seg.payload().len() as u32 + 1)
-                .payload(self.response.to_vec())
-                .build(),
+                .build_with(&self.response),
             )
         } else {
             None

@@ -56,7 +56,8 @@ pub fn classify_behavior(
     prefix: &[ScriptStep],
     trigger: Vec<u8>,
 ) -> ObservedBehavior {
-    let mut steps = prefix.to_vec();
+    let mut steps = Vec::with_capacity(prefix.len() + 1 + REMOTE_VOLLEY.len() + LOCAL_VOLLEY.len());
+    steps.extend_from_slice(prefix);
     let trigger_marker = trigger.len();
     steps.push(ScriptStep::new(ProbeSide::Local, TcpFlags::PSH_ACK).payload(trigger));
     // Remote "ServerHello"-ish reply plus data volley. The payloads are

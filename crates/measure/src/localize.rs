@@ -47,6 +47,10 @@ fn local_end(lab: &VantageLab, vantage: &str, port: u16) -> ScriptEnd {
     }
 }
 
+/// The remote control response [`rst_trial`] sends after the trigger:
+/// borrowed by every trial, like the classifier's volleys.
+static REMOTE_CONTROL: [u8; 90] = [0x99; 90];
+
 /// One blocked/passed trial from `local`: control packets (full TTL)
 /// establish the flow, the trigger ClientHello for `domain` is TTL-limited
 /// when `ttl` is given, and a remote control response tests for blocking.
@@ -64,7 +68,7 @@ pub fn rst_trial(lab: &mut VantageLab, local: ScriptEnd, domain: &str, ttl: Opti
     steps.push(trigger);
     steps.push(
         ScriptStep::new(ProbeSide::Remote, TcpFlags::PSH_ACK)
-            .payload(vec![0x99; 90])
+            .payload(&REMOTE_CONTROL[..])
             .after(Duration::from_millis(100)),
     );
     let result = run_script(&mut lab.net, local, remote, &steps);
