@@ -287,7 +287,7 @@ fn image(universe: &Universe, hardening: Hardening) -> LabImage {
 }
 
 /// Runs the full §8 matrix on the campaign kernel: one cell per (strategy,
-/// relevant target, vantage of [`VANTAGES`]), each on a fork of a Fig. 1
+/// relevant target, vantage of `VANTAGES`), each on a fork of a Fig. 1
 /// image whose devices run at `hardening` — [`Hardening::none`] for the
 /// 2022 TSPU, [`Hardening::full`] for §8's predicted future ("the TSPU
 /// could easily patch these evasion strategies").

@@ -422,7 +422,7 @@ impl FlowIndex {
 /// were promised.
 pub const GC_PROBE_BUDGET: usize = 4;
 
-/// The flow table: a five-byte-a-bucket index ([`FlowIndex`]) over one
+/// The flow table: a five-byte-a-bucket index (`FlowIndex`) over one
 /// dense slab of keys and entries. Slots fill from 0 up and a freed slot is
 /// reused before the slab grows, so resident memory follows the flows
 /// tracked — the index costs its buckets, the slab only the slots ever in
@@ -430,7 +430,7 @@ pub const GC_PROBE_BUDGET: usize = 4;
 ///
 /// ## Garbage collection
 ///
-/// Expiry is *semantically* lazy — [`ConnTracker::get`]/[`get_mut`] and the
+/// Expiry is *semantically* lazy — [`ConnTracker::get`]/[`ConnTracker::get_mut`] and the
 /// observe paths check [`FlowEntry::expired`] at access time — so GC exists
 /// purely to reclaim memory for flows that are never touched again. It is
 /// a hand over the slab: every observation inspects the next

@@ -157,39 +157,20 @@ fn exported(
 }
 
 /// One TSPU box. Construct with a shared [`PolicyHandle`] (central
-/// control) and attach to routes via `tspu_netsim`.
+/// control) and attach to routes via `tspu_netsim`. Its configuration is
+/// one [`DeviceConfig`]; every other field is run state that
+/// [`DeviceConfig::instantiate`] builds pristine.
 pub struct TspuDevice {
-    /// Shared with [`DeviceConfig`] clones: forking a lab cell
-    /// re-instantiates every device, so the label is refcounted rather
-    /// than re-allocated.
-    label: Arc<str>,
-    policy: PolicyHandle,
-    /// The declarative censor spec this engine interprets: trigger set,
-    /// action set, enforcement directions, residual windows, block page.
-    profile: CensorProfile,
+    config: DeviceConfig,
     conntrack: ShardedConnTracker,
     frag_cache: FragCache,
     rng: SmallRng,
-    /// The construction seed, kept so [`TspuDevice::config`] can rebuild
-    /// a device whose failure dice replay from the start.
-    seed: u64,
-    failure: FailureProfile,
     stats: DeviceStats,
-    /// Export names, `device.<label>.*`, shared with the device's forks.
-    names: MetricNames,
     /// `verdict` / `reassembly` spans, recorded only while tracing is on.
     tracer: Tracer,
-    hardening: Hardening,
-    /// Pre-provisioned flow-table capacity ([`TspuDevice::with_flow_capacity`]).
-    flow_capacity: Option<usize>,
-    /// Explicit shard count ([`TspuDevice::with_flow_shards`]); `None`
-    /// auto-derives from capacity.
-    flow_shards: Option<usize>,
-    faults: DeviceFaults,
-    /// Restarts from `faults` already applied (they are sorted).
+    /// Restarts from `config.faults` already applied (they are sorted).
     restarts_applied: usize,
     reload_applied: bool,
-    violation: Option<ModelViolation>,
     /// The enforcement flight recorder: a bounded ring of structured
     /// enforcement events ([`crate::recorder`]); steady-state pass packets
     /// record nothing.
@@ -269,7 +250,7 @@ impl TspuDevice {
         );
         DeviceConfig {
             label: Arc::from(label),
-            recorder: FlightRecorder::new(policy.epoch()),
+            epoch_base: policy.epoch(),
             policy,
             profile: CensorProfile::tspu(),
             failure,
@@ -280,33 +261,18 @@ impl TspuDevice {
             faults: DeviceFaults::default(),
             violation: None,
             names,
-            tracer: Tracer::new(),
+            tracing: false,
         }
         .instantiate()
     }
 
-    /// Snapshots this device's immutable configuration as a
-    /// [`DeviceConfig`]. [`DeviceConfig::instantiate`] then rebuilds a
-    /// pristine device — empty conntrack and fragment cache, RNG reseeded
-    /// from the construction seed, zeroed counters under the same export
-    /// names — byte-identical in behavior to constructing this device
-    /// from scratch with the same parameters.
+    /// This device's configuration. [`DeviceConfig::instantiate`] then
+    /// rebuilds a pristine device — empty conntrack and fragment cache, RNG
+    /// reseeded from the construction seed, zeroed counters under the same
+    /// export names — byte-identical in behavior to constructing this
+    /// device from scratch with the same parameters.
     pub fn config(&self) -> DeviceConfig {
-        DeviceConfig {
-            label: self.label.clone(),
-            policy: self.policy.clone(),
-            profile: self.profile.clone(),
-            failure: self.failure,
-            seed: self.seed,
-            hardening: self.hardening,
-            flow_capacity: self.flow_capacity,
-            flow_shards: self.flow_shards,
-            faults: self.faults.clone(),
-            violation: self.violation,
-            names: self.names.clone(),
-            tracer: self.tracer.fork_reset(),
-            recorder: self.recorder.fork_reset(),
-        }
+        self.config.clone()
     }
 
     /// Swaps the shared policy handle — used when forking a lab cell that
@@ -316,8 +282,9 @@ impl TspuDevice {
     pub fn set_policy(&mut self, policy: PolicyHandle) {
         // The new handle's current epoch is this device's baseline, not a
         // delta the ledger should report.
+        self.config.epoch_base = policy.epoch();
         self.recorder.rebase_epoch(policy.epoch());
-        self.policy = policy;
+        self.config.policy = policy;
     }
 
     /// Schedules deterministic device-level faults from a chaos plan:
@@ -334,9 +301,9 @@ impl TspuDevice {
     pub fn set_device_faults(&mut self, mut faults: DeviceFaults) {
         faults.restarts.sort();
         if let Some(p) = faults.bypass_rate {
-            self.failure = FailureProfile::uniform(p);
+            self.config.failure = FailureProfile::uniform(p);
         }
-        self.faults = faults;
+        self.config.faults = faults;
         self.restarts_applied = 0;
         self.reload_applied = false;
     }
@@ -344,55 +311,50 @@ impl TspuDevice {
     /// Reconfigures the device to enforce a different [`CensorProfile`]
     /// against the same policy lists. The default is [`CensorProfile::tspu`].
     pub fn with_censor_profile(mut self, profile: CensorProfile) -> TspuDevice {
-        self.profile = profile;
+        self.set_censor_profile(profile);
         self
     }
 
     /// In-place variant of [`TspuDevice::with_censor_profile`].
     pub fn set_censor_profile(&mut self, profile: CensorProfile) {
-        self.profile = profile;
+        self.config.profile = profile;
     }
 
     /// The censor profile this engine interprets.
     pub fn censor_profile(&self) -> &CensorProfile {
-        &self.profile
+        &self.config.profile
     }
 
     /// Installs (or clears) a deliberate model violation — the oracle's
     /// acceptance demo. Never set outside tests.
     pub fn set_model_violation(&mut self, violation: Option<ModelViolation>) {
-        self.violation = violation;
+        self.config.violation = violation;
     }
 
     /// The device's scheduled faults.
     pub fn device_faults(&self) -> &DeviceFaults {
-        &self.faults
+        &self.config.faults
     }
 
     /// Applies any scheduled faults that have come due. Faults fire
     /// lazily at the next processed packet — like the real event: nobody
     /// notices a reboot until traffic crosses the box again.
     fn poll_faults(&mut self, now: Time) {
-        if self.faults.is_noop() {
+        if self.config.faults.is_noop() {
             return;
         }
         let since_start = now.since(Time::ZERO);
-        while self
-            .faults
-            .restarts
-            .get(self.restarts_applied)
-            .is_some_and(|&at| at <= since_start)
-        {
+        while self.config.faults.restarts.get(self.restarts_applied).is_some_and(|&at| at <= since_start) {
             self.restarts_applied += 1;
             self.stats.restarts += 1;
             self.conntrack.clear();
             self.frag_cache.clear();
-            let epoch = self.policy.epoch();
+            let epoch = self.config.policy.epoch();
             self.ledger(now, None, LedgerKind::Restart, epoch);
         }
-        if !self.reload_applied && self.faults.reload_at.is_some_and(|at| at <= since_start) {
+        if !self.reload_applied && self.config.faults.reload_at.is_some_and(|at| at <= since_start) {
             self.reload_applied = true;
-            self.policy.march_4_2022_transition();
+            self.config.policy.march_4_2022_transition();
         }
     }
 
@@ -400,7 +362,7 @@ impl TspuDevice {
     /// model violation.
     fn inject_rst(&mut self, packet: &[u8]) -> Vec<u8> {
         let mut out = rst_ack_rewrite(packet);
-        if self.violation == Some(ModelViolation::FreshTtlOnInjectedRst) {
+        if self.config.violation == Some(ModelViolation::FreshTtlOnInjectedRst) {
             // The deliberate bug: a fresh TTL instead of the victim's. The
             // TCP checksum does not cover the TTL, so only the IP header
             // checksum needs refreshing.
@@ -414,7 +376,7 @@ impl TspuDevice {
     /// Builds the HTTP-200 block-page injection replacing `packet` (India
     /// profile): the profile's page bytes become the TCP payload.
     fn inject_block_page(&self, packet: &[u8]) -> Vec<u8> {
-        match self.profile.block_page.as_deref() {
+        match self.config.profile.block_page.as_deref() {
             Some(page) => block_page_rewrite(packet, page),
             None => packet.to_vec(),
         }
@@ -422,7 +384,7 @@ impl TspuDevice {
 
     /// Applies the §8 counter-circumvention upgrades to this device.
     pub fn with_hardening(mut self, hardening: Hardening) -> TspuDevice {
-        self.hardening = hardening;
+        self.set_hardening(hardening);
         self
     }
 
@@ -431,8 +393,8 @@ impl TspuDevice {
     /// grows its table on the packet path, removing the one remaining
     /// O(table) latency event (hash-table growth rehashes).
     pub fn with_flow_capacity(mut self, flows: usize) -> TspuDevice {
-        self.conntrack = ShardedConnTracker::with_capacity(flows);
-        self.flow_capacity = Some(flows);
+        self.config.flow_capacity = Some(flows);
+        self.conntrack = self.config.conntrack();
         self
     }
 
@@ -440,21 +402,21 @@ impl TspuDevice {
     /// instead of auto-derived — benches pin it to isolate shard-count
     /// effects from capacity effects.
     pub fn with_flow_shards(mut self, flows: usize, shards: usize) -> TspuDevice {
-        self.conntrack = ShardedConnTracker::with_capacity_and_shards(flows, shards);
-        self.flow_capacity = Some(flows);
-        self.flow_shards = Some(shards);
+        self.config.flow_capacity = Some(flows);
+        self.config.flow_shards = Some(shards);
+        self.conntrack = self.config.conntrack();
         self
     }
 
     /// The active hardening configuration.
     pub fn hardening(&self) -> Hardening {
-        self.hardening
+        self.config.hardening
     }
 
     /// Reconfigures hardening in place (a firmware upgrade on a deployed
     /// box — the shared-policy analog for capabilities).
     pub fn set_hardening(&mut self, hardening: Hardening) {
-        self.hardening = hardening;
+        self.config.hardening = hardening;
     }
 
     /// A perfectly reliable device (the common case in tests).
@@ -470,6 +432,7 @@ impl TspuDevice {
     /// Enables or disables virtual-time span tracing on this device
     /// (`verdict` / `reassembly` spans). Off by default.
     pub fn set_tracing(&mut self, enabled: bool) {
+        self.config.tracing = enabled;
         self.tracer.set_enabled(enabled);
     }
 
@@ -486,13 +449,13 @@ impl TspuDevice {
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         let table = exported(&self.stats, &self.conntrack, &self.frag_cache);
-        snap.insert_counters(&self.names, table);
+        snap.insert_counters(&self.config.names, table);
         snap
     }
 
     /// The shared policy handle.
     pub fn policy(&self) -> &PolicyHandle {
-        &self.policy
+        &self.config.policy
     }
 
     /// Read access to the connection tracker (tests, experiments).
@@ -503,7 +466,7 @@ impl TspuDevice {
     /// Epoch audit at `now`: live flows on this device still enforcing a
     /// verdict pinned to a policy epoch older than the current one.
     pub fn stale_verdict_audit(&self, now: Time) -> usize {
-        self.conntrack.blocks_pinned_before(now, self.policy.read().epoch)
+        self.conntrack.blocks_pinned_before(now, self.config.policy.read().epoch)
     }
 
     /// Read access to the fragment cache.
@@ -539,8 +502,8 @@ impl TspuDevice {
     /// activity since the previous one. Called only from cold enforcement
     /// paths (arming, expiry, restart) — never on steady-state packets.
     fn ledger(&mut self, now: Time, flow: Option<FlowKey>, kind: LedgerKind, epoch: u64) {
-        self.recorder.sync_gc(now.as_micros(), self.conntrack.gc_evictions(), self.profile.name, epoch);
-        self.recorder.record(now.as_micros(), flow, kind, self.profile.name, epoch);
+        self.recorder.sync_gc(now.as_micros(), self.conntrack.gc_evictions(), self.config.profile.name, epoch);
+        self.recorder.record(now.as_micros(), flow, kind, self.config.profile.name, epoch);
     }
 
     /// The last `n` ledger events concerning the flow `packet` belongs to
@@ -586,7 +549,7 @@ impl TspuDevice {
 
         // Hardening: filter servers advertising suspiciously small flow
         // control windows (the brdgrd counter §8 predicts).
-        if let Some(min_window) = self.hardening.min_synack_window {
+        if let Some(min_window) = self.config.hardening.min_synack_window {
             if direction == Direction::RemoteToLocal
                 && flags.is_syn_ack()
                 && segment.window() < min_window
@@ -608,7 +571,7 @@ impl TspuDevice {
 
         // Hardening: accumulate the local→remote stream for reassembled
         // inspection (bounded per flow).
-        if self.hardening.tcp_reassembly
+        if self.config.hardening.tcp_reassembly
             && direction == Direction::LocalToRemote
             && segment.dst_port() == constants::SNI_PORT
             && payload_len > 0
@@ -629,24 +592,24 @@ impl TspuDevice {
         // until a policy delta changes the blocklist. Cache it on the
         // entry, validated by the lock-free epoch: steady-state packets
         // skip the policy read-lock and the blocklist probe entirely.
-        let epoch = self.policy.epoch();
+        let epoch = self.config.policy.epoch();
         // Ledger: a policy delta becomes visible to this box the first
         // time a packet reads the bumped epoch. One integer compare on the
         // steady state; an event only on the transition.
-        self.recorder.note_epoch(now.as_micros(), epoch, self.profile.name);
+        self.recorder.note_epoch(now.as_micros(), epoch, self.config.profile.name);
         let remote_blocked = match cached_ip {
             Some((cached_epoch, blocked)) if cached_epoch == epoch => blocked,
             _ => {
-                let blocked = self.policy.read().blocked_ips.contains(&key.remote_addr);
+                let blocked = self.config.policy.read().blocked_ips.contains(&key.remote_addr);
                 if let Some(entry) = self.conntrack.get_mut(now, &key) {
                     entry.remote_ip_blocked = Some((epoch, blocked));
                 }
                 blocked
             }
         };
-        let ip_enforced = remote_blocked && self.profile.ip_blocking;
+        let ip_enforced = remote_blocked && self.config.profile.ip_blocking;
         if ip_enforced && direction == Direction::LocalToRemote {
-            let ip_failure = self.failure.ip;
+            let ip_failure = self.config.failure.ip;
             if !self.flow_exempt(now, &key, ip_failure) {
                 self.stats.ip_blocked_packets += 1;
                 // A *response* to a remotely initiated connection is
@@ -692,8 +655,8 @@ impl TspuDevice {
         if !has_block {
             // Seeded violation (oracle acceptance demo): inject the block
             // page on a flow no trigger ever armed.
-            if self.violation == Some(ModelViolation::BlockPageWithoutTrigger)
-                && self.profile.block_page.is_some()
+            if self.config.violation == Some(ModelViolation::BlockPageWithoutTrigger)
+                && self.config.profile.block_page.is_some()
                 && direction == Direction::RemoteToLocal
                 && segment.src_port() == constants::HTTP_PORT
                 && payload_len > 0
@@ -710,11 +673,11 @@ impl TspuDevice {
     /// reassembled stream / past leading non-handshake records), normalized
     /// on the stack.
     fn locate_sni(&mut self, now: Time, key: &FlowKey, payload: &[u8]) -> Option<NormalizedHost> {
-        let scan = self.hardening.scan_multiple_records;
+        let scan = self.config.hardening.scan_multiple_records;
         if let Some(host) = extract_sni_scanning(payload, scan) {
             return Some(host);
         }
-        if self.hardening.tcp_reassembly {
+        if self.config.hardening.tcp_reassembly {
             let stream = self.conntrack.get(now, key)?.rx_stream.as_deref()?;
             if !stream.is_empty() {
                 return extract_sni_scanning(stream, scan);
@@ -732,7 +695,7 @@ impl TspuDevice {
         dst_port: u16,
         payload: &[u8],
     ) -> TriggerAction {
-        if matches!(self.profile.sni, SniMode::Disabled)
+        if matches!(self.config.profile.sni, SniMode::Disabled)
             || direction != Direction::LocalToRemote
             || dst_port != constants::SNI_PORT
             || payload.is_empty()
@@ -742,7 +705,7 @@ impl TspuDevice {
         let Some(host) = self.locate_sni(now, key, payload) else {
             return TriggerAction::None;
         };
-        let verdict = match self.profile.sni {
+        let verdict = match self.config.profile.sni {
             SniMode::SingleList { kind, window } => self.single_listed(&host).then_some((kind, window)),
             _ => self.tspu_lists_verdict(now, key, &host).map(|kind| (kind, kind.duration())),
         };
@@ -757,7 +720,7 @@ impl TspuDevice {
     /// centralized-chokepoint shape of the Turkmenistan SNI/HTTP/DNS
     /// triggers and India's Host-header filter.
     fn single_listed(&self, host: &NormalizedHost) -> bool {
-        self.policy.read().sni_rst.matches_normalized(host)
+        self.config.policy.read().sni_rst.matches_normalized(host)
     }
 
     /// The TSPU four-list engine (§5.2): which verdict `host` earns on
@@ -766,7 +729,7 @@ impl TspuDevice {
         // The hostname is normalized once and the stack-resident result is
         // shared by all four list checks.
         let (in_rst, in_slow, in_throttle, in_backup) = {
-            let policy = self.policy.read();
+            let policy = self.config.policy.read();
             (
                 policy.sni_rst.matches_normalized(host),
                 policy.sni_slow.matches_normalized(host),
@@ -778,7 +741,7 @@ impl TspuDevice {
             return None;
         }
         let entry = self.conntrack.get(now, key)?;
-        let (sni1, sni2, sni4) = if self.hardening.strict_roles {
+        let (sni1, sni2, sni4) = if self.config.hardening.strict_roles {
             // Ad-hoc role reasoning (§8's predicted patch): an outbound
             // ClientHello *is* the local client speaking, whatever the
             // handshake looked like. Overblocks remote-initiated flows —
@@ -812,7 +775,7 @@ impl TspuDevice {
         dst_port: u16,
         payload: &[u8],
     ) -> TriggerAction {
-        let Some(filter) = self.profile.http_host else {
+        let Some(filter) = self.config.profile.http_host else {
             return TriggerAction::None;
         };
         if direction != Direction::LocalToRemote
@@ -847,7 +810,7 @@ impl TspuDevice {
         window: std::time::Duration,
     ) -> TriggerAction {
         if self.conntrack.get(now, key).is_none()
-            || self.flow_exempt(now, key, trigger.failure(kind, &self.failure))
+            || self.flow_exempt(now, key, trigger.failure(kind, &self.config.failure))
         {
             return TriggerAction::None;
         }
@@ -860,10 +823,10 @@ impl TspuDevice {
             0
         };
         let (throttle, epoch) = {
-            let policy = self.policy.read();
+            let policy = self.config.policy.read();
             (policy.throttle, policy.epoch)
         };
-        let directions = self.profile.rst_directions;
+        let directions = self.config.profile.rst_directions;
         if let Some(entry) = self.conntrack.get_mut(now, key) {
             entry.block = Some(Box::new(
                 BlockState::new(kind, now, allowance, throttle)
@@ -913,8 +876,8 @@ impl TspuDevice {
             Drop,
             ThrottleReject,
         }
-        let live_epoch = self.policy.epoch();
-        let violation = self.violation;
+        let live_epoch = self.config.policy.epoch();
+        let violation = self.config.violation;
         let entry = self.conntrack.get_mut(now, key)?;
         let block = entry.block.as_mut()?;
         let kind = block.kind;
@@ -994,10 +957,10 @@ impl TspuDevice {
         // RST/ACK rewrite (which is meaningless for UDP): outbound to a
         // blocked IP is dropped, inbound from it passes.
         let dst_blocked =
-            self.profile.ip_blocking && self.policy.read().blocked_ips.contains(&dst_addr);
+            self.config.profile.ip_blocking && self.config.policy.read().blocked_ips.contains(&dst_addr);
         if dst_blocked && direction == Direction::LocalToRemote {
             self.conntrack.observe_udp(now, key, side);
-            let ip_failure = self.failure.ip;
+            let ip_failure = self.config.failure.ip;
             if !self.flow_exempt(now, &key, ip_failure) {
                 self.stats.ip_blocked_packets += 1;
                 return self.drop_packet();
@@ -1007,7 +970,7 @@ impl TspuDevice {
         // DNS qname trigger (Turkmenistan profile): a UDP/53 query for a
         // blocked name is eaten, and the flow is residually dropped for
         // the profile's window — retries inside the window refresh it.
-        if let Some(filter) = self.profile.dns {
+        if let Some(filter) = self.config.profile.dns {
             if direction == Direction::LocalToRemote
                 && datagram.dst_port() == constants::DNS_PORT
                 && !payload.is_empty()
@@ -1032,7 +995,7 @@ impl TspuDevice {
 
         // The QUIC fingerprint (Fig. 14): local→remote, UDP dst 443,
         // ≥ 1001 payload bytes, version-1 bytes at offset 1.
-        let quic_on = self.profile.quic_filter && self.policy.read().quic_filter;
+        let quic_on = self.config.profile.quic_filter && self.config.policy.read().quic_filter;
         if quic_on
             && direction == Direction::LocalToRemote
             && datagram.dst_port() == constants::QUIC_PORT
@@ -1050,13 +1013,13 @@ impl TspuDevice {
 
     fn process_icmp(&mut self, _now: Time, _direction: Direction, packet: &[u8]) -> Verdict {
         let view = Ipv4Packet::new_unchecked(packet);
-        let blocked = self.profile.ip_blocking && {
-            let policy = self.policy.read();
+        let blocked = self.config.profile.ip_blocking && {
+            let policy = self.config.policy.read();
             policy.blocked_ips.contains(&view.src_addr()) || policy.blocked_ips.contains(&view.dst_addr())
         };
         if blocked {
             // "ICMP Pings to/from blocked IPs are also dropped" (§5.2).
-            if self.failure.ip > 0.0 && self.rng.gen_bool(self.failure.ip) {
+            if self.config.failure.ip > 0.0 && self.rng.gen_bool(self.config.failure.ip) {
                 return Verdict::Pass;
             }
             self.stats.ip_blocked_packets += 1;
@@ -1158,9 +1121,9 @@ impl Middlebox for TspuDevice {
         if view.is_fragment() {
             self.stats.fragments_processed += 1;
             // Outbound to a blocked IP drops; inbound from one passes (§5.2).
-            if self.profile.ip_blocking
+            if self.config.profile.ip_blocking
                 && direction == Direction::LocalToRemote
-                && self.policy.read().blocked_ips.contains(&view.dst_addr())
+                && self.config.policy.read().blocked_ips.contains(&view.dst_addr())
             {
                 self.stats.ip_blocked_packets += 1;
                 return self.drop_packet();
@@ -1170,7 +1133,7 @@ impl Middlebox for TspuDevice {
             // forwarding itself stays fragment-by-fragment, like the real
             // device). A verdict installed here acts on later packets;
             // a FullDrop/QUIC verdict eats this train too.
-            if self.hardening.ip_reassembly && flushed.len() > 1 {
+            if self.config.hardening.ip_reassembly && flushed.len() > 1 {
                 self.tracer.span("reassembly", "device", now.as_micros(), now.as_micros());
                 if let Ok(mut whole) = tspu_wire::frag::reassemble(&flushed) {
                     let inspected = self.process(now, direction, &mut whole);
@@ -1201,7 +1164,7 @@ impl Middlebox for TspuDevice {
     }
 
     fn label(&self) -> String {
-        self.label.to_string()
+        self.config.label.to_string()
     }
 
     fn image(&self) -> Option<Box<dyn MiddleboxImage>> {
@@ -1209,26 +1172,38 @@ impl Middlebox for TspuDevice {
     }
 }
 
-/// The immutable half of a [`TspuDevice`], split out so lab images can
-/// share it across forked scenario cells: label, shared policy handle,
-/// failure profile and its RNG seed, hardening, fault schedule, and the
-/// export names. Everything mutable — conntrack, fragment
-/// cache, RNG position, policer buckets, counter values — is rebuilt per
+/// The configuration of a [`TspuDevice`], and all that a fork of it keeps:
+/// lab images share it across forked scenario cells. Everything else —
+/// conntrack, fragment cache, RNG position, policer buckets, counter
+/// values, spans, ledger events — is run state, rebuilt pristine by
 /// [`DeviceConfig::instantiate`].
+#[derive(Clone)]
 pub struct DeviceConfig {
+    /// Refcounted: forking a lab cell re-instantiates every device.
     label: Arc<str>,
     policy: PolicyHandle,
+    /// The policy epoch the ledger takes as its baseline: the handle's
+    /// epoch at construction or at the last [`TspuDevice::set_policy`].
+    epoch_base: u64,
+    /// The declarative censor spec this engine interprets: trigger set,
+    /// action set, enforcement directions, residual windows, block page.
     profile: CensorProfile,
     failure: FailureProfile,
+    /// Seeds the failure dice, so a rebuilt device replays them from the
+    /// start.
     seed: u64,
     hardening: Hardening,
+    /// Pre-provisioned flow-table capacity ([`TspuDevice::with_flow_capacity`]).
     flow_capacity: Option<usize>,
+    /// Explicit shard count ([`TspuDevice::with_flow_shards`]); `None`
+    /// auto-derives from capacity.
     flow_shards: Option<usize>,
     faults: DeviceFaults,
     violation: Option<ModelViolation>,
+    /// Export names, `device.<label>.*`, shared with the device's forks.
     names: MetricNames,
-    tracer: Tracer,
-    recorder: FlightRecorder,
+    /// Whether the device records spans ([`TspuDevice::set_tracing`]).
+    tracing: bool,
 }
 
 impl DeviceConfig {
@@ -1236,32 +1211,27 @@ impl DeviceConfig {
     /// byte-identical in behavior to `TspuDevice::new` with the same
     /// parameters followed by the same builder calls.
     pub fn instantiate(&self) -> TspuDevice {
+        let mut tracer = Tracer::new();
+        tracer.set_enabled(self.tracing);
         TspuDevice {
-            label: self.label.clone(),
-            policy: self.policy.clone(),
-            profile: self.profile.clone(),
-            conntrack: match (self.flow_capacity, self.flow_shards) {
-                (Some(flows), Some(shards)) => {
-                    ShardedConnTracker::with_capacity_and_shards(flows, shards)
-                }
-                (Some(flows), None) => ShardedConnTracker::with_capacity(flows),
-                (None, _) => ShardedConnTracker::new(),
-            },
+            conntrack: self.conntrack(),
             frag_cache: FragCache::new(FragConfig::default()),
             rng: SmallRng::seed_from_u64(self.seed),
-            seed: self.seed,
-            failure: self.failure,
             stats: DeviceStats::default(),
-            names: self.names.clone(),
-            tracer: self.tracer.fork_reset(),
-            hardening: self.hardening,
-            flow_capacity: self.flow_capacity,
-            flow_shards: self.flow_shards,
-            faults: self.faults.clone(),
+            tracer,
             restarts_applied: 0,
             reload_applied: false,
-            violation: self.violation,
-            recorder: self.recorder.fork_reset(),
+            recorder: FlightRecorder::new(self.epoch_base),
+            config: self.clone(),
+        }
+    }
+
+    /// An empty flow table of the configured capacity and shard count.
+    fn conntrack(&self) -> ShardedConnTracker {
+        match (self.flow_capacity, self.flow_shards) {
+            (Some(flows), Some(shards)) => ShardedConnTracker::with_capacity_and_shards(flows, shards),
+            (Some(flows), None) => ShardedConnTracker::with_capacity(flows),
+            (None, _) => ShardedConnTracker::new(),
         }
     }
 }

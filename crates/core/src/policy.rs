@@ -199,7 +199,7 @@ fn take_name(buckets: &mut NameBuckets, hash: u64, name: &[u8]) -> bool {
 /// an entry for `facebook.com` (the paper's blocklists name registrable
 /// domains while SNIs carry full hostnames).
 ///
-/// Entries are stored in buckets keyed by their [`suffix_hash_of`] value,
+/// Entries are stored in buckets keyed by their `suffix_hash_of` value,
 /// so a lookup walks the hostname once, right to left, hashing each
 /// candidate suffix incrementally — no per-call allocation and no
 /// re-scanning of the tail for each label level.

@@ -15,7 +15,7 @@
 //!
 //! Each driver runs one flip search per cell on the campaign kernel, every
 //! cell on a fork of a reliable Fig. 1 image; within a cell every trial of
-//! the search gets a fresh source port, counting up from [`FIRST_PORT`].
+//! the search gets a fresh source port, counting up from `FIRST_PORT`.
 
 use std::time::Duration;
 

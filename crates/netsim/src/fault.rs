@@ -221,13 +221,10 @@ struct HeldPacket {
 /// lost (trailing loss — exactly what a real reordering queue does when
 /// the flow ends).
 pub struct ChaosLink {
+    image: ChaosLinkImage,
     rng: SmallRng,
-    seed: u64,
-    faults: LinkFaults,
     held: Vec<HeldPacket>,
     stats: LinkStats,
-    /// Export names, `link.<label>.*`, shared with the link's forks.
-    names: MetricNames,
 }
 
 impl ChaosLink {
@@ -243,14 +240,8 @@ impl ChaosLink {
         assert!((0.0..=1.0).contains(&faults.loss), "loss out of [0,1]");
         assert!((0.0..=1.0).contains(&faults.duplicate), "duplicate out of [0,1]");
         assert!((0.0..=1.0).contains(&faults.reorder), "reorder out of [0,1]");
-        ChaosLink {
-            rng: SmallRng::seed_from_u64(seed),
-            seed,
-            faults,
-            held: Vec::new(),
-            stats: LinkStats::default(),
-            names: MetricNames::scoped(&format!("link.{label}"), LinkStats::default().exported()),
-        }
+        let names = MetricNames::scoped(&format!("link.{label}"), LinkStats::default().exported());
+        ChaosLinkImage { faults, seed, names }.fork()
     }
 
     /// The fault counters so far.
@@ -262,13 +253,13 @@ impl ChaosLink {
     /// `link.<label>.*` scope.
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
-        snap.insert_counters(&self.names, self.stats.exported());
+        snap.insert_counters(&self.image.names, self.stats.exported());
         snap
     }
 
     /// The plan this link runs.
     pub fn faults(&self) -> &LinkFaults {
-        &self.faults
+        &self.image.faults
     }
 
     /// Packets currently held for reordering (lost if traffic ends).
@@ -301,38 +292,38 @@ impl Middlebox for ChaosLink {
     fn process(&mut self, now: Time, _direction: Direction, packet: &mut Vec<u8>) -> Verdict {
         // Zero-rate fast path: no RNG draw, no hold-queue touch — the
         // no-op plan is *exactly* the absent link.
-        if self.faults.is_noop() {
+        if self.image.faults.is_noop() {
             self.stats.forwarded += 1;
             return Verdict::Pass;
         }
 
-        if let Some(flap) = self.faults.flap {
+        if let Some(flap) = self.image.faults.flap {
             if flap.is_down(now) {
                 self.stats.flapped += 1;
                 return Verdict::Drop;
             }
         }
-        if self.faults.loss > 0.0 && self.rng.gen_bool(self.faults.loss) {
+        if self.image.faults.loss > 0.0 && self.rng.gen_bool(self.image.faults.loss) {
             self.stats.dropped += 1;
             return Verdict::Drop;
         }
-        if let Some(mtu) = self.faults.mtu {
+        if let Some(mtu) = self.image.faults.mtu {
             if packet.len() > mtu {
                 self.stats.clamped += 1;
                 return Verdict::Drop;
             }
         }
 
-        let duplicate = self.faults.duplicate > 0.0 && self.rng.gen_bool(self.faults.duplicate);
-        let reorder = self.faults.reorder > 0.0
-            && self.faults.max_displacement > 0
-            && self.rng.gen_bool(self.faults.reorder);
+        let duplicate = self.image.faults.duplicate > 0.0 && self.rng.gen_bool(self.image.faults.duplicate);
+        let reorder = self.image.faults.reorder > 0.0
+            && self.image.faults.max_displacement > 0
+            && self.rng.gen_bool(self.image.faults.reorder);
 
         if reorder {
             // Hold this packet; it re-enters the stream after `displacement`
             // later packets pass. Any packets whose hold expires on this
             // slot still go out now.
-            let displacement = self.rng.gen_range(1..=self.faults.max_displacement);
+            let displacement = self.rng.gen_range(1..=self.image.faults.max_displacement);
             let released = self.take_released();
             self.stats.reordered += 1;
             self.held.push(HeldPacket { remaining: displacement, packet: std::mem::take(packet) });
@@ -351,8 +342,8 @@ impl Middlebox for ChaosLink {
         if released.is_empty() && !duplicate {
             // Common case: the packet continues alone, possibly jittered.
             self.stats.forwarded += 1;
-            if self.faults.jitter > Duration::ZERO {
-                let jitter_us = self.faults.jitter.as_micros() as u64;
+            if self.image.faults.jitter > Duration::ZERO {
+                let jitter_us = self.image.faults.jitter.as_micros() as u64;
                 let extra = self.rng.gen_range(0..=jitter_us);
                 if extra > 0 {
                     self.stats.delayed += 1;
@@ -376,40 +367,43 @@ impl Middlebox for ChaosLink {
     fn label(&self) -> String {
         format!(
             "chaos(loss={:.2}%, dup={:.2}%, reorder={:.2}%)",
-            self.faults.loss * 100.0,
-            self.faults.duplicate * 100.0,
-            self.faults.reorder * 100.0
+            self.image.faults.loss * 100.0,
+            self.image.faults.duplicate * 100.0,
+            self.image.faults.reorder * 100.0
         )
     }
 
     fn image(&self) -> Option<Box<dyn MiddleboxImage>> {
-        Some(Box::new(ChaosLinkImage {
-            faults: self.faults.clone(),
-            seed: self.seed,
-            names: self.names.clone(),
-        }))
+        Some(Box::new(self.image.clone()))
     }
 }
 
-/// The immutable configuration of a [`ChaosLink`]: fault plan, RNG seed,
-/// and export names. Instantiation reseeds the RNG from scratch, so a
-/// forked link replays the exact fault sequence of a freshly built one.
+/// The configuration of a [`ChaosLink`], and all that a fork of it keeps:
+/// fault plan, RNG seed, and export names. A fork reseeds the RNG from
+/// scratch, so it replays the exact fault sequence of a freshly built link.
+#[derive(Clone)]
 struct ChaosLinkImage {
     faults: LinkFaults,
     seed: u64,
+    /// Export names, `link.<label>.*`, shared with the link's forks.
     names: MetricNames,
+}
+
+impl ChaosLinkImage {
+    /// A pristine link: reseeded RNG, nothing held, zeroed counters.
+    fn fork(&self) -> ChaosLink {
+        ChaosLink {
+            image: self.clone(),
+            rng: SmallRng::seed_from_u64(self.seed),
+            held: Vec::new(),
+            stats: LinkStats::default(),
+        }
+    }
 }
 
 impl MiddleboxImage for ChaosLinkImage {
     fn instantiate(&self) -> Box<dyn Middlebox> {
-        Box::new(ChaosLink {
-            rng: SmallRng::seed_from_u64(self.seed),
-            seed: self.seed,
-            faults: self.faults.clone(),
-            held: Vec::new(),
-            stats: LinkStats::default(),
-            names: self.names.clone(),
-        })
+        Box::new(self.fork())
     }
 }
 

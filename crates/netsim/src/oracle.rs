@@ -241,13 +241,13 @@ pub struct ViolationReport {
     /// (`(name, delta)` pairs), attached via
     /// [`OracleReport::attach_device_counters`] so a violation names both
     /// the packet *and* the counter behind the decision. Empty until
-    /// attached (or in an obs-disabled build).
+    /// attached.
     pub counters_moved: Vec<(String, u64)>,
     /// The offending device's last flight-recorder ledger events for the
     /// offending flow (rendered lines, oldest first), attached via
     /// [`OracleReport::attach_device_ledger`] — the enforcement history
     /// that explains *why* the device held the verdict it did. Empty until
-    /// attached (or in an obs-disabled build).
+    /// attached.
     pub ledger: Vec<String>,
 }
 

@@ -99,6 +99,54 @@ proptest! {
         }
     }
 
+    /// `send_from` never panics on up to 512 arbitrary bytes, and every
+    /// packet a host sends ends exactly once: delivered to B or dropped,
+    /// whether at the NIC (unparseable, unknown destination), on a hop
+    /// (TTL expiry) or past the device. Half the inputs get a parseable
+    /// header (version 4, total length the buffer's, source A, destination
+    /// B when drawn so), the rest stay raw; the header length, TTL and
+    /// every other byte stay arbitrary. What returns to A is the
+    /// time-exceeded of a drop, never a second ending of the packet.
+    #[test]
+    fn send_from_arbitrary_bytes_ends_once(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=512),
+        ipv4 in any::<bool>(),
+        to_b in any::<bool>(),
+    ) {
+        let mut bytes = bytes;
+        if ipv4 && bytes.len() >= 20 {
+            bytes[0] = 0x40 | (bytes[0] & 0x0f);
+            let len = bytes.len() as u16;
+            bytes[2..4].copy_from_slice(&len.to_be_bytes());
+            bytes[12..16].copy_from_slice(&A.octets());
+            if to_b {
+                bytes[16..20].copy_from_slice(&B.octets());
+            }
+        }
+        let mut net = Network::new(Duration::from_millis(1));
+        net.set_capture(true);
+        let a = net.add_host(A);
+        let b = net.add_host(B);
+        let mut route = Route::through(&hops(3));
+        let device = net.install_middlebox(PassThrough::default());
+        route.steps[1].devices.push((device.id(), Direction::LocalToRemote));
+        net.set_route(a, b, route);
+        net.send_from(a, bytes);
+        net.run_until_idle();
+        let count = |hit: &dyn Fn(&TracePoint) -> bool| net.captures().iter().filter(|c| hit(&c.point)).count();
+        let sent = count(&|p| matches!(p, TracePoint::HostTx(_)));
+        let delivered = count(&|p| *p == TracePoint::HostRx(b));
+        let dropped = count(&|p| matches!(p, TracePoint::Dropped { .. }));
+        prop_assert_eq!(sent, 1);
+        prop_assert_eq!(delivered + dropped, 1);
+        let replies = net.take_inbox(a);
+        prop_assert!(replies.len() <= dropped);
+        for (_, reply) in replies {
+            prop_assert_eq!(Ipv4Packet::new_checked(&reply[..]).unwrap().protocol(), Protocol::Icmp);
+        }
+        prop_assert!(net.middlebox(device).seen <= 1);
+    }
+
     /// Delivery conservation: k sends on a plain route produce exactly k
     /// deliveries, in send order, each after hops+1 latencies.
     #[test]

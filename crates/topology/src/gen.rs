@@ -17,7 +17,6 @@
 //! proptest in `tests/gen_proptests.rs`).
 
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
@@ -25,16 +24,15 @@ use rand::{Rng, SeedableRng};
 use tspu_core::{CensorProfile, FailureProfile, PolicyHandle, TspuDevice};
 use tspu_netsim::{Direction, HostId, MiddleboxHandle, Network, Route, RouteId, RouteStep};
 
-use crate::lab::{VantageLab, PARIS_MACHINE, US_MAIN, US_SECOND};
-use crate::policy_build::TOR_ENTRY_NODE;
+use crate::lab::{endpoint_network, VantageLab};
 
 /// Which topology a [`crate::LabBuilder`] constructs.
 ///
 /// `Fig1` is the default and reproduces the paper's fixed lab
 /// byte-identically (pinned by a differential test in `lab.rs`).
 /// `Generated` plugs in the seeded AS-graph generator; the Fig.-1-only
-/// axes ([`crate::LabBuilder::table1`], [`crate::LabBuilder::fault_plan`])
-/// are no-ops on generated labs, whose devices are always reliable.
+/// [`crate::LabBuilder::table1`] is a no-op on generated labs, whose
+/// devices are always reliable.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum TopologySpec {
     /// The fixed Fig. 1 measurement setup (three vantages, six devices).
@@ -301,12 +299,8 @@ pub(crate) fn build_generated(
         }
     };
 
-    let mut net = Network::with_default_latency();
-
-    let us_main = net.add_host(US_MAIN);
-    let us_second = net.add_host(US_SECOND);
-    let paris = net.add_host(PARIS_MACHINE);
-    let tor = net.add_host(TOR_ENTRY_NODE);
+    let (mut net, endpoints) = endpoint_network();
+    let [us_main, us_second, ..] = endpoints;
 
     // Generated devices are always reliable: the Table-1 failure dice are
     // measurements of the five real Fig. 1 devices and do not transfer.
@@ -394,19 +388,6 @@ pub(crate) fn build_generated(
         clients.push(GenClient { host, addr, leaf_as: 1 + num_transits + i, primary, backup });
     }
 
-    // Endpoint mesh, as in Fig. 1: the out-of-country machines reach each
-    // other through the shared data-center hop.
-    for (a, b) in [
-        (us_main, us_second),
-        (us_main, paris),
-        (us_main, tor),
-        (us_second, paris),
-        (us_second, tor),
-        (paris, tor),
-    ] {
-        net.set_route_symmetric(a, b, Route::through(&[Ipv4Addr::new(192, 0, 2, 254)]));
-    }
-
     // --- Churn schedule: flips round-robin over clients at strictly
     //     increasing instants, each toggling that client's variant. With
     //     churn_flips ≥ clients every probing client flips at least once,
@@ -425,28 +406,13 @@ pub(crate) fn build_generated(
     }
 
     let gen = GenTopology { params: params.clone(), num_transits, clients, devices, churn };
-
-    VantageLab {
-        net,
-        policy,
-        vantages: Vec::new(),
-        us_main,
-        us_main_addr: US_MAIN,
-        us_second,
-        us_second_addr: US_SECOND,
-        paris,
-        paris_addr: PARIS_MACHINE,
-        tor,
-        tor_addr: TOR_ENTRY_NODE,
-        resolvers: Vec::new(),
-        chaos_links: Vec::new(),
-        gen: Some(Arc::new(gen)),
-    }
+    VantageLab::assemble(net, endpoints, policy, Vec::new(), Vec::new(), Some(gen))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tspu_registry::Universe;
 
     use crate::policy_build::policy_from_universe;

@@ -16,12 +16,13 @@
 //!   it failing more often).
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use tspu_core::chaos::{audit_for_profile, restart_times};
 use tspu_core::{CensorProfile, FailureProfile, PolicyHandle, TspuDevice};
 use tspu_netsim::fault::{ChaosLink, FaultPlan};
 use tspu_netsim::oracle::{DeviceAudit, Oracle, OracleReport, OracleSpec};
-use tspu_netsim::{Direction, MiddleboxId, Network, Route, RouteStep};
+use tspu_netsim::{Direction, MiddleboxId, Network, NetworkImage, Route, RouteStep};
 use tspu_netsim::{HostId, MiddleboxHandle};
 use tspu_obs::Snapshot;
 use tspu_registry::{stats, Universe};
@@ -46,9 +47,11 @@ pub struct Vantage {
     pub sym_hop: usize,
 }
 
-/// The full Fig. 1 lab.
-pub struct VantageLab {
-    pub net: Network,
+/// A lab: a network and what the campaigns read of it. One field list
+/// serves both of its forms: the runnable [`VantageLab`] and the
+/// [`LabImage`] that forks it per scenario cell.
+pub struct Lab<N> {
+    pub net: N,
     pub policy: PolicyHandle,
     pub vantages: Vec<Vantage>,
     /// Primary US measurement machine.
@@ -72,7 +75,40 @@ pub struct VantageLab {
     /// ([`TopologySpec::Generated`]): clients with both provider paths,
     /// placed devices, churn schedule. `None` on the Fig. 1 lab. Shared
     /// by `Arc` into every image fork, like the route arena.
-    pub gen: Option<std::sync::Arc<GenTopology>>,
+    pub gen: Option<Arc<GenTopology>>,
+}
+
+/// The runnable lab: the Fig. 1 setup or a generated AS graph.
+pub type VantageLab = Lab<Network>;
+
+/// The warm half of a [`VantageLab`], shared across forked scenario
+/// cells: network topology behind `Arc`s, compiled policy behind the
+/// shared [`PolicyHandle`], device and chaos-link configurations, interned
+/// metric-name tables. `Send + Sync` — sweep workers fork from one
+/// `&LabImage` concurrently.
+pub type LabImage = Lab<NetworkImage>;
+
+impl<N> Lab<N> {
+    /// The same lab around `net`'s counterpart: the one copy path between
+    /// a lab and its image, in both directions.
+    fn map_net<M>(&self, net: impl FnOnce(&N) -> M) -> Lab<M> {
+        Lab {
+            net: net(&self.net),
+            policy: self.policy.clone(),
+            vantages: self.vantages.clone(),
+            us_main: self.us_main,
+            us_main_addr: self.us_main_addr,
+            us_second: self.us_second,
+            us_second_addr: self.us_second_addr,
+            paris: self.paris,
+            paris_addr: self.paris_addr,
+            tor: self.tor,
+            tor_addr: self.tor_addr,
+            resolvers: self.resolvers.clone(),
+            chaos_links: self.chaos_links.clone(),
+            gen: self.gen.clone(),
+        }
+    }
 }
 
 /// Addresses of the fixed endpoints.
@@ -94,25 +130,24 @@ fn profile(rates: &[f64; 5]) -> FailureProfile {
     }
 }
 
-/// The one way to configure a [`VantageLab`] — replaces the old
-/// `build`/`build_reliable`/`build_with_policy`/`build_scan`/
-/// `build_scan_table1`/`build_chaos` constructor family.
-///
-/// Axes:
+/// The one way to configure a [`VantageLab`]. Axes:
 ///
 /// * **Universe** ([`LabBuilder::universe`]) — attaches the per-ISP
-///   resolvers and lets the policy be derived. Without one, the lab is
+///   resolvers and, unless a policy is given, derives the policy from it
+///   (throttling off, QUIC filter on; pass
+///   [`policy_from_universe`]`(universe, throttle, quic)` to
+///   [`LabBuilder::policy`] for another epoch). Without one, the lab is
 ///   the minimal sweep-worker shape: no resolvers, policy required.
-/// * **Policy** — either an explicit shared handle
-///   ([`LabBuilder::policy`], the cheap per-scenario path: blocklists
-///   built once, shared behind the handle) or derived from the universe
-///   with the [`LabBuilder::throttle_active`] / [`LabBuilder::quic_filter`]
-///   toggles.
-/// * **Failure dice** — devices are perfectly reliable by default
-///   ([`LabBuilder::reliable`] restates it); [`LabBuilder::table1`] arms
-///   the per-device Table-1 failure dice for reliability campaigns.
-/// * **Chaos** ([`LabBuilder::fault_plan`]) — wires a seeded fault plan
-///   through every vantage path and device after construction.
+/// * **Policy** ([`LabBuilder::policy`]) — an explicit shared handle, the
+///   cheap per-scenario path: blocklists built once, shared behind it.
+/// * **Failure dice** — devices are perfectly reliable by default;
+///   [`LabBuilder::table1`] arms the per-device Table-1 failure dice for
+///   reliability campaigns.
+/// * **Censor profile** ([`LabBuilder::censor_profile`]) and **topology**
+///   ([`LabBuilder::topology`]).
+///
+/// Chaos is not an axis: a fault plan is wired through a built lab or a
+/// fork with [`VantageLab::apply_fault_plan`].
 ///
 /// ```
 /// # use tspu_registry::Universe;
@@ -126,10 +161,7 @@ fn profile(rates: &[f64; 5]) -> FailureProfile {
 pub struct LabBuilder<'a> {
     universe: Option<&'a Universe>,
     policy: Option<PolicyHandle>,
-    throttle_active: bool,
-    quic_filter: Option<bool>,
     table1: bool,
-    fault_plan: Option<&'a FaultPlan>,
     censor_profile: Option<CensorProfile>,
     topology: TopologySpec,
 }
@@ -150,29 +182,10 @@ impl<'a> LabBuilder<'a> {
         self
     }
 
-    /// Derived-policy toggle: SNI-III throttling in force (default off).
-    pub fn throttle_active(mut self, on: bool) -> LabBuilder<'a> {
-        self.throttle_active = on;
-        self
-    }
-
-    /// Derived-policy toggle: the QUIC version-1 filter (default on).
-    pub fn quic_filter(mut self, on: bool) -> LabBuilder<'a> {
-        self.quic_filter = Some(on);
-        self
-    }
-
     /// Arms the Table-1 per-device failure dice — for reliability
     /// campaigns that measure the real failure rates.
     pub fn table1(mut self) -> LabBuilder<'a> {
         self.table1 = true;
-        self
-    }
-
-    /// Wires a seeded chaos plan through the built lab (device faults on
-    /// every TSPU device, chaos links on every vantage path).
-    pub fn fault_plan(mut self, plan: &'a FaultPlan) -> LabBuilder<'a> {
-        self.fault_plan = Some(plan);
         self
     }
 
@@ -186,9 +199,8 @@ impl<'a> LabBuilder<'a> {
 
     /// Selects the topology: [`TopologySpec::Fig1`] (the default, the
     /// paper's fixed lab) or [`TopologySpec::Generated`] (the seeded AS
-    /// graph). The Fig.-1-only axes — [`LabBuilder::table1`] failure dice
-    /// and [`LabBuilder::fault_plan`] chaos wiring — are no-ops on
-    /// generated labs, whose devices are always reliable.
+    /// graph). [`LabBuilder::table1`] is a no-op on generated labs, whose
+    /// devices are always reliable.
     pub fn topology(mut self, spec: TopologySpec) -> LabBuilder<'a> {
         self.topology = spec;
         self
@@ -204,35 +216,30 @@ impl<'a> LabBuilder<'a> {
             let universe = self
                 .universe
                 .expect("LabBuilder: give .policy(...) or .universe(...) to derive one");
-            policy_from_universe(universe, self.throttle_active, self.quic_filter.unwrap_or(true))
+            policy_from_universe(universe, false, true)
         });
-        let mut lab = match &self.topology {
-            TopologySpec::Fig1 => {
-                VantageLab::build_inner(self.universe, policy, !self.table1, self.censor_profile)
-            }
-            TopologySpec::Generated(params) => {
-                crate::gen::build_generated(params, policy, self.censor_profile)
-            }
-        };
-        if let Some(plan) = self.fault_plan {
-            lab.apply_fault_plan(plan);
+        match &self.topology {
+            TopologySpec::Fig1 => VantageLab::build_inner(self.universe, policy, !self.table1, self.censor_profile),
+            TopologySpec::Generated(params) => crate::gen::build_generated(params, policy, self.censor_profile),
         }
-        lab
     }
 
     /// Builds the lab once and returns its warm [`LabImage`] for
-    /// fork-per-cell campaigns. A [`LabBuilder::fault_plan`] is *not*
-    /// baked into the shared image — it is stored alongside and wired
-    /// through each fork at [`LabImage::fork`] time, so every chaos cell
-    /// starts its fault schedule from scratch exactly like a freshly
-    /// built lab.
+    /// fork-per-cell campaigns.
     pub fn image(self) -> LabImage {
-        let fault_plan = self.fault_plan.cloned();
-        let plain = LabBuilder { fault_plan: None, ..self };
-        let mut image = plain.build().snapshot();
-        image.fault_plan = fault_plan;
-        image
+        self.build().snapshot()
     }
+}
+
+/// The out-of-country machines, in host-id order: both topologies add them
+/// first, so they hold host ids 0–3 in either.
+const ENDPOINTS: [Ipv4Addr; 4] = [US_MAIN, US_SECOND, PARIS_MACHINE, TOR_ENTRY_NODE];
+
+/// A network holding only the [`ENDPOINTS`], and their host ids.
+pub(crate) fn endpoint_network() -> (Network, [HostId; 4]) {
+    let mut net = Network::with_default_latency();
+    let hosts = ENDPOINTS.map(|addr| net.add_host(addr));
+    (net, hosts)
 }
 
 impl VantageLab {
@@ -247,17 +254,16 @@ impl VantageLab {
         reliable: bool,
         censor_profile: Option<CensorProfile>,
     ) -> VantageLab {
-        let mut net = Network::with_default_latency();
-
-        let us_main = net.add_host(US_MAIN);
-        let us_second = net.add_host(US_SECOND);
-        let paris = net.add_host(PARIS_MACHINE);
-        let tor = net.add_host(TOR_ENTRY_NODE);
+        let (mut net, endpoints) = endpoint_network();
+        let [us_main, us_second, paris, tor] = endpoints;
 
         let mut vantages = Vec::new();
 
-        // Helper: register a device and return (typed handle, id).
-        let make_dev = |net: &mut Network, name: &str, fp: FailureProfile, seed: u64| {
+        // Helper: register a device with `isp`'s failure dice and return
+        // (typed handle, id).
+        let make_dev = |net: &mut Network, name: &str, isp: &str, seed: u64| {
+            let rates = stats::table1::PER_DEVICE.iter().find(|(name, _)| *name == isp).expect("known ISP");
+            let fp = if reliable { FailureProfile::uniform(0.0) } else { profile(&rates.1) };
             let mut device = TspuDevice::new(name, policy.clone(), fp, seed);
             if let Some(profile) = &censor_profile {
                 device.set_censor_profile(profile.clone());
@@ -266,24 +272,12 @@ impl VantageLab {
             (handle, handle.id())
         };
 
-        let rates = |isp: &str| {
-            if reliable {
-                return FailureProfile::uniform(0.0);
-            }
-            stats::table1::PER_DEVICE
-                .iter()
-                .find(|(name, _)| *name == isp)
-                .map(|(_, r)| profile(r))
-                .expect("known ISP")
-        };
-
         // --- Rostelecom (St. Petersburg): symmetric at hop 2, upstream-
         //     only at hop 3 (one hop behind, same AS). ---
         {
             let host = net.add_host(ROSTELECOM_VANTAGE);
-            let fp = rates("Rostelecom");
-            let (sym, sym_id) = make_dev(&mut net, "rostelecom-sym", fp, 101);
-            let (up, up_id) = make_dev(&mut net, "rostelecom-up", fp, 102);
+            let (sym, sym_id) = make_dev(&mut net, "rostelecom-sym", "Rostelecom", 101);
+            let (up, up_id) = make_dev(&mut net, "rostelecom-up", "Rostelecom", 102);
             let hops = [
                 Ipv4Addr::new(10, 10, 255, 1),
                 Ipv4Addr::new(10, 10, 255, 2),
@@ -306,8 +300,7 @@ impl VantageLab {
         // --- ER-Telecom (Krasnoyarsk): one symmetric device at hop 2. ---
         {
             let host = net.add_host(ERTELECOM_VANTAGE);
-            let fp = rates("ER-Telecom");
-            let (sym, sym_id) = make_dev(&mut net, "ertelecom-sym", fp, 201);
+            let (sym, sym_id) = make_dev(&mut net, "ertelecom-sym", "ER-Telecom", 201);
             let hops = [
                 Ipv4Addr::new(10, 20, 255, 1),
                 Ipv4Addr::new(10, 20, 255, 2),
@@ -331,10 +324,9 @@ impl VantageLab {
         //     the transit ISPs, destination-dependent (§7.1.1). ---
         {
             let host = net.add_host(OBIT_VANTAGE);
-            let fp = rates("OBIT");
-            let (sym, sym_id) = make_dev(&mut net, "obit-sym", fp, 301);
-            let (up_us, up_us_id) = make_dev(&mut net, "transit-rostelecom-up", fp, 302);
-            let (up_fr, up_fr_id) = make_dev(&mut net, "transit-rascom-up", fp, 303);
+            let (sym, sym_id) = make_dev(&mut net, "obit-sym", "OBIT", 301);
+            let (up_us, up_us_id) = make_dev(&mut net, "transit-rostelecom-up", "OBIT", 302);
+            let (up_fr, up_fr_id) = make_dev(&mut net, "transit-rascom-up", "OBIT", 303);
             let obit_hops = [
                 Ipv4Addr::new(10, 30, 255, 1),
                 Ipv4Addr::new(10, 30, 255, 2), // symmetric device after this hop
@@ -389,20 +381,27 @@ impl VantageLab {
             });
         }
 
-        // US machines and the Paris pair can reach each other directly.
-        for (a, b) in [
-            (us_main, us_second),
-            (us_main, paris),
-            (us_main, tor),
-            (us_second, paris),
-            (us_second, tor),
-            (paris, tor),
-        ] {
-            net.set_route_symmetric(a, b, Route::through(&[Ipv4Addr::new(192, 0, 2, 254)]));
-        }
-
         let resolvers = universe.map(vantage_resolvers).unwrap_or_default();
+        VantageLab::assemble(net, endpoints, policy, vantages, resolvers, None)
+    }
 
+    /// Meshes the out-of-country machines through their shared data-center
+    /// hop and assembles the lab: the one place either topology's
+    /// [`VantageLab`] is put together.
+    pub(crate) fn assemble(
+        mut net: Network,
+        endpoints: [HostId; 4],
+        policy: PolicyHandle,
+        vantages: Vec<Vantage>,
+        resolvers: Vec<IspResolver>,
+        gen: Option<GenTopology>,
+    ) -> VantageLab {
+        for (i, &a) in endpoints.iter().enumerate() {
+            for &b in &endpoints[i + 1..] {
+                net.set_route_symmetric(a, b, Route::through(&[Ipv4Addr::new(192, 0, 2, 254)]));
+            }
+        }
+        let [us_main, us_second, paris, tor] = endpoints;
         VantageLab {
             net,
             policy,
@@ -417,23 +416,18 @@ impl VantageLab {
             tor_addr: TOR_ENTRY_NODE,
             resolvers,
             chaos_links: Vec::new(),
-            gen: None,
+            gen: gen.map(Arc::new),
         }
     }
 
     /// Wires a [`FaultPlan`] through the lab: the plan's device faults on
-    /// every TSPU device, and one pair of chaos links per vantage on its
-    /// transit segments — appended to an *existing* route step after every
-    /// device on the forward path and before any device on the reverse
-    /// path. Appending (rather than adding a hop) keeps hop counts and
+    /// every TSPU device, and one pair of chaos links per Fig. 1 vantage on
+    /// its transit segments — appended to an *existing* route step after
+    /// every device on the forward path and before any device on the
+    /// reverse path. Appending (rather than adding a hop) keeps hop counts and
     /// TTLs identical, so a zero-rate plan is an exact no-op.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        let device_handles: Vec<MiddleboxHandle<TspuDevice>> = self
-            .vantages
-            .iter()
-            .flat_map(|v| std::iter::once(v.sym_device).chain(v.upstream_devices.iter().copied()))
-            .collect();
-        for handle in device_handles {
+        for handle in self.device_handles() {
             self.net.middlebox_mut(handle).set_device_faults(plan.device.clone());
         }
 
@@ -609,8 +603,7 @@ impl VantageLab {
     /// The flight-recorder ledger of device `id` for `packet`'s flow: the
     /// last `n` rendered events, oldest first — the lookup the oracle's
     /// `attach_device_ledger` wants for explaining a violation. Empty when
-    /// `id` is not a TSPU device (chaos links carry no recorder) or in an
-    /// obs-disabled build.
+    /// `id` is not a TSPU device (chaos links carry no recorder).
     pub fn device_ledger(&self, id: MiddleboxId, packet: &[u8], n: usize) -> Vec<String> {
         self.device_handles()
             .into_iter()
@@ -656,23 +649,7 @@ impl VantageLab {
     /// Per-run state — conntrack, fragment caches, RNG positions, clocks,
     /// captures, metric values — is *not* captured; forks start pristine.
     pub fn snapshot(&self) -> LabImage {
-        LabImage {
-            net: self.net.image(),
-            policy: self.policy.clone(),
-            vantages: self.vantages.clone(),
-            us_main: self.us_main,
-            us_main_addr: self.us_main_addr,
-            us_second: self.us_second,
-            us_second_addr: self.us_second_addr,
-            paris: self.paris,
-            paris_addr: self.paris_addr,
-            tor: self.tor,
-            tor_addr: self.tor_addr,
-            resolvers: self.resolvers.clone(),
-            chaos_links: self.chaos_links.clone(),
-            fault_plan: None,
-            gen: self.gen.clone(),
-        }
+        self.map_net(Network::image)
     }
 
     /// Swaps the shared policy on the lab *and* on every TSPU device —
@@ -690,64 +667,18 @@ impl VantageLab {
     }
 }
 
-/// The warm half of a [`VantageLab`], shared across forked scenario
-/// cells: network topology behind `Arc`s, compiled policy behind the
-/// shared [`PolicyHandle`], device and chaos-link configurations, interned
-/// metric-name tables. `Send + Sync` — sweep workers fork from one
-/// `&LabImage` concurrently.
-pub struct LabImage {
-    net: tspu_netsim::NetworkImage,
-    policy: PolicyHandle,
-    vantages: Vec<Vantage>,
-    us_main: HostId,
-    us_main_addr: Ipv4Addr,
-    us_second: HostId,
-    us_second_addr: Ipv4Addr,
-    paris: HostId,
-    paris_addr: Ipv4Addr,
-    tor: HostId,
-    tor_addr: Ipv4Addr,
-    resolvers: Vec<IspResolver>,
-    chaos_links: Vec<(String, MiddleboxHandle<ChaosLink>)>,
-    /// A fault plan to wire through each fork ([`LabBuilder::image`]).
-    fault_plan: Option<FaultPlan>,
-    /// Generated-topology ground truth, shared into every fork.
-    gen: Option<std::sync::Arc<GenTopology>>,
-}
-
 impl LabImage {
     /// Stamps out one pristine lab cell. The result is byte-identical in
     /// behavior to building the same lab from scratch: virtual time zero,
     /// empty conntrack/fragment caches, device RNGs reseeded, zeroed
-    /// counters under the same export names, and — if the image carries
-    /// a fault plan — the plan freshly applied.
+    /// counters under the same export names.
     ///
-    /// `index` is the cell's scenario coordinate. It does not perturb the
+    /// `_index` is the cell's scenario coordinate. It does not perturb the
     /// forked state (byte-identity with a fresh build demands that);
     /// drivers derive per-cell ports and seeds from the same index, as
     /// they always have.
-    pub fn fork(&self, index: usize) -> VantageLab {
-        let _ = index;
-        let mut lab = VantageLab {
-            net: self.net.fork(),
-            policy: self.policy.clone(),
-            vantages: self.vantages.clone(),
-            us_main: self.us_main,
-            us_main_addr: self.us_main_addr,
-            us_second: self.us_second,
-            us_second_addr: self.us_second_addr,
-            paris: self.paris,
-            paris_addr: self.paris_addr,
-            tor: self.tor,
-            tor_addr: self.tor_addr,
-            resolvers: self.resolvers.clone(),
-            chaos_links: self.chaos_links.clone(),
-            gen: self.gen.clone(),
-        };
-        if let Some(plan) = &self.fault_plan {
-            lab.apply_fault_plan(plan);
-        }
-        lab
+    pub fn fork(&self, _index: usize) -> VantageLab {
+        self.map_net(NetworkImage::fork)
     }
 
     /// The shared policy handle this image's forks enforce.

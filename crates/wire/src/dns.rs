@@ -1,8 +1,8 @@
 //! Minimal DNS wire format: A-record queries and responses, enough to run
 //! the ISPs' blockpage resolvers (§6.2) at packet level.
 //!
-//! The paper's resolver measurement "select[s] three local resolvers
-//! inside the three RU ISPs, and send[s] queries to them once from the RU
+//! The paper's resolver measurement "select\[s\] three local resolvers
+//! inside the three RU ISPs, and send\[s\] queries to them once from the RU
 //! vantage points and once from US measurement machines" — plain UDP/53
 //! A-lookups, which is exactly the subset implemented here (plus NXDOMAIN
 //! responses). Name compression is emitted in the standard answer form

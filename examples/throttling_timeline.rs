@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use tspu_measure::harness::{handshake_prefix, run_script, ProbeSide, ScriptEnd, ScriptStep};
 use tspu_registry::{PolicyTimeline, Universe};
-use tspu_topology::VantageLab;
+use tspu_topology::{policy_from_universe, VantageLab};
 use tspu_wire::tcp::TcpFlags;
 use tspu_wire::tls::ClientHelloBuilder;
 
@@ -32,7 +32,11 @@ fn main() {
 
     for (day_number, label) in dates {
         let epoch = timeline.epoch(day_number);
-        let mut lab = VantageLab::builder().universe(&universe).throttle_active(epoch.throttle_active).quic_filter(epoch.quic_filter).table1().build();
+        let mut lab = VantageLab::builder()
+            .universe(&universe)
+            .policy(policy_from_universe(&universe, epoch.throttle_active, epoch.quic_filter))
+            .table1()
+            .build();
         if day_number < tspu_registry::day::MAR_4 {
             // Before Mar 4 the social-media domains were not RST-blocked:
             // before Feb 26 they were simply open; Feb 26 – Mar 4 they

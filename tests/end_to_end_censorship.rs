@@ -7,7 +7,7 @@ use std::time::Duration;
 use tspu::registry::Universe;
 use tspu::stack::client::SendShaping;
 use tspu::stack::{ClientOutcome, PortBehavior, ServerApp, ServerPort, TcpClient, TcpClientConfig};
-use tspu::topology::VantageLab;
+use tspu::topology::{policy_from_universe, VantageLab};
 use tspu::wire::tls::ClientHelloBuilder;
 
 fn fetch(lab: &mut VantageLab, vantage: &str, port: u16, domain: &str) -> ClientOutcome {
@@ -212,7 +212,7 @@ fn page_burst_wire_bytes_are_pinned() {
         ("rust-lang.org", &fragmented, 33_004, 0, 0, 0xe843_db46_d980_25e0),
     ];
     for (domain, shaping, port, segments, bytes, digest) in cases {
-        let mut lab = VantageLab::builder().universe(&universe).throttle_active(true).build();
+        let mut lab = VantageLab::builder().universe(&universe).policy(policy_from_universe(&universe, true, true)).build();
         lab.net.set_app(
             lab.us_main,
             Box::new(

@@ -153,7 +153,11 @@ fn claim_out_registry_blocking_exists() {
 #[test]
 fn claim_march4_transition_was_central_and_instant() {
     let universe = Universe::generate(94);
-    let lab = VantageLab::builder().universe(&universe).throttle_active(true).quic_filter(false).table1().build();
+    let lab = VantageLab::builder()
+        .universe(&universe)
+        .policy(policy_from_universe(&universe, true, false))
+        .table1()
+        .build();
     // Before: throttling active, no QUIC filter.
     assert!(lab.policy.read().throttle_active);
     assert!(!lab.policy.read().quic_filter);
