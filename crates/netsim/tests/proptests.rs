@@ -103,14 +103,17 @@ proptest! {
     /// packet a host sends ends exactly once: delivered to B or dropped,
     /// whether at the NIC (unparseable, unknown destination), on a hop
     /// (TTL expiry) or past the device. Half the inputs get a parseable
-    /// header (version 4, total length the buffer's, source A, destination
-    /// B when drawn so), the rest stay raw; the header length, TTL and
-    /// every other byte stay arbitrary. What returns to A is the
-    /// time-exceeded of a drop, never a second ending of the packet.
+    /// header (version 4, total length the buffer's, a TTL of 0–7 around
+    /// the three routers, source A, destination B when drawn so), the rest
+    /// stay raw; the header length and every other byte stay arbitrary. A delivered packet has crossed the
+    /// three routers, so it was sent with a TTL above 3 and arrives with 3
+    /// less. What returns to A is the time-exceeded of a drop, never a
+    /// second ending of the packet.
     #[test]
     fn send_from_arbitrary_bytes_ends_once(
         bytes in proptest::collection::vec(any::<u8>(), 0..=512),
         ipv4 in any::<bool>(),
+        ttl in 0u8..8,
         to_b in any::<bool>(),
     ) {
         let mut bytes = bytes;
@@ -118,6 +121,7 @@ proptest! {
             bytes[0] = 0x40 | (bytes[0] & 0x0f);
             let len = bytes.len() as u16;
             bytes[2..4].copy_from_slice(&len.to_be_bytes());
+            bytes[8] = ttl;
             bytes[12..16].copy_from_slice(&A.octets());
             if to_b {
                 bytes[16..20].copy_from_slice(&B.octets());
@@ -131,6 +135,7 @@ proptest! {
         let device = net.install_middlebox(PassThrough::default());
         route.steps[1].devices.push((device.id(), Direction::LocalToRemote));
         net.set_route(a, b, route);
+        let sent_ttl = bytes.get(8).map(|&ttl| u16::from(ttl));
         net.send_from(a, bytes);
         net.run_until_idle();
         let count = |hit: &dyn Fn(&TracePoint) -> bool| net.captures().iter().filter(|c| hit(&c.point)).count();
@@ -139,6 +144,10 @@ proptest! {
         let dropped = count(&|p| matches!(p, TracePoint::Dropped { .. }));
         prop_assert_eq!(sent, 1);
         prop_assert_eq!(delivered + dropped, 1);
+        for (_, got) in net.take_inbox(b) {
+            let ttl = u16::from(Ipv4Packet::new_checked(&got[..]).unwrap().ttl());
+            prop_assert_eq!(Some(ttl + 3), sent_ttl);
+        }
         let replies = net.take_inbox(a);
         prop_assert!(replies.len() <= dropped);
         for (_, reply) in replies {

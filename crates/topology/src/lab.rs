@@ -262,7 +262,7 @@ impl VantageLab {
         // Helper: register a device with `isp`'s failure dice and return
         // (typed handle, id).
         let make_dev = |net: &mut Network, name: &str, isp: &str, seed: u64| {
-            let rates = stats::table1::PER_DEVICE.iter().find(|(name, _)| *name == isp).expect("known ISP");
+            let rates = stats::table1::PER_DEVICE.iter().find(|(n, _)| *n == isp).expect("known ISP");
             let fp = if reliable { FailureProfile::uniform(0.0) } else { profile(&rates.1) };
             let mut device = TspuDevice::new(name, policy.clone(), fp, seed);
             if let Some(profile) = &censor_profile {
@@ -424,8 +424,8 @@ impl VantageLab {
     /// every TSPU device, and one pair of chaos links per Fig. 1 vantage on
     /// its transit segments — appended to an *existing* route step after
     /// every device on the forward path and before any device on the
-    /// reverse path. Appending (rather than adding a hop) keeps hop counts and
-    /// TTLs identical, so a zero-rate plan is an exact no-op.
+    /// reverse path. Appending (rather than adding a hop) keeps hop counts
+    /// and TTLs identical, so a zero-rate plan is an exact no-op.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for handle in self.device_handles() {
             self.net.middlebox_mut(handle).set_device_faults(plan.device.clone());
