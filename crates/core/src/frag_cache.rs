@@ -39,8 +39,10 @@ struct Train {
     /// or an overlap poisons the train, so the offsets held are strictly
     /// increasing and their ranges disjoint.
     fragments: Vec<(usize, usize, Vec<u8>)>,
-    /// Train was poisoned by a malformed fragment; drop everything until
-    /// the state times out.
+    /// Train was poisoned by a malformed fragment (rule 4) or by one too
+    /// many (rule 5); drop everything until the state times out. A
+    /// poisoned train has released its buffer: it holds its start time
+    /// and this flag, no fragment slots.
     poisoned: bool,
 }
 
@@ -74,7 +76,7 @@ impl Train {
             || self.fragments.get(at).is_some_and(|&(off, _, _)| off < offset + len.max(1));
         // Rule 5: the 46th fragment discards the queue.
         if overlaps || self.fragments.len() >= queue_limit {
-            self.fragments.clear();
+            self.fragments = Vec::new();
             self.poisoned = true;
             *discarded += 1;
             return false;
@@ -95,9 +97,7 @@ impl Train {
             .map(|(offset, _, mut bytes)| {
                 if offset != 0 {
                     if let Some(ttl) = first_ttl {
-                        let mut view = Ipv4Packet::new_unchecked(&mut bytes[..]);
-                        view.set_ttl(ttl);
-                        view.fill_checksum();
+                        Ipv4Packet::new_unchecked(&mut bytes[..]).rewrite_ttl(ttl);
                     }
                 }
                 bytes

@@ -46,19 +46,17 @@ fn syn_probe(runet: &mut Runet, addr: Ipv4Addr, port: u16, src_port: u16, pieces
     let scanner = runet.scanner;
     let _ = runet.net.take_inbox(scanner);
     let syn = TcpPacketSpec::new(runet.scanner_addr, src_port, addr, port, TcpFlags::SYN)
-        .payload(vec![0x5c; 512])
         .ident(src_port ^ 0x0f0f)
-        .build();
-    let packets = if pieces <= 1 {
-        vec![syn]
+        .build_with(&[0x5c; 512]);
+    if pieces <= 1 {
+        runet.net.send_from(scanner, syn);
     } else {
-        match frag::fragment_into(&syn, pieces) {
-            Ok(fragments) => fragments,
-            Err(_) => return false,
+        let Ok(fragments) = frag::fragment_into(&syn, pieces) else {
+            return false;
+        };
+        for packet in fragments {
+            runet.net.send_from(scanner, packet);
         }
-    };
-    for packet in packets {
-        runet.net.send_from(scanner, packet);
     }
     runet.net.run_for(Duration::from_millis(400));
     runet.net.take_inbox(scanner).iter().any(|(_, bytes)| {

@@ -654,8 +654,7 @@ impl Network {
                 self.emit_time_exceeded(hop_addr, orig_src, step);
                 return;
             }
-            view.set_ttl(ttl - 1);
-            view.fill_checksum();
+            view.rewrite_ttl(ttl - 1);
         }
 
         // Middleboxes on this link, chained in order and device-major: each
@@ -730,8 +729,7 @@ impl Network {
         let skipped = next - step;
         if skipped > 0 {
             let mut view = Ipv4Packet::new_unchecked(&mut packet[..]);
-            view.set_ttl((ttl - skipped) as u8);
-            view.fill_checksum();
+            view.rewrite_ttl((ttl - skipped) as u8);
             time += self.hop_latency * skipped as u32;
         }
         if next == total {

@@ -63,30 +63,28 @@ impl Cursor {
     }
 }
 
-/// Pending payload-less segments (handshake steps and ACKs). An
-/// application polls after every segment it feeds in, so there is almost
-/// always at most one: it lives inline, and only a caller that feeds
-/// several segments between polls spills to the heap, which the next poll
-/// frees. Neither an ACK per received segment nor an idle connection
-/// costs an allocation.
-#[derive(Debug, Default)]
-struct Pending {
-    first: Option<TcpRepr>,
-    rest: Vec<TcpRepr>,
+/// A segment header as the connection queues it: what a handshake step,
+/// an ACK or a data segment sets beyond the connection's own ports.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    flags: TcpFlags,
+    seq: u32,
+    ack: u32,
+    window: u16,
 }
 
-impl Pending {
-    fn push(&mut self, segment: TcpRepr) {
-        if self.first.is_none() && self.rest.is_empty() {
-            self.first = Some(segment);
-        } else {
-            self.rest.push(segment);
-        }
-    }
-
-    fn drain(&mut self) -> impl Iterator<Item = TcpRepr> {
-        self.first.take().into_iter().chain(std::mem::take(&mut self.rest))
-    }
+/// What a connection rarely holds, boxed on its first use so that the
+/// common connection stays small: the payload-less segments, bodies and
+/// events queued behind the one of each the connection keeps inline. An
+/// application polls after every segment it feeds in, so there is almost
+/// always at most one of each; only a caller that feeds several segments
+/// (or queues several bodies) between polls spills here. Each poll or
+/// take empties its part of the box.
+#[derive(Debug, Default)]
+struct Spill {
+    heads: Vec<Head>,
+    bodies: VecDeque<Cursor>,
+    events: Vec<ConnEvent>,
 }
 
 /// The connection. Feed it segments with [`TcpConnection::on_segment`],
@@ -94,6 +92,11 @@ impl Pending {
 /// [`TcpConnection::send_shared`], and drain what it has to transmit as
 /// finished IPv4 packets with [`TcpConnection::poll_packets`] (or as
 /// [`TcpRepr`]s with [`TcpConnection::poll_output`]).
+///
+/// 80 bytes: the endpoints, the sequence state and the first pending
+/// segment, body and event inline, everything queued behind those in one
+/// box allocated on first use. Neither an ACK per received segment nor
+/// an idle connection costs an allocation.
 #[derive(Debug)]
 pub struct TcpConnection {
     pub local_addr: Ipv4Addr,
@@ -110,13 +113,18 @@ pub struct TcpConnection {
     peer_window: u16,
     /// Our advertised window.
     local_window: u16,
-    mss: usize,
-    /// Bodies not yet fully segmented, in send order. The front one is
-    /// dropped the moment its last byte leaves, so an idle connection
-    /// holds no payload memory.
-    send_queue: VecDeque<Cursor>,
-    outgoing: Pending,
-    events: Vec<ConnEvent>,
+    /// At most 65535: a segment never exceeds the peer's 16-bit window.
+    mss: u16,
+    /// The first pending payload-less segment (handshake step or ACK);
+    /// later ones wait in `spill`.
+    head: Option<Head>,
+    /// The body being segmented; bodies queued behind it wait in `spill`.
+    /// It is dropped the moment its last byte leaves, so an idle
+    /// connection holds no payload memory.
+    body: Option<Cursor>,
+    /// The first state change not yet taken; later ones wait in `spill`.
+    event: Option<ConnEvent>,
+    spill: Option<Box<Spill>>,
 }
 
 /// Default MSS used by endpoints.
@@ -151,10 +159,11 @@ impl TcpConnection {
             rcv_nxt: 0,
             peer_window: 64240,
             local_window: 64240,
-            mss: DEFAULT_MSS,
-            send_queue: VecDeque::new(),
-            outgoing: Pending::default(),
-            events: Vec::new(),
+            mss: DEFAULT_MSS as u16,
+            head: None,
+            body: None,
+            event: None,
+            spill: None,
         }
     }
 
@@ -171,7 +180,7 @@ impl TcpConnection {
 
     /// Overrides the MSS.
     pub fn set_mss(&mut self, mss: usize) {
-        self.mss = mss.max(1);
+        self.mss = mss.clamp(1, usize::from(u16::MAX)) as u16;
     }
 
     /// Current state.
@@ -188,9 +197,9 @@ impl TcpConnection {
     pub fn connect(&mut self) {
         self.state = TcpState::SynSent;
         let mut syn = self.segment(TcpFlags::SYN);
-        syn.ack_number = 0;
+        syn.ack = 0;
         self.snd_nxt = self.snd_nxt.wrapping_add(1); // SYN occupies one seq
-        self.outgoing.push(syn);
+        self.push_head(syn);
     }
 
     /// Queues a copy of `data` for transmission once established.
@@ -202,14 +211,43 @@ impl TcpConnection {
     /// it. The connection drops its reference as soon as the last byte
     /// has been segmented.
     pub fn send_shared(&mut self, body: Arc<[u8]>) {
-        if !body.is_empty() {
-            self.send_queue.push_back(Cursor { body, sent: 0 });
+        if body.is_empty() {
+            return;
+        }
+        let cursor = Cursor { body, sent: 0 };
+        if self.body.is_none() {
+            self.body = Some(cursor);
+        } else {
+            self.spill().bodies.push_back(cursor);
         }
     }
 
     /// Drains pending state changes for the application.
     pub fn take_events(&mut self) -> Vec<ConnEvent> {
-        std::mem::take(&mut self.events)
+        let spilled = self.spill.as_mut().map(|spill| std::mem::take(&mut spill.events));
+        self.event.take().into_iter().chain(spilled.into_iter().flatten()).collect()
+    }
+
+    /// The box behind the inline segment, body and event, allocated now if
+    /// this is its first use.
+    fn spill(&mut self) -> &mut Spill {
+        self.spill.get_or_insert_with(Box::default)
+    }
+
+    fn push_head(&mut self, head: Head) {
+        if self.head.is_none() {
+            self.head = Some(head);
+        } else {
+            self.spill().heads.push(head);
+        }
+    }
+
+    fn push_event(&mut self, event: ConnEvent) {
+        if self.event.is_none() {
+            self.event = Some(event);
+        } else {
+            self.spill().events.push(event);
+        }
     }
 
     /// Drains everything there is to transmit as finished IPv4 packets,
@@ -225,8 +263,8 @@ impl TcpConnection {
         );
         self.drain_segments(|head, payload| {
             spec.flags = head.flags;
-            spec.seq = head.seq_number;
-            spec.ack = head.ack_number;
+            spec.seq = head.seq;
+            spec.ack = head.ack;
             spec.window = head.window;
             spec.ident = ident();
             sink(spec.build_with(payload));
@@ -237,20 +275,24 @@ impl TcpConnection {
     /// representations: the same segments [`TcpConnection::poll_packets`]
     /// would emit, for callers that build the bytes themselves.
     pub fn poll_output(&mut self) -> Vec<TcpRepr> {
+        let (src_port, dst_port) = (self.local_port, self.peer_port);
         let mut reprs = Vec::new();
-        self.drain_segments(|mut head, payload| {
-            head.payload = payload.to_vec();
-            reprs.push(head);
+        self.drain_segments(|head, payload| {
+            reprs.push(TcpRepr {
+                src_port,
+                dst_port,
+                seq_number: head.seq,
+                ack_number: head.ack,
+                flags: head.flags,
+                window: head.window,
+                payload: payload.to_vec(),
+            });
         });
         reprs
     }
 
-    fn segment(&self, flags: TcpFlags) -> TcpRepr {
-        let mut repr = TcpRepr::new(self.local_port, self.peer_port, flags);
-        repr.seq_number = self.snd_nxt;
-        repr.ack_number = self.rcv_nxt;
-        repr.window = self.local_window;
-        repr
+    fn segment(&self, flags: TcpFlags) -> Head {
+        Head { flags, seq: self.snd_nxt, ack: self.rcv_nxt, window: self.local_window }
     }
 
     /// The one segmentation routine: hands `sink` every pending segment
@@ -261,33 +303,42 @@ impl TcpConnection {
     /// trip). The payload is a slice of the queued body itself; only a
     /// segment that straddles two bodies is gathered into a scratch buffer
     /// first.
-    fn drain_segments(&mut self, mut sink: impl FnMut(TcpRepr, &[u8])) {
-        for head in self.outgoing.drain() {
+    fn drain_segments(&mut self, mut sink: impl FnMut(Head, &[u8])) {
+        if let Some(head) = self.head.take() {
             sink(head, &[]);
+        }
+        if let Some(spill) = &mut self.spill {
+            for head in std::mem::take(&mut spill.heads) {
+                sink(head, &[]);
+            }
         }
         if self.state != TcpState::Established {
             return;
         }
-        let limit = self.mss.min(self.peer_window.max(1) as usize);
+        let limit = usize::from(self.mss.min(self.peer_window.max(1)));
         let mut straddling = Vec::new();
-        while let Some(front) = self.send_queue.front() {
+        while let Some(front) = &self.body {
             let head = self.segment(TcpFlags::PSH_ACK);
             let rest = front.rest();
-            let take = if rest.len() >= limit || self.send_queue.len() == 1 {
-                let take = limit.min(rest.len());
-                sink(head, &rest[..take]);
-                take
-            } else {
-                straddling.clear();
-                for cursor in &self.send_queue {
-                    let rest = cursor.rest();
-                    straddling.extend_from_slice(&rest[..rest.len().min(limit - straddling.len())]);
-                    if straddling.len() == limit {
-                        break;
+            let behind = self.spill.as_deref().map(|spill| &spill.bodies);
+            let take = match behind.filter(|bodies| !bodies.is_empty()) {
+                Some(behind) if rest.len() < limit => {
+                    straddling.clear();
+                    for cursor in std::iter::once(front).chain(behind) {
+                        let rest = cursor.rest();
+                        straddling.extend_from_slice(&rest[..rest.len().min(limit - straddling.len())]);
+                        if straddling.len() == limit {
+                            break;
+                        }
                     }
+                    sink(head, &straddling);
+                    straddling.len()
                 }
-                sink(head, &straddling);
-                straddling.len()
+                _ => {
+                    let take = limit.min(rest.len());
+                    sink(head, &rest[..take]);
+                    take
+                }
             };
             self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
             self.consume(take);
@@ -297,13 +348,12 @@ impl TcpConnection {
     /// Advances the send queue by `sent` bytes, dropping every body whose
     /// last byte that covers.
     fn consume(&mut self, mut sent: usize) {
-        while sent > 0 {
-            let front = self.send_queue.front_mut().expect("segmented bytes were queued");
+        while let Some(front) = self.body.as_mut().filter(|_| sent > 0) {
             let step = sent.min(front.rest().len());
             front.sent += step;
             sent -= step;
             if front.rest().is_empty() {
-                self.send_queue.pop_front();
+                self.body = self.spill.as_mut().and_then(|spill| spill.bodies.pop_front());
             }
         }
     }
@@ -317,7 +367,7 @@ impl TcpConnection {
 
         if flags.rst() {
             self.state = TcpState::Reset;
-            self.events.push(ConnEvent::ResetReceived);
+            self.push_event(ConnEvent::ResetReceived);
             return &[];
         }
 
@@ -329,15 +379,15 @@ impl TcpConnection {
                         HandshakeMode::Normal => {
                             let synack = self.segment(TcpFlags::SYN_ACK);
                             self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                            self.outgoing.push(synack);
+                            self.push_head(synack);
                             self.state = TcpState::SynReceived;
                         }
                         HandshakeMode::SplitHandshake => {
                             // §8: strip the ACK flag — send a bare SYN.
                             let mut syn = self.segment(TcpFlags::SYN);
-                            syn.ack_number = 0;
+                            syn.ack = 0;
                             self.snd_nxt = self.snd_nxt.wrapping_add(1);
-                            self.outgoing.push(syn);
+                            self.push_head(syn);
                             self.state = TcpState::SynReceived;
                         }
                     }
@@ -348,7 +398,7 @@ impl TcpConnection {
                     // Normal step 2: ACK and establish.
                     self.rcv_nxt = segment.seq_number().wrapping_add(1);
                     let ack = self.segment(TcpFlags::ACK);
-                    self.outgoing.push(ack);
+                    self.push_head(ack);
                     self.establish();
                 } else if flags.is_pure_syn() {
                     // Split handshake or simultaneous open: an unmodified
@@ -356,8 +406,8 @@ impl TcpConnection {
                     // (re-using its initial sequence number).
                     self.rcv_nxt = segment.seq_number().wrapping_add(1);
                     let mut synack = self.segment(TcpFlags::SYN_ACK);
-                    synack.seq_number = self.snd_nxt.wrapping_sub(1);
-                    self.outgoing.push(synack);
+                    synack.seq = self.snd_nxt.wrapping_sub(1);
+                    self.push_head(synack);
                     self.state = TcpState::SynReceived;
                 }
             }
@@ -367,7 +417,7 @@ impl TcpConnection {
                     // SYN/ACK: confirm with an ACK and establish.
                     self.rcv_nxt = segment.seq_number().wrapping_add(1);
                     let ack = self.segment(TcpFlags::ACK);
-                    self.outgoing.push(ack);
+                    self.push_head(ack);
                     self.establish();
                 } else if flags.ack() {
                     self.establish();
@@ -383,7 +433,7 @@ impl TcpConnection {
     fn establish(&mut self) {
         if self.state != TcpState::Established {
             self.state = TcpState::Established;
-            self.events.push(ConnEvent::Established);
+            self.push_event(ConnEvent::Established);
         }
     }
 
@@ -393,7 +443,7 @@ impl TcpConnection {
             self.rcv_nxt = segment.seq_number().wrapping_add(payload.len() as u32);
             // Acknowledge data promptly (no delayed ACK).
             let ack = self.segment(TcpFlags::ACK);
-            self.outgoing.push(ack);
+            self.push_head(ack);
         }
         payload
     }
@@ -522,6 +572,44 @@ mod tests {
         client.send(b"efgh");
         let seg2 = client.poll_output().pop().unwrap();
         assert_eq!(seg2.seq_number, seg1.seq_number.wrapping_add(4));
+    }
+
+    #[test]
+    fn a_connection_fits_in_80_bytes() {
+        // Every endpoint a country scan generates holds a few of these.
+        let size = std::mem::size_of::<TcpConnection>();
+        assert!(size <= 80, "TcpConnection is {size} bytes (bound 80)");
+    }
+
+    #[test]
+    fn spilled_segments_bodies_and_events_keep_their_order() {
+        // Three segments queued between polls, the first inline and two
+        // spilled; two bodies; two events: all come out in order.
+        let (mut client, mut server) = pair();
+        let syn = client.poll_output().remove(0).build(C, S);
+        server.on_segment(&TcpSegment::new_unchecked(&syn[..]));
+        let synack = server.poll_output().remove(0).build(S, C);
+        client.on_segment(&TcpSegment::new_unchecked(&synack[..]));
+        let mut data = TcpRepr::new(443, 40000, TcpFlags::PSH_ACK);
+        data.seq_number = server.snd_nxt;
+        data.ack_number = client.snd_nxt;
+        for chunk in [&b"ab"[..], b"cd"] {
+            data.payload = chunk.to_vec();
+            let bytes = data.build(S, C);
+            client.on_segment(&TcpSegment::new_unchecked(&bytes[..]));
+            data.seq_number = data.seq_number.wrapping_add(2);
+        }
+        client.send(b"xyz");
+        client.send(b"uvw");
+        let out = client.poll_output();
+        let acks: Vec<u32> = out.iter().map(|s| s.ack_number).collect();
+        let payloads: Vec<&[u8]> = out.iter().map(|s| &s.payload[..]).collect();
+        assert_eq!(acks[..3], [acks[0], acks[0] + 2, acks[0] + 4]);
+        assert_eq!(payloads, [&b""[..], b"", b"", b"xyzuvw"]);
+        let rst = TcpRepr::new(443, 40000, TcpFlags::RST).build(S, C);
+        client.on_segment(&TcpSegment::new_unchecked(&rst[..]));
+        assert_eq!(client.take_events(), [ConnEvent::Established, ConnEvent::ResetReceived]);
+        assert!(client.take_events().is_empty());
     }
 
     #[test]

@@ -426,7 +426,22 @@ impl VantageLab {
     /// every device on the forward path and before any device on the
     /// reverse path. Appending (rather than adding a hop) keeps hop counts
     /// and TTLs identical, so a zero-rate plan is an exact no-op.
+    ///
+    /// # Panics
+    ///
+    /// When the plan has link faults and the lab is a generated topology
+    /// with clients. Chaos links ride the Fig. 1 vantage paths only, and
+    /// installing them on a client's path would not hold: a route flip
+    /// moves the client onto a pre-interned route that carries no link.
+    /// Device faults apply to any lab.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
+        let generated_clients = self.gen.as_ref().is_some_and(|gen| !gen.clients.is_empty());
+        assert!(
+            !generated_clients || (plan.forward.is_noop() && plan.reverse.is_noop()),
+            "apply_fault_plan: link faults on a generated lab are not supported; chaos links \
+             ride the Fig. 1 vantage paths only, and a route flip moves a generated client \
+             onto pre-interned routes that carry no link"
+        );
         for handle in self.device_handles() {
             self.net.middlebox_mut(handle).set_device_faults(plan.device.clone());
         }
@@ -941,6 +956,28 @@ mod tests {
             .topology(TopologySpec::Fig1)
             .build();
         assert_eq!(run(default_lab), run(explicit));
+    }
+
+    fn generated_lab() -> VantageLab {
+        let policy = policy_from_universe(&Universe::generate(11), false, true);
+        let spec = TopologySpec::Generated(crate::gen::GenParams::new(11, 100));
+        VantageLab::builder().policy(policy).topology(spec).build()
+    }
+
+    #[test]
+    #[should_panic(expected = "link faults on a generated lab are not supported")]
+    fn a_generated_lab_refuses_link_faults() {
+        let lossy = tspu_netsim::fault::LinkFaults::lossy(1.0);
+        generated_lab().apply_fault_plan(&FaultPlan::symmetric(1, lossy));
+    }
+
+    #[test]
+    fn a_generated_lab_takes_device_faults() {
+        let mut lab = generated_lab();
+        let mut plan = FaultPlan::new(1);
+        plan.device.restarts.push(std::time::Duration::from_secs(1));
+        lab.apply_fault_plan(&plan);
+        assert!(lab.chaos_links.is_empty());
     }
 
     #[test]

@@ -2,22 +2,36 @@
 
 use std::net::Ipv4Addr;
 
-/// Computes the ones-complement sum of `data`, folded to 16 bits, starting
-/// from an `initial` partial sum (use 0 when summing a single buffer).
-fn ones_complement_sum(initial: u32, data: &[u8]) -> u32 {
+/// Computes the ones-complement sum of `data` a 64-bit word at a time,
+/// starting from an `initial` partial sum (use 0 when summing a single
+/// buffer). Each word is big-endian, the tail zero-padded, and a carry
+/// out of the top bit is added back in (the end-around carry). Because
+/// 2^16 ≡ 1 modulo 0xffff, the sum folds to the RFC 1071 sum of 16-bit
+/// words, and it is zero only when `data` is.
+fn ones_complement_sum(initial: u64, data: &[u8]) -> u64 {
     let mut sum = initial;
-    let mut chunks = data.chunks_exact(2);
-    for chunk in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        // `chunks_exact(8)`: every chunk is eight bytes.
+        sum = add(sum, u64::from_be_bytes(word.try_into().unwrap_or_default()));
     }
-    if let [odd] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*odd, 0]));
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        sum = add(sum, u64::from_be_bytes(padded));
     }
     sum
 }
 
-/// Folds a 32-bit partial sum into the final 16-bit internet checksum.
-fn fold(mut sum: u32) -> u16 {
+/// Ones-complement addition of two 64-bit words.
+fn add(a: u64, b: u64) -> u64 {
+    let (sum, carry) = a.overflowing_add(b);
+    sum + u64::from(carry)
+}
+
+/// Folds a partial sum into the final 16-bit internet checksum.
+fn fold(mut sum: u64) -> u16 {
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
@@ -43,9 +57,19 @@ pub fn verify(data: &[u8]) -> bool {
 pub fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, payload: &[u8]) -> u16 {
     let mut sum = ones_complement_sum(0, &src.octets());
     sum = ones_complement_sum(sum, &dst.octets());
-    sum += u32::from(protocol);
-    sum += payload.len() as u32;
+    sum = add(sum, u64::from(protocol));
+    sum = add(sum, payload.len() as u64);
     fold(ones_complement_sum(sum, payload))
+}
+
+/// The checksum after one 16-bit word it covers changes from `old` to
+/// `new`, without re-summing the data: RFC 1624 eqn. 3,
+/// `HC' = ~(~HC + ~m + m')`. Over a valid checksum of data that is not all
+/// zero this equals a full recompute, including the case RFC 1141's
+/// `HC + m + ~m'` gets wrong (it yields 0xffff where the sum gives 0). A
+/// wrong checksum stays wrong by the same amount.
+pub fn update(checksum: u16, old: u16, new: u16) -> u16 {
+    fold(u64::from(!checksum) + u64::from(!old) + u64::from(new))
 }
 
 /// Verifies a transport checksum embedded in `payload` under the
@@ -95,6 +119,34 @@ mod tests {
         // A different address (not a src/dst swap — the sum commutes)
         // must break verification.
         assert!(!pseudo_header_verify(src, Ipv4Addr::new(192, 168, 1, 2), 6, &seg));
+    }
+
+    /// The 16-bit-word sum of RFC 1071, as the reference for the wide one.
+    fn sum_by_halfwords(data: &[u8]) -> u16 {
+        let mut sum: u64 = 0;
+        for pair in data.chunks(2) {
+            sum += u64::from(u16::from_be_bytes([pair[0], pair.get(1).copied().unwrap_or(0)]));
+        }
+        fold(sum)
+    }
+
+    #[test]
+    fn word_sum_equals_the_halfword_sum_at_every_length() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for len in 0..=67 {
+            for fill in [0x00, 0xff, 0x80] {
+                assert_eq!(checksum(&vec![fill; len]), sum_by_halfwords(&vec![fill; len]), "len {len}");
+            }
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect();
+            assert_eq!(checksum(&data), sum_by_halfwords(&data), "len {len}");
+        }
     }
 
     #[test]

@@ -254,6 +254,22 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         self.buffer.as_mut()[field::TTL] = value;
     }
 
+    /// Sets the TTL and updates the header checksum to match without
+    /// re-summing the header: RFC 1624's incremental update of the one
+    /// 16-bit word (TTL, protocol) that changed — what a router does per
+    /// hop. Equal to [`Ipv4Packet::set_ttl`] plus
+    /// [`Ipv4Packet::fill_checksum`] on a header whose checksum was valid;
+    /// a header that arrived with a wrong checksum stays wrong.
+    pub fn rewrite_ttl(&mut self, value: u8) {
+        let data = self.buffer.as_mut();
+        let protocol = data[field::PROTOCOL];
+        let old = u16::from_be_bytes([data[field::TTL], protocol]);
+        let held = u16::from_be_bytes([data[field::CHECKSUM.start], data[field::CHECKSUM.start + 1]]);
+        let ck = checksum::update(held, old, u16::from_be_bytes([value, protocol]));
+        data[field::TTL] = value;
+        data[field::CHECKSUM].copy_from_slice(&ck.to_be_bytes());
+    }
+
     /// Sets the transport protocol.
     pub fn set_protocol(&mut self, value: Protocol) {
         self.buffer.as_mut()[field::PROTOCOL] = value.into();

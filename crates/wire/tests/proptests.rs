@@ -36,6 +36,46 @@ proptest! {
         prop_assert_eq!(packet.payload(), &payload[..]);
     }
 
+    /// A TTL rewrite updates the header checksum incrementally (RFC 1624)
+    /// to exactly what re-summing the header gives, options and all. Half
+    /// the cases pick the ident that makes the new checksum 0x0000: the
+    /// one value an incremental update can get wrong (RFC 1141's form
+    /// yields 0xffff there), and one a random header hits once in 65,535.
+    #[test]
+    fn ttl_rewrite_equals_a_full_recompute(
+        header in proptest::collection::vec(any::<u8>(), 20..=60),
+        ttls in (any::<u8>(), any::<u8>()),
+        aim_at_zero in any::<bool>(),
+    ) {
+        let mut header = header;
+        header.truncate(header.len() / 4 * 4);
+        header[0] = 0x40 | (header.len() / 4) as u8;
+        let checksum = |bytes: &[u8]| u16::from_be_bytes([bytes[10], bytes[11]]);
+        let mut resummed = header.clone();
+        let mut view = Ipv4Packet::new_unchecked(&mut resummed[..]);
+        view.set_ttl(ttls.1);
+        if aim_at_zero {
+            view.set_ident(0);
+        }
+        view.fill_checksum();
+        if aim_at_zero {
+            // With ident 0 the header sums to !c; ident c tops the sum up
+            // to 0xffff, whose checksum is 0.
+            let c = checksum(&resummed);
+            let mut view = Ipv4Packet::new_unchecked(&mut resummed[..]);
+            view.set_ident(c);
+            view.fill_checksum();
+            prop_assert_eq!(checksum(&resummed), 0);
+        }
+
+        let mut rewritten = resummed.clone();
+        let mut view = Ipv4Packet::new_unchecked(&mut rewritten[..]);
+        view.set_ttl(ttls.0);
+        view.fill_checksum();
+        view.rewrite_ttl(ttls.1);
+        prop_assert_eq!(rewritten, resummed);
+    }
+
     #[test]
     fn ipv4_parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = Ipv4Packet::new_checked(&bytes[..]);
