@@ -1,6 +1,12 @@
 //! The number of heap allocations `LabImage::fork` performs does not depend
 //! on how many devices the graph carries: they are built on first packet,
 //! not at fork, which leaves one empty slot per device in a single block.
+//!
+//! ## Seeded mutation
+//!
+//! `fork_pushes_device_slots` (`tests/mutants/`): the fork grows its slot
+//! table one push at a time, so it reallocates more often the more
+//! devices the graph carries.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
