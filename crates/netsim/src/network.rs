@@ -29,7 +29,7 @@ pub struct HostId(pub usize);
 /// the `k`-th router, so it reaches the devices after router `k` only with
 /// TTL ≥ `k + 1`. This matches the paper's "TSPU device exists between hop
 /// N and N+1" reporting (§7.1).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RouteStep {
     /// The router's address, used as the source of ICMP time-exceeded.
     pub hop_addr: Ipv4Addr,
@@ -51,7 +51,7 @@ impl RouteStep {
 }
 
 /// A directed path between two hosts.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Route {
     pub steps: Vec<RouteStep>,
 }
@@ -63,6 +63,103 @@ pub struct Route {
 /// of clients shares one provider path — maps to the same arena slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteId(u32);
+
+/// One step of an interned route as the arena stores it: the router's
+/// address and its run of the arena's device array.
+#[derive(Clone, Copy)]
+struct ArenaStep {
+    hop_addr: Ipv4Addr,
+    first_device: u32,
+    device_count: u32,
+}
+
+impl ArenaStep {
+    fn device_range(self) -> std::ops::Range<usize> {
+        self.first_device as usize..(self.first_device + self.device_count) as usize
+    }
+}
+
+/// Every interned route, stored flat: a `(first step, step count)` span per
+/// route over one step array, whose steps hold spans of one device array.
+/// A route costs its 12-byte steps and its devices, with no allocation of
+/// its own.
+#[derive(Clone, Default)]
+struct RouteArena {
+    spans: Vec<(u32, u32)>,
+    steps: Vec<ArenaStep>,
+    devices: Vec<(MiddleboxId, Direction)>,
+    /// Route hash → id. A route whose hash is already taken by an unequal
+    /// route takes the next free key, so a lookup probes on from its hash
+    /// until it meets an equal route or a free key.
+    intern: FxHashMap<u64, RouteId>,
+}
+
+impl RouteArena {
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    fn steps(&self, rid: RouteId) -> &[ArenaStep] {
+        let (first, count) = self.spans[rid.0 as usize];
+        &self.steps[first as usize..(first + count) as usize]
+    }
+
+    /// The route `rid` as the value it was installed as.
+    fn route(&self, rid: RouteId) -> Route {
+        let steps = self.steps(rid).iter().map(|step| RouteStep {
+            hop_addr: step.hop_addr,
+            devices: self.devices[step.device_range()].to_vec(),
+        });
+        Route { steps: steps.collect() }
+    }
+
+    fn holds(&self, rid: RouteId, route: &Route) -> bool {
+        let steps = self.steps(rid);
+        steps.len() == route.steps.len()
+            && steps.iter().zip(&route.steps).all(|(stored, step)| {
+                stored.hop_addr == step.hop_addr && self.devices[stored.device_range()] == step.devices[..]
+            })
+    }
+
+    /// The id of the route equal to `route`, probing from `key`, or the
+    /// first free key on the way.
+    fn find(&self, mut key: u64, route: &Route) -> Result<RouteId, u64> {
+        while let Some(&rid) = self.intern.get(&key) {
+            if self.holds(rid, route) {
+                return Ok(rid);
+            }
+            key = key.wrapping_add(1);
+        }
+        Err(key)
+    }
+
+    /// Appends `route` under the free key `key`.
+    ///
+    /// # Panics
+    /// Panics once the routes, steps or devices outgrow `u32` indices.
+    fn push(&mut self, key: u64, route: &Route) -> RouteId {
+        let first = self.steps.len();
+        let devices = route.steps.iter().map(|step| step.devices.len()).sum::<usize>();
+        assert!(
+            self.spans.len() < u32::MAX as usize
+                && first + route.steps.len() <= u32::MAX as usize
+                && self.devices.len() + devices <= u32::MAX as usize,
+            "route arena overflow"
+        );
+        for step in &route.steps {
+            self.steps.push(ArenaStep {
+                hop_addr: step.hop_addr,
+                first_device: self.devices.len() as u32,
+                device_count: step.devices.len() as u32,
+            });
+            self.devices.extend_from_slice(&step.devices);
+        }
+        let rid = RouteId(self.spans.len() as u32);
+        self.spans.push((first as u32, route.steps.len() as u32));
+        self.intern.insert(key, rid);
+        rid
+    }
+}
 
 /// A typed, copyable reference to a middlebox owned by a [`Network`].
 ///
@@ -111,10 +208,21 @@ impl Route {
 
 struct HostState {
     addr: Ipv4Addr,
-    /// Deliveries to a host without an application; one with an
-    /// application hands each packet to it instead.
-    inbox: Vec<(Time, Vec<u8>)>,
-    app: Option<Box<dyn Application>>,
+    sink: Sink,
+}
+
+/// Where a host's deliveries go: one sink, never both.
+enum Sink {
+    /// Deliveries kept for [`Network::take_inbox`], at a host without an
+    /// application.
+    Inbox(Vec<(Time, Vec<u8>)>),
+    App(Box<dyn Application>),
+}
+
+/// A host pair as the route table keys it. [`Network::add_host`] keeps
+/// every host index below `u32::MAX`, so the narrowing is exact.
+fn pair(src: HostId, dst: HostId) -> (u32, u32) {
+    (src.0 as u32, dst.0 as u32)
 }
 
 #[derive(Debug)]
@@ -140,7 +248,7 @@ enum EventKind {
 
 /// The deterministic simulator. See the crate docs for the model.
 ///
-/// The topology half — address map, route table, interned route arena —
+/// The topology half — address map, route table, route arena —
 /// lives behind [`Arc`]s so [`Network::image`]/[`NetworkImage::fork`] can
 /// share it across forked copies without rebuilding it. Mutation goes
 /// through [`Arc::make_mut`], so a network that never forks (or a fork
@@ -153,11 +261,11 @@ pub struct Network {
     /// Events popped from the queue and dispatched so far.
     events_popped: u64,
     hosts: Vec<HostState>,
-    addr_map: Arc<FxHashMap<Ipv4Addr, HostId>>,
-    routes: Arc<FxHashMap<(HostId, HostId), RouteId>>,
-    route_arena: Arc<Vec<Route>>,
-    /// Route hash → arena slots with that hash, for interning dedup.
-    route_intern: Arc<FxHashMap<u64, Vec<RouteId>>>,
+    /// Address → host index.
+    addr_map: Arc<FxHashMap<Ipv4Addr, u32>>,
+    /// `(src, dst)` host indices → the route installed between them.
+    routes: Arc<FxHashMap<(u32, u32), RouteId>>,
+    route_arena: Arc<RouteArena>,
     /// One slot per middlebox id. [`Network::add_middlebox`] fills its slot
     /// at once; a fork starts with every slot empty and
     /// [`Network::slot`] fills one from `middlebox_images` the first time
@@ -214,7 +322,6 @@ impl Network {
             addr_map: Arc::default(),
             routes: Arc::default(),
             route_arena: Arc::default(),
-            route_intern: Arc::default(),
             middleboxes: Vec::new(),
             middlebox_images: Arc::new([]),
             hop_latency,
@@ -307,30 +414,35 @@ impl Network {
     /// Registers a host with the given address.
     ///
     /// # Panics
-    /// Panics if the address is already registered.
+    /// Panics if the address is already registered, or at the
+    /// `u32::MAX`-th host.
     pub fn add_host(&mut self, addr: Ipv4Addr) -> HostId {
-        let id = HostId(self.hosts.len());
-        let prev = Arc::make_mut(&mut self.addr_map).insert(addr, id);
-        assert!(prev.is_none(), "duplicate host address {addr}");
-        self.hosts.push(HostState { addr, inbox: Vec::new(), app: None });
-        id
+        self.add_host_with_sink(addr, Sink::Inbox(Vec::new()))
     }
 
     /// Registers a host with an application attached.
     pub fn add_host_with_app(&mut self, addr: Ipv4Addr, app: Box<dyn Application>) -> HostId {
-        let id = self.add_host(addr);
-        self.hosts[id.0].app = Some(app);
-        id
+        self.add_host_with_sink(addr, Sink::App(app))
     }
 
-    /// Attaches (or replaces) the application on a host.
+    fn add_host_with_sink(&mut self, addr: Ipv4Addr, sink: Sink) -> HostId {
+        assert!(self.hosts.len() < u32::MAX as usize, "host table overflow");
+        let id = self.hosts.len() as u32;
+        let prev = Arc::make_mut(&mut self.addr_map).insert(addr, id);
+        assert!(prev.is_none(), "duplicate host address {addr}");
+        self.hosts.push(HostState { addr, sink });
+        HostId(id as usize)
+    }
+
+    /// Attaches (or replaces) the application on a host. Its sink becomes
+    /// the application: an inbox it had is dropped.
     pub fn set_app(&mut self, host: HostId, app: Box<dyn Application>) {
-        self.hosts[host.0].app = Some(app);
+        self.hosts[host.0].sink = Sink::App(app);
     }
 
     /// Looks a host up by address.
     pub fn host_by_addr(&self, addr: Ipv4Addr) -> Option<HostId> {
-        self.addr_map.get(&addr).copied()
+        self.addr_map.get(&addr).map(|&id| HostId(id as usize))
     }
 
     /// Registers a middlebox, returning its id for route attachments.
@@ -416,18 +528,16 @@ impl Network {
     pub fn intern_route(&mut self, route: Route) -> RouteId {
         let mut hasher = FxHasher::default();
         route.hash(&mut hasher);
-        let key = hasher.finish();
-        if let Some(ids) = self.route_intern.get(&key) {
-            for &id in ids {
-                if self.route_arena[id.0 as usize] == route {
-                    return id;
-                }
-            }
+        self.intern_keyed(hasher.finish(), &route)
+    }
+
+    /// [`Network::intern_route`] under a given hash: the arena is copied
+    /// (when shared) only to add a route it does not hold.
+    fn intern_keyed(&mut self, key: u64, route: &Route) -> RouteId {
+        match self.route_arena.find(key, route) {
+            Ok(rid) => rid,
+            Err(free) => Arc::make_mut(&mut self.route_arena).push(free, route),
         }
-        let id = RouteId(u32::try_from(self.route_arena.len()).expect("route arena overflow"));
-        Arc::make_mut(&mut self.route_arena).push(route);
-        Arc::make_mut(&mut self.route_intern).entry(key).or_default().push(id);
-        id
     }
 
     /// Number of distinct routes in the arena (after interning).
@@ -437,8 +547,15 @@ impl Network {
 
     /// Installs the directed route from `src` to `dst`.
     pub fn set_route(&mut self, src: HostId, dst: HostId, route: Route) {
-        let id = self.intern_route(route);
-        Arc::make_mut(&mut self.routes).insert((src, dst), id);
+        let rid = self.intern_route(route);
+        self.set_route_id(src, dst, rid);
+    }
+
+    /// Points the directed (src, dst) entry at an interned route:
+    /// [`Network::set_route`] for a builder that installs one path between
+    /// many pairs and interns it once.
+    pub fn set_route_id(&mut self, src: HostId, dst: HostId, rid: RouteId) {
+        Arc::make_mut(&mut self.routes).insert(pair(src, dst), rid);
     }
 
     /// Installs the same (mirrored) route in both directions: the reverse
@@ -454,14 +571,14 @@ impl Network {
         }
         let forward = self.intern_route(route);
         let backward = self.intern_route(reverse);
-        let routes = Arc::make_mut(&mut self.routes);
-        routes.insert((a, b), forward);
-        routes.insert((b, a), backward);
+        self.set_route_id(a, b, forward);
+        self.set_route_id(b, a, backward);
     }
 
-    /// The route from `src` to `dst`, if installed.
-    pub fn route(&self, src: HostId, dst: HostId) -> Option<&Route> {
-        self.routes.get(&(src, dst)).map(|&id| &self.route_arena[id.0 as usize])
+    /// The route from `src` to `dst`, if installed, read back out of the
+    /// arena.
+    pub fn route(&self, src: HostId, dst: HostId) -> Option<Route> {
+        self.routes.get(&pair(src, dst)).map(|&rid| self.route_arena.route(rid))
     }
 
     /// Queues a packet for transmission from `host` at the current time.
@@ -518,7 +635,7 @@ impl Network {
             rid.0,
             self.route_arena.len()
         );
-        Arc::make_mut(&mut self.routes).insert((src, dst), rid);
+        self.set_route_id(src, dst, rid);
         self.route_flips += 1;
     }
 
@@ -526,7 +643,10 @@ impl Network {
     /// an [`Application`] has any: a packet delivered to a host with one
     /// goes to the application alone.
     pub fn take_inbox(&mut self, host: HostId) -> Vec<(Time, Vec<u8>)> {
-        std::mem::take(&mut self.hosts[host.0].inbox)
+        match &mut self.hosts[host.0].sink {
+            Sink::Inbox(inbox) => std::mem::take(inbox),
+            Sink::App(_) => Vec::new(),
+        }
     }
 
     /// The capture log accumulated so far.
@@ -620,12 +740,12 @@ impl Network {
             return;
         };
         let dst_addr = view.dst_addr();
-        let Some(dst) = self.addr_map.get(&dst_addr).copied() else {
+        let Some(dst) = self.host_by_addr(dst_addr) else {
             self.capture(TracePoint::Dropped { step: 0 }, &packet);
             return;
         };
         let time = self.now + self.hop_latency;
-        match self.routes.get(&(host, dst)) {
+        match self.routes.get(&pair(host, dst)) {
             Some(&rid) => self.schedule_walk(dst, rid, 0, time, packet),
             // No installed route: direct delivery, one hop of latency later.
             None => self.push_event(time, EventKind::Deliver { dst, packet }),
@@ -650,7 +770,7 @@ impl Network {
             if ttl <= 1 {
                 let orig_src = view.src_addr();
                 self.capture(TracePoint::Dropped { step }, &packet);
-                let hop_addr = self.route_arena[rid.0 as usize].steps[step].hop_addr;
+                let hop_addr = self.route_arena.steps(rid)[step].hop_addr;
                 self.emit_time_exceeded(hop_addr, orig_src, step);
                 return;
             }
@@ -664,17 +784,18 @@ impl Network {
         // network, so a hop allocates nothing, and a verdict edits it in
         // place: a forwarded packet keeps its slot (rewritten in place or
         // replaced when a device says so), and only a drop or a fan-out
-        // moves the packets behind it. The arena is re-indexed per device so
-        // no `&self` borrow is live across `process`. Device-level trace
-        // points bracket each call: an ingress record for the packet as the
-        // device saw it, an egress record per packet it forwarded. Extra
-        // queueing delay from Delay verdicts rides along with each packet.
+        // moves the packets behind it. The arena's device array is
+        // re-indexed per device so no `&self` borrow is live across
+        // `process`. Device-level trace points bracket each call: an
+        // ingress record for the packet as the device saw it, an egress
+        // record per packet it forwarded. Extra queueing delay from Delay
+        // verdicts rides along with each packet.
         let now = self.now;
-        let n_devices = self.route_arena[rid.0 as usize].steps[step].devices.len();
+        let devices = self.route_arena.steps(rid)[step].device_range();
         let mut train = std::mem::take(&mut self.train);
         train.push((packet, Duration::ZERO));
-        for di in 0..n_devices {
-            let (mb_id, direction) = self.route_arena[rid.0 as usize].steps[step].devices[di];
+        for di in devices {
+            let (mb_id, direction) = self.route_arena.devices[di];
             // The packets before `i` have passed this device.
             let mut i = 0;
             while i < train.len() {
@@ -717,13 +838,13 @@ impl Network {
     /// at the first step with devices or at the step where the TTL runs
     /// out, or final delivery.
     fn schedule_walk(&mut self, dst: HostId, rid: RouteId, step: usize, mut time: Time, mut packet: Vec<u8>) {
-        let route = &self.route_arena[rid.0 as usize];
-        let total = route.steps.len();
+        let steps = self.route_arena.steps(rid);
+        let total = steps.len();
         // An unparseable packet walks nowhere: `do_hop` drops it.
         let ttl = Ipv4Packet::new_checked(&packet[..]).map_or(0, |view| usize::from(view.ttl()));
         let mut next = step;
         // Step `next` is survived when the packet reaches it with TTL > 1.
-        while next < total && route.steps[next].devices.is_empty() && next - step + 1 < ttl {
+        while next < total && steps[next].device_count == 0 && next - step + 1 < ttl {
             next += 1;
         }
         let skipped = next - step;
@@ -745,7 +866,7 @@ impl Network {
     /// error is irrelevant to every experiment modeled here, and routers
     /// are not hosts.
     fn emit_time_exceeded(&mut self, hop_addr: Ipv4Addr, orig_src: Ipv4Addr, steps_back: usize) {
-        let Some(&src_host) = self.addr_map.get(&orig_src) else {
+        let Some(src_host) = self.host_by_addr(orig_src) else {
             return;
         };
         let icmp = Icmpv4Repr::TimeExceeded.build();
@@ -759,20 +880,18 @@ impl Network {
     /// host's inbox if it has none — one sink, never both.
     fn do_deliver(&mut self, dst: HostId, packet: Vec<u8>) {
         self.capture(TracePoint::HostRx(dst), &packet);
-        match self.hosts[dst.0].app.take() {
-            Some(mut app) => {
+        match &mut self.hosts[dst.0].sink {
+            Sink::App(app) => {
                 let outputs = app.on_packet(self.now, &packet);
-                self.hosts[dst.0].app = Some(app);
                 self.apply_outputs(dst, outputs);
             }
-            None => self.hosts[dst.0].inbox.push((self.now, packet)),
+            Sink::Inbox(inbox) => inbox.push((self.now, packet)),
         }
     }
 
     fn do_timer(&mut self, host: HostId) {
-        if let Some(mut app) = self.hosts[host.0].app.take() {
+        if let Sink::App(app) = &mut self.hosts[host.0].sink {
             let outputs = app.on_timer(self.now);
-            self.hosts[host.0].app = Some(app);
             self.apply_outputs(host, outputs);
         }
     }
@@ -823,7 +942,6 @@ impl Network {
             addr_map: Arc::clone(&self.addr_map),
             routes: Arc::clone(&self.routes),
             route_arena: Arc::clone(&self.route_arena),
-            route_intern: Arc::clone(&self.route_intern),
             middleboxes,
             hop_latency: self.hop_latency,
             capture_enabled: self.capture_enabled,
@@ -850,10 +968,9 @@ impl Network {
 /// per-cell applications after forking.
 pub struct NetworkImage {
     host_addrs: Vec<Ipv4Addr>,
-    addr_map: Arc<FxHashMap<Ipv4Addr, HostId>>,
-    routes: Arc<FxHashMap<(HostId, HostId), RouteId>>,
-    route_arena: Arc<Vec<Route>>,
-    route_intern: Arc<FxHashMap<u64, Vec<RouteId>>>,
+    addr_map: Arc<FxHashMap<Ipv4Addr, u32>>,
+    routes: Arc<FxHashMap<(u32, u32), RouteId>>,
+    route_arena: Arc<RouteArena>,
     middleboxes: Arc<[Box<dyn MiddleboxImage>]>,
     hop_latency: Duration,
     capture_enabled: bool,
@@ -873,12 +990,11 @@ impl NetworkImage {
             hosts: self
                 .host_addrs
                 .iter()
-                .map(|&addr| HostState { addr, inbox: Vec::new(), app: None })
+                .map(|&addr| HostState { addr, sink: Sink::Inbox(Vec::new()) })
                 .collect(),
             addr_map: Arc::clone(&self.addr_map),
             routes: Arc::clone(&self.routes),
             route_arena: Arc::clone(&self.route_arena),
-            route_intern: Arc::clone(&self.route_intern),
             middleboxes: self.middleboxes.iter().map(|_| OnceCell::new()).collect(),
             middlebox_images: Arc::clone(&self.middleboxes),
             hop_latency: self.hop_latency,
@@ -1384,6 +1500,32 @@ mod tests {
         // Interned slots still resolve per (src, dst) pair.
         assert_eq!(net.route(a, b).unwrap().steps[0].hop_addr, R1);
         assert_eq!(net.route(b, a).unwrap().steps[0].hop_addr, R2);
+    }
+
+    #[test]
+    fn unequal_routes_under_one_hash_key_keep_their_own_ids() {
+        // A 64-bit hash collision, forced: the second route probes on to
+        // the next key instead of taking the first one's id.
+        let mut net = Network::with_default_latency();
+        let first = Route::through(&[R1]);
+        let second = Route { steps: vec![RouteStep::with_device(R2, MiddleboxId(0), Direction::LocalToRemote)] };
+        let a = net.intern_keyed(7, &first);
+        let b = net.intern_keyed(7, &second);
+        assert_ne!(a, b);
+        assert_eq!((net.intern_keyed(7, &first), net.intern_keyed(7, &second)), (a, b));
+        assert_eq!(net.interned_routes(), 2);
+        assert_eq!(net.route_arena.route(a), first);
+        assert_eq!(net.route_arena.route(b), second);
+    }
+
+    #[test]
+    fn a_host_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<HostState>() <= 32, "{}", std::mem::size_of::<HostState>());
+    }
+
+    #[test]
+    fn a_stored_route_step_fits_in_12_bytes() {
+        assert!(std::mem::size_of::<ArenaStep>() <= 12, "{}", std::mem::size_of::<ArenaStep>());
     }
 
     #[test]

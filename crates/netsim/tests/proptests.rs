@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use tspu_netsim::{Direction, Middlebox, Network, Route, Time, TracePoint, Verdict};
+use tspu_netsim::{Direction, Middlebox, MiddleboxId, Network, Route, RouteStep, Time, TracePoint, Verdict};
 use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
 
 const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -34,7 +34,89 @@ impl Middlebox for PassThrough {
     }
 }
 
+/// A route drawn from small alphabets (four hop addresses, three device
+/// ids, both directions), so equal routes come up often.
+type DrawnRoute = Vec<(u32, Vec<(usize, bool)>)>;
+
+fn drawn_route(steps: &DrawnRoute) -> Route {
+    let steps = steps.iter().map(|(hop, devices)| RouteStep {
+        hop_addr: Ipv4Addr::from(0x0aff_0000 + hop),
+        devices: devices
+            .iter()
+            .map(|&(id, up)| (MiddleboxId(id), if up { Direction::LocalToRemote } else { Direction::RemoteToLocal }))
+            .collect(),
+    });
+    Route { steps: steps.collect() }
+}
+
+/// What `set_route_symmetric` installs in the reverse direction.
+fn mirrored(route: &Route) -> Route {
+    let steps = route.steps.iter().rev().map(|step| RouteStep {
+        hop_addr: step.hop_addr,
+        devices: step.devices.iter().map(|&(id, dir)| (id, dir.flip())).collect(),
+    });
+    Route { steps: steps.collect() }
+}
+
 proptest! {
+    /// The route arena reads back what was installed. Routes of 0–12
+    /// steps with 0–3 devices each go in through `set_route` and
+    /// `set_route_symmetric` between four hosts; afterwards every pair's
+    /// `route` equals the last route installed for it (mirrored on the
+    /// reverse of a symmetric install). Interning any installed route
+    /// again yields its id without growing the arena, equal routes share
+    /// one id, unequal routes never do, and the arena holds exactly the
+    /// distinct routes.
+    #[test]
+    fn route_arena_reads_back_what_was_installed(
+        installs in proptest::collection::vec(
+            (
+                proptest::collection::vec(
+                    (0u32..4, proptest::collection::vec((0usize..3, any::<bool>()), 0..=3)),
+                    0..=12,
+                ),
+                0usize..4,
+                0usize..4,
+                any::<bool>(),
+            ),
+            1..12,
+        ),
+    ) {
+        let mut net = Network::new(Duration::from_millis(1));
+        let hosts: Vec<_> = (0..4u32).map(|i| net.add_host(Ipv4Addr::from(0x0a00_0001 + i))).collect();
+        let mut model = std::collections::HashMap::new();
+        let mut distinct: Vec<Route> = Vec::new();
+        for (steps, src, dst, symmetric) in &installs {
+            let route = drawn_route(steps);
+            let (a, b) = (hosts[*src], hosts[*dst]);
+            let mut installed = vec![((a, b), route.clone())];
+            if *symmetric {
+                installed.push(((b, a), mirrored(&route)));
+                net.set_route_symmetric(a, b, route);
+            } else {
+                net.set_route(a, b, route);
+            }
+            for (key, route) in installed {
+                if !distinct.contains(&route) {
+                    distinct.push(route.clone());
+                }
+                model.insert(key, route);
+            }
+        }
+        for (&(a, b), route) in &model {
+            prop_assert_eq!(net.route(a, b).as_ref(), Some(route));
+        }
+        prop_assert_eq!(net.interned_routes(), distinct.len());
+        let ids: Vec<_> = distinct.iter().map(|route| net.intern_route(route.clone())).collect();
+        prop_assert_eq!(net.interned_routes(), distinct.len(), "re-interning grew the arena");
+        for (i, route) in distinct.iter().enumerate() {
+            prop_assert_eq!(net.intern_route(route.clone()), ids[i]);
+            for (j, other) in distinct.iter().enumerate() {
+                prop_assert_eq!(ids[i] == ids[j], i == j, "{:?} vs {:?}", route, other);
+            }
+        }
+    }
+
     /// The reference for the hop walk. A packet with TTL t crosses an
     /// n-router path iff t > n, arriving after n + 1 hop latencies;
     /// otherwise it dies at router t (step t - 1, reached after t

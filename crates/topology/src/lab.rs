@@ -465,12 +465,12 @@ impl VantageLab {
             self.chaos_links.push((fwd_label, fwd));
             self.chaos_links.push((rev_label, rev));
             for remote in remotes {
-                let mut forward = self.net.route(host, remote).expect("vantage route").clone();
+                let mut forward = self.net.route(host, remote).expect("vantage route");
                 forward.steps.last_mut().expect("non-empty route").devices
                     .push((fwd.id(), Direction::LocalToRemote));
                 self.net.set_route(host, remote, forward);
 
-                let mut reverse = self.net.route(remote, host).expect("vantage route").clone();
+                let mut reverse = self.net.route(remote, host).expect("vantage route");
                 reverse.steps.first_mut().expect("non-empty route").devices
                     .push((rev.id(), Direction::RemoteToLocal));
                 self.net.set_route(remote, host, reverse);

@@ -328,7 +328,7 @@ impl Runet {
             Ipv4Addr::new(188, 128, 0, 2),   // RU backbone
         ];
 
-        let mut endpoints = Vec::new();
+        let mut endpoints = Vec::with_capacity(ases.iter().map(|a| a.endpoint_count).sum());
         let mut devices: Vec<MiddleboxHandle<TspuDevice>> = Vec::new();
         let mut hop_owner: HashMap<Ipv4Addr, u32> = HashMap::new();
         for (i, &hop) in core_hops.iter().enumerate() {
@@ -475,6 +475,77 @@ impl Runet {
                     None
                 };
 
+                // The cluster's two routes, shared by all its endpoints.
+                // Forward: scanner → endpoint.
+                let mut forward: Vec<RouteStep> = core_hops
+                    .iter()
+                    .map(|&h| RouteStep::router(h))
+                    .collect();
+                if let Some(&choke) = choke_devices.first() {
+                    // The border box (after the RU border router).
+                    forward[2].devices.push((choke, Direction::RemoteToLocal));
+                }
+                let mut ingress_a_step = RouteStep::router(ingress_a);
+                if config.placement == PlacementModel::LeafTspu {
+                    if let Some(id) = provider_sym {
+                        ingress_a_step.devices.push((id, Direction::RemoteToLocal));
+                    }
+                }
+                forward.push(ingress_a_step);
+                forward.push(RouteStep::router(ingress_b));
+                for (k, &hop) in leaf_hops.iter().enumerate() {
+                    let mut step = RouteStep::router(hop);
+                    if let Some((id, dev_idx)) = device_id {
+                        if k == dev_idx {
+                            // Inbound order: NAT first (scanner side),
+                            // then the TSPU behind it.
+                            if let Some(nat) = nat_id {
+                                step.devices.push((nat, Direction::RemoteToLocal));
+                            }
+                            step.devices.push((id, Direction::RemoteToLocal));
+                        }
+                    }
+                    forward.push(step);
+                }
+
+                // Reverse: endpoint → scanner (and → Tor).
+                let mut reverse: Vec<RouteStep> = Vec::new();
+                for (k, &hop) in leaf_hops.iter().enumerate().rev() {
+                    let mut step = RouteStep::router(hop);
+                    if let Some((id, dev_idx)) = device_id {
+                        if k == dev_idx {
+                            // Outbound order: TSPU first, then NAT.
+                            step.devices.push((id, Direction::LocalToRemote));
+                            if let Some(nat) = nat_id {
+                                step.devices.push((nat, Direction::LocalToRemote));
+                            }
+                        }
+                    }
+                    reverse.push(step);
+                }
+                reverse.push(RouteStep::router(ingress_b));
+                let mut transit_step = RouteStep::router(ingress_a);
+                if let Some(up_id) = upstream_id {
+                    // The provider's device on the transit link sees
+                    // outbound traffic only.
+                    transit_step.devices.push((up_id, Direction::LocalToRemote));
+                }
+                if let Some(id) = provider_sym {
+                    transit_step.devices.push((id, Direction::LocalToRemote));
+                }
+                reverse.push(transit_step);
+                for (ci, &h) in core_hops.iter().enumerate().rev() {
+                    let mut step = RouteStep::router(h);
+                    if ci == 2 {
+                        if let Some(&choke) = choke_devices.get(1) {
+                            step.devices.push((choke, Direction::LocalToRemote));
+                        }
+                    }
+                    reverse.push(step);
+                }
+                let forward = net.intern_route(Route { steps: forward });
+                let reverse = net.intern_route(Route { steps: reverse });
+
                 for j in 0..in_cluster {
                     let addr = Ipv4Addr::from(cluster_base + 2 + j as u32);
                     let port = pick_port(&mut rng, as_info.kind);
@@ -489,80 +560,9 @@ impl Runet {
                         server = server.with_port(ServerPort::new(7, PortBehavior::Echo));
                     }
                     let host = net.add_host_with_app(addr, Box::new(ReassemblingApp::new(server)));
-
-                    // Forward route: scanner → endpoint.
-                    let mut forward: Vec<RouteStep> = core_hops
-                        .iter()
-                        .map(|&h| RouteStep::router(h))
-                        .collect();
-                    if let Some(&choke) = choke_devices.first() {
-                        // The border box (after the RU border router).
-                        forward[2].devices.push((choke, Direction::RemoteToLocal));
-                    }
-                    let mut ingress_a_step = RouteStep::router(ingress_a);
-                    if config.placement == PlacementModel::LeafTspu {
-                        if let Some(id) = provider_sym {
-                            ingress_a_step.devices.push((id, Direction::RemoteToLocal));
-                        }
-                    }
-                    forward.push(ingress_a_step);
-                    forward.push(RouteStep::router(ingress_b));
-                    for (k, &hop) in leaf_hops.iter().enumerate() {
-                        let mut step = RouteStep::router(hop);
-                        if let Some((id, dev_idx)) = device_id {
-                            if k == dev_idx {
-                                // Inbound order: NAT first (scanner side),
-                                // then the TSPU behind it.
-                                if let Some(nat) = nat_id {
-                                    step.devices.push((nat, Direction::RemoteToLocal));
-                                }
-                                step.devices.push((id, Direction::RemoteToLocal));
-                            }
-                        }
-                        forward.push(step);
-                    }
-
-                    // Reverse route: endpoint → scanner (and → Tor).
-                    let mut reverse: Vec<RouteStep> = Vec::new();
-                    for (k, &hop) in leaf_hops.iter().enumerate().rev() {
-                        let mut step = RouteStep::router(hop);
-                        if let Some((id, dev_idx)) = device_id {
-                            if k == dev_idx {
-                                // Outbound order: TSPU first, then NAT.
-                                step.devices.push((id, Direction::LocalToRemote));
-                                if let Some(nat) = nat_id {
-                                    step.devices.push((nat, Direction::LocalToRemote));
-                                }
-                            }
-                        }
-                        reverse.push(step);
-                    }
-                    reverse.push(RouteStep::router(ingress_b));
-                    let mut transit_step = RouteStep::router(ingress_a);
-                    if let Some(up_id) = upstream_id {
-                        // The provider's device on the transit link sees
-                        // outbound traffic only.
-                        transit_step.devices.push((up_id, Direction::LocalToRemote));
-                    }
-                    if let Some(id) = provider_sym {
-                        transit_step.devices.push((id, Direction::LocalToRemote));
-                    }
-                    reverse.push(transit_step);
-                    for (ci, &h) in core_hops.iter().enumerate().rev() {
-                        let mut step = RouteStep::router(h);
-                        if ci == 2 {
-                            if let Some(&choke) = choke_devices.get(1) {
-                                step.devices.push((choke, Direction::LocalToRemote));
-                            }
-                        }
-                        reverse.push(step);
-                    }
-
-                    for &(probe_src, fwd_needed) in &[(scanner, true), (tor, true)] {
-                        if fwd_needed {
-                            net.set_route(probe_src, host, Route { steps: forward.clone() });
-                            net.set_route(host, probe_src, Route { steps: reverse.clone() });
-                        }
+                    for probe_src in [scanner, tor] {
+                        net.set_route_id(probe_src, host, forward);
+                        net.set_route_id(host, probe_src, reverse);
                     }
 
                     let (behind_symmetric, truth_hops, truth_link) = if config.placement

@@ -5,6 +5,8 @@
 # patch no longer applies, a mutant no longer builds, or a mutant survives.
 # A mutant caught by a property test is printed with the size of the shrunk
 # counterexample: its draws, and the elements of its outermost collections.
+# Commands run under the `mutants` profile (Cargo.toml: release code built
+# incrementally) in place of `--release`.
 #
 #   sh tests/mutants/check.sh        # from a checkout with no local edits
 set -u
@@ -17,7 +19,7 @@ status=0
 log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 for patch in tests/mutants/*.patch; do
-    cmd=$(sed -n '1s/^# must fail: //p' "$patch")
+    cmd=$(sed -n '1s/^# must fail: //p' "$patch" | sed 's/--release/--profile mutants/')
     if [ -z "$cmd" ]; then
         echo "BAD      $patch: first line is not '# must fail: <command>'"
         status=1

@@ -91,7 +91,7 @@ fn the_export_of_a_fixed_lab_run_is_pinned() {
 
     // One scheduled flip of OBIT's forward route onto itself.
     let obit = lab.vantage("OBIT").host;
-    let route = lab.net.route(obit, lab.us_main).expect("vantage route").clone();
+    let route = lab.net.route(obit, lab.us_main).expect("vantage route");
     let rid = lab.net.intern_route(route);
     lab.net.schedule_reroute(Duration::from_millis(1), obit, lab.us_main, rid);
     fetch(&mut lab, "OBIT", 41_002, "wikipedia.org", SendShaping::default());
