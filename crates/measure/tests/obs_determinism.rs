@@ -7,9 +7,15 @@
 //! own axes: the churn campaign's per-day cells and the differential
 //! campaign's per-profile cells, with their merged snapshots.
 
-use tspu_measure::{ChurnCampaign, DifferentialCampaign, RunOpts, ScanPool, SweepSpec};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
+
+use tspu_core::{Policy, PolicyHandle};
+use tspu_measure::{CellsRun, ChurnCampaign, DifferentialCampaign, RunOpts, ScanPool, SweepSpec};
 use tspu_registry::Universe;
-use tspu_topology::policy_from_universe;
+use tspu_stack::craft::TcpPacketSpec;
+use tspu_topology::{policy_from_universe, LabImage, VantageLab};
+use tspu_wire::tcp::TcpFlags;
 
 mod common;
 use common::assert_thread_independent;
@@ -118,6 +124,44 @@ fn the_last_value_gauge_is_the_last_cells_at_any_thread_count() {
             assert_eq!(events_popped(&spec, threads), own, "{threads} threads");
         }
     }
+}
+
+/// Three observed cells on `pool`; cell `i` sends `i + 1` SYNs, so each
+/// leaves its own `netsim.events_popped`. With `interleave`, cell 0 waits
+/// until cell 1 has started and cell 1 until cell 2 has (each wait
+/// bounded): on two workers, one worker runs cells 0 and 2 while the
+/// other holds cell 1, so worker order is not index order whichever
+/// worker joins first.
+fn three_cells(image: &LabImage, pool: &ScanPool, interleave: bool) -> CellsRun<usize> {
+    let started: [AtomicBool; 3] = Default::default();
+    let opts = RunOpts { observe: true, ..RunOpts::default() };
+    pool.run_cells(&opts, &[1usize, 2, 3], |_| image, |lab, index, &syns| {
+        started[index].store(true, Ordering::Release);
+        if let Some(next) = started.get(index + 1).filter(|_| interleave) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !next.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        let vantage = lab.vantage("Rostelecom");
+        let (host, addr) = (vantage.host, vantage.addr);
+        for port in 0..syns as u16 {
+            let syn = TcpPacketSpec::new(addr, 10_000 + port, lab.us_main_addr, 443, TcpFlags::SYN).build();
+            lab.net.send_from(host, syn);
+        }
+        lab.net.run_until_idle();
+        index
+    })
+}
+
+#[test]
+fn chunks_merge_in_index_order_when_workers_interleave() {
+    let image = VantageLab::builder().policy(PolicyHandle::new(Policy::permissive())).image();
+    let serial = three_cells(&image, &ScanPool::single_thread(), false);
+    let forced = three_cells(&image, &ScanPool::new(2), true);
+    assert_eq!(forced.cells, [0, 1, 2], "cells come back in index order");
+    let json = |run: &CellsRun<usize>| run.snapshot.as_ref().expect("observed run").to_json();
+    assert_eq!(json(&forced), json(&serial), "the last-value gauge is cell 2's");
 }
 
 #[test]

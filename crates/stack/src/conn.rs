@@ -48,18 +48,73 @@ pub enum ConnEvent {
     ResetReceived,
 }
 
-/// A queued body and how far into it segmentation has got. Bodies are
-/// immutable and shared: a server queues the same page on every
-/// connection without copying it.
+/// A queued body and how far into it segmentation has got: shared,
+/// immutable bytes, then their last byte `repeat` more times. A server
+/// queues the same answer on every connection without copying it, and a
+/// page of one repeated byte costs that byte once.
+///
+/// The counts are `u32`, which keeps the cursor at 24 bytes: a body is at
+/// most 4 GiB, and [`TcpConnection::send_filled`] queues longer filler as
+/// several cursors over one body.
 #[derive(Debug)]
 struct Cursor {
     body: Arc<[u8]>,
-    sent: usize,
+    /// Bytes of `body` segmented so far.
+    sent: u32,
+    /// Repeats of `body`'s last byte still to segment.
+    repeat: u32,
 }
 
 impl Cursor {
-    fn rest(&self) -> &[u8] {
-        &self.body[self.sent..]
+    /// Bytes still to segment.
+    fn len(&self) -> usize {
+        self.body.len() - self.sent as usize + self.repeat as usize
+    }
+
+    /// Appends the next `n` bytes, `n` at most [`Cursor::len`], to `out`:
+    /// the shared ones copied, the repeated ones written, each once.
+    fn append(&self, n: usize, out: &mut Vec<u8>) {
+        let shared = &self.body[self.sent as usize..];
+        let copied = n.min(shared.len());
+        out.extend_from_slice(&shared[..copied]);
+        if let Some(&last) = self.body.last() {
+            out.resize(out.len() + (n - copied), last);
+        }
+    }
+
+    /// Skips the next `n` bytes, `n` at most [`Cursor::len`].
+    fn advance(&mut self, n: usize) {
+        let shared = n.min(self.body.len() - self.sent as usize);
+        // Both fit: `sent + shared` is at most the body's length, which
+        // `send_filled` checked, and `n - shared` is at most `repeat`.
+        self.sent += shared as u32;
+        self.repeat -= (n - shared) as u32;
+    }
+}
+
+/// One data segment's payload where it sits in the send queue: the first
+/// `len` bytes of the front body and of the bodies behind it.
+struct Payload<'a> {
+    front: Option<&'a Cursor>,
+    behind: Option<&'a VecDeque<Cursor>>,
+    len: usize,
+}
+
+impl Payload<'_> {
+    /// A payload-less segment's.
+    const NONE: Payload<'static> = Payload { front: None, behind: None, len: 0 };
+
+    /// Appends the payload to `out`, straight from the bodies it spans.
+    fn append_to(&self, out: &mut Vec<u8>) {
+        let mut left = self.len;
+        for cursor in self.front.into_iter().chain(self.behind.into_iter().flatten()) {
+            let n = left.min(cursor.len());
+            cursor.append(n, out);
+            left -= n;
+            if left == 0 {
+                break;
+            }
+        }
     }
 }
 
@@ -211,10 +266,37 @@ impl TcpConnection {
     /// it. The connection drops its reference as soon as the last byte
     /// has been segmented.
     pub fn send_shared(&mut self, body: Arc<[u8]>) {
-        if body.is_empty() {
+        self.send_filled(body, 0);
+    }
+
+    /// [`TcpConnection::send_shared`] followed by `filler` more copies of
+    /// `body`'s last byte, which are written into the packets that carry
+    /// them and never held: a page of filler costs no memory. An empty
+    /// `body` queues nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `body` is longer than 4 GiB (`u32::MAX` bytes). Filler is not
+    /// limited.
+    pub fn send_filled(&mut self, body: Arc<[u8]>, filler: usize) {
+        let Ok(len) = u32::try_from(body.len()) else {
+            panic!("a queued body is at most u32::MAX bytes, not {}", body.len());
+        };
+        if len == 0 {
             return;
         }
-        let cursor = Cursor { body, sent: 0 };
+        let most = u32::MAX as usize;
+        let (mut sent, mut repeat, mut rest) = (0, filler.min(most), filler.saturating_sub(most));
+        // Filler past 4 GiB continues in cursors whose shared bytes are
+        // already sent.
+        while rest > 0 {
+            self.push_body(Cursor { body: body.clone(), sent, repeat: repeat as u32 });
+            (sent, repeat, rest) = (len, rest.min(most), rest.saturating_sub(most));
+        }
+        self.push_body(Cursor { body, sent, repeat: repeat as u32 });
+    }
+
+    fn push_body(&mut self, cursor: Cursor) {
         if self.body.is_none() {
             self.body = Some(cursor);
         } else {
@@ -267,7 +349,9 @@ impl TcpConnection {
             spec.ack = head.ack;
             spec.window = head.window;
             spec.ident = ident();
-            sink(spec.build_with(payload));
+            let mut packet = Vec::new();
+            spec.build_appending(payload.len, |out| payload.append_to(out), &mut packet);
+            sink(packet);
         });
     }
 
@@ -278,6 +362,8 @@ impl TcpConnection {
         let (src_port, dst_port) = (self.local_port, self.peer_port);
         let mut reprs = Vec::new();
         self.drain_segments(|head, payload| {
+            let mut bytes = Vec::with_capacity(payload.len);
+            payload.append_to(&mut bytes);
             reprs.push(TcpRepr {
                 src_port,
                 dst_port,
@@ -285,7 +371,7 @@ impl TcpConnection {
                 ack_number: head.ack,
                 flags: head.flags,
                 window: head.window,
-                payload: payload.to_vec(),
+                payload: bytes,
             });
         });
         reprs
@@ -300,48 +386,35 @@ impl TcpConnection {
     /// queued handshake steps and ACKs, then, once established, all queued
     /// data cut to the MSS and the peer's advertised window (clamped per
     /// flight, not tracked in flight: the simulator acks every round
-    /// trip). The payload is a slice of the queued body itself; only a
-    /// segment that straddles two bodies is gathered into a scratch buffer
-    /// first.
-    fn drain_segments(&mut self, mut sink: impl FnMut(Head, &[u8])) {
+    /// trip). The payload is handed over where it sits in the queue, and
+    /// a segment that runs past its front body takes the rest from the
+    /// bodies behind.
+    fn drain_segments(&mut self, mut sink: impl FnMut(Head, Payload<'_>)) {
         if let Some(head) = self.head.take() {
-            sink(head, &[]);
+            sink(head, Payload::NONE);
         }
         if let Some(spill) = &mut self.spill {
             for head in std::mem::take(&mut spill.heads) {
-                sink(head, &[]);
+                sink(head, Payload::NONE);
             }
         }
         if self.state != TcpState::Established {
             return;
         }
         let limit = usize::from(self.mss.min(self.peer_window.max(1)));
-        let mut straddling = Vec::new();
         while let Some(front) = &self.body {
             let head = self.segment(TcpFlags::PSH_ACK);
-            let rest = front.rest();
             let behind = self.spill.as_deref().map(|spill| &spill.bodies);
-            let take = match behind.filter(|bodies| !bodies.is_empty()) {
-                Some(behind) if rest.len() < limit => {
-                    straddling.clear();
-                    for cursor in std::iter::once(front).chain(behind) {
-                        let rest = cursor.rest();
-                        straddling.extend_from_slice(&rest[..rest.len().min(limit - straddling.len())]);
-                        if straddling.len() == limit {
-                            break;
-                        }
-                    }
-                    sink(head, &straddling);
-                    straddling.len()
+            let mut len = front.len().min(limit);
+            for cursor in behind.into_iter().flatten() {
+                if len == limit {
+                    break;
                 }
-                _ => {
-                    let take = limit.min(rest.len());
-                    sink(head, &rest[..take]);
-                    take
-                }
-            };
-            self.snd_nxt = self.snd_nxt.wrapping_add(take as u32);
-            self.consume(take);
+                len += cursor.len().min(limit - len);
+            }
+            sink(head, Payload { front: Some(front), behind, len });
+            self.snd_nxt = self.snd_nxt.wrapping_add(len as u32);
+            self.consume(len);
         }
     }
 
@@ -349,10 +422,10 @@ impl TcpConnection {
     /// last byte that covers.
     fn consume(&mut self, mut sent: usize) {
         while let Some(front) = self.body.as_mut().filter(|_| sent > 0) {
-            let step = sent.min(front.rest().len());
-            front.sent += step;
+            let step = sent.min(front.len());
+            front.advance(step);
             sent -= step;
-            if front.rest().is_empty() {
+            if front.len() == 0 {
                 self.body = self.spill.as_mut().and_then(|spill| spill.bodies.pop_front());
             }
         }
@@ -453,26 +526,28 @@ impl TcpConnection {
 mod tests {
     use super::*;
 
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
     const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const S: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 1);
 
     /// Shuttles segments between two connections until both go quiet.
     /// Returns the bytes each side's application received.
-    fn pump(a: &mut TcpConnection, b: &mut TcpConnection) -> (Vec<u8>, Vec<u8>) {
+    fn pump(a: &mut TcpConnection, b: &mut TcpConnection) -> tspu_wire::Result<(Vec<u8>, Vec<u8>)> {
         let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
         for _ in 0..64 {
             let from_a = a.poll_output();
             let from_b = b.poll_output();
             if from_a.is_empty() && from_b.is_empty() {
-                return (at_a, at_b);
+                return Ok((at_a, at_b));
             }
             for repr in from_a {
                 let bytes = repr.build(a.local_addr, a.peer_addr);
-                at_b.extend_from_slice(b.on_segment(&TcpSegment::new_checked(&bytes[..]).unwrap()));
+                at_b.extend_from_slice(b.on_segment(&TcpSegment::new_checked(&bytes[..])?));
             }
             for repr in from_b {
                 let bytes = repr.build(b.local_addr, b.peer_addr);
-                at_a.extend_from_slice(a.on_segment(&TcpSegment::new_checked(&bytes[..]).unwrap()));
+                at_a.extend_from_slice(a.on_segment(&TcpSegment::new_checked(&bytes[..])?));
             }
         }
         panic!("connections did not quiesce");
@@ -487,91 +562,97 @@ mod tests {
     }
 
     #[test]
-    fn normal_handshake_and_data() {
+    fn normal_handshake_and_data() -> TestResult {
         let (mut client, mut server) = pair();
-        pump(&mut client, &mut server);
+        pump(&mut client, &mut server)?;
         assert_eq!(client.state(), TcpState::Established);
         assert_eq!(server.state(), TcpState::Established);
 
         assert_eq!(client.take_events(), [ConnEvent::Established]);
         client.send(b"hello over tcp");
-        let (_, at_server) = pump(&mut client, &mut server);
+        let (_, at_server) = pump(&mut client, &mut server)?;
         assert_eq!(at_server, b"hello over tcp");
+        Ok(())
     }
 
     #[test]
-    fn split_handshake_with_unmodified_client() {
+    fn split_handshake_with_unmodified_client() -> TestResult {
         let mut client = TcpConnection::new(C, 40001, S, 443);
         let mut server = TcpConnection::new(S, 443, C, 40001);
         server.set_mode(HandshakeMode::SplitHandshake);
         server.listen();
         client.connect();
-        pump(&mut client, &mut server);
+        pump(&mut client, &mut server)?;
         assert_eq!(client.state(), TcpState::Established);
         assert_eq!(server.state(), TcpState::Established);
 
         // Data flows both ways afterwards.
         client.send(b"request");
         server.send(b"response");
-        let (at_client, at_server) = pump(&mut client, &mut server);
+        let (at_client, at_server) = pump(&mut client, &mut server)?;
         assert_eq!(at_client, b"response");
         assert_eq!(at_server, b"request");
+        Ok(())
     }
 
     #[test]
-    fn simultaneous_open() {
+    fn simultaneous_open() -> TestResult {
         let mut a = TcpConnection::new(C, 40002, S, 443);
         let mut b = TcpConnection::new(S, 443, C, 40002);
         a.connect();
         b.connect();
-        pump(&mut a, &mut b);
+        pump(&mut a, &mut b)?;
         assert_eq!(a.state(), TcpState::Established);
         assert_eq!(b.state(), TcpState::Established);
+        Ok(())
     }
 
     #[test]
-    fn small_window_forces_segmentation() {
+    fn small_window_forces_segmentation() -> TestResult {
         let mut client = TcpConnection::new(C, 40003, S, 443);
         let mut server = TcpConnection::new(S, 443, C, 40003);
         server.set_local_window(64); // brdgrd-style (§8)
         server.listen();
         client.connect();
-        pump(&mut client, &mut server);
+        pump(&mut client, &mut server)?;
 
         client.send(&[0xab; 300]);
         let segments = client.poll_output();
         let data_segments: Vec<_> = segments.iter().filter(|s| !s.payload.is_empty()).collect();
         assert!(data_segments.len() >= 5, "expected ≥5 segments, got {}", data_segments.len());
         assert!(data_segments.iter().all(|s| s.payload.len() <= 64));
+        Ok(())
     }
 
     #[test]
-    fn rst_resets_connection() {
+    fn rst_resets_connection() -> TestResult {
         let (mut client, mut server) = pair();
-        pump(&mut client, &mut server);
+        pump(&mut client, &mut server)?;
         let mut rst = TcpRepr::new(443, 40000, TcpFlags::RST_ACK);
         rst.seq_number = 1;
         let bytes = rst.build(S, C);
-        client.on_segment(&TcpSegment::new_checked(&bytes[..]).unwrap());
+        client.on_segment(&TcpSegment::new_checked(&bytes[..])?);
         assert_eq!(client.state(), TcpState::Reset);
         assert!(client.take_events().contains(&ConnEvent::ResetReceived));
         let _ = server;
+        Ok(())
     }
 
     #[test]
-    fn sequence_numbers_advance_with_data() {
+    fn sequence_numbers_advance_with_data() -> TestResult {
         let (mut client, mut server) = pair();
-        pump(&mut client, &mut server);
+        pump(&mut client, &mut server)?;
         client.send(b"abcd");
-        let seg1 = client.poll_output().pop().unwrap();
+        let seg1 = client.poll_output().pop().ok_or("no segment")?;
         {
             let repr = &seg1;
             let bytes = repr.build(C, S);
-            server.on_segment(&TcpSegment::new_checked(&bytes[..]).unwrap());
+            server.on_segment(&TcpSegment::new_checked(&bytes[..])?);
         }
         client.send(b"efgh");
-        let seg2 = client.poll_output().pop().unwrap();
+        let seg2 = client.poll_output().pop().ok_or("no segment")?;
         assert_eq!(seg2.seq_number, seg1.seq_number.wrapping_add(4));
+        Ok(())
     }
 
     #[test]
@@ -610,6 +691,33 @@ mod tests {
         client.on_segment(&TcpSegment::new_unchecked(&rst[..]));
         assert_eq!(client.take_events(), [ConnEvent::Established, ConnEvent::ResetReceived]);
         assert!(client.take_events().is_empty());
+    }
+
+    #[test]
+    fn a_filled_body_is_its_bytes_then_its_last_byte_repeated() -> TestResult {
+        let (mut client, mut server) = pair();
+        pump(&mut client, &mut server)?;
+        client.send_filled(Arc::from(&b"hello"[..]), 3000);
+        client.send(b"!");
+        let (_, at_server) = pump(&mut client, &mut server)?;
+        let mut expected = b"hello".to_vec();
+        expected.resize(5 + 3000, b'o');
+        expected.push(b'!');
+        assert!(at_server == expected, "received {} bytes, expected {}", at_server.len(), expected.len());
+        assert!(client.body.is_none(), "a finished body is dropped");
+        Ok(())
+    }
+
+    #[test]
+    fn filler_past_4_gib_is_queued_whole() {
+        // Nothing is sent: the queue alone shows that the filler neither
+        // wrapped nor was cut short.
+        let mut conn = TcpConnection::new(C, 40005, S, 443);
+        let filler = u32::MAX as usize + 2;
+        conn.send_filled(Arc::from(&[7u8][..]), filler);
+        let behind = conn.spill.as_ref().map_or(0, |spill| spill.bodies.iter().map(Cursor::len).sum());
+        assert_eq!(conn.body.as_ref().map(Cursor::len), Some(1 + u32::MAX as usize));
+        assert_eq!(behind, 2);
     }
 
     #[test]

@@ -90,13 +90,28 @@ impl TcpPacketSpec {
 
     /// [`TcpPacketSpec::build_with`] into a caller-provided buffer, so scan
     /// loops can recycle packet allocations. The buffer is cleared and
-    /// resized; every byte of the result is written.
+    /// refilled; every byte of the result is written.
     pub fn build_into(&self, payload: &[u8], buffer: &mut Vec<u8>) {
+        self.build_appending(payload.len(), |out| out.extend_from_slice(payload), buffer);
+    }
+
+    /// [`TcpPacketSpec::build_into`] with the payload appended to the
+    /// buffer by `append`, which is told to expect `len` bytes: each
+    /// payload byte is written once, straight into the packet that carries
+    /// it. Only the headers are zeroed before they are written.
+    pub(crate) fn build_appending(
+        &self,
+        len: usize,
+        append: impl FnOnce(&mut Vec<u8>),
+        buffer: &mut Vec<u8>,
+    ) {
         use tspu_wire::{ipv4, tcp};
-        let tcp_len = tcp::HEADER_LEN + payload.len();
+        const HEADERS: usize = ipv4::HEADER_LEN + tcp::HEADER_LEN;
         buffer.clear();
-        buffer.resize(ipv4::HEADER_LEN + tcp_len, 0);
-        buffer[ipv4::HEADER_LEN + tcp::HEADER_LEN..].copy_from_slice(payload);
+        buffer.reserve(HEADERS + len);
+        buffer.resize(HEADERS, 0);
+        append(buffer);
+        let tcp_len = buffer.len() - ipv4::HEADER_LEN;
         {
             let mut segment = TcpSegment::new_unchecked(&mut buffer[ipv4::HEADER_LEN..]);
             segment.set_src_port(self.src_port);
@@ -152,38 +167,41 @@ mod tests {
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
     #[test]
-    fn tcp_spec_builds_valid_packet() {
+    fn tcp_spec_builds_valid_packet() -> tspu_wire::Result<()> {
         let bytes = TcpPacketSpec::new(A, 1234, B, 443, TcpFlags::SYN)
             .seq_ack(100, 0)
             .ttl(3)
             .window(512)
             .payload(b"x".to_vec())
             .build();
-        let ip = Ipv4Packet::new_checked(&bytes[..]).unwrap();
+        let ip = Ipv4Packet::new_checked(&bytes[..])?;
         assert!(ip.verify_checksum());
         assert_eq!(ip.ttl(), 3);
-        let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
+        let tcp = TcpSegment::new_checked(ip.payload())?;
         assert!(tcp.verify_checksum(A, B));
         assert_eq!(tcp.src_port(), 1234);
         assert_eq!(tcp.window(), 512);
         assert_eq!(tcp.payload(), b"x");
+        Ok(())
     }
 
     #[test]
-    fn udp_builds_valid_packet() {
+    fn udp_builds_valid_packet() -> tspu_wire::Result<()> {
         let bytes = udp_packet(A, 5000, B, 443, &[0xaa; 1200]);
-        let ip = Ipv4Packet::new_checked(&bytes[..]).unwrap();
-        let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
+        let ip = Ipv4Packet::new_checked(&bytes[..])?;
+        let udp = UdpDatagram::new_checked(ip.payload())?;
         assert!(udp.verify_checksum(A, B));
         assert_eq!(udp.payload().len(), 1200);
+        Ok(())
     }
 
     #[test]
-    fn icmp_builders() {
+    fn icmp_builders() -> tspu_wire::Result<()> {
         for bytes in [icmp_echo_request(A, B, 7, 1), icmp_echo_reply(B, A, 7, 1)] {
-            let ip = Ipv4Packet::new_checked(&bytes[..]).unwrap();
+            let ip = Ipv4Packet::new_checked(&bytes[..])?;
             assert!(ip.verify_checksum());
             assert_eq!(u8::from(ip.protocol()), 1);
         }
+        Ok(())
     }
 }

@@ -93,32 +93,33 @@ struct PeerKey {
 enum Service {
     Echo,
     Respond(Arc<[u8]>),
-    /// Answers a ClientHello with these bytes (ServerHello, then one
-    /// application-data record).
-    Tls(Arc<[u8]>),
+    /// Answers a ClientHello with `head` (the ServerHello, an
+    /// application-data record header and the page's first byte), then
+    /// that byte `filler` more times: the page is never held.
+    Tls { head: Arc<[u8]>, filler: usize },
     Sink,
 }
 
 impl Service {
     fn resolve(behavior: PortBehavior) -> Service {
-        match behavior {
-            PortBehavior::Echo => Service::Echo,
-            PortBehavior::Respond(bytes) => Service::Respond(bytes.into()),
-            PortBehavior::TlsServer => Service::Tls(tls_response(0x40)),
-            PortBehavior::TlsServerPage(page) => Service::Tls(tls_response(page)),
-            PortBehavior::Sink => Service::Sink,
+        let page = match behavior {
+            PortBehavior::Echo => return Service::Echo,
+            PortBehavior::Respond(bytes) => return Service::Respond(bytes.into()),
+            PortBehavior::Sink => return Service::Sink,
+            PortBehavior::TlsServer => 0x40,
+            PortBehavior::TlsServerPage(page) => page,
+        };
+        // A ServerHello followed by `page` bytes of application data, so
+        // throttling and delayed drops have something to act on. Only the
+        // page's first byte is stored; the rest repeat it.
+        let mut head = tls::server_hello_record();
+        head.extend_from_slice(&[0x17, 0x03, 0x03]);
+        head.extend_from_slice(&(page.min(0xffff) as u16).to_be_bytes());
+        if page > 0 {
+            head.push(0xda);
         }
+        Service::Tls { head: head.into(), filler: page.saturating_sub(1) }
     }
-}
-
-/// A ServerHello followed by `page` bytes of application data, so
-/// throttling and delayed drops have something to act on.
-fn tls_response(page: usize) -> Arc<[u8]> {
-    let mut response = tls::server_hello_record();
-    response.extend_from_slice(&[0x17, 0x03, 0x03]);
-    response.extend_from_slice(&(page.min(0xffff) as u16).to_be_bytes());
-    response.resize(response.len() + page, 0xda);
-    response.into()
 }
 
 /// Whether `stream`, a connection's bytes from the first, holds a whole
@@ -250,7 +251,7 @@ impl ServerApp {
                     slot.responded = true;
                     slot.conn.send_shared(body.clone());
                 }
-                Service::Tls(response) if !slot.responded => {
+                Service::Tls { head, filler } if !slot.responded => {
                     // Real servers reassemble the byte stream before
                     // parsing — segmentation evasions rely on this.
                     let complete = match &mut slot.rx_buffer {
@@ -263,12 +264,12 @@ impl ServerApp {
                     if complete {
                         slot.responded = true;
                         slot.rx_buffer = None;
-                        slot.conn.send_shared(response.clone());
+                        slot.conn.send_filled(head.clone(), *filler);
                     } else if slot.rx_buffer.is_none() {
                         slot.rx_buffer = Some(Box::new(data.to_vec()));
                     }
                 }
-                Service::Respond(_) | Service::Tls(_) | Service::Sink => {}
+                Service::Respond(_) | Service::Tls { .. } | Service::Sink => {}
             }
         }
 
@@ -435,13 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn echo_server_full_cycle() {
+    fn echo_server_full_cycle() -> tspu_wire::Result<()> {
         let mut app = ServerApp::echo_server(SERVER);
         let syn = TcpPacketSpec::new(CLIENT, 4000, SERVER, 7, TcpFlags::SYN).seq_ack(100, 0).build();
         let replies = unwrap_sends(app.on_packet(Time::ZERO, &syn));
         assert_eq!(replies.len(), 1);
-        let synack_view = Ipv4Packet::new_checked(&replies[0][..]).unwrap();
-        let synack = TcpSegment::new_checked(synack_view.payload()).unwrap();
+        let synack_view = Ipv4Packet::new_checked(&replies[0][..])?;
+        let synack = TcpSegment::new_checked(synack_view.payload())?;
         assert_eq!(synack.flags(), TcpFlags::SYN_ACK);
 
         let ack = TcpPacketSpec::new(CLIENT, 4000, SERVER, 7, TcpFlags::ACK)
@@ -465,6 +466,7 @@ mod tests {
         assert_eq!(echoed.len(), 1);
         let ip = Ipv4Packet::new_unchecked(&echoed[0][..]);
         assert_eq!(TcpSegment::new_unchecked(ip.payload()).payload(), b"echo me");
+        Ok(())
     }
 
     #[test]
@@ -539,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn udp_echo_and_icmp() {
+    fn udp_echo_and_icmp() -> tspu_wire::Result<()> {
         let mut app = ServerApp::new(SERVER).with_udp_echo(7);
         let probe = crate::craft::udp_packet(CLIENT, 5000, SERVER, 7, b"udp-probe");
         let replies = unwrap_sends(app.on_packet(Time::ZERO, &probe));
@@ -548,41 +550,44 @@ mod tests {
         let ping = crate::craft::icmp_echo_request(CLIENT, SERVER, 9, 1);
         let replies = unwrap_sends(app.on_packet(Time::ZERO, &ping));
         assert_eq!(replies.len(), 1);
-        let ip = Ipv4Packet::new_checked(&replies[0][..]).unwrap();
-        let icmp = Icmpv4Packet::new_checked(ip.payload()).unwrap();
-        assert!(matches!(Icmpv4Repr::parse(&icmp).unwrap(), Icmpv4Repr::EchoReply { .. }));
+        let ip = Ipv4Packet::new_checked(&replies[0][..])?;
+        let icmp = Icmpv4Packet::new_checked(ip.payload())?;
+        assert!(matches!(Icmpv4Repr::parse(&icmp)?, Icmpv4Repr::EchoReply { .. }));
+        Ok(())
     }
 
     #[test]
-    fn reassembling_app_answers_fragmented_syn() {
+    fn reassembling_app_answers_fragmented_syn() -> tspu_wire::Result<()> {
         let inner = ServerApp::echo_server(SERVER);
         let mut app = ReassemblingApp::new(inner);
         let syn = TcpPacketSpec::new(CLIENT, 4003, SERVER, 7, TcpFlags::SYN)
             .payload(vec![0xaa; 512]) // SYN with payload, as in §7.2 scans
             .ident(77)
             .build();
-        let fragments = tspu_wire::frag::fragment(&syn, 64).unwrap();
+        let fragments = tspu_wire::frag::fragment(&syn, 64)?;
         let mut replies = Vec::new();
         for fragment in &fragments {
             replies = app.on_packet(Time::ZERO, fragment);
         }
         assert_eq!(replies.len(), 1, "reassembled SYN gets a SYN/ACK");
+        Ok(())
     }
 
     #[test]
-    fn reassembling_app_enforces_endpoint_limit() {
+    fn reassembling_app_enforces_endpoint_limit() -> tspu_wire::Result<()> {
         let inner = ServerApp::echo_server(SERVER);
         let mut app = ReassemblingApp::new(inner);
         app.frag_limit = 10;
         let syn = TcpPacketSpec::new(CLIENT, 4004, SERVER, 7, TcpFlags::SYN)
             .payload(vec![0xaa; 512])
             .build();
-        let fragments = tspu_wire::frag::fragment_into(&syn, 12).unwrap();
+        let fragments = tspu_wire::frag::fragment_into(&syn, 12)?;
         let mut replies = Vec::new();
         for fragment in &fragments {
             replies = app.on_packet(Time::ZERO, fragment);
         }
         assert!(replies.is_empty());
+        Ok(())
     }
 
     /// Feeds `fragments` in order; the replies to the last one.
@@ -595,39 +600,41 @@ mod tests {
     }
 
     /// A SYN with a 512-byte payload from `port`, cut into `pieces`.
-    fn fragmented_syn(port: u16, pieces: usize) -> Vec<Vec<u8>> {
+    fn fragmented_syn(port: u16, pieces: usize) -> tspu_wire::Result<Vec<Vec<u8>>> {
         let syn = TcpPacketSpec::new(CLIENT, port, SERVER, 7, TcpFlags::SYN)
             .payload(vec![0xaa; 512])
             .ident(port)
             .build();
-        tspu_wire::frag::fragment_into(&syn, pieces).unwrap()
+        tspu_wire::frag::fragment_into(&syn, pieces)
     }
 
     #[test]
-    fn an_idle_endpoint_holds_no_reassembly_state() {
+    fn an_idle_endpoint_holds_no_reassembly_state() -> tspu_wire::Result<()> {
         let mut app = ReassemblingApp::new(ServerApp::echo_server(SERVER));
         // A completed train is answered and leaves nothing behind.
-        assert_eq!(feed(&mut app, &fragmented_syn(4005, 45)).len(), 1);
+        assert_eq!(feed(&mut app, &fragmented_syn(4005, 45)?).len(), 1);
         assert_eq!(app.pending.capacity(), 0);
         // So does one a duplicate poisons: it fails its one attempt.
-        let mut duplicated = fragmented_syn(4006, 45);
+        let mut duplicated = fragmented_syn(4006, 45)?;
         duplicated.insert(7, duplicated[3].clone());
         assert!(feed(&mut app, &duplicated).is_empty());
         assert_eq!(app.pending.capacity(), 0);
         // And one past the endpoint's limit of 64.
-        assert!(feed(&mut app, &fragmented_syn(4007, 65)).is_empty());
+        assert!(feed(&mut app, &fragmented_syn(4007, 65)?).is_empty());
         assert_eq!(app.pending.capacity(), 0);
+        Ok(())
     }
 
     #[test]
-    fn a_reversed_train_fails_at_its_first_piece() {
+    fn a_reversed_train_fails_at_its_first_piece() -> tspu_wire::Result<()> {
         // MF = 0 arrives first: the one attempt fails on the spot, and the
         // 44 pieces after it wait for an MF = 0 piece that has come and gone.
         let mut app = ReassemblingApp::new(ServerApp::echo_server(SERVER));
-        let mut reversed = fragmented_syn(4008, 45);
+        let mut reversed = fragmented_syn(4008, 45)?;
         reversed.reverse();
         assert!(feed(&mut app, &reversed).is_empty());
         assert_eq!(app.pending.len(), 1);
         assert_eq!(app.pending.values().next().map(Reassembly::pieces), Some(44));
+        Ok(())
     }
 }

@@ -231,6 +231,44 @@ proptest! {
         }
     }
 
+    /// A body queued with filler arrives as itself and then its last byte
+    /// repeated, whatever the MSS and the window cut, with segments
+    /// running from one body into the next; the packet sink and
+    /// `poll_output` agree on every segment on the way.
+    #[test]
+    fn filled_bodies_deliver_exact(
+        window in 32u16..4096,
+        mss in 8usize..2000,
+        queued in proptest::collection::vec(
+            (0usize..64, any::<u64>(), prop_oneof![0usize..8, 0usize..5000]),
+            1..5,
+        ),
+    ) {
+        let mut client = Endpoint::new(C, 40_000, S, 443, 0);
+        let mut server = Endpoint::new(S, 443, C, 40_000, 0);
+        server.both(|conn| {
+            conn.set_local_window(window);
+            conn.listen();
+        });
+        client.both(|conn| {
+            conn.set_mss(mss);
+            conn.connect();
+        });
+        prop_assert!(pump(&mut client, &mut server));
+        let mut expected = Vec::new();
+        for &(len, seed, filler) in &queued {
+            let bytes = body(len, seed);
+            let shared: Arc<[u8]> = Arc::from(&bytes[..]);
+            client.both(|conn| conn.send_filled(shared.clone(), filler));
+            expected.extend_from_slice(&bytes);
+            if let Some(&last) = bytes.last() {
+                expected.resize(expected.len() + filler, last);
+            }
+        }
+        prop_assert!(pump(&mut client, &mut server));
+        prop_assert!(server.received == expected, "the server received the bodies and their filler");
+    }
+
     /// The connection state machine never panics on arbitrary segment
     /// bytes.
     #[test]

@@ -67,7 +67,8 @@ pub struct Lab<N> {
     pub tor: HostId,
     pub tor_addr: Ipv4Addr,
     /// The per-ISP censoring resolvers (the decentralized baseline).
-    pub resolvers: Vec<IspResolver>,
+    /// Read-only, and shared by `Arc` into every image fork.
+    pub resolvers: Arc<[IspResolver]>,
     /// Chaos links installed by [`VantageLab::apply_fault_plan`], labeled
     /// `"<vantage>-fwd"` / `"<vantage>-rev"`, for per-link fault stats.
     pub chaos_links: Vec<(String, MiddleboxHandle<ChaosLink>)>,
@@ -414,7 +415,7 @@ impl VantageLab {
             paris_addr: PARIS_MACHINE,
             tor,
             tor_addr: TOR_ENTRY_NODE,
-            resolvers,
+            resolvers: resolvers.into(),
             chaos_links: Vec::new(),
             gen: gen.map(Arc::new),
         }

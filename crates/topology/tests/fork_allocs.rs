@@ -1,6 +1,8 @@
 //! The number of heap allocations `LabImage::fork` performs does not depend
 //! on how many devices the graph carries: they are built on first packet,
 //! not at fork, which leaves one empty slot per device in a single block.
+//! Nor does it depend on whether the image carries the per-ISP resolvers
+//! of a universe: a fork shares them with its image.
 //!
 //! ## Seeded mutation
 //!
@@ -83,4 +85,17 @@ fn fork_allocations_do_not_grow_with_the_graph() {
     let large = fork_allocations(&generated(5000));
     assert!(small > 0, "the counting allocator is not installed");
     assert_eq!(large, small, "5000-AS fork allocates {large} times, 100-AS fork {small}");
+}
+
+#[test]
+fn a_fork_shares_the_resolvers_of_its_image() {
+    let universe = Universe::generate(11);
+    let policy = policy_from_universe(&universe, false, true);
+    let bare = fork_allocations(&VantageLab::builder().policy(policy.clone()).table1().image());
+    let with_resolvers =
+        fork_allocations(&VantageLab::builder().universe(&universe).policy(policy).table1().image());
+    assert!(
+        with_resolvers <= bare,
+        "a fork with resolvers allocates {with_resolvers} times, one without {bare}"
+    );
 }

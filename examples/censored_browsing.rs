@@ -20,7 +20,7 @@ fn main() {
 
     // Each ISP runs a blockpage web server; DNS-censored sites land there.
     let mut blockpage_hosts = std::collections::HashMap::new();
-    for resolver in &lab.resolvers {
+    for resolver in lab.resolvers.iter() {
         let addr = resolver.blockpage_addr();
         let page = format!(
             "<html><body><h1>Доступ ограничен</h1>Access restricted per the \

@@ -141,7 +141,7 @@ fn claim_out_registry_blocking_exists() {
     // (play.google.com, the Tor node's IP).
     let universe = Universe::generate(93);
     let lab = VantageLab::builder().universe(&universe).table1().build();
-    for resolver in &lab.resolvers {
+    for resolver in lab.resolvers.iter() {
         assert!(!resolver.lists("play.google.com"));
         assert!(!resolver.lists("nordvpn.com"));
     }
