@@ -100,10 +100,13 @@ impl FlowKey {
     }
 }
 
-/// The FxHash of a flow key. [`ShardedConnTracker`](crate::ShardedConnTracker)
-/// picks a shard from its low bits and a tracker's index its home bucket
-/// from the high bits and its tag from bits 24–30, so the three never
-/// share a bit.
+/// The finished FxHash of a flow key (the state rotated left by 26, see
+/// [`FxHasher::finish`]). Of the finished hash,
+/// [`ShardedConnTracker`](crate::ShardedConnTracker) picks a shard from
+/// the low bits (0–5 at 64 shards), a tracker's index its home bucket from
+/// the top `log2(buckets)` bits and its tag from bits 24–30, so the three
+/// never share a bit. The rotate only permutes bits, so they stay
+/// disjoint; it moves the multiply's well-mixed middle bits to the low end.
 #[inline]
 pub(crate) fn flow_hash(key: &FlowKey) -> u64 {
     let mut hasher = FxHasher::default();

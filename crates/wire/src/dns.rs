@@ -39,16 +39,17 @@ pub struct DnsResponse {
     pub answers: Vec<Ipv4Addr>,
 }
 
-fn push_qname(out: &mut Vec<u8>, name: &str) -> Result<()> {
+/// Writes `name` as length-prefixed labels. A label longer than the 63
+/// bytes its length byte may state is cut at 63, so building never fails;
+/// the name then reads back different (or malformed, if the cut splits a
+/// character).
+fn push_qname(out: &mut Vec<u8>, name: &str) {
     for label in name.split('.').filter(|l| !l.is_empty()) {
-        if label.len() > 63 {
-            return Err(Error::Malformed);
-        }
+        let label = &label.as_bytes()[..label.len().min(63)];
         out.push(label.len() as u8);
-        out.extend_from_slice(label.as_bytes());
+        out.extend_from_slice(label);
     }
     out.push(0);
-    Ok(())
 }
 
 fn read_qname(data: &[u8], mut pos: usize) -> Result<(String, usize)> {
@@ -92,7 +93,7 @@ impl DnsQuery {
         out.extend_from_slice(&0u16.to_be_bytes());
         out.extend_from_slice(&0u16.to_be_bytes());
         out.extend_from_slice(&0u16.to_be_bytes());
-        push_qname(&mut out, &self.qname).expect("valid qname");
+        push_qname(&mut out, &self.qname);
         out.extend_from_slice(&self.qtype.to_be_bytes());
         out.extend_from_slice(&QCLASS_IN.to_be_bytes());
         out
@@ -148,7 +149,7 @@ impl DnsResponse {
         out.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
         out.extend_from_slice(&0u16.to_be_bytes());
         out.extend_from_slice(&0u16.to_be_bytes());
-        push_qname(&mut out, &self.qname).expect("valid qname");
+        push_qname(&mut out, &self.qname);
         out.extend_from_slice(&QTYPE_A.to_be_bytes());
         out.extend_from_slice(&QCLASS_IN.to_be_bytes());
         for addr in &self.answers {
@@ -209,32 +210,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn query_roundtrip() {
+    fn query_roundtrip() -> Result<()> {
         let query = DnsQuery { id: 0x1234, qname: "blocked.example.ru".into(), qtype: QTYPE_A };
         let bytes = query.build();
-        assert_eq!(DnsQuery::parse(&bytes).unwrap(), query);
+        assert_eq!(DnsQuery::parse(&bytes)?, query);
+        Ok(())
     }
 
     #[test]
-    fn response_roundtrip_with_answers() {
+    fn response_roundtrip_with_answers() -> Result<()> {
         let query = DnsQuery { id: 7, qname: "site.ru".into(), qtype: QTYPE_A };
         let response = DnsResponse::answer(&query, &[Ipv4Addr::new(10, 10, 10, 10), Ipv4Addr::new(10, 10, 10, 11)]);
         let bytes = response.build();
-        let parsed = DnsResponse::parse(&bytes).unwrap();
+        let parsed = DnsResponse::parse(&bytes)?;
         assert_eq!(parsed.id, 7);
         assert_eq!(parsed.qname, "site.ru");
         assert_eq!(parsed.rcode, 0);
         assert_eq!(parsed.answers.len(), 2);
         assert_eq!(parsed.answers[0], Ipv4Addr::new(10, 10, 10, 10));
+        Ok(())
     }
 
     #[test]
-    fn nxdomain_roundtrip() {
+    fn nxdomain_roundtrip() -> Result<()> {
         let query = DnsQuery { id: 9, qname: "nosuch.ru".into(), qtype: QTYPE_A };
         let bytes = DnsResponse::nxdomain(&query).build();
-        let parsed = DnsResponse::parse(&bytes).unwrap();
+        let parsed = DnsResponse::parse(&bytes)?;
         assert_eq!(parsed.rcode, RCODE_NXDOMAIN);
         assert!(parsed.answers.is_empty());
+        Ok(())
     }
 
     #[test]
@@ -245,10 +249,19 @@ mod tests {
     }
 
     #[test]
-    fn qname_case_normalized() {
+    fn overlong_label_is_cut_not_a_panic() -> Result<()> {
+        let long = "a".repeat(70);
+        let query = DnsQuery { id: 3, qname: format!("{long}.ru"), qtype: QTYPE_A };
+        assert_eq!(DnsQuery::parse(&query.build())?.qname, format!("{}.ru", &long[..63]));
+        Ok(())
+    }
+
+    #[test]
+    fn qname_case_normalized() -> Result<()> {
         let query = DnsQuery { id: 2, qname: "MiXeD.Ru".into(), qtype: QTYPE_A };
-        let parsed = DnsQuery::parse(&query.build()).unwrap();
+        let parsed = DnsQuery::parse(&query.build())?;
         assert_eq!(parsed.qname, "mixed.ru");
+        Ok(())
     }
 
     #[test]

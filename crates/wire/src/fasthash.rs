@@ -4,7 +4,8 @@
 //! keyed and DoS-resistant — properties a simulator's per-packet flow
 //! lookup does not need and pays ~2-3× lookup latency for. This is the
 //! word-at-a-time multiply-rotate scheme used by the Rust compiler's own
-//! hash tables ("FxHash"), implemented in-repo because the build is
+//! hash tables ("FxHash"), finished with the rotate rustc-hash 2 adopted
+//! (see [`FxHasher::finish`]) and implemented in-repo because the build is
 //! offline. Unkeyed and deterministic: the same map contents iterate the
 //! same way in every run, which the simulator's reproducibility relies on.
 //!
@@ -32,22 +33,30 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The state rotated left by 26. A multiply carries only upwards, so
+    /// the state's low bits depend only on the last word's low bits (for an
+    /// `Ipv4Addr`, a native-endian `u32`, on x86 its first two octets), and
+    /// hashbrown takes a home bucket from the low bits: unrotated, a whole
+    /// /16 would share one. The rotate brings the multiply's well-mixed
+    /// middle bits down and keeps the top seven (hashbrown's tag) mixed.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
-    fn write(&mut self, mut bytes: &[u8]) {
-        while bytes.len() >= 8 {
-            self.add_to_hash(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
-            bytes = &bytes[8..];
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            // `chunks_exact(8)`: every chunk is eight bytes.
+            self.add_to_hash(u64::from_le_bytes(word.try_into().unwrap_or_default()));
         }
-        if bytes.len() >= 4 {
-            self.add_to_hash(u64::from(u32::from_le_bytes(bytes[..4].try_into().unwrap())));
-            bytes = &bytes[4..];
+        let mut tail = words.remainder();
+        if let Some((half, rest)) = tail.split_first_chunk::<4>() {
+            self.add_to_hash(u64::from(u32::from_le_bytes(*half)));
+            tail = rest;
         }
-        for &b in bytes {
+        for &b in tail {
             self.add_to_hash(u64::from(b));
         }
     }
@@ -89,6 +98,10 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+    use std::hash::{BuildHasher, Hash};
+    use std::net::Ipv4Addr;
+
     use super::*;
 
     fn hash_of(bytes: &[u8]) -> u64 {
@@ -140,5 +153,40 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 64 * 512, "distinct keys must not collide");
+    }
+
+    /// 16,384 keys of each shape the simulator's tables hold must spread
+    /// over the low 14 bits (hashbrown's home bucket in a table of up to
+    /// 16,384 buckets) and the top 7 (its tag). Without the rotate in
+    /// `finish`, a /16 of addresses takes 1 home bucket, the clusters 2 and
+    /// the fragment keys 1,024.
+    #[test]
+    fn address_shaped_keys_spread_over_home_buckets() {
+        fn spread<K: Hash>(keys: impl Iterator<Item = K>) -> (usize, usize) {
+            let (mut home, mut tag) = (BTreeSet::new(), BTreeSet::new());
+            for key in keys {
+                let hash = FxBuildHasher::default().hash_one(key);
+                home.insert(hash & 0x3fff);
+                tag.insert(hash >> 57);
+            }
+            (home.len(), tag.len())
+        }
+        let keys = || 0..1u32 << 14;
+        let addr = Ipv4Addr::from;
+        let scanner = Ipv4Addr::new(198, 51, 100, 8);
+        let shapes = [
+            ("one /16", spread(keys().map(|i| addr(0x0512_0000 + i)))),
+            ("5.b.c.(2+j) clusters", spread(keys().map(|i| addr(0x0500_0000 + (i >> 5 << 8) + 2 + (i & 31))))),
+            ("(u32, u32) host pairs", spread(keys().map(|i| (i >> 7, i & 127)))),
+            (
+                "FlowKey-shaped",
+                spread(keys().map(|i| (scanner, 49_152 + (i & 1023) as u16, addr(0x0512_0000 + i), 443u16, 6u8))),
+            ),
+            ("(src, dst, ident, proto)", spread(keys().map(|i| (scanner, addr(0x0512_0000 + i), (i & 7) as u16, 1u8)))),
+        ];
+        for (shape, (home, tag)) in shapes {
+            assert!(home >= 8_000, "{shape}: 16,384 keys took {home} home buckets");
+            assert!(tag >= 120, "{shape}: 16,384 keys took {tag} tags");
+        }
     }
 }

@@ -204,32 +204,35 @@ mod tests {
     }
 
     #[test]
-    fn fragment_reassemble_roundtrip() {
+    fn fragment_reassemble_roundtrip() -> Result<()> {
         let original = datagram(1000);
-        let fragments = fragment(&original, 256).unwrap();
+        let fragments = fragment(&original, 256)?;
         assert_eq!(fragments.len(), 4);
         assert!(Ipv4Packet::new_unchecked(&fragments[0][..]).more_fragments());
         assert!(!Ipv4Packet::new_unchecked(&fragments[3][..]).more_fragments());
-        let rebuilt = reassemble(&fragments).unwrap();
+        let rebuilt = reassemble(&fragments)?;
         assert_eq!(rebuilt, original);
+        Ok(())
     }
 
     #[test]
-    fn reassemble_out_of_order() {
+    fn reassemble_out_of_order() -> Result<()> {
         let original = datagram(600);
-        let mut fragments = fragment(&original, 128).unwrap();
+        let mut fragments = fragment(&original, 128)?;
         fragments.reverse();
-        assert_eq!(reassemble(&fragments).unwrap(), original);
+        assert_eq!(reassemble(&fragments)?, original);
+        Ok(())
     }
 
     #[test]
-    fn fragment_into_exact_counts() {
+    fn fragment_into_exact_counts() -> Result<()> {
         let original = datagram(1480);
         for n in [2usize, 10, 45, 46] {
-            let fragments = fragment_into(&original, n).unwrap();
+            let fragments = fragment_into(&original, n)?;
             assert_eq!(fragments.len(), n, "n={n}");
-            assert_eq!(reassemble(&fragments).unwrap(), original);
+            assert_eq!(reassemble(&fragments)?, original);
         }
+        Ok(())
     }
 
     #[test]
@@ -240,49 +243,54 @@ mod tests {
     }
 
     #[test]
-    fn reassemble_rejects_gap() {
+    fn reassemble_rejects_gap() -> Result<()> {
         let original = datagram(1000);
-        let mut fragments = fragment(&original, 256).unwrap();
+        let mut fragments = fragment(&original, 256)?;
         fragments.remove(1);
         assert!(reassemble(&fragments).is_err());
+        Ok(())
     }
 
     #[test]
-    fn reassemble_rejects_duplicate() {
+    fn reassemble_rejects_duplicate() -> Result<()> {
         let original = datagram(1000);
-        let mut fragments = fragment(&original, 256).unwrap();
+        let mut fragments = fragment(&original, 256)?;
         let dup = fragments[1].clone();
         fragments.push(dup);
         assert!(reassemble(&fragments).is_err());
+        Ok(())
     }
 
     #[test]
-    fn reassemble_rejects_mixed_idents() {
-        let a = fragment(&datagram(512), 128).unwrap();
+    fn reassemble_rejects_mixed_idents() -> Result<()> {
+        let a = fragment(&datagram(512), 128)?;
         let mut b_src = datagram(512);
         {
             let mut p = Ipv4Packet::new_unchecked(&mut b_src[..]);
             p.set_ident(0x9999);
             p.fill_checksum();
         }
-        let b = fragment(&b_src, 128).unwrap();
+        let b = fragment(&b_src, 128)?;
         let mixed = vec![a[0].clone(), b[1].clone(), a[2].clone(), a[3].clone()];
         assert!(reassemble(&mixed).is_err());
+        Ok(())
     }
 
     #[test]
-    fn fragmenting_a_fragment_fails() {
+    fn fragmenting_a_fragment_fails() -> Result<()> {
         let original = datagram(1000);
-        let fragments = fragment(&original, 256).unwrap();
+        let fragments = fragment(&original, 256)?;
         assert!(fragment(&fragments[0], 64).is_err());
+        Ok(())
     }
 
     #[test]
-    fn small_payload_single_fragment() {
+    fn small_payload_single_fragment() -> Result<()> {
         let original = datagram(40);
-        let fragments = fragment(&original, 1400).unwrap();
+        let fragments = fragment(&original, 1400)?;
         assert_eq!(fragments.len(), 1);
         assert!(!Ipv4Packet::new_unchecked(&fragments[0][..]).is_fragment());
-        assert_eq!(reassemble(&fragments).unwrap(), original);
+        assert_eq!(reassemble(&fragments)?, original);
+        Ok(())
     }
 }

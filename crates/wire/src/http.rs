@@ -116,36 +116,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_roundtrip() {
+    fn request_roundtrip() -> Result<()> {
         let request = HttpRequest::get("blocked.ru", "/index.html");
         let bytes = request.build();
-        let parsed = HttpRequest::parse(&bytes).unwrap();
+        let parsed = HttpRequest::parse(&bytes)?;
         assert_eq!(parsed.method, "GET");
         assert_eq!(parsed.path, "/index.html");
         assert_eq!(parsed.host.as_deref(), Some("blocked.ru"));
+        Ok(())
     }
 
     #[test]
-    fn host_header_case_insensitive() {
+    fn host_header_case_insensitive() -> Result<()> {
         let raw = b"GET / HTTP/1.1\r\nHOST: MiXeD.Ru\r\n\r\n";
-        let parsed = HttpRequest::parse(raw).unwrap();
+        let parsed = HttpRequest::parse(raw)?;
         assert_eq!(parsed.host.as_deref(), Some("mixed.ru"));
+        Ok(())
     }
 
     #[test]
-    fn response_roundtrip() {
+    fn response_roundtrip() -> Result<()> {
         let response = HttpResponse::ok(b"<html>page</html>");
-        let parsed = HttpResponse::parse(&response.build()).unwrap();
+        let parsed = HttpResponse::parse(&response.build())?;
         assert_eq!(parsed.status, 200);
         assert_eq!(parsed.body, b"<html>page</html>");
+        Ok(())
     }
 
     #[test]
-    fn redirect_carries_location() {
+    fn redirect_carries_location() -> Result<()> {
         let response = HttpResponse::redirect("http://blockpage.isp/");
-        let parsed = HttpResponse::parse(&response.build()).unwrap();
+        let parsed = HttpResponse::parse(&response.build())?;
         assert_eq!(parsed.status, 302);
         assert!(String::from_utf8_lossy(&parsed.body).contains("blockpage.isp"));
+        Ok(())
     }
 
     #[test]

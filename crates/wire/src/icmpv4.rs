@@ -118,7 +118,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn echo_roundtrip() {
+    fn echo_roundtrip() -> Result<()> {
         for repr in [
             Icmpv4Repr::EchoRequest { ident: 77, seq_no: 3 },
             Icmpv4Repr::EchoReply { ident: 77, seq_no: 3 },
@@ -126,18 +126,20 @@ mod tests {
             Icmpv4Repr::DestUnreachable { code: 1 },
         ] {
             let bytes = repr.build();
-            let packet = Icmpv4Packet::new_checked(&bytes[..]).unwrap();
+            let packet = Icmpv4Packet::new_checked(&bytes[..])?;
             assert!(packet.verify_checksum());
-            assert_eq!(Icmpv4Repr::parse(&packet).unwrap(), repr);
+            assert_eq!(Icmpv4Repr::parse(&packet)?, repr);
         }
+        Ok(())
     }
 
     #[test]
-    fn rejects_unknown_type() {
+    fn rejects_unknown_type() -> Result<()> {
         let mut bytes = Icmpv4Repr::TimeExceeded.build();
         bytes[0] = 42;
-        let packet = Icmpv4Packet::new_checked(&bytes[..]).unwrap();
+        let packet = Icmpv4Packet::new_checked(&bytes[..])?;
         assert_eq!(Icmpv4Repr::parse(&packet).unwrap_err(), Error::Malformed);
+        Ok(())
     }
 
     #[test]

@@ -396,31 +396,34 @@ mod tests {
     }
 
     #[test]
-    fn emit_parse_roundtrip() {
+    fn emit_parse_roundtrip() -> Result<()> {
         let bytes = repr().build(&[1, 2, 3, 4]);
-        let packet = Ipv4Packet::new_checked(&bytes[..]).unwrap();
+        let packet = Ipv4Packet::new_checked(&bytes[..])?;
         assert!(packet.verify_checksum());
-        assert_eq!(Ipv4Repr::parse(&packet).unwrap(), repr());
+        assert_eq!(Ipv4Repr::parse(&packet)?, repr());
         assert_eq!(packet.payload(), &[1, 2, 3, 4]);
+        Ok(())
     }
 
     #[test]
-    fn fragment_fields_roundtrip() {
+    fn fragment_fields_roundtrip() -> Result<()> {
         let mut r = repr();
         r.dont_fragment = false;
         r.more_fragments = true;
         r.frag_offset = 1480;
         let bytes = r.build(&[9, 9, 9, 9]);
-        let packet = Ipv4Packet::new_checked(&bytes[..]).unwrap();
+        let packet = Ipv4Packet::new_checked(&bytes[..])?;
         assert!(packet.is_fragment());
         assert!(packet.more_fragments());
         assert_eq!(packet.frag_offset(), 1480);
+        Ok(())
     }
 
     #[test]
-    fn non_fragment_is_not_fragment() {
+    fn non_fragment_is_not_fragment() -> Result<()> {
         let bytes = repr().build(&[0; 4]);
-        assert!(!Ipv4Packet::new_checked(&bytes[..]).unwrap().is_fragment());
+        assert!(!Ipv4Packet::new_checked(&bytes[..])?.is_fragment());
+        Ok(())
     }
 
     #[test]
@@ -443,17 +446,18 @@ mod tests {
     }
 
     #[test]
-    fn ttl_rewrite_preserves_rest() {
+    fn ttl_rewrite_preserves_rest() -> Result<()> {
         let bytes = repr().build(&[7; 4]);
         let mut copy = bytes.clone();
         let mut packet = Ipv4Packet::new_unchecked(&mut copy[..]);
         packet.set_ttl(3);
         packet.fill_checksum();
-        let reparsed = Ipv4Packet::new_checked(&copy[..]).unwrap();
+        let reparsed = Ipv4Packet::new_checked(&copy[..])?;
         assert!(reparsed.verify_checksum());
         assert_eq!(reparsed.ttl(), 3);
         assert_eq!(reparsed.src_addr(), Ipv4Addr::new(10, 1, 2, 3));
         assert_eq!(reparsed.payload(), &[7; 4]);
+        Ok(())
     }
 
     #[test]

@@ -99,11 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_initial() {
+    fn parse_initial() -> Result<()> {
         let payload = initial_payload(QuicVersion::V1, 1200);
-        let header = QuicHeader::parse(&payload).unwrap();
+        let header = QuicHeader::parse(&payload)?;
         assert!(header.is_long_header());
         assert_eq!(header.version, QuicVersion::V1);
+        Ok(())
     }
 
     #[test]
@@ -112,12 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn fig14_fingerprint_needs_only_version_bytes() {
+    fn fig14_fingerprint_needs_only_version_bytes() -> Result<()> {
         // The paper's minimal fingerprint packet is 0xff filler with the
         // version at offset 1 — even without the long-header bit.
         let mut payload = vec![0xffu8; 1001];
         payload[1..5].copy_from_slice(&1u32.to_be_bytes());
-        let header = QuicHeader::parse(&payload).unwrap();
+        let header = QuicHeader::parse(&payload)?;
         assert_eq!(header.version, QuicVersion::V1);
+        Ok(())
     }
 }

@@ -328,11 +328,12 @@ mod tests {
     }
 
     #[test]
-    fn build_parse_roundtrip() {
+    fn build_parse_roundtrip() -> Result<()> {
         let bytes = repr().build(SRC, DST);
-        let segment = TcpSegment::new_checked(&bytes[..]).unwrap();
+        let segment = TcpSegment::new_checked(&bytes[..])?;
         assert!(segment.verify_checksum(SRC, DST));
-        assert_eq!(TcpRepr::parse(&segment).unwrap(), repr());
+        assert_eq!(TcpRepr::parse(&segment)?, repr());
+        Ok(())
     }
 
     #[test]
@@ -352,19 +353,20 @@ mod tests {
     }
 
     #[test]
-    fn rst_ack_rewrite_in_place() {
+    fn rst_ack_rewrite_in_place() -> Result<()> {
         // The TSPU SNI-I rewrite: truncate payload, set RST/ACK, keep seq/ack.
         let bytes = repr().build(SRC, DST);
         let mut truncated = bytes[..HEADER_LEN].to_vec();
         let mut segment = TcpSegment::new_unchecked(&mut truncated[..]);
         segment.set_flags(TcpFlags::RST_ACK);
         segment.fill_checksum(SRC, DST);
-        let reparsed = TcpSegment::new_checked(&truncated[..]).unwrap();
+        let reparsed = TcpSegment::new_checked(&truncated[..])?;
         assert!(reparsed.verify_checksum(SRC, DST));
         assert_eq!(reparsed.flags(), TcpFlags::RST_ACK);
         assert_eq!(reparsed.seq_number(), 0x01020304);
         assert_eq!(reparsed.ack_number(), 0x0a0b0c0d);
         assert!(reparsed.payload().is_empty());
+        Ok(())
     }
 
     #[test]

@@ -553,13 +553,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_roundtrip() {
+    fn builder_roundtrip() -> Result<()> {
         let record = ClientHelloBuilder::new("twitter.com").build();
         assert_eq!(extract_sni(&record), SniOutcome::Sni("twitter.com".into()));
-        let hello = ClientHello::parse(&record).unwrap();
+        let hello = ClientHello::parse(&record)?;
         assert_eq!(hello.sni().as_deref(), Some("twitter.com"));
         assert_eq!(hello.compression_methods, vec![0]);
         assert_eq!(hello.cipher_suites[0], 0x1301);
+        Ok(())
     }
 
     #[test]
