@@ -17,6 +17,13 @@
 //! sizes a TSPU's flow table) without injecting Poisson jitter that would
 //! make two runs of the same seed diverge.
 //!
+//! Λ⁻¹ is defined by a 52-step bisection, truncated to whole
+//! microseconds. Each arrival is taken by Newton's method instead,
+//! started from the previous one, and the bisection is the exact
+//! fallback: it runs whenever Newton's root is not pinned to within half a
+//! nanosecond or lies within a nanosecond of a whole microsecond, so every
+//! arrival is the bisection's.
+//!
 //! Closed-loop clients instead keep a bounded window of in-flight flows
 //! and launch a replacement the moment one completes — the feedback
 //! regime where a slow or blocking middlebox self-throttles its own
@@ -24,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
@@ -114,6 +121,12 @@ pub struct LoadStats {
 /// Shared handle to the run's counters.
 pub type SharedStats = Arc<Mutex<LoadStats>>;
 
+/// Locks the run's counters. They are plain counts that no update leaves
+/// half-written, so a lock poisoned by a panicking holder is taken as is.
+pub(crate) fn lock(stats: &SharedStats) -> MutexGuard<'_, LoadStats> {
+    stats.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One pre-scheduled (open-loop) or queued (closed-loop) flow.
 #[derive(Debug, Clone)]
 pub struct FlowSpec {
@@ -155,6 +168,99 @@ fn arrival_time(target: f64, amplitude: f64, period: f64, span: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
+/// Open-loop arrival times in whole microseconds, for quantile targets
+/// taken in ascending order: each is `arrival_time(target, ..)` truncated.
+///
+/// Newton's method finds the root of Λ(t) = target from the previous
+/// arrival in about two evaluations of Λ, where the bisection takes 52.
+/// Its root stands in for the bisection's only when both must truncate to
+/// the same microsecond: the root is pinned to within half a nanosecond,
+/// rounding in both searches included, and lies more than a nanosecond
+/// from a whole microsecond. Otherwise the bisection runs.
+struct Arrivals {
+    amplitude: f64,
+    period: f64,
+    span: f64,
+    w: f64,
+    /// Bound on the rounding error of [`integrated_rate`] over `[0, span]`:
+    /// each rounding in it is at most an ulp of a term no larger than
+    /// `span + 2A/w`, and eight such ulps cover them all.
+    rate_error: f64,
+    /// How far the rate can fall within a nanosecond of a point, its own
+    /// rounding included.
+    rate_slack: f64,
+    /// The last point Λ and λ were evaluated at: `(t, Λ(t), λ(t))`.
+    last: (f64, f64, f64),
+}
+
+impl Arrivals {
+    const NEWTON_STEPS: usize = 32;
+    /// How close Newton's root must be to the bisection's, in seconds.
+    const REACH: f64 = 0.5e-9;
+    /// How far from a whole microsecond Newton's root must lie, in µs.
+    const MARGIN_US: f64 = 1e-3;
+
+    fn new(amplitude: f64, period: f64, span: f64) -> Arrivals {
+        let w = std::f64::consts::TAU / period;
+        Arrivals {
+            amplitude,
+            period,
+            span,
+            w,
+            rate_error: 8.0 * f64::EPSILON * (span + 2.0 * amplitude / w),
+            rate_slack: amplitude * (w * 1e-9 + 4.0 * f64::EPSILON * (1.0 + w * span)),
+            // Λ(0) = 0 and λ(0) = 1, exactly in floating point too.
+            last: (0.0, 0.0, 1.0),
+        }
+    }
+
+    fn eval(&self, t: f64) -> (f64, f64, f64) {
+        let rate = 1.0 + self.amplitude * (self.w * t).sin();
+        (t, integrated_rate(t, self.amplitude, self.period), rate)
+    }
+
+    /// The next arrival, in whole microseconds.
+    fn micros(&mut self, target: f64) -> u64 {
+        let root = match self.newton(target) {
+            Some(root) => root,
+            None => {
+                let root = arrival_time(target, self.amplitude, self.period, self.span);
+                self.last = self.eval(root);
+                root
+            }
+        };
+        (root * 1e6) as u64
+    }
+
+    /// Newton's root of Λ(t) = target, when it truncates as the
+    /// bisection's does.
+    fn newton(&mut self, target: f64) -> Option<f64> {
+        for _ in 0..Self::NEWTON_STEPS {
+            let (t, value, rate) = self.last;
+            let residual = value - target;
+            // The least rate within a nanosecond of t.
+            let floor = rate - self.rate_slack;
+            if floor <= 0.0 {
+                return None;
+            }
+            // The exact root, and every point at which the rounded Λ can
+            // cross the target, lie within this distance of t; so does
+            // the bisection's result, which ends within span·2⁻⁵¹ of one
+            // such point; and truncation rounds either by t·ε at most.
+            let reach = (residual.abs() + 2.0 * self.rate_error) / floor
+                + self.span * f64::EPSILON * 2.0
+                + t * f64::EPSILON;
+            if reach <= Self::REACH {
+                let us = t * 1e6;
+                let past = us - us.floor();
+                return (Self::MARGIN_US < past && past < 1.0 - Self::MARGIN_US).then_some(t);
+            }
+            self.last = self.eval((t - residual / rate).clamp(0.0, self.span));
+        }
+        None
+    }
+}
+
 /// Expands a profile into per-client schedules.
 ///
 /// `domains` is the universe (index = popularity rank), `blocked(i)` the
@@ -175,6 +281,7 @@ pub fn build_schedule(
     let amplitude = profile.diurnal_amplitude.clamp(0.0, 1.0);
     // Scale quantile targets so the last open-loop arrival lands at span.
     let total_mass = integrated_rate(span, amplitude, period);
+    let mut arrivals = Arrivals::new(amplitude, period, span);
 
     let mut schedules = vec![ClientSchedule::default(); profile.clients];
     let mut open_emitted = 0usize;
@@ -190,7 +297,7 @@ pub fn build_schedule(
         } else {
             let target = (open_emitted as f64 + 0.5) / open_total as f64 * total_mass;
             open_emitted += 1;
-            Time::from_micros((arrival_time(target, amplitude, period, span) * 1e6) as u64)
+            Time::from_micros(arrivals.micros(target))
         };
         let spec = FlowSpec { at: spec_at, domain: Arc::clone(&domains[rank]), blocked: blocked[rank] };
         let client = &mut schedules[k % profile.clients];
@@ -239,8 +346,9 @@ pub struct LoadClientApp {
     next_closed: usize,
     window: usize,
     /// Ports are dealt sequentially from 1024; uniqueness across the whole
-    /// run keeps every flow a distinct conntrack key.
-    next_port: u16,
+    /// run keeps every flow a distinct conntrack key. `None` once 65535 is
+    /// dealt: the client launches no further flow.
+    next_port: Option<u16>,
     flows: HashMap<u16, InFlight>,
     stats: SharedStats,
     started: bool,
@@ -263,7 +371,7 @@ impl LoadClientApp {
             next_open: 0,
             next_closed: 0,
             window,
-            next_port: 1024,
+            next_port: Some(1024),
             flows: HashMap::new(),
             stats,
             started: false,
@@ -271,14 +379,14 @@ impl LoadClientApp {
     }
 
     fn launch(&mut self, spec: FlowSpec, closed_loop: bool, out: &mut Vec<Output>) {
-        let port = self.next_port;
-        self.next_port = self.next_port.checked_add(1).expect("client port space exhausted");
+        let Some(port) = self.next_port else { return };
+        self.next_port = port.checked_add(1);
         let syn =
             TcpPacketSpec::new(self.addr, port, self.server, self.server_port, TcpFlags::SYN)
                 .build();
         out.push(Output::send(syn));
         {
-            let mut s = self.stats.lock().expect("stats lock");
+            let mut s = lock(&self.stats);
             s.flows_started += 1;
             s.client_tx_packets += 1;
             if closed_loop {
@@ -319,7 +427,7 @@ impl LoadClientApp {
     fn finish(&mut self, port: u16, outcome: FlowOutcome, out: &mut Vec<Output>) {
         let Some(flow) = self.flows.remove(&port) else { return };
         {
-            let mut s = self.stats.lock().expect("stats lock");
+            let mut s = lock(&self.stats);
             s.flows_completed += 1;
             match outcome {
                 FlowOutcome::GotData => s.got_data += 1,
@@ -341,7 +449,7 @@ impl LoadClientApp {
             )
             .seq_ack(2, 2)
             .build();
-            self.stats.lock().expect("stats lock").client_tx_packets += 1;
+            lock(&self.stats).client_tx_packets += 1;
             out.push(Output::send(fin));
         }
         if flow.closed_loop {
@@ -358,7 +466,7 @@ impl Application for LoadClientApp {
             return out;
         }
         let Ok(seg) = TcpSegment::new_checked(ip.payload()) else { return out };
-        self.stats.lock().expect("stats lock").client_rx_packets += 1;
+        lock(&self.stats).client_rx_packets += 1;
         let port = seg.dst_port();
         let flags = seg.flags();
         if flags.rst() {
@@ -390,7 +498,7 @@ impl Application for LoadClientApp {
                 .seq_ack(1, 1)
                 .payload(hello)
                 .build();
-                self.stats.lock().expect("stats lock").client_tx_packets += 2;
+                lock(&self.stats).client_tx_packets += 2;
                 out.push(Output::send(ack));
                 out.push(Output::send(ch));
             }
@@ -438,7 +546,7 @@ impl Application for LoadServerApp {
             return out;
         }
         let Ok(seg) = TcpSegment::new_checked(ip.payload()) else { return out };
-        let mut s = self.stats.lock().expect("stats lock");
+        let mut s = lock(&self.stats);
         s.server_rx_packets += 1;
         let flags = seg.flags();
         let reply = if flags.is_pure_syn() {
@@ -478,6 +586,8 @@ impl Application for LoadServerApp {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn tiny_universe() -> (Vec<Arc<str>>, Vec<bool>) {
@@ -485,6 +595,31 @@ mod tests {
             (0..50).map(|i| Arc::from(format!("d{i}.example.ru").as_str())).collect();
         let blocked: Vec<bool> = (0..50).map(|i| i % 7 == 0).collect();
         (domains, blocked)
+    }
+
+    proptest! {
+        /// Every arrival truncates to the bisection's microsecond, for any
+        /// amplitude (the flat and the fully swung curve drawn on purpose),
+        /// period, whole-second span and up to 5,000 flows. A flat curve
+        /// over whole seconds puts its roots on whole microseconds, where
+        /// Newton's root may truncate to the one below the bisection's.
+        /// Seeded mutation: `arrival_skips_boundary_check` (`tests/mutants/`).
+        #[test]
+        fn newton_arrivals_truncate_as_the_bisection_does(
+            amplitude in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+            period_ms in 1u64..=3_600_000,
+            span_s in 1u64..=3_600,
+            flows in prop_oneof![Just(5_000usize), 1usize..=5_000],
+        ) {
+            let (period, span) = (period_ms as f64 / 1e3, span_s as f64);
+            let total_mass = integrated_rate(span, amplitude, period);
+            let mut arrivals = Arrivals::new(amplitude, period, span);
+            for k in 0..flows {
+                let target = (k as f64 + 0.5) / flows as f64 * total_mass;
+                let bisection = (arrival_time(target, amplitude, period, span) * 1e6) as u64;
+                prop_assert_eq!(arrivals.micros(target), bisection, "flow {} of {}", k, flows);
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use tspu_obs::{MetricValue, Snapshot};
 use tspu_registry::Universe;
 
 use crate::gen::{
-    build_schedule, ClientSchedule, LoadClientApp, LoadProfile, LoadServerApp, LoadStats,
+    build_schedule, lock, ClientSchedule, LoadClientApp, LoadProfile, LoadServerApp, LoadStats,
 };
 
 /// Soak parameters beyond the traffic profile itself.
@@ -320,7 +320,7 @@ impl SoakLab {
             let max_shard_len = conntrack.shard_lens().into_iter().max().unwrap_or(0);
             peak_tracked = peak_tracked.max(tracked);
             let (started_c, completed, resets, got_data, packets) = {
-                let s = stats.lock().expect("stats lock");
+                let s = lock(&stats);
                 (
                     s.flows_started,
                     s.flows_completed,
@@ -366,7 +366,7 @@ impl SoakLab {
         };
 
         let conntrack = net.middlebox(self.device).conntrack();
-        let stats = stats.lock().expect("stats lock").clone();
+        let stats = lock(&stats).clone();
         let device_packets = stats.client_tx_packets + stats.server_tx_packets;
         SoakReport {
             events: net.events_processed(),

@@ -259,11 +259,13 @@ mod tests {
     #[test]
     fn toggle_flips_ride_the_crossing_day() {
         let sched = schedule();
-        let mar4 = sched.batches().iter().find(|b| b.day == day::MAR_4).expect("Mar 4 batch");
-        assert_eq!(mar4.quic_filter, Some(true));
-        assert_eq!(mar4.throttle_active, Some(false));
-        let feb26 = sched.batches().iter().find(|b| b.day == day::FEB_26).expect("Feb 26 batch");
-        assert_eq!(feb26.throttle_active, Some(true));
+        // (QUIC filter, throttle) as each batch of `on` sets them.
+        let toggles = |on: u32| -> Vec<(Option<bool>, Option<bool>)> {
+            let batches = sched.batches().iter().filter(|b| b.day == on);
+            batches.map(|b| (b.quic_filter, b.throttle_active)).collect()
+        };
+        assert_eq!(toggles(day::MAR_4), [(Some(true), Some(false))]);
+        assert_eq!(toggles(day::FEB_26), [(None, Some(true))]);
         // No other day flips the QUIC filter.
         let flips = sched.batches().iter().filter(|b| b.quic_filter.is_some()).count();
         assert_eq!(flips, 1);

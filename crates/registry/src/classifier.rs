@@ -6,7 +6,6 @@
 //! match the paper's exclusion counts.
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::universe::{Category, Domain};
@@ -67,12 +66,14 @@ pub fn synthesize_html(domain: &Domain, seed: u64) -> String {
     let mut words = Vec::new();
     for _ in 0..60 {
         let from_own = rng.gen_bool(0.75);
+        // Indexed as `choose` would, drawing the same numbers from `rng`.
         let category = if from_own {
             domain.category
         } else {
-            *Category::ALL.choose(&mut rng).unwrap()
+            Category::ALL[rng.gen_range(0..Category::ALL.len())]
         };
-        words.push(*category.keywords().choose(&mut rng).unwrap());
+        let keywords = category.keywords();
+        words.push(keywords[rng.gen_range(0..keywords.len())]);
     }
     let lang = if domain.russian { "ru" } else { "en" };
     format!(

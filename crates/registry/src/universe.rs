@@ -161,11 +161,9 @@ fn synth_name(rng: &mut SmallRng, category: Category, russian: bool, serial: usi
         "ra", "ve", "to", "mi", "ska", "lon", "dar", "pex", "zu", "qui", "nor", "bel", "tu",
         "gri", "ost", "fan",
     ];
-    let tld = if russian {
-        *["ru", "su", "рф", "net", "com"].choose(rng).unwrap()
-    } else {
-        *["com", "net", "org", "io", "tv"].choose(rng).unwrap()
-    };
+    // Indexed as `choose` would, drawing the same number from `rng`.
+    let tlds = if russian { ["ru", "su", "рф", "net", "com"] } else { ["com", "net", "org", "io", "tv"] };
+    let tld = tlds[rng.gen_range(0..tlds.len())];
     let stem = category.keywords()[serial % category.keywords().len()];
     let a = SYLLABLES[rng.gen_range(0..SYLLABLES.len())];
     let b = SYLLABLES[rng.gen_range(0..SYLLABLES.len())];
@@ -302,8 +300,12 @@ impl Universe {
         }
 
         // Per-ISP resolver lists: full coverage of old registry entries,
-        // partial on recent ones (§6.3).
-        let recent: Vec<&Domain> = registry_sample.iter().collect();
+        // partial on recent ones (§6.3). A stale list is an old snapshot
+        // of the registry: a prefix of the sample in added-day order, ties
+        // by name. The sample is sorted once, comparing borrowed names, and
+        // every ISP takes its own prefix; the sort draws nothing from `rng`.
+        let mut by_day: Vec<&Domain> = registry_sample.iter().collect();
+        by_day.sort_by(|a, b| (a.registry_added_day, &a.name).cmp(&(b.registry_added_day, &b.name)));
         for (isp, coverage) in [
             ("Rostelecom", stats::RESOLVER_COVERAGE_ROSTELECOM),
             ("OBIT", stats::RESOLVER_COVERAGE_OBIT),
@@ -316,11 +318,8 @@ impl Universe {
                     list.insert(domain.name.clone());
                 }
             }
-            // Recent entries: only the first `coverage` by added-day order
-            // (stale list = old snapshot of the registry).
-            let mut by_day: Vec<&&Domain> = recent.iter().collect();
-            by_day.sort_by_key(|d| (d.registry_added_day, d.name.clone()));
-            for domain in by_day.into_iter().take(coverage) {
+            // Recent entries: only the first `coverage` by added-day order.
+            for domain in by_day.iter().take(coverage) {
                 list.insert(domain.name.clone());
             }
             blocks.isp_resolver.insert(isp.to_string(), list);
