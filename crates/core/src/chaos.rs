@@ -1,15 +1,15 @@
-//! Chaos hooks for the TSPU device: deliberate model violations (to prove
-//! the oracle catches them) and the bridge that turns a device's policy
-//! into the classification closures a [`DeviceAudit`] needs.
+//! The bridge that turns a device's policy into the classification
+//! closures a [`DeviceAudit`] needs.
 //!
 //! The oracle (`tspu_netsim::oracle`) is policy-agnostic by design — the
 //! simulator crate cannot depend on this one. This module closes the loop
 //! from the core side: given the same [`PolicyHandle`] a device enforces,
-//! [`audit_for`] builds the audit entry whose `classify` closure mirrors
-//! the device's own trigger evaluation, list for list.
+//! [`audit_for_profile`] builds the audit entry whose `classify` closure
+//! mirrors the device's own trigger evaluation, list for list. The engine
+//! carries no deliberate bugs for the oracle to find: the oracle's negative
+//! tests edit a captured trace.
 
 use std::net::Ipv4Addr;
-use std::time::Duration;
 
 use tspu_netsim::oracle::{ArmCandidate, ArmKind, DeviceAudit};
 use tspu_netsim::{MiddleboxId, Time};
@@ -25,53 +25,21 @@ use crate::constants;
 use crate::policy::{NormalizedHost, PolicyHandle};
 use crate::profile::{CensorProfile, SniMode};
 
-/// A deliberate, seeded departure from the paper's model. Installing one on
-/// a device plants exactly the class of bug the oracle exists to catch —
-/// the acceptance demo for the whole invariant machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelViolation {
-    /// Injected RST/ACKs get a fresh TTL of 64 instead of preserving the
-    /// victim packet's TTL — the Fig. 2 metadata-preservation break, and
-    /// what a naive scratch-built injector would do.
-    FreshTtlOnInjectedRst,
-    /// A bidirectional-RST profile (Turkmenistan) that rewrites only the
-    /// remote→local direction, as if ported from the TSPU without updating
-    /// the direction check. Surfaces as an `EarlyUnblock` on the untouched
-    /// local→remote packet of an enforcing flow.
-    UnidirectionalRstUnderBidirectional,
-    /// A block-page profile (India) that pages *every* HTTP response, not
-    /// just those of flows an armed Host trigger covers. Surfaces as an
-    /// `UnexplainedBlockPage`.
-    BlockPageWithoutTrigger,
-}
-
-/// Builds the oracle audit for one device enforcing the baseline TSPU
-/// profile: same policy handle, same restart schedule, classification
-/// mirroring the device's trigger logic.
-///
-/// The closures read the policy at *check* time, not build time. Under a
-/// mid-run hot reload that only adds rules (the March 4 transition), that
-/// can classify early packets against the later, larger lists — which is
-/// sound: a phantom candidate only opens an audit window that never sees
-/// enforcement, and multi-candidate flows get the relaxed checks.
-///
-/// Assumes an unhardened device: the classifier reads the SNI the way the
-/// baseline TSPU does (single in-order ClientHello, no reassembly).
-pub fn audit_for(
-    device: MiddleboxId,
-    label: &str,
-    policy: PolicyHandle,
-    restarts: Vec<Time>,
-) -> DeviceAudit {
-    audit_for_profile(device, label, policy, restarts, CensorProfile::tspu())
-}
-
-/// [`audit_for`], generalized over the device's [`CensorProfile`]: the
+/// Builds the oracle audit for one device enforcing `profile`: the
 /// classify closure mirrors exactly the triggers the profile enables (SNI
 /// mode, QUIC fingerprint, DNS qname, HTTP Host), candidate windows come
 /// from the profile's residual semantics, injection candidates carry the
 /// profile's direction setting, and the audit knows the profile's block
 /// page so it can tell an injected page from a forwarded one.
+///
+/// The closures read the policy at *check* time, not build time. Under a
+/// mid-run policy update that only adds rules (the March 4 transition),
+/// that can classify early packets against the later, larger lists — which
+/// is sound: a phantom candidate only opens an audit window that never sees
+/// enforcement, and multi-candidate flows get the relaxed checks.
+///
+/// Assumes an unhardened device: the classifier reads the SNI the way the
+/// baseline TSPU does (single in-order ClientHello, no reassembly).
 pub fn audit_for_profile(
     device: MiddleboxId,
     label: &str,
@@ -95,12 +63,6 @@ pub fn audit_for_profile(
         block_page,
         restarts,
     }
-}
-
-/// Converts a fault plan's restart offsets (durations since simulation
-/// start) into the absolute times a [`DeviceAudit`] wants.
-pub fn restart_times(restarts: &[Duration]) -> Vec<Time> {
-    restarts.iter().map(|&offset| Time::ZERO + offset).collect()
 }
 
 /// Every blocking mechanism this local→remote packet could arm under the
@@ -336,15 +298,10 @@ mod tests {
     #[test]
     fn classify_tracks_hot_reload() {
         let policy = PolicyHandle::new(Policy::example());
-        let audit = audit_for(MiddleboxId(0), "dev", policy.clone(), Vec::new());
+        let tspu = CensorProfile::tspu();
+        let audit = audit_for_profile(MiddleboxId(0), "dev", policy.clone(), Vec::new(), tspu);
         policy.update(|p| p.sni_rst.insert("example.org"));
         let candidates = (audit.classify)(&hello_packet("example.org"));
         assert_eq!(candidates.len(), 1, "audit sees the reloaded list");
-    }
-
-    #[test]
-    fn restart_times_are_absolute() {
-        let times = restart_times(&[Duration::from_secs(3), Duration::from_secs(9)]);
-        assert_eq!(times, vec![Time::from_secs(3), Time::from_secs(9)]);
     }
 }

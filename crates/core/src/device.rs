@@ -33,7 +33,6 @@ use tspu_wire::tls::{extract_sni, SniOutcome};
 use tspu_wire::udp::UdpDatagram;
 
 use crate::behaviors::{BlockKind, BlockState};
-use crate::chaos::ModelViolation;
 use crate::conntrack::{FlowKey, Side};
 use crate::profile::{CensorProfile, SniMode};
 use crate::recorder::{FlightRecorder, LedgerKind};
@@ -170,7 +169,6 @@ pub struct TspuDevice {
     tracer: Tracer,
     /// Restarts from `config.faults` already applied (they are sorted).
     restarts_applied: usize,
-    reload_applied: bool,
     /// The enforcement flight recorder: a bounded ring of structured
     /// enforcement events ([`crate::recorder`]); steady-state pass packets
     /// record nothing.
@@ -259,7 +257,6 @@ impl TspuDevice {
             flow_capacity: None,
             flow_shards: None,
             faults: DeviceFaults::default(),
-            violation: None,
             names,
             tracing: false,
         }
@@ -288,9 +285,7 @@ impl TspuDevice {
     }
 
     /// Schedules deterministic device-level faults from a chaos plan:
-    /// mid-flight restarts (wiping conntrack and the fragment cache), a
-    /// policy hot-reload (the March 4, 2022 transition, fired through the
-    /// shared handle), and a Table-1 bypass-rate override.
+    /// mid-flight restarts, each wiping conntrack and the fragment cache.
     pub fn with_device_faults(mut self, faults: DeviceFaults) -> TspuDevice {
         self.set_device_faults(faults);
         self
@@ -300,12 +295,8 @@ impl TspuDevice {
     /// already installed in a network.
     pub fn set_device_faults(&mut self, mut faults: DeviceFaults) {
         faults.restarts.sort();
-        if let Some(p) = faults.bypass_rate {
-            self.config.failure = FailureProfile::uniform(p);
-        }
         self.config.faults = faults;
         self.restarts_applied = 0;
-        self.reload_applied = false;
     }
 
     /// Reconfigures the device to enforce a different [`CensorProfile`]
@@ -323,12 +314,6 @@ impl TspuDevice {
     /// The censor profile this engine interprets.
     pub fn censor_profile(&self) -> &CensorProfile {
         &self.config.profile
-    }
-
-    /// Installs (or clears) a deliberate model violation — the oracle's
-    /// acceptance demo. Never set outside tests.
-    pub fn set_model_violation(&mut self, violation: Option<ModelViolation>) {
-        self.config.violation = violation;
     }
 
     /// The device's scheduled faults.
@@ -352,25 +337,6 @@ impl TspuDevice {
             let epoch = self.config.policy.epoch();
             self.ledger(now, None, LedgerKind::Restart, epoch);
         }
-        if !self.reload_applied && self.config.faults.reload_at.is_some_and(|at| at <= since_start) {
-            self.reload_applied = true;
-            self.config.policy.march_4_2022_transition();
-        }
-    }
-
-    /// Builds the RST/ACK injection for `packet`, applying any installed
-    /// model violation.
-    fn inject_rst(&mut self, packet: &[u8]) -> Vec<u8> {
-        let mut out = rst_ack_rewrite(packet);
-        if self.config.violation == Some(ModelViolation::FreshTtlOnInjectedRst) {
-            // The deliberate bug: a fresh TTL instead of the victim's. The
-            // TCP checksum does not cover the TTL, so only the IP header
-            // checksum needs refreshing.
-            let mut view = Ipv4Packet::new_unchecked(&mut out[..]);
-            view.set_ttl(64);
-            view.fill_checksum();
-        }
-        out
     }
 
     /// Builds the HTTP-200 block-page injection replacing `packet` (India
@@ -630,7 +596,7 @@ impl TspuDevice {
                             .unwrap_or(false));
                 if is_response {
                     self.stats.packets_rewritten += 1;
-                    return Verdict::Replace(self.inject_rst(packet));
+                    return Verdict::Replace(rst_ack_rewrite(packet));
                 }
                 return self.drop_packet();
             }
@@ -653,17 +619,6 @@ impl TspuDevice {
         // so on the None path the flow carries a block only if it already
         // had one at observe time — no need to look it up again.
         if !has_block {
-            // Seeded violation (oracle acceptance demo): inject the block
-            // page on a flow no trigger ever armed.
-            if self.config.violation == Some(ModelViolation::BlockPageWithoutTrigger)
-                && self.config.profile.block_page.is_some()
-                && direction == Direction::RemoteToLocal
-                && segment.src_port() == constants::HTTP_PORT
-                && payload_len > 0
-            {
-                self.stats.packets_rewritten += 1;
-                return Verdict::Replace(self.inject_block_page(packet));
-            }
             return Verdict::Pass;
         }
         self.enforce(now, direction, &key, packet, payload_len).unwrap_or(Verdict::Pass)
@@ -877,7 +832,6 @@ impl TspuDevice {
             ThrottleReject,
         }
         let live_epoch = self.config.policy.epoch();
-        let violation = self.config.violation;
         let entry = self.conntrack.get_mut(now, key)?;
         let block = entry.block.as_mut()?;
         let kind = block.kind;
@@ -895,8 +849,7 @@ impl TspuDevice {
                 // Enforcement direction lives on the verdict (the latent
                 // asymmetry fix): the TSPU's ToLocal default rewrites only
                 // remote→local, bidirectional profiles rewrite both ways.
-                let toward_remote = block.rewrites_toward_remote()
-                    && violation != Some(ModelViolation::UnidirectionalRstUnderBidirectional);
+                let toward_remote = block.rewrites_toward_remote();
                 if direction == Direction::RemoteToLocal || toward_remote {
                     Act::Rst
                 } else {
@@ -929,7 +882,7 @@ impl TspuDevice {
             Act::Pass => Verdict::Pass,
             Act::Rst => {
                 self.stats.packets_rewritten += 1;
-                Verdict::Replace(self.inject_rst(packet))
+                Verdict::Replace(rst_ack_rewrite(packet))
             }
             Act::Page => {
                 self.stats.packets_rewritten += 1;
@@ -1199,7 +1152,6 @@ pub struct DeviceConfig {
     /// auto-derives from capacity.
     flow_shards: Option<usize>,
     faults: DeviceFaults,
-    violation: Option<ModelViolation>,
     /// Export names, `device.<label>.*`, shared with the device's forks.
     names: MetricNames,
     /// Whether the device records spans ([`TspuDevice::set_tracing`]).
@@ -1220,7 +1172,6 @@ impl DeviceConfig {
             stats: DeviceStats::default(),
             tracer,
             restarts_applied: 0,
-            reload_applied: false,
             recorder: FlightRecorder::new(self.epoch_base),
             config: self.clone(),
         }

@@ -43,7 +43,6 @@ pub mod sharded;
 pub mod updater;
 
 pub use behaviors::{BlockKind, BlockState, EnforceDirections};
-pub use chaos::ModelViolation;
 pub use conntrack::{ConnState, ConnTracker, FlowKey, Side};
 pub use device::{DeviceConfig, DeviceStats, FailureProfile, TspuDevice};
 pub use profile::{CensorProfile, DnsFilter, HttpHostFilter, SniMode};

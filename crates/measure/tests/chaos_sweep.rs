@@ -3,13 +3,12 @@
 //! * the full ≥100-cell Table-1 grid under loss + bounded reorder is
 //!   byte-identical at 1 and 8 threads, with the oracle passing every
 //!   capture;
-//! * a deliberately seeded model violation (fresh TTL on injected RSTs)
-//!   makes the oracle report the offending packet and trace;
+//! * a fresh TTL written into an injected RST of a clean capture makes
+//!   the oracle report the offending packet and trace;
 //! * the Table-1 reliability *shape* survives chaos: the single-device
 //!   ER-Telecom path fails at least an order of magnitude more often than
 //!   the two-device Rostelecom and OBIT paths, across fault seeds.
 
-use tspu_core::ModelViolation;
 use tspu_measure::chaos::{ChaosScenario, ChaosSweep};
 use tspu_measure::reliability::{run_cell, Mechanism};
 use tspu_measure::sweep::ScanPool;
@@ -17,9 +16,13 @@ use tspu_netsim::fault::LinkFaults;
 use tspu_netsim::oracle::Violation;
 use tspu_registry::Universe;
 use tspu_topology::{policy_from_universe, VantageLab};
+use tspu_wire::ipv4::Ipv4Packet;
+use tspu_wire::tcp::TcpSegment;
 
 mod common;
 use common::assert_thread_independent;
+mod tamper;
+use tamper::audit_tampered;
 
 #[test]
 fn table1_grid_is_byte_identical_across_thread_counts() {
@@ -52,20 +55,29 @@ fn oracle_reports_seeded_wrong_ttl_on_injected_rst() {
     let universe = Universe::generate(3);
     let policy = policy_from_universe(&universe, false, true);
     let mut lab = VantageLab::builder().policy(policy).build();
-
-    // Seed the deliberate model violation on ER-Telecom's symmetric
-    // device: injected RST/ACKs leave with a fresh TTL instead of the
-    // original packet's.
-    let device = lab.vantage("ER-Telecom").sym_device;
-    lab.net
-        .middlebox_mut(device)
-        .set_model_violation(Some(ModelViolation::FreshTtlOnInjectedRst));
-
     lab.net.set_capture(true);
     run_cell(&mut lab, "ER-Telecom", Mechanism::Sni1, 3);
 
-    let captured = lab.net.captures().len();
-    let report = lab.oracle_audit();
+    // Edit the capture of ER-Telecom's symmetric device: its last injected
+    // RST/ACK leaves with a fresh TTL instead of the original packet's.
+    // The TCP checksum does not cover the TTL; the IP checksum is refilled.
+    let is_rst = |packet: &[u8]| {
+        Ipv4Packet::new_checked(packet)
+            .is_ok_and(|ip| TcpSegment::new_checked(ip.payload()).is_ok_and(|tcp| tcp.flags().rst()))
+    };
+    let device = lab.vantage("ER-Telecom").sym_device.id();
+    let (report, captured) = audit_tampered(
+        &mut lab,
+        device,
+        |ingress, egress| !is_rst(ingress) && is_rst(egress),
+        |_, egress| {
+            let mut out = egress.to_vec();
+            let mut ip = Ipv4Packet::new_unchecked(&mut out[..]);
+            ip.set_ttl(64);
+            ip.fill_checksum();
+            out
+        },
+    );
 
     assert!(!report.is_clean(), "oracle missed the seeded TTL violation");
     let ttl = report

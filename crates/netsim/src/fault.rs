@@ -13,9 +13,8 @@
 //!
 //! * [`LinkFaults`] + [`ChaosLink`] — per-link packet-level faults,
 //!   composable on any [`crate::RouteStep`] like any other middlebox.
-//! * [`DeviceFaults`] — device-level faults (mid-flight restart that wipes
-//!   conntrack/fragment state, policy hot-reload mid-connection, the
-//!   Table-1 probabilistic bypass), interpreted by `tspu-core`'s device.
+//! * [`DeviceFaults`] — device-level faults: mid-flight restarts that wipe
+//!   conntrack and fragment state, interpreted by `tspu-core`'s device.
 //! * [`LinkStats`] — uniform per-middlebox fault counters, the fault
 //!   layer's analogue of the device's `DeviceStats`, consumed by oracle
 //!   reports.
@@ -146,26 +145,19 @@ impl LinkFaults {
 
 /// The device-level half of a [`FaultPlan`]. The simulator defines the
 /// schedule; `tspu-core`'s device interprets it (netsim cannot know what
-/// "conntrack" or "policy" mean).
+/// "conntrack" means).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceFaults {
     /// Virtual times at which the device restarts, wiping all flow and
     /// fragment state — the mid-flight reboot that silently unblocks every
     /// residually-blocked 5-tuple.
     pub restarts: Vec<Duration>,
-    /// Virtual time at which a policy hot-reload fires mid-connection (the
-    /// §5.2 March-4 style switch); the device owner supplies the policy to
-    /// swap in.
-    pub reload_at: Option<Duration>,
-    /// Override for the Table-1 probabilistic bypass rate, unifying the
-    /// device failure dice under the same plan as the link faults.
-    pub bypass_rate: Option<f64>,
 }
 
 impl DeviceFaults {
     /// True if this plan never perturbs the device.
     pub fn is_noop(&self) -> bool {
-        self.restarts.is_empty() && self.reload_at.is_none() && self.bypass_rate.is_none()
+        self.restarts.is_empty()
     }
 }
 

@@ -190,15 +190,15 @@ mod tests {
     }
 
     #[test]
-    fn outbound_translation_and_return_path() {
+    fn outbound_translation_and_return_path() -> Result<(), tspu_wire::Error> {
         let mut nat = Cgnat::new(PUBLIC);
         let syn = tcp(INNER, 40_000, SERVER, 443, TcpFlags::SYN);
         let out = nat.process_owned(Time::ZERO, Direction::LocalToRemote, syn.clone());
         assert_eq!(out.len(), 1);
-        let view = Ipv4Packet::new_checked(&out[0][..]).unwrap();
+        let view = Ipv4Packet::new_checked(&out[0][..])?;
         assert_eq!(view.src_addr(), PUBLIC);
         assert!(view.verify_checksum());
-        let seg = TcpSegment::new_checked(view.payload()).unwrap();
+        let seg = TcpSegment::new_checked(view.payload())?;
         let public_port = seg.src_port();
         assert!(seg.verify_checksum(PUBLIC, SERVER));
 
@@ -206,12 +206,13 @@ mod tests {
         let synack = tcp(SERVER, 443, PUBLIC, public_port, TcpFlags::SYN_ACK);
         let back = nat.process_owned(Time::ZERO, Direction::RemoteToLocal, synack.clone());
         assert_eq!(back.len(), 1);
-        let view = Ipv4Packet::new_checked(&back[0][..]).unwrap();
+        let view = Ipv4Packet::new_checked(&back[0][..])?;
         assert_eq!(view.dst_addr(), INNER);
-        let seg = TcpSegment::new_checked(view.payload()).unwrap();
+        let seg = TcpSegment::new_checked(view.payload())?;
         assert_eq!(seg.dst_port(), 40_000);
         assert!(seg.verify_checksum(SERVER, INNER));
         assert_eq!(nat.sessions(), 1);
+        Ok(())
     }
 
     #[test]
@@ -236,17 +237,18 @@ mod tests {
     }
 
     #[test]
-    fn fragments_die_at_the_nat() {
+    fn fragments_die_at_the_nat() -> Result<(), tspu_wire::Error> {
         // §7.3: the fragmentation scan cannot cross a NAT.
         let mut nat = Cgnat::new(PUBLIC);
         let mut tcp_syn = TcpRepr::new(1234, 443, TcpFlags::SYN);
         tcp_syn.payload = vec![0xaa; 256];
         let seg = tcp_syn.build(SERVER, PUBLIC);
         let packet = Ipv4Repr::new(SERVER, PUBLIC, Protocol::Tcp, seg.len()).build(&seg);
-        for fragment in tspu_wire::frag::fragment(&packet, 64).unwrap() {
+        for fragment in tspu_wire::frag::fragment(&packet, 64)? {
             assert!(nat.process_owned(Time::ZERO, Direction::RemoteToLocal, fragment.clone()).is_empty());
         }
         assert!(nat.fragments_dropped >= 4);
+        Ok(())
     }
 
     #[test]

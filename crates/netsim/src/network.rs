@@ -462,6 +462,7 @@ impl Network {
     /// [`Network::slot`], mutably.
     fn slot_mut(&mut self, id: MiddleboxId) -> &mut dyn Middlebox {
         self.slot(id);
+        // `slot` fills the cell or finds it full, so it holds a middlebox.
         &mut **self.middleboxes[id.0].get_mut().expect("slot filled just above")
     }
 
@@ -493,6 +494,7 @@ impl Network {
     /// another type — handles are only meaningful for the network that
     /// created them.
     pub fn middlebox<M: Middlebox + 'static>(&self, handle: MiddleboxHandle<M>) -> &M {
+        // This network's `install_middlebox::<M>` minted the handle for a slot holding an `M`.
         self.slot(handle.id).as_any().downcast_ref::<M>().expect("middlebox handle type mismatch")
     }
 
@@ -501,6 +503,7 @@ impl Network {
     /// # Panics
     /// Panics on handle/slot type mismatch, as in [`Network::middlebox`].
     pub fn middlebox_mut<M: Middlebox + 'static>(&mut self, handle: MiddleboxHandle<M>) -> &mut M {
+        // As in `middlebox`: the handle's type is the type its slot was filled with.
         self.slot_mut(handle.id).as_any_mut().downcast_mut::<M>().expect("middlebox handle type mismatch")
     }
 
@@ -678,11 +681,8 @@ impl Network {
     /// rely on: "SLEEP 480" costs nothing.
     pub fn run_for(&mut self, duration: Duration) {
         let deadline = self.now + duration;
-        while let Some(head_time) = self.queue.peek_time() {
-            if head_time > deadline {
-                break;
-            }
-            let (time, kind) = self.queue.pop().expect("peeked event");
+        while self.queue.peek_time().is_some_and(|head| head <= deadline) {
+            let Some((time, kind)) = self.queue.pop() else { break };
             self.now = time;
             self.dispatch(kind);
         }
@@ -1014,6 +1014,7 @@ impl NetworkImage {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::PoisonError;
     use tspu_wire::ipv4::{Ipv4Repr, Protocol};
 
     fn packet(src: Ipv4Addr, dst: Ipv4Addr, ttl: u8, payload: &[u8]) -> Vec<u8> {
@@ -1028,7 +1029,7 @@ mod tests {
     const R2: Ipv4Addr = Ipv4Addr::new(10, 255, 0, 2);
 
     #[test]
-    fn direct_delivery() {
+    fn direct_delivery() -> Result<(), tspu_wire::Error> {
         let mut net = Network::with_default_latency();
         let a = net.add_host(A);
         let b = net.add_host(B);
@@ -1037,12 +1038,13 @@ mod tests {
         net.run_until_idle();
         let inbox = net.take_inbox(b);
         assert_eq!(inbox.len(), 1);
-        let view = Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap();
+        let view = Ipv4Packet::new_checked(&inbox[0].1[..])?;
         assert_eq!(view.payload(), b"hi");
+        Ok(())
     }
 
     #[test]
-    fn ttl_decrements_per_router() {
+    fn ttl_decrements_per_router() -> Result<(), tspu_wire::Error> {
         let mut net = Network::with_default_latency();
         let a = net.add_host(A);
         let b = net.add_host(B);
@@ -1050,13 +1052,14 @@ mod tests {
         net.send_from(a, packet(A, B, 64, b"x"));
         net.run_until_idle();
         let inbox = net.take_inbox(b);
-        let view = Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap();
+        let view = Ipv4Packet::new_checked(&inbox[0].1[..])?;
         assert_eq!(view.ttl(), 62);
         assert!(view.verify_checksum());
+        Ok(())
     }
 
     #[test]
-    fn ttl_expiry_returns_time_exceeded_from_hop() {
+    fn ttl_expiry_returns_time_exceeded_from_hop() -> Result<(), tspu_wire::Error> {
         let mut net = Network::with_default_latency();
         let a = net.add_host(A);
         let b = net.add_host(B);
@@ -1067,9 +1070,10 @@ mod tests {
         assert!(net.take_inbox(b).is_empty());
         let inbox = net.take_inbox(a);
         assert_eq!(inbox.len(), 1);
-        let view = Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap();
+        let view = Ipv4Packet::new_checked(&inbox[0].1[..])?;
         assert_eq!(view.src_addr(), R2);
         assert_eq!(view.protocol(), Protocol::Icmp);
+        Ok(())
     }
 
     #[test]
@@ -1173,14 +1177,14 @@ mod tests {
     }
     impl Application for Echo {
         fn on_packet(&mut self, _now: Time, packet: &[u8]) -> Vec<Output> {
-            let view = Ipv4Packet::new_checked(packet).unwrap();
+            let Ok(view) = Ipv4Packet::new_checked(packet) else { return Vec::new() };
             let repr = Ipv4Repr::new(self.own, view.src_addr(), view.protocol(), view.payload().len());
             vec![Output::send(repr.build(view.payload()))]
         }
     }
 
     #[test]
-    fn application_replies() {
+    fn application_replies() -> Result<(), tspu_wire::Error> {
         let mut net = Network::with_default_latency();
         let a = net.add_host(A);
         let b = net.add_host_with_app(B, Box::new(Echo { own: B }));
@@ -1189,10 +1193,11 @@ mod tests {
         net.run_until_idle();
         let inbox = net.take_inbox(a);
         assert_eq!(inbox.len(), 1);
-        let view = Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap();
+        let view = Ipv4Packet::new_checked(&inbox[0].1[..])?;
         assert_eq!(view.payload(), b"ping");
         // One sink: the ping went to the echo application and nowhere else.
         assert!(net.take_inbox(b).is_empty(), "an application host kept a copy");
+        Ok(())
     }
 
     struct TimerApp {
@@ -1203,7 +1208,7 @@ mod tests {
             vec![Output::Timer { delay: Duration::from_secs(5) }]
         }
         fn on_timer(&mut self, now: Time) -> Vec<Output> {
-            self.fired.lock().unwrap().push(now);
+            self.fired.lock().unwrap_or_else(PoisonError::into_inner).push(now);
             Vec::new()
         }
     }
@@ -1217,7 +1222,7 @@ mod tests {
         net.set_route_symmetric(a, b, Route::direct());
         net.send_from(a, packet(A, B, 64, b"go"));
         net.run_until_idle();
-        let fired = fired.lock().unwrap();
+        let fired = fired.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(fired.len(), 1);
         // 1 hop latency (1 ms) + 5 s timer.
         assert_eq!(fired[0], Time::from_micros(5_001_000));
@@ -1293,7 +1298,7 @@ mod tests {
         assert!(fork_b.captures().is_empty());
         // Shared topology: same routes without re-interning.
         assert_eq!(fork_a.interned_routes(), net.interned_routes());
-        assert_eq!(fork_a.route(a, b).unwrap().steps[0].hop_addr, R1);
+        assert_eq!(fork_a.route(a, b).map(|r| r.steps[0].hop_addr), Some(R1));
     }
 
     #[test]
@@ -1365,11 +1370,11 @@ mod tests {
         let c = fork_a.add_host(Ipv4Addr::new(203, 0, 113, 9));
 
         // Fork A sees its own changes; fork B and the original don't.
-        assert_eq!(fork_a.route(a, b).unwrap().steps.len(), 2);
+        assert_eq!(fork_a.route(a, b).map(|r| r.steps.len()), Some(2));
         assert_eq!(fork_a.host_by_addr(Ipv4Addr::new(203, 0, 113, 9)), Some(c));
-        assert_eq!(fork_b.route(a, b).unwrap().steps.len(), 1);
+        assert_eq!(fork_b.route(a, b).map(|r| r.steps.len()), Some(1));
         assert_eq!(fork_b.host_by_addr(Ipv4Addr::new(203, 0, 113, 9)), None);
-        assert_eq!(net.route(a, b).unwrap().steps.len(), 1);
+        assert_eq!(net.route(a, b).map(|r| r.steps.len()), Some(1));
     }
 
     #[test]
@@ -1386,16 +1391,16 @@ mod tests {
         net.send_from(a, packet(A, B, 64, b"pre"));
         net.run_for(Duration::from_secs(5));
         let pre = net.take_inbox(b);
-        assert_eq!(Ipv4Packet::new_checked(&pre[0].1[..]).unwrap().ttl(), 63);
-        assert_eq!(net.route(a, b).unwrap().steps.len(), 1);
+        assert_eq!(Ipv4Packet::new_checked(&pre[0].1[..]).map(|v| v.ttl()), Ok(63));
+        assert_eq!(net.route(a, b).map(|r| r.steps.len()), Some(1));
 
         // Past the flip instant: the backup path, two routers.
         net.run_for(Duration::from_secs(10));
-        assert_eq!(net.route(a, b).unwrap().steps.len(), 2);
+        assert_eq!(net.route(a, b).map(|r| r.steps.len()), Some(2));
         net.send_from(a, packet(A, B, 64, b"post"));
         net.run_until_idle();
         let post = net.take_inbox(b);
-        assert_eq!(Ipv4Packet::new_checked(&post[0].1[..]).unwrap().ttl(), 62);
+        assert_eq!(Ipv4Packet::new_checked(&post[0].1[..]).map(|v| v.ttl()), Ok(62));
     }
 
     #[test]
@@ -1413,9 +1418,9 @@ mod tests {
         // flip stays private to the fork that applied it.
         fork_a.schedule_reroute(Duration::from_secs(1), a, b, backup);
         fork_a.run_until_idle();
-        assert_eq!(fork_a.route(a, b).unwrap().steps.len(), 2);
-        assert_eq!(fork_b.route(a, b).unwrap().steps.len(), 1);
-        assert_eq!(net.route(a, b).unwrap().steps.len(), 1);
+        assert_eq!(fork_a.route(a, b).map(|r| r.steps.len()), Some(2));
+        assert_eq!(fork_b.route(a, b).map(|r| r.steps.len()), Some(1));
+        assert_eq!(net.route(a, b).map(|r| r.steps.len()), Some(1));
     }
 
     #[test]
@@ -1498,8 +1503,8 @@ mod tests {
         net.set_route(b, a, Route::through(&[R2, R1]));
         assert_eq!(net.interned_routes(), 2);
         // Interned slots still resolve per (src, dst) pair.
-        assert_eq!(net.route(a, b).unwrap().steps[0].hop_addr, R1);
-        assert_eq!(net.route(b, a).unwrap().steps[0].hop_addr, R2);
+        assert_eq!(net.route(a, b).map(|r| r.steps[0].hop_addr), Some(R1));
+        assert_eq!(net.route(b, a).map(|r| r.steps[0].hop_addr), Some(R2));
     }
 
     #[test]
@@ -1549,12 +1554,12 @@ mod tests {
         net.schedule_reroute(Duration::from_micros(1_500), a, b, short);
         net.send_from(a, packet(A, B, 64, b"in flight"));
         net.run_until_idle();
-        assert_eq!(net.route(a, b).unwrap().steps.len(), 1, "the flip applied");
+        assert_eq!(net.route(a, b).map(|r| r.steps.len()), Some(1), "the flip applied");
         assert_eq!(net.middlebox(counter).seen, 1, "the device on the old route never saw the packet");
         let inbox = net.take_inbox(b);
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].0, Time::from_micros(4_000));
-        assert_eq!(Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap().ttl(), 61);
+        assert_eq!(Ipv4Packet::new_checked(&inbox[0].1[..]).map(|v| v.ttl()), Ok(61));
     }
 
     /// What ran, in order: a device's `process` and an application's
@@ -1564,7 +1569,7 @@ mod tests {
     struct LogHops(Log);
     impl Middlebox for LogHops {
         fn process(&mut self, _now: Time, _dir: Direction, _packet: &mut Vec<u8>) -> Verdict {
-            self.0.lock().unwrap().push("hop");
+            self.0.lock().unwrap_or_else(PoisonError::into_inner).push("hop");
             Verdict::Pass
         }
     }
@@ -1578,7 +1583,7 @@ mod tests {
             vec![Output::send(packet(B, C, 64, b"on")), Output::Timer { delay: Duration::from_millis(1) }]
         }
         fn on_timer(&mut self, _now: Time) -> Vec<Output> {
-            self.0.lock().unwrap().push("timer");
+            self.0.lock().unwrap_or_else(PoisonError::into_inner).push("timer");
             Vec::new()
         }
     }
@@ -1600,7 +1605,7 @@ mod tests {
         net.send_from(a, packet(A, B, 64, b"go"));
         net.run_until_idle();
         assert_eq!(net.take_inbox(c).len(), 1);
-        assert_eq!(*log.lock().unwrap(), ["timer", "hop"]);
+        assert_eq!(*log.lock().unwrap_or_else(PoisonError::into_inner), ["timer", "hop"]);
     }
 
     #[test]

@@ -127,27 +127,24 @@ pub struct DeviceAudit {
     pub restarts: Vec<Time>,
 }
 
+/// Conservative lower bound on conntrack idle timeouts: enforcement is
+/// only *required* (I4) within this long of the arm, because a frozen flow
+/// entry may legitimately expire afterwards. The TSPU's shortest state
+/// timeout is 60 s.
+const MIN_STATE_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// The full audit specification for one capture.
 pub struct OracleSpec {
     pub devices: Vec<DeviceAudit>,
     /// Which addresses are on the local (client-network) side — decides
     /// packet direction, since trace points do not carry it.
     pub is_local_addr: AddrPredicate,
-    /// Conservative lower bound on conntrack idle timeouts: enforcement is
-    /// only *required* (I4) within this long of the arm, because a frozen
-    /// flow entry may legitimately expire afterwards. The TSPU's shortest
-    /// state timeout is 60 s.
-    pub min_state_timeout: Duration,
 }
 
 impl OracleSpec {
-    /// A spec with the default 60 s conservative state-timeout bound.
+    /// A spec that audits no device yet.
     pub fn new(is_local_addr: impl Fn(Ipv4Addr) -> bool + Send + Sync + 'static) -> OracleSpec {
-        OracleSpec {
-            devices: Vec::new(),
-            is_local_addr: Box::new(is_local_addr),
-            min_state_timeout: Duration::from_secs(60),
-        }
+        OracleSpec { devices: Vec::new(), is_local_addr: Box::new(is_local_addr) }
     }
 }
 
@@ -382,6 +379,55 @@ struct FlowAudit {
     enforcing: bool,
 }
 
+impl FlowAudit {
+    /// I3 for one enforcement (a drop, a page or an injection) at `time`:
+    /// some arm of the flow's last trigger whose kind `explains` it must be
+    /// in its window, and the flow is then enforcing. Past every such
+    /// window the residual is exceeded; with no such arm the enforcement is
+    /// `unexplained`.
+    fn explain(
+        &mut self,
+        time: Time,
+        explains: impl Fn(ArmKind) -> bool,
+        unexplained: Violation,
+    ) -> Option<Violation> {
+        let Some(armed_at) = self.armed_at else { return Some(unexplained) };
+        let mut window = None;
+        for arm in self.arms.iter().filter(|arm| explains(arm.kind)) {
+            if time <= armed_at + arm.window {
+                self.enforcing = true;
+                return None;
+            }
+            window = window.max(Some(arm.window));
+        }
+        Some(window.map_or(unexplained, |window| Violation::ResidualExceeded { armed_at, window }))
+    }
+
+    /// I4 for a packet that passed untouched at `time`. Only flagged when
+    /// the verdict is unambiguous, enforcement was already observed, and
+    /// the state timeout cannot have expired the flow yet.
+    fn unblocked_early(&self, time: Time, src_is_local: bool, payload_len: usize) -> Option<Violation> {
+        let (Some(armed_at), true, [arm]) = (self.armed_at, self.enforcing, self.arms.as_slice()) else {
+            return None;
+        };
+        let deadline = armed_at + arm.window.min(MIN_STATE_TIMEOUT);
+        let kind_applies = match arm.kind {
+            ArmKind::FullDrop | ArmKind::QuicDrop | ArmKind::DelayedDrop => true,
+            // SNI-I rewrites only remote→local packets; a bidirectional
+            // arm (Turkmenistan) must also rewrite the local→remote
+            // direction.
+            ArmKind::RstRewrite => arm.bidirectional || !src_is_local,
+            // The page replaces remote→local payloads; empty segments
+            // (pure ACKs) pass untouched.
+            ArmKind::BlockPage => !src_is_local && payload_len > 0,
+            // A policer admits packets whenever its bucket refills.
+            ArmKind::Throttle => false,
+        };
+        let early = kind_applies && time <= deadline;
+        early.then_some(Violation::EarlyUnblock { kind: arm.kind, armed_at, deadline })
+    }
+}
+
 /// Ingressed fragments of one train: offset → (ttl, payload).
 type FragTrain = FxHashMap<usize, (u8, Vec<u8>)>;
 
@@ -534,103 +580,17 @@ impl Oracle {
         }
 
         let flow = state.flows.entry(tuple).or_default();
-        if dropped {
-            match flow.armed_at {
-                None => self.violation(report, audit, call, captures, call.input, Violation::UnexplainedDrop),
-                Some(armed_at) => {
-                    let active = flow.arms.iter().any(|a| call.time <= armed_at + a.window);
-                    if active {
-                        flow.enforcing = true;
-                    } else {
-                        let window = flow.arms.iter().map(|a| a.window).max().unwrap_or_default();
-                        self.violation(
-                            report,
-                            audit,
-                            call,
-                            captures,
-                            call.input,
-                            Violation::ResidualExceeded { armed_at, window },
-                        );
-                    }
-                }
-            }
+        let violation = if dropped {
+            flow.explain(call.time, |_| true, Violation::UnexplainedDrop)
         } else if paged {
-            let page_arm = flow.arms.iter().find(|a| a.kind == ArmKind::BlockPage).copied();
-            match (flow.armed_at, page_arm) {
-                (Some(armed_at), Some(arm)) => {
-                    if call.time <= armed_at + arm.window {
-                        flow.enforcing = true;
-                    } else {
-                        self.violation(
-                            report,
-                            audit,
-                            call,
-                            captures,
-                            call.input,
-                            Violation::ResidualExceeded { armed_at, window: arm.window },
-                        );
-                    }
-                }
-                _ => self.violation(
-                    report,
-                    audit,
-                    call,
-                    captures,
-                    call.input,
-                    Violation::UnexplainedBlockPage,
-                ),
-            }
+            flow.explain(call.time, |kind| kind == ArmKind::BlockPage, Violation::UnexplainedBlockPage)
         } else if injected {
-            let rst_arm = flow.arms.iter().find(|a| a.kind == ArmKind::RstRewrite).copied();
-            match (flow.armed_at, rst_arm) {
-                (Some(armed_at), Some(arm)) => {
-                    if call.time <= armed_at + arm.window {
-                        flow.enforcing = true;
-                    } else {
-                        self.violation(
-                            report,
-                            audit,
-                            call,
-                            captures,
-                            call.input,
-                            Violation::ResidualExceeded { armed_at, window: arm.window },
-                        );
-                    }
-                }
-                _ => self.violation(
-                    report,
-                    audit,
-                    call,
-                    captures,
-                    call.input,
-                    Violation::UnexplainedInjection,
-                ),
-            }
+            flow.explain(call.time, |kind| kind == ArmKind::RstRewrite, Violation::UnexplainedInjection)
         } else {
-            // The packet passed untouched. Only flag when the verdict is
-            // unambiguous, enforcement was already observed, and the state
-            // timeout cannot have expired the flow yet (I4).
-            if let (Some(armed_at), true, [arm]) = (flow.armed_at, flow.enforcing, flow.arms.as_slice())
-            {
-                let deadline = armed_at + arm.window.min(self.spec.min_state_timeout);
-                let kind_applies = match arm.kind {
-                    ArmKind::FullDrop | ArmKind::QuicDrop | ArmKind::DelayedDrop => true,
-                    // SNI-I rewrites only remote→local packets; a
-                    // bidirectional arm (Turkmenistan) must also rewrite
-                    // the local→remote direction.
-                    ArmKind::RstRewrite => arm.bidirectional || !src_is_local,
-                    // The page replaces remote→local payloads; empty
-                    // segments (pure ACKs) pass untouched.
-                    ArmKind::BlockPage => !src_is_local && input_payload_len > 0,
-                    // A policer admits packets whenever its bucket refills.
-                    ArmKind::Throttle => false,
-                };
-                if kind_applies && call.time <= deadline {
-                    let violation =
-                        Violation::EarlyUnblock { kind: arm.kind, armed_at, deadline };
-                    self.violation(report, audit, call, captures, call.input, violation);
-                }
-            }
+            flow.unblocked_early(call.time, src_is_local, input_payload_len)
+        };
+        if let Some(violation) = violation {
+            self.violation(report, audit, call, captures, call.input, violation);
         }
     }
 
@@ -1032,6 +992,18 @@ mod tests {
         }
     }
 
+    /// Classifies every TCP packet that carries a payload as a trigger for
+    /// one `kind` arm with a `window_s`-second window.
+    fn arms_on_payload(kind: ArmKind, window_s: u64) -> ClassifyFn {
+        Box::new(move |bytes| {
+            if parse_tcp_fields(bytes).is_some_and(|tcp| tcp.payload_len > 0) {
+                vec![ArmCandidate { kind, window: Duration::from_secs(window_s), bidirectional: false }]
+            } else {
+                Vec::new()
+            }
+        })
+    }
+
     fn spec_no_triggers() -> OracleSpec {
         let mut spec = OracleSpec::new(|addr: Ipv4Addr| addr.octets()[0] == 10);
         spec.devices.push(DeviceAudit {
@@ -1067,19 +1039,7 @@ mod tests {
             device: DEV,
             label: "dev".into(),
             profile: "tspu".into(),
-            classify: Box::new(|bytes| {
-                let ip = Ipv4Packet::new_checked(bytes).unwrap();
-                let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
-                if tcp.payload().is_empty() {
-                    Vec::new()
-                } else {
-                    vec![ArmCandidate {
-                        kind: ArmKind::RstRewrite,
-                        window: Duration::from_secs(75),
-                        bidirectional: false,
-                    }]
-                }
-            }),
+            classify: arms_on_payload(ArmKind::RstRewrite, 75),
             ip_blocked: Box::new(|_| false),
             block_page: None,
             restarts: Vec::new(),
@@ -1134,19 +1094,7 @@ mod tests {
             device: DEV,
             label: "dev".into(),
             profile: "tspu".into(),
-            classify: Box::new(|bytes| {
-                let ip = Ipv4Packet::new_checked(bytes).unwrap();
-                let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
-                if tcp.payload().is_empty() {
-                    Vec::new()
-                } else {
-                    vec![ArmCandidate {
-                        kind: ArmKind::FullDrop,
-                        window: Duration::from_secs(40),
-                        bidirectional: false,
-                    }]
-                }
-            }),
+            classify: arms_on_payload(ArmKind::FullDrop, 40),
             ip_blocked: Box::new(|_| false),
             block_page: None,
             restarts: vec![Time::from_secs(5)],
@@ -1171,19 +1119,7 @@ mod tests {
             device: DEV,
             label: "dev".into(),
             profile: "tspu".into(),
-            classify: Box::new(|bytes| {
-                let ip = Ipv4Packet::new_checked(bytes).unwrap();
-                let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
-                if tcp.payload().is_empty() {
-                    Vec::new()
-                } else {
-                    vec![ArmCandidate {
-                        kind: ArmKind::FullDrop,
-                        window: Duration::from_secs(40),
-                        bidirectional: false,
-                    }]
-                }
-            }),
+            classify: arms_on_payload(ArmKind::FullDrop, 40),
             ip_blocked: Box::new(|_| false),
             block_page: None,
             restarts: Vec::new(),

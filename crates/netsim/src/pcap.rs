@@ -41,6 +41,11 @@ mod tests {
     use crate::network::HostId;
     use crate::time::Time;
 
+    /// A little-endian field of up to eight bytes.
+    fn le(bytes: &[u8]) -> u64 {
+        bytes.iter().rev().fold(0, |value, &byte| value << 8 | u64::from(byte))
+    }
+
     fn record(micros: u64, bytes: Vec<u8>) -> CaptureRecord {
         CaptureRecord { time: Time::from_micros(micros), point: TracePoint::HostTx(HostId(0)), bytes }
     }
@@ -49,20 +54,20 @@ mod tests {
     fn header_layout() {
         let bytes = to_pcap_bytes(&[]);
         assert_eq!(bytes.len(), 24);
-        assert_eq!(u32::from_le_bytes(bytes[0..4].try_into().unwrap()), 0xa1b2_c3d4);
-        assert_eq!(u16::from_le_bytes(bytes[4..6].try_into().unwrap()), 2);
-        assert_eq!(u16::from_le_bytes(bytes[6..8].try_into().unwrap()), 4);
-        assert_eq!(u32::from_le_bytes(bytes[20..24].try_into().unwrap()), 101);
+        assert_eq!(le(&bytes[0..4]), 0xa1b2_c3d4);
+        assert_eq!(le(&bytes[4..6]), 2);
+        assert_eq!(le(&bytes[6..8]), 4);
+        assert_eq!(le(&bytes[20..24]), 101);
     }
 
     #[test]
     fn record_layout_and_timestamps() {
         let bytes = to_pcap_bytes(&[record(2_500_123, vec![0x45, 0, 0, 20])]);
         let rec = &bytes[24..];
-        assert_eq!(u32::from_le_bytes(rec[0..4].try_into().unwrap()), 2); // sec
-        assert_eq!(u32::from_le_bytes(rec[4..8].try_into().unwrap()), 500_123); // usec
-        assert_eq!(u32::from_le_bytes(rec[8..12].try_into().unwrap()), 4); // incl
-        assert_eq!(u32::from_le_bytes(rec[12..16].try_into().unwrap()), 4); // orig
+        assert_eq!(le(&rec[0..4]), 2); // sec
+        assert_eq!(le(&rec[4..8]), 500_123); // usec
+        assert_eq!(le(&rec[8..12]), 4); // incl
+        assert_eq!(le(&rec[12..16]), 4); // orig
         assert_eq!(&rec[16..], &[0x45, 0, 0, 20]);
     }
 

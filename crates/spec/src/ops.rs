@@ -87,10 +87,8 @@ impl Setup {
     /// The engine as `TspuDevice::new` builds it (the `tspu` profile),
     /// restarting where `ops` says.
     pub fn engine(&self, label: &str, ops: &[Op]) -> TspuDevice {
-        let faults = DeviceFaults {
-            restarts: restarts(ops).into_iter().map(|at| at.since(Time::ZERO)).collect(),
-            ..DeviceFaults::default()
-        };
+        let faults =
+            DeviceFaults { restarts: restarts(ops).into_iter().map(|at| at.since(Time::ZERO)).collect() };
         let policy = PolicyHandle::new(self.policy.clone());
         TspuDevice::new(label, policy, self.failure, self.seed).with_device_faults(faults)
     }

@@ -18,12 +18,12 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use tspu_core::chaos::{audit_for_profile, restart_times};
+use tspu_core::chaos::audit_for_profile;
 use tspu_core::{CensorProfile, FailureProfile, PolicyHandle, TspuDevice};
 use tspu_netsim::fault::{ChaosLink, FaultPlan};
 use tspu_netsim::oracle::{DeviceAudit, Oracle, OracleReport, OracleSpec};
 use tspu_netsim::{Direction, MiddleboxId, Network, NetworkImage, Route, RouteStep};
-use tspu_netsim::{HostId, MiddleboxHandle};
+use tspu_netsim::{HostId, MiddleboxHandle, Time};
 use tspu_obs::Snapshot;
 use tspu_registry::{stats, Universe};
 
@@ -515,7 +515,7 @@ impl VantageLab {
             handle.id(),
             label,
             device.policy().clone(),
-            restart_times(&device.device_faults().restarts),
+            device.device_faults().restarts.iter().map(|&offset| Time::ZERO + offset).collect(),
             device.censor_profile().clone(),
         )
     }
@@ -582,7 +582,7 @@ impl VantageLab {
         let Some(gen) = self.gen.clone() else { return };
         assert_eq!(
             self.net.now(),
-            tspu_netsim::Time::ZERO,
+            Time::ZERO,
             "arm_route_churn: arm the schedule before virtual time advances"
         );
         for ev in &gen.churn {
@@ -979,6 +979,19 @@ mod tests {
         plan.device.restarts.push(std::time::Duration::from_secs(1));
         lab.apply_fault_plan(&plan);
         assert!(lab.chaos_links.is_empty());
+    }
+
+    #[test]
+    fn restart_times_are_absolute() {
+        let (_u, mut lab) = lab();
+        let mut plan = FaultPlan::new(1);
+        plan.device.restarts = vec![std::time::Duration::from_secs(3), std::time::Duration::from_secs(9)];
+        lab.apply_fault_plan(&plan);
+        let spec = lab.oracle_spec();
+        assert!(!spec.devices.is_empty());
+        for audit in &spec.devices {
+            assert_eq!(audit.restarts, vec![Time::from_secs(3), Time::from_secs(9)], "{}", audit.label);
+        }
     }
 
     #[test]

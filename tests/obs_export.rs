@@ -72,7 +72,7 @@ fn fetch(lab: &mut VantageLab, vantage: &str, port: u16, domain: &str, shaping: 
 fn the_export_of_a_fixed_lab_run_is_pinned() {
     let universe = Universe::generate(2022);
     let mut built = VantageLab::builder().universe(&universe).table1().build();
-    let restart = DeviceFaults { restarts: vec![Duration::from_secs(601)], ..DeviceFaults::default() };
+    let restart = DeviceFaults { restarts: vec![Duration::from_secs(601)] };
     built.apply_fault_plan(&FaultPlan { device: restart, ..FaultPlan::symmetric(7, lossy_links()) });
     let mut lab = built.snapshot().fork(0);
     lab.set_tracing(true);
