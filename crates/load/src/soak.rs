@@ -10,6 +10,7 @@
 //! hold only that. The wall-clock figures differ run to run and stay in
 //! the report's named fields, never in a [`Snapshot`].
 
+use std::fmt::Write;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -179,14 +180,21 @@ pub fn build_lab(config: SoakConfig) -> SoakLab {
     // unblocked — the Zipf head hammers these), then the registry sample
     // (96% RST-blocked, so blocks live in the warm mid-tail), then filler
     // long tail up to the configured universe size.
+    // Each name becomes its `Arc<str>` in one allocation: listed names are
+    // borrowed, filler names are written into one reused buffer.
+    let mut filler = String::new();
     let domains: Vec<Arc<str>> = universe
         .tranco
         .iter()
         .chain(universe.registry_sample.iter())
-        .map(|d| d.name.clone())
-        .chain((0..profile.universe_domains).map(|i| format!("filler-{i}.example.ru")))
+        .map(|d| Arc::from(d.name.as_str()))
+        .chain((0..profile.universe_domains).map(|i| {
+            filler.clear();
+            // Writing into a `String` cannot fail.
+            let _ = write!(filler, "filler-{i}.example.ru");
+            Arc::from(filler.as_str())
+        }))
         .take(profile.universe_domains)
-        .map(|name| Arc::from(name.as_str()))
         .collect();
 
     let mut policy = Policy::permissive();

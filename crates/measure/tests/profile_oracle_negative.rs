@@ -156,6 +156,11 @@ fn block_page_outside_armed_window_under_india_is_flagged() {
     assert_eq!(v.device_label, "ER-Telecom-sym");
     assert_eq!(v.profile, "india");
     assert!(!v.packet.is_empty());
+    // The page went out 90 s after the arm: the message names the window
+    // as the residual, never as the time elapsed.
+    let rendered = v.violation.to_string();
+    assert!(rendered.contains("60 s Table-2 residual"), "{rendered}");
+    assert!(!rendered.contains("60 s after the trigger"), "{rendered}");
 }
 
 #[test]

@@ -194,10 +194,10 @@ impl fmt::Display for Violation {
                 f,
                 "fragment at offset {offset} flushed with TTL {actual}, expected first fragment's TTL {expected} (§7.2)"
             ),
+            // The variant carries no enforcement time; the report's does.
             Violation::ResidualExceeded { armed_at, window } => write!(
                 f,
-                "enforcement {:.0} s after the trigger at {armed_at}, beyond the {:.0} s Table-2 residual",
-                window.as_secs_f64(),
+                "enforcement beyond the {:.0} s Table-2 residual of the trigger at {armed_at}",
                 window.as_secs_f64()
             ),
             Violation::UnexplainedDrop => {

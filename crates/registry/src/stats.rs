@@ -13,6 +13,9 @@ pub const TRANCO_TOTAL: usize = TRANCO_COUNT + CLBL_EXTRA;
 /// Registry sample size: "randomly sampling 10,000 domain names that have
 /// been added to the registry since January 1, 2022".
 pub const REGISTRY_SAMPLE: usize = 10_000;
+/// Days the registry sample's additions span: each sampled domain entered
+/// the registry on a day in `0..REGISTRY_DAYS` since 2022-01-01.
+pub const REGISTRY_DAYS: u32 = 130;
 
 /// "the TSPU blocks the same list of 9,655 domains in all three ISPs"
 /// (of the registry sample).

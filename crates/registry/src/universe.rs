@@ -156,6 +156,17 @@ pub struct Universe {
     pub blocks: BlockSets,
 }
 
+/// The SNI-I anchors from the paper's tables that are registry-listed.
+const REGISTRY_ANCHORS: [&str; 7] = [
+    "twitter.com",
+    "facebook.com",
+    "instagram.com",
+    "dw.com",
+    "bbc.com",
+    "meduza.io",
+    "tor.eff.org",
+];
+
 fn synth_name(rng: &mut SmallRng, category: Category, russian: bool, serial: usize) -> String {
     const SYLLABLES: [&str; 16] = [
         "ra", "ve", "to", "mi", "ska", "lon", "dar", "pex", "zu", "qui", "nor", "bel", "tu",
@@ -167,7 +178,26 @@ fn synth_name(rng: &mut SmallRng, category: Category, russian: bool, serial: usi
     let stem = category.keywords()[serial % category.keywords().len()];
     let a = SYLLABLES[rng.gen_range(0..SYLLABLES.len())];
     let b = SYLLABLES[rng.gen_range(0..SYLLABLES.len())];
-    format!("{stem}-{a}{b}{serial}.{tld}")
+    // `{stem}-{a}{b}{serial}.{tld}`, written once at its exact size.
+    let digits = serial.checked_ilog10().map_or(1, |log| log as usize + 1);
+    let mut name =
+        String::with_capacity(stem.len() + 1 + a.len() + b.len() + digits + 1 + tld.len());
+    name.push_str(stem);
+    name.push('-');
+    name.push_str(a);
+    name.push_str(b);
+    push_decimal(&mut name, serial);
+    name.push('.');
+    name.push_str(tld);
+    name
+}
+
+/// Appends `n`'s decimal digits, most significant first.
+fn push_decimal(out: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
 }
 
 fn pick_category(rng: &mut SmallRng, weights: &[(Category, u32)]) -> Category {
@@ -231,22 +261,35 @@ impl Universe {
             });
         }
 
-        // --- Registry sample (10,000; added day 0..130) ---
+        // --- Registry sample (10,000; added day 0..REGISTRY_DAYS) ---
         let mut registry_sample = Vec::with_capacity(stats::REGISTRY_SAMPLE);
+        // Per added day, the number of sample domains that entered then.
+        let mut day_counts = [0usize; stats::REGISTRY_DAYS as usize];
         for serial in 0..stats::REGISTRY_SAMPLE {
             let category = pick_category(&mut rng, &registry_weights);
             let russian = rng.gen_bool(0.8);
+            let name = synth_name(&mut rng, category, russian, serial + 100_000);
+            let day = rng.gen_range(0..stats::REGISTRY_DAYS);
+            day_counts[day as usize] += 1;
             registry_sample.push(Domain {
-                name: synth_name(&mut rng, category, russian, serial + 100_000),
+                name,
                 category,
                 list: ListKind::RegistrySample,
-                registry_added_day: Some(rng.gen_range(0..130)),
+                registry_added_day: Some(day),
                 russian,
             });
         }
 
         // --- Block sets ---
-        let mut blocks = BlockSets::default();
+        let mut blocks = BlockSets {
+            sni_rst: HashSet::with_capacity(
+                stats::TSPU_BLOCKED_REGISTRY
+                    + stats::SNI1_TRANCO
+                    + stats::SNI4_DOMAINS.len()
+                    + REGISTRY_ANCHORS.len(),
+            ),
+            ..BlockSets::default()
+        };
 
         // TSPU SNI-I over the registry sample: 9,655 of 10,000.
         let mut reg_names: Vec<&Domain> = registry_sample.iter().collect();
@@ -295,23 +338,48 @@ impl Universe {
             blocks.sni_rst.insert(name.to_string());
         }
         // The social-media anchors are registry-listed SNI-I targets.
-        for name in ["twitter.com", "facebook.com", "instagram.com", "dw.com", "bbc.com", "meduza.io", "tor.eff.org"] {
+        for name in REGISTRY_ANCHORS {
             blocks.sni_rst.insert(name.to_string());
         }
 
         // Per-ISP resolver lists: full coverage of old registry entries,
         // partial on recent ones (§6.3). A stale list is an old snapshot
         // of the registry: a prefix of the sample in added-day order, ties
-        // by name. The sample is sorted once, comparing borrowed names, and
-        // every ISP takes its own prefix; the sort draws nothing from `rng`.
+        // by name. One bucket pass places the sample by day, keeping each
+        // day's names in sample order; each day's ~77 names are then
+        // sorted, and every ISP takes its own prefix. None of it draws
+        // from `rng`.
+        let mut day_ends = day_counts;
+        let mut end = 0;
+        for slot in &mut day_ends {
+            end += *slot;
+            *slot = end;
+        }
+        let mut next = day_ends;
+        // Every slot is overwritten by the pass below.
         let mut by_day: Vec<&Domain> = registry_sample.iter().collect();
-        by_day.sort_by(|a, b| (a.registry_added_day, &a.name).cmp(&(b.registry_added_day, &b.name)));
+        for domain in registry_sample.iter().rev() {
+            // Every sample domain has an added day.
+            let day = domain.registry_added_day.map_or(0, |day| day as usize);
+            next[day] -= 1;
+            by_day[next[day]] = domain;
+        }
+        let mut start = 0;
+        for end in day_ends {
+            by_day[start..end].sort_unstable_by(|a, b| a.name.cmp(&b.name));
+            start = end;
+        }
+        let old_entries = tranco
+            .iter()
+            .filter(|d| d.registry_added_day.is_some())
+            .count();
+        blocks.isp_resolver.reserve(3);
         for (isp, coverage) in [
             ("Rostelecom", stats::RESOLVER_COVERAGE_ROSTELECOM),
             ("OBIT", stats::RESOLVER_COVERAGE_OBIT),
             ("ER-Telecom", stats::RESOLVER_COVERAGE_ERTELECOM),
         ] {
-            let mut list = HashSet::new();
+            let mut list = HashSet::with_capacity(old_entries + coverage);
             // Old registry entries (tranco side) are well covered.
             for domain in tranco.iter().filter(|d| d.registry_added_day.is_some()) {
                 if rng.gen_bool(0.93) {
@@ -410,7 +478,7 @@ mod tests {
         assert!(u
             .registry_sample
             .iter()
-            .all(|d| matches!(d.registry_added_day, Some(day) if day < 130)));
+            .all(|d| matches!(d.registry_added_day, Some(day) if day < stats::REGISTRY_DAYS)));
     }
 
     #[test]

@@ -421,6 +421,12 @@ mod tests {
         policy_from_universe(&Universe::generate(11), false, true)
     }
 
+    /// The generated topology of a lab built from `TopologySpec::Generated`.
+    fn generated(lab: &VantageLab) -> &Arc<GenTopology> {
+        let Some(gen) = lab.gen.as_ref() else { panic!("a generated topology builds a generated lab") };
+        gen
+    }
+
     #[test]
     fn generated_lab_shape() {
         let params = GenParams::new(42, 300).clients(4);
@@ -428,7 +434,7 @@ mod tests {
             .policy(policy())
             .topology(TopologySpec::Generated(params))
             .build();
-        let gen = lab.gen.as_ref().expect("generated lab");
+        let gen = generated(&lab);
         assert_eq!(gen.num_transits, 6);
         assert_eq!(gen.clients.len(), 4);
         // AllTransit: border + every transit carries a device.
@@ -460,7 +466,7 @@ mod tests {
             .policy(policy())
             .topology(TopologySpec::Generated(base.clone().placement(Placement::BorderOnly)))
             .build();
-        let bg = border.gen.as_ref().unwrap();
+        let bg = generated(&border);
         assert_eq!(bg.devices.len(), 1);
         assert_eq!(bg.devices[0].as_id, 0);
 
@@ -468,7 +474,7 @@ mod tests {
             .policy(policy())
             .topology(TopologySpec::Generated(base.placement(Placement::RandomK(3))))
             .build();
-        let kg = k.gen.as_ref().unwrap();
+        let kg = generated(&k);
         assert_eq!(kg.devices.len(), 3);
         assert!(kg.devices.iter().all(|d| d.as_id <= kg.num_transits));
     }
@@ -480,7 +486,7 @@ mod tests {
             .policy(policy())
             .topology(TopologySpec::Generated(params))
             .build();
-        let gen = lab.gen.as_ref().unwrap();
+        let gen = generated(&lab);
         // Flips round-robin: client 0 flips at events 0, 3, 6 — toggling
         // backup, primary, backup.
         assert!(!gen.on_backup_after(0, 0));
@@ -499,12 +505,13 @@ mod tests {
             .policy(policy())
             .topology(TopologySpec::Generated(params))
             .build();
-        let gen = Arc::clone(lab.gen.as_ref().unwrap());
+        let gen = Arc::clone(generated(&lab));
         let c0 = &gen.clients[0];
-        let before = lab.net.route(c0.host, lab.us_main).unwrap().steps[1].hop_addr;
+        let Some(before) = lab.net.route(c0.host, lab.us_main) else { panic!("client 0 has a route") };
         lab.arm_route_churn();
         lab.net.run_for(Duration::from_secs(6));
-        let after = lab.net.route(c0.host, lab.us_main).unwrap().steps[1].hop_addr;
+        let Some(after) = lab.net.route(c0.host, lab.us_main) else { panic!("client 0 keeps a route") };
+        let (before, after) = (before.steps[1].hop_addr, after.steps[1].hop_addr);
         assert_ne!(before, after, "client 0's transit hop must flip");
         assert_eq!(
             after,

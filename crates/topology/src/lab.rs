@@ -214,6 +214,7 @@ impl<'a> LabBuilder<'a> {
     /// given.
     pub fn build(self) -> VantageLab {
         let policy = self.policy.unwrap_or_else(|| {
+            // The documented panic: neither a policy nor a universe was given.
             let universe = self
                 .universe
                 .expect("LabBuilder: give .policy(...) or .universe(...) to derive one");
@@ -263,6 +264,7 @@ impl VantageLab {
         // Helper: register a device with `isp`'s failure dice and return
         // (typed handle, id).
         let make_dev = |net: &mut Network, name: &str, isp: &str, seed: u64| {
+            // Called only with the three ISPs that Table 1's PER_DEVICE lists.
             let rates = stats::table1::PER_DEVICE.iter().find(|(n, _)| *n == isp).expect("known ISP");
             let fp = if reliable { FailureProfile::uniform(0.0) } else { profile(&rates.1) };
             let mut device = TspuDevice::new(name, policy.clone(), fp, seed);
@@ -466,12 +468,16 @@ impl VantageLab {
             self.chaos_links.push((fwd_label, fwd));
             self.chaos_links.push((rev_label, rev));
             for remote in remotes {
+                // build_inner routes every vantage to all four remotes.
                 let mut forward = self.net.route(host, remote).expect("vantage route");
+                // install_vantage_routes gives each route one step per hop, and every vantage has hops.
                 forward.steps.last_mut().expect("non-empty route").devices
                     .push((fwd.id(), Direction::LocalToRemote));
                 self.net.set_route(host, remote, forward);
 
+                // build_inner routes all four remotes back to every vantage.
                 let mut reverse = self.net.route(remote, host).expect("vantage route");
+                // The reverse route has the forward route's hops, so it has a first step.
                 reverse.steps.first_mut().expect("non-empty route").devices
                     .push((rev.id(), Direction::RemoteToLocal));
                 self.net.set_route(remote, host, reverse);
@@ -545,7 +551,11 @@ impl VantageLab {
     }
 
     /// The vantage by ISP name.
+    ///
+    /// # Panics
+    /// Panics if the lab has no vantage of that name.
     pub fn vantage(&self, name: &str) -> &Vantage {
+        // The documented panic: callers name one of the Fig. 1 ISPs.
         self.vantages.iter().find(|v| v.name == name).expect("known vantage")
     }
 
@@ -799,7 +809,7 @@ mod tests {
     }
 
     #[test]
-    fn tor_node_syn_answered_with_rewritten_rst() {
+    fn tor_node_syn_answered_with_rewritten_rst() -> Result<(), tspu_wire::Error> {
         // The §5.2 IP-blocking check: SYN from the Tor node reaches the
         // vantage, the SYN/ACK back is rewritten to RST/ACK.
         let (_u, mut lab) = lab();
@@ -811,13 +821,14 @@ mod tests {
         lab.net.run_until_idle();
         let inbox = lab.net.take_inbox(lab.tor);
         assert_eq!(inbox.len(), 1);
-        let ip = Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap();
-        let seg = TcpSegment::new_checked(ip.payload()).unwrap();
+        let ip = Ipv4Packet::new_checked(&inbox[0].1[..])?;
+        let seg = TcpSegment::new_checked(ip.payload())?;
         assert_eq!(seg.flags(), TcpFlags::RST_ACK);
+        Ok(())
     }
 
     #[test]
-    fn paris_machine_unaffected_control() {
+    fn paris_machine_unaffected_control() -> Result<(), tspu_wire::Error> {
         // The control pair: same data center, not IP-blocked.
         let (_u, mut lab) = lab();
         let vantage = lab.vantage("ER-Telecom").host;
@@ -828,9 +839,10 @@ mod tests {
         lab.net.run_until_idle();
         let inbox = lab.net.take_inbox(lab.paris);
         assert_eq!(inbox.len(), 1);
-        let ip = Ipv4Packet::new_checked(&inbox[0].1[..]).unwrap();
-        let seg = TcpSegment::new_checked(ip.payload()).unwrap();
+        let ip = Ipv4Packet::new_checked(&inbox[0].1[..])?;
+        let seg = TcpSegment::new_checked(ip.payload())?;
         assert_eq!(seg.flags(), TcpFlags::SYN_ACK);
+        Ok(())
     }
 
     #[test]

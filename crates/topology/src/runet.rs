@@ -715,7 +715,9 @@ mod tests {
     #[test]
     fn scan_packet_reaches_endpoint_and_returns() {
         let mut r = runet();
-        let endpoint = r.endpoints.iter().find(|e| !e.behind_symmetric).cloned().unwrap();
+        let Some(endpoint) = r.endpoints.iter().find(|e| !e.behind_symmetric).cloned() else {
+            panic!("tiny runet produced no uncovered endpoint");
+        };
         assert!(!endpoint.behind_nat);
         let syn = tspu_stack::craft::TcpPacketSpec::new(
             r.scanner_addr, 50000, endpoint.addr, endpoint.port, tspu_wire::tcp::TcpFlags::SYN,
@@ -745,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn nat_hides_covered_endpoints_from_probes() {
+    fn nat_hides_covered_endpoints_from_probes() -> Result<(), tspu_wire::Error> {
         let mut r = runet();
         let Some(hidden) = r
             .endpoints
@@ -775,8 +777,9 @@ mod tests {
         r.net.run_until_idle();
         let arrived = r.net.take_inbox(r.scanner);
         assert_eq!(arrived.len(), 1, "outbound SYN crosses NAT");
-        let view = tspu_wire::ipv4::Ipv4Packet::new_checked(&arrived[0].1[..]).unwrap();
+        let view = tspu_wire::ipv4::Ipv4Packet::new_checked(&arrived[0].1[..])?;
         assert_ne!(view.src_addr(), hidden.addr, "source was translated");
+        Ok(())
     }
 
     #[test]
@@ -789,7 +792,7 @@ mod tests {
         // Every endpoint is covered, including datacenters…
         assert!(r.endpoints.iter().all(|e| e.behind_symmetric));
         // …and the device is far from the leaves (the anti-Fig. 12).
-        assert!(r.endpoints.iter().all(|e| e.device_hops.unwrap() >= 5));
+        assert!(r.endpoints.iter().all(|e| e.device_hops.is_some_and(|hops| hops >= 5)));
         // Whereas the TSPU placement needs an order of magnitude more
         // boxes for partial coverage, close to leaves. (Relative bound:
         // the absolute count depends on the RNG draws of the generator.)
