@@ -42,25 +42,23 @@ use crate::profile::{CensorProfile, SniMode};
 /// baseline TSPU does (single in-order ClientHello, no reassembly).
 pub fn audit_for_profile(
     device: MiddleboxId,
-    label: &str,
+    label: String,
     policy: PolicyHandle,
     restarts: Vec<Time>,
     profile: CensorProfile,
 ) -> DeviceAudit {
     let classify_policy = policy.clone();
     let ip_policy = policy;
-    let block_page = profile.block_page_bytes().map(|page| page.to_vec());
-    let name = profile.name.to_string();
     let ip_blocking = profile.ip_blocking;
     DeviceAudit {
         device,
-        label: label.to_string(),
-        profile: name,
+        label,
+        profile: profile.name,
+        block_page: profile.block_page.clone(),
         classify: Box::new(move |packet| classify(&classify_policy, &profile, packet)),
         ip_blocked: Box::new(move |addr: Ipv4Addr| {
             ip_blocking && ip_policy.read().blocked_ips.contains(&addr)
         }),
-        block_page,
         restarts,
     }
 }
@@ -299,7 +297,7 @@ mod tests {
     fn classify_tracks_hot_reload() {
         let policy = PolicyHandle::new(Policy::example());
         let tspu = CensorProfile::tspu();
-        let audit = audit_for_profile(MiddleboxId(0), "dev", policy.clone(), Vec::new(), tspu);
+        let audit = audit_for_profile(MiddleboxId(0), "dev".into(), policy.clone(), Vec::new(), tspu);
         policy.update(|p| p.sni_rst.insert("example.org"));
         let candidates = (audit.classify)(&hello_packet("example.org"));
         assert_eq!(candidates.len(), 1, "audit sees the reloaded list");

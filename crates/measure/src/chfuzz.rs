@@ -196,6 +196,7 @@ mod tests {
             .record
             .windows(b"meduza.io".len())
             .position(|w| w == b"meduza.io")
+            // The fuzzed record is a ClientHello for meduza.io.
             .expect("hostname embedded");
         for offset in host_pos..host_pos + 6 {
             assert_eq!(map.sensitivity[offset], ByteSensitivity::Sensitive, "sni byte {offset}");

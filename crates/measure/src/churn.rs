@@ -219,12 +219,14 @@ impl ChurnCampaign {
         history: &PolicyHistory,
         pos: usize,
     ) -> (DeltaConvergence, Snapshot) {
+        // `pos` indexes the schedule the history was compiled from.
         let policy = history.as_of(pos).expect("the history was compiled from this schedule");
         let handle = PolicyHandle::new(policy);
         lab.set_policy(handle.clone());
         lab.net.set_app(lab.us_main, Box::new(ServerApp::https_site(lab.us_main_addr)));
 
         // Steady traffic toward the day's first (sorted) addition.
+        // Only add-bearing batches become cells.
         let target = delta.add_rst.first().expect("cells are add-bearing batches").clone();
         let vantage = lab.vantage(self.vantage);
         let (probe_host, probe_addr) = (vantage.host, vantage.addr);
@@ -244,10 +246,9 @@ impl ChurnCampaign {
         let delta_at = self.probe_period * self.warmup_probes;
         let updater = PolicyUpdater::new(handle.clone(), vec![(delta_at, Arc::clone(delta))]);
         let update_log = updater.log();
-        let first_offset = updater.first_offset().expect("one scheduled delta");
         let controller = lab.net.add_host(CONTROLLER);
         lab.net.set_app(controller, Box::new(updater));
-        lab.net.arm_timer(controller, first_offset);
+        lab.net.arm_timer(controller, delta_at);
 
         lab.net.run_until_idle();
 
@@ -256,6 +257,7 @@ impl ChurnCampaign {
             .unwrap_or_else(|e| e.into_inner())
             .first()
             .cloned()
+            // The run went idle, so the timer armed for the one delta fired.
             .expect("scheduled delta fired");
         let (_, enforced_at) = probe_log.first_reset().unwrap_or_else(|| {
             panic!("day {day} delta never enforced (target {target})")
@@ -473,6 +475,7 @@ mod tests {
             assert_eq!(us, cell.convergence_us);
             // The slowest modeled ISP dwarfs the TSPU on every day — the
             // paper's contrast, per point on the curve.
+            // Every cell carries one lag per modeled ISP.
             let lag = cell.isp_lag_us.iter().map(|&(_, lag)| lag).max().unwrap();
             assert!(lag > 10 * us, "day {day}: lag {lag} vs convergence {us}");
         }
@@ -499,6 +502,7 @@ mod tests {
         let campaign = short_campaign();
         let report = campaign.run(&universe, &ScanPool::single_thread());
         assert_eq!(report.snapshot.counter("churn.deltas"), report.cells.len() as u64);
+        // Every cell records its convergence into this histogram.
         let hist = report.snapshot.histogram("churn.convergence_us").expect("histogram");
         assert_eq!(hist.count(), report.cells.len() as u64);
         // One updater apply + one audit bump per cell flow through the

@@ -154,7 +154,7 @@ pub fn category_histogram(
             classifier::FetchOutcome::BadHtml => hist.bad_html += 1,
             classifier::FetchOutcome::Html(html) => {
                 if let Some(category) = classifier::classify_html(&html) {
-                    let row = hist.rows.get_mut(category.name()).expect("all categories");
+                    let row = hist.rows.entry(category.name()).or_default();
                     row.0 += 1;
                     if blocked.contains(&domain.name) {
                         row.1 += 1;

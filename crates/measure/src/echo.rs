@@ -208,6 +208,7 @@ mod tests {
             .echo_servers()
             .find(|e| e.behind_upstream_only && !e.behind_symmetric)
             .map(|e| e.addr)
+            // The tiny country places an echo server in every coverage class.
             .expect("echo server behind upstream-only device");
         let result = echo_measurement(&mut r, target, 51_234);
         assert!(!result.tspu_positive(), "{result:?}");
@@ -221,6 +222,7 @@ mod tests {
             .echo_servers()
             .find(|e| !e.behind_upstream_only && !e.behind_symmetric)
             .map(|e| e.addr)
+            // As above: the tiny country has uncovered echo servers.
             .expect("uncovered echo server");
         let result = echo_measurement(&mut r, target, 443);
         assert!(!result.tspu_positive(), "{result:?}");

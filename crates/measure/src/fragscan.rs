@@ -217,12 +217,14 @@ mod tests {
     #[test]
     fn fingerprint_separates_covered_from_uncovered() {
         let mut r = runet();
+        // The tiny country has covered and uncovered public endpoints.
         let covered = r.endpoints.iter().find(|e| e.behind_symmetric && !e.behind_nat).cloned().unwrap();
         let uncovered = r
             .endpoints
             .iter()
             .find(|e| !e.behind_symmetric && !e.behind_upstream_only)
             .cloned()
+            // (As above.)
             .unwrap();
 
         let v = fingerprint(&mut r, covered.addr, covered.port, 2000);
@@ -254,6 +256,7 @@ mod tests {
     #[test]
     fn ip_probe_positive_behind_any_upstream_visibility() {
         let mut r = runet();
+        // The tiny country has covered and uncovered public endpoints.
         let sym = r.endpoints.iter().find(|e| e.behind_symmetric && !e.behind_nat).cloned().unwrap();
         assert!(ip_block_probe(&mut r, sym.addr, sym.port, 4000));
 
@@ -271,6 +274,7 @@ mod tests {
             .iter()
             .find(|e| !e.behind_symmetric && !e.behind_upstream_only)
             .cloned()
+            // (As above.)
             .unwrap();
         assert!(!ip_block_probe(&mut r, none.addr, none.port, 4002));
     }
@@ -323,9 +327,10 @@ mod tests {
             // Path: 4 core + 2 ingress + leaf_len routers; device after
             // leaf index (leaf_len - hops). The flip TTL equals the number
             // of routers strictly before the device plus one.
+            // The generator routes the scanner to every endpoint.
             let path_len = r.net.route(r.scanner, e.host).unwrap().steps.len();
             let hops_from_dst = path_len + 2 - flip as usize;
-            assert_eq!(hops_from_dst, e.device_hops.unwrap(), "flip {flip} path {path_len} truth {:?}", e.device_hops);
+            assert_eq!(Some(hops_from_dst), e.device_hops, "flip {flip} path {path_len}");
         }
     }
 }

@@ -35,6 +35,7 @@ pub struct LocalizedDevice {
 fn local_end(lab: &VantageLab, vantage: &str, port: u16) -> ScriptEnd {
     match &lab.gen {
         Some(gen) => {
+            // The documented panic (`LocalizeSpec::with_topology`).
             let index: usize =
                 vantage.parse().expect("generated labs: vantage is a client index string");
             let client = &gen.clients[index];
@@ -212,6 +213,10 @@ impl LocalizeSpec {
 
     /// Runs the lab the TTL walk probes on a different topology (e.g. a
     /// generated graph with `vantage` naming a client index).
+    ///
+    /// # Panics
+    /// On a generated topology, [`LocalizeSpec::run`] panics unless
+    /// `vantage` is a client index such as `"0"`.
     pub fn with_topology(mut self, topology: TopologySpec) -> LocalizeSpec {
         self.topology = topology;
         self

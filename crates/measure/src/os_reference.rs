@@ -76,11 +76,8 @@ mod tests {
     #[test]
     fn table7_transcription_sane() {
         assert_eq!(TABLE7.len(), 32);
-        let linux_est = TABLE7
-            .iter()
-            .find(|r| r.system == "linux" && r.state == "established")
-            .unwrap();
-        assert_eq!(linux_est.timeout_secs, 432_000);
+        let linux_est = TABLE7.iter().find(|r| r.system == "linux" && r.state == "established");
+        assert_eq!(linux_est.map(|r| r.timeout_secs), Some(432_000));
     }
 
     #[test]
@@ -93,6 +90,7 @@ mod tests {
         // §5.3.3's comparison.
         let linux_syn_sent = 120;
         let linux_established = 432_000;
+        // TSPU_MEASURED lists both states asked for here.
         let tspu = |name: &str| TSPU_MEASURED.iter().find(|(n, _)| *n == name).unwrap().1;
         assert!(tspu("SYN_SENT") < linux_syn_sent);
         assert!(tspu("ESTABLISHED") < linux_established / 100);

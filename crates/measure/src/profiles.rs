@@ -108,10 +108,14 @@ pub struct ProfileMatrix {
 
 impl ProfileMatrix {
     /// The cell for (`profile`, `domain`).
+    ///
+    /// # Panics
+    /// Panics if the matrix holds no such cell.
     pub fn cell(&self, profile: &str, domain: &str) -> &ProfileCell {
         self.cells
             .iter()
             .find(|c| c.profile == profile && c.domain == domain)
+            // The documented panic: callers name a pair of the matrix.
             .expect("known (profile, domain) pair")
     }
 

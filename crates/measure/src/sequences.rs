@@ -156,6 +156,7 @@ mod tests {
         let policy = policy_from_universe(&Universe::generate(3), false, true);
         let verdicts = explore(&policy, 2, "ER-Telecom", &ScanPool::new(2));
 
+        // Exploration to length 2 yields every sequence named below.
         let by_notation = |n: &str| verdicts.iter().find(|v| v.notation == n).unwrap();
 
         // Remote-first sequences are never valid prefixes.

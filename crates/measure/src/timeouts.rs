@@ -389,16 +389,15 @@ mod tests {
     fn table2_states_recovered() {
         let measured = state_timeouts(&policy(), &table2_state_rows(), &ScanPool::new(2));
         for (measured, expected) in measured.into_iter().zip([60, 105, 480]) {
-            assert!(close_to(measured.unwrap(), expected), "{measured:?}, expected {expected}");
+            assert!(measured.is_some_and(|m| close_to(m, expected)), "{measured:?}, expected {expected}");
         }
     }
 
     #[test]
     fn block_residuals_recovered() {
         let residuals = block_residuals(&policy(), &ScanPool::new(2));
-        let measured: Vec<_> = residuals.iter().map(|&(m, v)| (m.label(), v.unwrap())).collect();
-        for ((label, measured), expected) in measured.into_iter().zip([75, 420, 40, 420]) {
-            assert!(close_to(measured, expected), "{label} {measured}");
+        for (&(mechanism, measured), expected) in residuals.iter().zip([75, 420, 40, 420]) {
+            assert!(measured.is_some_and(|m| close_to(m, expected)), "{} {measured:?}", mechanism.label());
         }
         let mut lab = VantageLab::builder().policy(policy()).build();
         assert_eq!(measure_block_residual(&mut lab, Mechanism::IpBased), None);
@@ -420,7 +419,7 @@ mod tests {
             [(Action::Drop, 180), (Action::Pass, 60), (Action::Pass, 180), (Action::Drop, 420)];
         for (row, (action, timeout)) in rows.iter().zip(expected) {
             assert_eq!(row.action, action, "{row:?}");
-            assert!(close_to(row.timeout_secs.unwrap(), timeout), "{row:?}");
+            assert!(row.timeout_secs.is_some_and(|t| close_to(t, timeout)), "{row:?}");
         }
     }
 }

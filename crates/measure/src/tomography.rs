@@ -128,6 +128,7 @@ impl TomographyRun {
 /// Runs one localization cell on a freshly forked lab. Pure in
 /// `(image, config, cell)` — the determinism unit the pool shards.
 fn run_cell(lab: &mut VantageLab, config: &TomographyConfig, cell: usize) -> TomographyCell {
+    // `run_tomography` forks every cell from an image built on a generated topology.
     let gen = lab.gen.clone().expect("tomography runs on generated labs");
     let candidates = gen.censor_candidates();
     let active = (!candidates.is_empty()).then(|| candidates[cell % candidates.len()]);

@@ -2,7 +2,7 @@
 //! device egress record edited, so the oracle has an error to find while
 //! the engine carries none.
 
-use tspu_netsim::{MiddleboxId, Oracle, OracleReport, TracePoint};
+use tspu_netsim::{Capture, MiddleboxId, Oracle, OracleReport, TracePoint};
 use tspu_topology::VantageLab;
 
 /// Drains `lab`'s capture, edits one record and audits the result. Of the
@@ -18,17 +18,25 @@ pub fn audit_tampered(
     picks: impl Fn(&[u8], &[u8]) -> bool,
     edit: impl FnOnce(&[u8], &[u8]) -> Vec<u8>,
 ) -> (OracleReport, usize) {
-    let mut captures = lab.net.take_captures();
-    let at = (1..captures.len())
+    let captured = lab.net.take_captures();
+    let records: Vec<_> = captured.iter().collect();
+    let at = (1..records.len())
         .rev()
         .find(|&i| {
-            let (ingress, egress) = (&captures[i - 1], &captures[i]);
+            let (ingress, egress) = (records[i - 1], records[i]);
             matches!(ingress.point, TracePoint::DeviceIngress { device: d, .. } if d == device)
                 && matches!(egress.point, TracePoint::DeviceEgress { device: d, .. } if d == device)
-                && picks(&ingress.bytes, &egress.bytes)
+                && picks(ingress.bytes, egress.bytes)
         })
         .expect("a call of the device matches");
-    captures[at].bytes = edit(&captures[at - 1].bytes, &captures[at].bytes);
+    let edited = edit(records[at - 1].bytes, records[at].bytes);
+    // The log is append-only: the tampered capture is rebuilt around the
+    // edited record.
+    let mut captures = Capture::new();
+    for (i, record) in records.iter().enumerate() {
+        let bytes = if i == at { &edited[..] } else { record.bytes };
+        captures.push(record.time, record.point, bytes);
+    }
     let mut report = Oracle::new(lab.oracle_spec()).check(&captures);
     report.attach_device_ledger(|id, packet| lab.device_ledger(id, packet, 8));
     (report, captures.len())

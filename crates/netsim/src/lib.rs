@@ -46,7 +46,7 @@ pub mod pcap;
 pub use app::{Application, Output};
 pub use fault::{ChaosLink, DeviceFaults, FaultPlan, FlapSpec, LinkFaults, LinkStats};
 pub use oracle::{ArmCandidate, ArmKind, DeviceAudit, Oracle, OracleReport, OracleSpec};
-pub use capture::{CaptureRecord, TracePoint};
+pub use capture::{Capture, CaptureIter, CaptureView, TracePoint};
 pub use middlebox::{AsAny, Direction, Middlebox, MiddleboxId, MiddleboxImage, Verdict};
 pub use network::{HostId, MiddleboxHandle, Network, NetworkImage, Route, RouteId, RouteStep};
 pub use queue::EventQueue;

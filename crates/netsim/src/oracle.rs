@@ -35,6 +35,8 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 
 use tspu_wire::fasthash::FxHashMap;
@@ -42,7 +44,7 @@ use tspu_wire::ipv4::{Ipv4Packet, Protocol};
 use tspu_wire::tcp::TcpSegment;
 use tspu_wire::udp::UdpDatagram;
 
-use crate::capture::{CaptureRecord, TracePoint};
+use crate::capture::{Capture, CaptureIter, TracePoint};
 use crate::middlebox::MiddleboxId;
 use crate::time::Time;
 
@@ -109,7 +111,7 @@ pub struct DeviceAudit {
     /// The censor profile the device enforces ("tspu", "turkmenistan",
     /// "india", …) — named in violation reports so a differential
     /// campaign's failures identify the offending country model.
-    pub profile: String,
+    pub profile: &'static str,
     /// Classifies a local→remote packet: every blocking mechanism its
     /// payload could arm under the device's policy. Empty = not a trigger.
     pub classify: ClassifyFn,
@@ -120,10 +122,11 @@ pub struct DeviceAudit {
     /// The exact block-page bytes this device injects, if its profile
     /// does. An egress whose TCP payload equals this (where the ingress
     /// payload did not) is a block-page injection and needs an in-window
-    /// `BlockPage` arm.
-    pub block_page: Option<Vec<u8>>,
+    /// `BlockPage` arm. Shared with the profile that injects it.
+    pub block_page: Option<Arc<[u8]>>,
     /// Virtual times at which the device restarted (from its fault plan):
     /// all flow and fragment audit state resets, exactly like the device's.
+    /// Any order: [`Oracle::new`] sorts them.
     pub restarts: Vec<Time>,
 }
 
@@ -227,13 +230,14 @@ pub struct ViolationReport {
     pub device_label: String,
     /// The censor profile the offending device enforces — so a
     /// differential campaign's failures name the country model at fault.
-    pub profile: String,
+    pub profile: &'static str,
     pub time: Time,
     /// The packet the check fired on (the offending egress for I1/I2, the
     /// ingress for I3/I4).
     pub packet: Vec<u8>,
-    /// The full device call: ingress record followed by its egresses.
-    pub trace: Vec<CaptureRecord>,
+    /// The full device call: ingress record followed by its egresses,
+    /// copied out of the audited capture.
+    pub trace: Capture,
     /// The device's metric counters that moved over the audited run
     /// (`(name, delta)` pairs), attached via
     /// [`OracleReport::attach_device_counters`] so a violation names both
@@ -262,7 +266,7 @@ impl fmt::Display for ViolationReport {
                 TracePoint::DeviceEgress { .. } => " egress",
                 _ => "  other",
             };
-            writeln!(f, "  {direction} {} {}", record.time, summarize_packet(&record.bytes))?;
+            writeln!(f, "  {direction} {} {}", record.time, summarize_packet(record.bytes))?;
         }
         if !self.counters_moved.is_empty() {
             write!(f, "  counters moved:")?;
@@ -350,14 +354,22 @@ impl fmt::Display for OracleReport {
 }
 
 /// One device call reconstructed from the capture: an ingress record and
-/// the contiguous egress records that followed it.
+/// the contiguous egress records that followed it, borrowed from the log.
 struct Call<'a> {
     time: Time,
-    ingress_idx: usize,
     input: &'a [u8],
-    outputs: Vec<&'a [u8]>,
-    /// Index one past the last record of this call, for trace extraction.
-    end_idx: usize,
+    /// The egress records, in forwarding order.
+    outputs: CaptureIter<'a>,
+    /// The call's records in the log (ingress and egresses), for trace
+    /// extraction.
+    records: Range<usize>,
+}
+
+impl<'a> Call<'a> {
+    /// The packets the device forwarded for this call.
+    fn outputs(&self) -> impl Iterator<Item = &'a [u8]> {
+        self.outputs.clone().map(|record| record.bytes)
+    }
 }
 
 /// Direction-normalized 5-tuple.
@@ -436,8 +448,6 @@ struct DeviceState {
     flows: FxHashMap<TupleKey, FlowAudit>,
     /// Ingressed fragment trains, keyed by (src, dst, ident).
     frags: FxHashMap<(Ipv4Addr, Ipv4Addr, u16), FragTrain>,
-    /// Restarts not yet applied, sorted ascending.
-    pending_restarts: Vec<Time>,
 }
 
 /// The trace-invariant oracle. Build one from a spec, then [`Oracle::check`]
@@ -447,12 +457,15 @@ pub struct Oracle {
 }
 
 impl Oracle {
-    pub fn new(spec: OracleSpec) -> Oracle {
+    pub fn new(mut spec: OracleSpec) -> Oracle {
+        for audit in &mut spec.devices {
+            audit.restarts.sort_unstable();
+        }
         Oracle { spec }
     }
 
     /// Replays `captures` and returns every invariant violation found.
-    pub fn check(&self, captures: &[CaptureRecord]) -> OracleReport {
+    pub fn check(&self, captures: &Capture) -> OracleReport {
         let mut report = OracleReport {
             violations: Vec::new(),
             calls_audited: 0,
@@ -461,13 +474,9 @@ impl Oracle {
             flows_armed: 0,
         };
         for audit in &self.spec.devices {
-            let mut restarts = audit.restarts.clone();
-            restarts.sort();
-            let mut state = DeviceState {
-                flows: FxHashMap::default(),
-                frags: FxHashMap::default(),
-                pending_restarts: restarts,
-            };
+            let mut state = DeviceState { flows: FxHashMap::default(), frags: FxHashMap::default() };
+            // The first restart not yet applied (`restarts` is sorted).
+            let mut next_restart = 0;
             let mut idx = 0;
             while idx < captures.len() {
                 let Some(call) = next_call(captures, &mut idx, audit.device) else {
@@ -476,12 +485,8 @@ impl Oracle {
                 // A restart wipes conntrack and the fragment cache; the
                 // device applies it lazily at its next packet, so the
                 // audit state resets the same way.
-                while state
-                    .pending_restarts
-                    .first()
-                    .is_some_and(|&r| r <= call.time)
-                {
-                    state.pending_restarts.remove(0);
+                while audit.restarts.get(next_restart).is_some_and(|&r| r <= call.time) {
+                    next_restart += 1;
                     state.flows.clear();
                     state.frags.clear();
                 }
@@ -498,7 +503,7 @@ impl Oracle {
         audit: &DeviceAudit,
         state: &mut DeviceState,
         call: &Call<'_>,
-        captures: &[CaptureRecord],
+        captures: &Capture,
         report: &mut OracleReport,
     ) {
         let Ok(ip) = Ipv4Packet::new_checked(call.input) else {
@@ -538,7 +543,7 @@ impl Oracle {
         // I1: any output that is a TCP RST where the input was not.
         let mut injected = false;
         if !input_is_rst && ip.protocol() == Protocol::Tcp {
-            for output in &call.outputs {
+            for output in call.outputs() {
                 if let Some(fields) = parse_tcp_fields(output) {
                     if fields.rst {
                         injected = true;
@@ -557,7 +562,7 @@ impl Oracle {
         let mut paged = false;
         if let Some(page) = &audit.block_page {
             if ip.protocol() == Protocol::Tcp && !tcp_payload_is(call.input, page) {
-                paged = call.outputs.iter().any(|o| tcp_payload_is(o, page));
+                paged = call.outputs().any(|o| tcp_payload_is(o, page));
             }
         }
 
@@ -568,7 +573,7 @@ impl Oracle {
         // Trigger classification (local→remote packets only — the TSPU
         // honors triggers only from the local side, §5.3.2).
         let candidates = if src_is_local { (audit.classify)(call.input) } else { Vec::new() };
-        let dropped = call.outputs.is_empty();
+        let dropped = call.outputs.len() == 0;
         if !candidates.is_empty() {
             // The device replaces any existing verdict on re-trigger; the
             // allowance and enforcement evidence reset with it.
@@ -602,7 +607,7 @@ impl Oracle {
         call: &Call<'_>,
         ingress: &Ipv4Packet<&[u8]>,
         output: &[u8],
-        captures: &[CaptureRecord],
+        captures: &Capture,
         report: &mut OracleReport,
     ) {
         let Some(out) = parse_tcp_fields(output) else { return };
@@ -651,7 +656,7 @@ impl Oracle {
         state: &mut DeviceState,
         call: &Call<'_>,
         ip: &Ipv4Packet<&[u8]>,
-        captures: &[CaptureRecord],
+        captures: &Capture,
         report: &mut OracleReport,
     ) {
         let (src, dst) = (ip.src_addr(), ip.dst_addr());
@@ -665,7 +670,7 @@ impl Oracle {
             .or_default()
             .insert(ip.frag_offset(), (ip.ttl(), ip.payload().to_vec()));
 
-        if call.outputs.is_empty() {
+        if call.outputs.len() == 0 {
             return; // buffered (or poisoned) — nothing to check yet
         }
         report.flushes_checked += 1;
@@ -675,15 +680,14 @@ impl Oracle {
         // ingress TTL; with no offset-0 in the flush, fragments keep their
         // own TTLs (the cache found no first fragment to copy from).
         let flushed_has_first = call
-            .outputs
-            .iter()
-            .filter_map(|o| Ipv4Packet::new_checked(*o).ok())
+            .outputs()
+            .filter_map(|o| Ipv4Packet::new_checked(o).ok())
             .any(|v| v.is_fragment() && v.frag_offset() == 0);
         let first_ttl = recorded.get(&0).map(|(ttl, _)| *ttl);
 
         let mut prev_offset: Option<usize> = None;
-        for output in &call.outputs {
-            let Ok(out) = Ipv4Packet::new_checked(*output) else {
+        for output in call.outputs() {
+            let Ok(out) = Ipv4Packet::new_checked(output) else {
                 self.violation(
                     report,
                     audit,
@@ -779,7 +783,7 @@ impl Oracle {
         report: &mut OracleReport,
         audit: &DeviceAudit,
         call: &Call<'_>,
-        captures: &[CaptureRecord],
+        captures: &Capture,
         packet: &[u8],
         violation: Violation,
     ) {
@@ -787,10 +791,10 @@ impl Oracle {
             violation,
             device: audit.device,
             device_label: audit.label.clone(),
-            profile: audit.profile.clone(),
+            profile: audit.profile,
             time: call.time,
             packet: packet.to_vec(),
-            trace: captures[call.ingress_idx..call.end_idx].to_vec(),
+            trace: captures.copy_range(call.records.clone()),
             counters_moved: Vec::new(),
             ledger: Vec::new(),
         });
@@ -801,38 +805,25 @@ impl Oracle {
 /// ingress record plus the contiguous egress records that follow (the
 /// event loop is synchronous, so a call's records are never interleaved
 /// with anything else).
-fn next_call<'a>(
-    captures: &'a [CaptureRecord],
-    idx: &mut usize,
-    device: MiddleboxId,
-) -> Option<Call<'a>> {
-    while *idx < captures.len() {
-        let i = *idx;
+fn next_call<'a>(captures: &'a Capture, idx: &mut usize, device: MiddleboxId) -> Option<Call<'a>> {
+    let mut records = captures.range(*idx..captures.len());
+    while let Some(ingress) = records.next() {
+        let start = *idx;
         *idx += 1;
-        let TracePoint::DeviceIngress { device: d, step } = captures[i].point else {
+        let TracePoint::DeviceIngress { device: d, step } = ingress.point else {
             continue;
         };
         if d != device {
             continue;
         }
-        let mut outputs = Vec::new();
-        let mut end = i + 1;
-        while end < captures.len() {
-            match captures[end].point {
-                TracePoint::DeviceEgress { device: d2, step: s2 } if d2 == device && s2 == step => {
-                    outputs.push(&captures[end].bytes[..]);
-                    end += 1;
-                }
-                _ => break,
-            }
-        }
-        *idx = end;
+        let egress = TracePoint::DeviceEgress { device, step };
+        let outputs = records.clone().take_while(|record| record.point == egress).count();
+        *idx += outputs;
         return Some(Call {
-            time: captures[i].time,
-            ingress_idx: i,
-            input: &captures[i].bytes,
-            outputs,
-            end_idx: end,
+            time: ingress.time,
+            input: ingress.bytes,
+            outputs: captures.range(start + 1..*idx),
+            records: start..*idx,
         });
     }
     None
@@ -976,20 +967,24 @@ mod tests {
         ip.build(&segment)
     }
 
-    fn ingress(t: u64, bytes: Vec<u8>) -> CaptureRecord {
-        CaptureRecord {
-            time: Time::from_micros(t),
-            point: TracePoint::DeviceIngress { device: DEV, step: 0 },
-            bytes,
-        }
+    /// One record: (time in µs, trace point, packet).
+    type Entry = (u64, TracePoint, Vec<u8>);
+
+    fn ingress(t: u64, bytes: Vec<u8>) -> Entry {
+        (t, TracePoint::DeviceIngress { device: DEV, step: 0 }, bytes)
     }
 
-    fn egress(t: u64, bytes: Vec<u8>) -> CaptureRecord {
-        CaptureRecord {
-            time: Time::from_micros(t),
-            point: TracePoint::DeviceEgress { device: DEV, step: 0 },
-            bytes,
+    fn egress(t: u64, bytes: Vec<u8>) -> Entry {
+        (t, TracePoint::DeviceEgress { device: DEV, step: 0 }, bytes)
+    }
+
+    /// A capture log of `entries`, in order.
+    fn log(entries: Vec<Entry>) -> Capture {
+        let mut capture = Capture::new();
+        for (t, point, bytes) in entries {
+            capture.push(Time::from_micros(t), point, &bytes);
         }
+        capture
     }
 
     /// Classifies every TCP packet that carries a payload as a trigger for
@@ -1009,7 +1004,7 @@ mod tests {
         spec.devices.push(DeviceAudit {
             device: DEV,
             label: "dev".into(),
-            profile: "tspu".into(),
+            profile: "tspu",
             classify: Box::new(|_| Vec::new()),
             ip_blocked: Box::new(|_| false),
             block_page: None,
@@ -1021,7 +1016,7 @@ mod tests {
     #[test]
     fn clean_passthrough_is_clean() {
         let pkt = tcp_packet(LOCAL, 40000, REMOTE, 443, TcpFlags::SYN, 1, 0, 63, &[]);
-        let captures = vec![ingress(0, pkt.clone()), egress(0, pkt)];
+        let captures = log(vec![ingress(0, pkt.clone()), egress(0, pkt)]);
         let report = Oracle::new(spec_no_triggers()).check(&captures);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.calls_audited, 1);
@@ -1038,19 +1033,19 @@ mod tests {
         spec.devices.push(DeviceAudit {
             device: DEV,
             label: "dev".into(),
-            profile: "tspu".into(),
+            profile: "tspu",
             classify: arms_on_payload(ArmKind::RstRewrite, 75),
             ip_blocked: Box::new(|_| false),
             block_page: None,
             restarts: Vec::new(),
         });
         let hello = tcp_packet(LOCAL, 40000, REMOTE, 443, TcpFlags::PSH_ACK, 2, 500, 63, b"hello");
-        let captures = vec![
+        let captures = log(vec![
             ingress(0, hello.clone()),
             egress(0, hello),
             ingress(10, response),
             egress(10, rewritten),
-        ];
+        ]);
         let report = Oracle::new(spec).check(&captures);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.injections_checked, 1);
@@ -1062,7 +1057,7 @@ mod tests {
         // The model violation: injected RST with a fresh TTL of 64.
         let rewritten =
             tcp_packet(REMOTE, 443, LOCAL, 40000, TcpFlags::RST_ACK, 500, 2, 64, &[]);
-        let captures = vec![ingress(0, response), egress(0, rewritten)];
+        let captures = log(vec![ingress(0, response), egress(0, rewritten)]);
         let report = Oracle::new(spec_no_triggers()).check(&captures);
         assert!(report
             .violations
@@ -1077,7 +1072,7 @@ mod tests {
     #[test]
     fn unexplained_drop_is_flagged() {
         let pkt = tcp_packet(LOCAL, 40001, REMOTE, 443, TcpFlags::PSH_ACK, 9, 1, 62, b"data");
-        let captures = vec![ingress(0, pkt)];
+        let captures = log(vec![ingress(0, pkt)]);
         let report = Oracle::new(spec_no_triggers()).check(&captures);
         assert!(report
             .violations
@@ -1093,7 +1088,7 @@ mod tests {
         spec.devices.push(DeviceAudit {
             device: DEV,
             label: "dev".into(),
-            profile: "tspu".into(),
+            profile: "tspu",
             classify: arms_on_payload(ArmKind::FullDrop, 40),
             ip_blocked: Box::new(|_| false),
             block_page: None,
@@ -1101,13 +1096,13 @@ mod tests {
         });
         let hello = tcp_packet(LOCAL, 40000, REMOTE, 443, TcpFlags::PSH_ACK, 2, 1, 63, b"x");
         let follow = tcp_packet(LOCAL, 40000, REMOTE, 443, TcpFlags::ACK, 3, 1, 63, &[]);
-        let captures = vec![
+        let captures = log(vec![
             // Trigger dropped (SNI-IV eats it): flow enforcing.
             ingress(0, hello),
             // After the restart the same flow passes — legitimate.
             ingress(10_000_000, follow.clone()),
             egress(10_000_000, follow),
-        ];
+        ]);
         let report = Oracle::new(spec).check(&captures);
         assert!(report.is_clean(), "{report}");
     }
@@ -1118,7 +1113,7 @@ mod tests {
         spec.devices.push(DeviceAudit {
             device: DEV,
             label: "dev".into(),
-            profile: "tspu".into(),
+            profile: "tspu",
             classify: arms_on_payload(ArmKind::FullDrop, 40),
             ip_blocked: Box::new(|_| false),
             block_page: None,
@@ -1126,11 +1121,11 @@ mod tests {
         });
         let hello = tcp_packet(LOCAL, 40000, REMOTE, 443, TcpFlags::PSH_ACK, 2, 1, 63, b"x");
         let follow = tcp_packet(LOCAL, 40000, REMOTE, 443, TcpFlags::ACK, 3, 1, 63, &[]);
-        let captures = vec![
+        let captures = log(vec![
             ingress(0, hello),
             ingress(10_000_000, follow.clone()),
             egress(10_000_000, follow),
-        ];
+        ]);
         let report = Oracle::new(spec).check(&captures);
         assert!(report
             .violations

@@ -6,16 +6,16 @@
 //! followed by 16-byte-headed records. Packets are raw IPv4
 //! (`LINKTYPE_RAW` = 101), exactly what the simulator carries.
 
-use crate::capture::CaptureRecord;
+use crate::capture::Capture;
 
 /// libpcap magic (microsecond timestamps, little-endian).
 const MAGIC: u32 = 0xa1b2_c3d4;
 /// LINKTYPE_RAW: packets begin with the IPv4/IPv6 header.
 const LINKTYPE_RAW: u32 = 101;
 
-/// Serializes capture records into libpcap bytes.
-pub fn to_pcap_bytes(records: &[CaptureRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + records.iter().map(|r| 16 + r.bytes.len()).sum::<usize>());
+/// Serializes a capture log into libpcap bytes.
+pub fn to_pcap_bytes(capture: &Capture) -> Vec<u8> {
+    let mut out = Vec::with_capacity(24 + capture.iter().map(|r| 16 + r.bytes.len()).sum::<usize>());
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.extend_from_slice(&2u16.to_le_bytes()); // version major
     out.extend_from_slice(&4u16.to_le_bytes()); // version minor
@@ -23,13 +23,13 @@ pub fn to_pcap_bytes(records: &[CaptureRecord]) -> Vec<u8> {
     out.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
     out.extend_from_slice(&65_535u32.to_le_bytes()); // snaplen
     out.extend_from_slice(&LINKTYPE_RAW.to_le_bytes());
-    for record in records {
+    for record in capture {
         let micros = record.time.as_micros();
         out.extend_from_slice(&((micros / 1_000_000) as u32).to_le_bytes());
         out.extend_from_slice(&((micros % 1_000_000) as u32).to_le_bytes());
         out.extend_from_slice(&(record.bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(&(record.bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&record.bytes);
+        out.extend_from_slice(record.bytes);
     }
     out
 }
@@ -46,13 +46,18 @@ mod tests {
         bytes.iter().rev().fold(0, |value, &byte| value << 8 | u64::from(byte))
     }
 
-    fn record(micros: u64, bytes: Vec<u8>) -> CaptureRecord {
-        CaptureRecord { time: Time::from_micros(micros), point: TracePoint::HostTx(HostId(0)), bytes }
+    /// A log of one host's sends: `(µs, bytes)` each.
+    fn capture(packets: &[(u64, &[u8])]) -> Capture {
+        let mut capture = Capture::new();
+        for &(micros, bytes) in packets {
+            capture.push(Time::from_micros(micros), TracePoint::HostTx(HostId(0)), bytes);
+        }
+        capture
     }
 
     #[test]
     fn header_layout() {
-        let bytes = to_pcap_bytes(&[]);
+        let bytes = to_pcap_bytes(&Capture::new());
         assert_eq!(bytes.len(), 24);
         assert_eq!(le(&bytes[0..4]), 0xa1b2_c3d4);
         assert_eq!(le(&bytes[4..6]), 2);
@@ -62,7 +67,7 @@ mod tests {
 
     #[test]
     fn record_layout_and_timestamps() {
-        let bytes = to_pcap_bytes(&[record(2_500_123, vec![0x45, 0, 0, 20])]);
+        let bytes = to_pcap_bytes(&capture(&[(2_500_123, &[0x45, 0, 0, 20])]));
         let rec = &bytes[24..];
         assert_eq!(le(&rec[0..4]), 2); // sec
         assert_eq!(le(&rec[4..8]), 500_123); // usec
@@ -73,7 +78,7 @@ mod tests {
 
     #[test]
     fn multiple_records_concatenate() {
-        let bytes = to_pcap_bytes(&[record(1, vec![1; 10]), record(2, vec![2; 20])]);
+        let bytes = to_pcap_bytes(&capture(&[(1, &[1; 10]), (2, &[2; 20])]));
         assert_eq!(bytes.len(), 24 + (16 + 10) + (16 + 20));
     }
 }

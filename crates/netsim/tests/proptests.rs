@@ -1,11 +1,23 @@
 //! Property-based tests for the simulator: determinism, delivery
-//! conservation, and exact TTL semantics on arbitrary route shapes.
+//! conservation, exact TTL semantics on arbitrary route shapes, and the
+//! capture log reading back what was written.
+//!
+//! ## Seeded mutation
+//!
+//! `capture_empty_asks_the_bytes` (`tests/mutants/`): `Capture::is_empty`
+//! asks the byte buffer instead of the record list, so a log of only
+//! zero-length packets reads as empty. No other test asks such a log, so
+//! only `capture_log_yields_what_was_pushed` sees it.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use tspu_netsim::{Direction, Middlebox, MiddleboxId, Network, Route, RouteStep, Time, TracePoint, Verdict};
+use tspu_netsim::{
+    Capture, Direction, HostId, Middlebox, MiddleboxId, Network, Route, RouteStep, Time, TracePoint, Verdict,
+};
 use tspu_wire::ipv4::{Ipv4Packet, Ipv4Repr, Protocol};
 
 const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -335,4 +347,113 @@ proptest! {
         }
         prop_assert!(queue.is_empty() && queue.pop().is_none());
     }
+}
+
+/// A trace point of any kind, over small ids and steps.
+fn trace_point() -> impl Strategy<Value = TracePoint> {
+    (0u8..5, 0usize..4, 0usize..16).prop_map(|(kind, id, step)| match kind {
+        0 => TracePoint::HostTx(HostId(id)),
+        1 => TracePoint::HostRx(HostId(id)),
+        2 => TracePoint::Dropped { step },
+        3 => TracePoint::DeviceIngress { device: MiddleboxId(id), step },
+        _ => TracePoint::DeviceEgress { device: MiddleboxId(id), step },
+    })
+}
+
+/// Packet bytes: empty, a full 1,500-byte frame, or up to 63 bytes, each
+/// byte counting up from a drawn start so neighbouring packets differ.
+fn packet_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..3, 0usize..64, any::<u8>()).prop_map(|(shape, short, start)| {
+        let len = [0, 1_500, short][usize::from(shape)];
+        (0..len).map(|i| start.wrapping_add(i as u8)).collect()
+    })
+}
+
+proptest! {
+    /// The capture log reads back exactly what was pushed: for any push
+    /// sequence (every trace point kind, empty and 1,500-byte packets),
+    /// `iter` and `get` yield each (time, point, bytes) in push order, and
+    /// `len` counts them.
+    #[test]
+    fn capture_log_yields_what_was_pushed(
+        pushes in proptest::collection::vec((0u64..10_000_000, trace_point(), packet_bytes()), 0..40),
+    ) {
+        let mut capture = Capture::new();
+        for (micros, point, bytes) in &pushes {
+            capture.push(Time::from_micros(*micros), *point, bytes);
+        }
+        prop_assert_eq!(capture.len(), pushes.len());
+        prop_assert_eq!(capture.is_empty(), pushes.is_empty());
+        let read: Vec<_> = capture.iter().map(|r| (r.time.as_micros(), r.point, r.bytes.to_vec())).collect();
+        prop_assert_eq!(&read, &pushes);
+        for (i, (micros, point, bytes)) in pushes.iter().enumerate() {
+            let record = capture.get(i).unwrap();
+            prop_assert_eq!((record.time.as_micros(), record.point, record.bytes), (*micros, *point, &bytes[..]));
+        }
+        prop_assert!(capture.get(pushes.len()).is_none());
+    }
+}
+
+/// A device that drops a packet whose last byte is 0 mod 5, forwards two
+/// copies of one whose last byte is 1 mod 5, and passes the rest.
+struct Shuffler;
+
+impl Middlebox for Shuffler {
+    fn process(&mut self, _now: Time, _dir: Direction, packet: &mut Vec<u8>) -> Verdict {
+        match packet.last().map_or(0, |tag| tag % 5) {
+            0 => Verdict::Drop,
+            1 => Verdict::Fanout(vec![packet.clone(), packet.clone()]),
+            _ => Verdict::Pass,
+        }
+    }
+}
+
+/// The pcap export of a fixed capture holding every trace point kind:
+/// twelve packets drawn from seed 2022 (TTLs of 1–7 over a four-router
+/// route with the [`Shuffler`] after its third router; the first payload
+/// 1,480 bytes, the rest 0–119), a millisecond apart. Its bytes are pinned to
+/// `golden/capture_2022.pcap`, written by the per-record capture that the
+/// log replaced; `TSPU_BLESS=1` rewrites it.
+#[test]
+fn pcap_export_of_a_seed_2022_capture_is_pinned() {
+    let mut rng = SmallRng::seed_from_u64(2022);
+    let mut net = Network::new(Duration::from_millis(1));
+    net.set_capture(true);
+    let a = net.add_host(A);
+    let b = net.add_host(B);
+    let mut route = Route::through(&hops(4));
+    let device = net.install_middlebox(Shuffler);
+    route.steps[2].devices.push((device.id(), Direction::LocalToRemote));
+    net.set_route_symmetric(a, b, route);
+    for i in 0..12 {
+        let ttl = rng.gen_range(1u8..8);
+        let len = if i == 0 { 1_480 } else { rng.gen_range(0usize..120) };
+        let payload: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        let mut repr = Ipv4Repr::new(A, B, Protocol::Other(0xfd), payload.len());
+        repr.ttl = ttl;
+        net.send_from(a, repr.build(&payload));
+        net.run_for(Duration::from_millis(1));
+    }
+    net.run_until_idle();
+    let captures = net.take_captures();
+    for kind in 0..5 {
+        let seen = captures.iter().any(|c| {
+            kind == match c.point {
+                TracePoint::HostTx(_) => 0,
+                TracePoint::HostRx(_) => 1,
+                TracePoint::Dropped { .. } => 2,
+                TracePoint::DeviceIngress { .. } => 3,
+                TracePoint::DeviceEgress { .. } => 4,
+            }
+        });
+        assert!(seen, "the capture holds no trace point of kind {kind}");
+    }
+    let pcap = tspu_netsim::pcap::to_pcap_bytes(&captures);
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/capture_2022.pcap");
+    if std::env::var_os("TSPU_BLESS").is_some() {
+        std::fs::write(golden, &pcap).unwrap();
+    }
+    let expected = std::fs::read(golden).unwrap();
+    assert_eq!(pcap.len(), expected.len(), "pcap length");
+    assert!(pcap == expected, "pcap bytes differ from {golden}");
 }

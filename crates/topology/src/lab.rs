@@ -495,19 +495,19 @@ impl VantageLab {
         for vantage in &self.vantages {
             if self.net.middlebox_built(vantage.sym_device.id()) {
                 let label = format!("{}-sym", vantage.name);
-                spec.devices.push(self.device_audit(vantage.sym_device, &label));
+                spec.devices.push(self.device_audit(vantage.sym_device, label));
             }
             for (i, &handle) in vantage.upstream_devices.iter().enumerate() {
                 if self.net.middlebox_built(handle.id()) {
                     let label = format!("{}-up{i}", vantage.name);
-                    spec.devices.push(self.device_audit(handle, &label));
+                    spec.devices.push(self.device_audit(handle, label));
                 }
             }
         }
         if let Some(gen) = &self.gen {
             for d in &gen.devices {
                 if self.net.middlebox_built(d.handle.id()) {
-                    spec.devices.push(self.device_audit(d.handle, &d.label));
+                    spec.devices.push(self.device_audit(d.handle, d.label.clone()));
                 }
             }
         }
@@ -515,7 +515,7 @@ impl VantageLab {
     }
 
     /// The oracle's audit of one device, under `label`.
-    fn device_audit(&self, handle: MiddleboxHandle<TspuDevice>, label: &str) -> DeviceAudit {
+    fn device_audit(&self, handle: MiddleboxHandle<TspuDevice>, label: String) -> DeviceAudit {
         let device = self.net.middlebox(handle);
         audit_for_profile(
             handle.id(),
@@ -916,8 +916,7 @@ mod tests {
                 lab.net.run_until_idle();
                 assert_eq!(report.outcome(), tspu_stack::ClientOutcome::Reset);
                 let built = lab.net.middleboxes_built();
-                let packets: Vec<_> =
-                    lab.net.captures().iter().map(|c| (c.time, c.point, c.bytes.clone())).collect();
+                let packets = lab.net.captures().clone();
                 let obs = format!("{:?}", lab.obs_snapshot());
                 let audited = lab.oracle_spec().devices.len();
                 assert_eq!(lab.net.middleboxes_built(), built, "exporting or auditing built a device");

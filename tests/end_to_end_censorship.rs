@@ -161,7 +161,7 @@ fn two_devices_on_path_compound_reliability() {
 }
 
 /// FNV-1a over every capture record's time, trace point and bytes.
-fn capture_digest(captures: &[tspu::netsim::CaptureRecord]) -> u64 {
+fn capture_digest(captures: &tspu::netsim::Capture) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut feed = |bytes: &[u8]| {
         for &byte in bytes {
@@ -172,7 +172,7 @@ fn capture_digest(captures: &[tspu::netsim::CaptureRecord]) -> u64 {
         feed(&record.time.as_micros().to_be_bytes());
         feed(format!("{:?}", record.point).as_bytes());
         feed(&(record.bytes.len() as u64).to_be_bytes());
-        feed(&record.bytes);
+        feed(record.bytes);
     }
     hash
 }
